@@ -90,11 +90,11 @@ class PLRUPART_EXPORT SetAssocCache {
   /// `out`. Semantically identical to calling access() n times — same state,
   /// same statistics, same outcomes — but the driver prefetches the set
   /// metadata of a small window of upcoming ops, overlapping the dependent
-  /// set-lookup chains that serialize the one-at-a-time path. Callers with
-  /// naturally batched independent accesses (trace replay between interval
-  /// boundaries, the micro benches) get the dependency-hiding for free; the
-  /// set-sharded engine keeps per-op access() because its argmin interleave
-  /// makes each op's issue depend on the previous op's outcome.
+  /// set-lookup chains that serialize the one-at-a-time path. No simulator
+  /// path calls it: every replay loop (serial, timed, set-sharded) issues
+  /// per-op access() because its argmin interleave makes each op's issue
+  /// depend on the previous op's outcome. Its callers are the micro benches,
+  /// the SIMD perf gate and the tests.
   void access_batch(const BatchOp* ops, std::size_t n, AccessOutcome* out);
   /// Batched replay with externalized statistics (see the 4-arg access()).
   void access_batch(const BatchOp* ops, std::size_t n, AccessOutcome* out,

@@ -13,7 +13,7 @@
 #include <memory>
 #include <vector>
 
-#include "plrupart/cache/cache.hpp"
+#include "plrupart/cache/lru_filter.hpp"
 #include "plrupart/core/partitioned_cache.hpp"
 #include "plrupart/sim/core_model.hpp"
 
@@ -65,13 +65,13 @@ class PLRUPART_EXPORT MemoryHierarchy {
   [[nodiscard]] const HierarchyConfig& config() const noexcept { return config_; }
   [[nodiscard]] core::PartitionedCacheSystem& l2() noexcept { return *l2_; }
   [[nodiscard]] const core::PartitionedCacheSystem& l2() const noexcept { return *l2_; }
-  [[nodiscard]] const cache::SetAssocCache& l1d(cache::CoreId core) const;
+  [[nodiscard]] const cache::LruFilter& l1d(cache::CoreId core) const;
   [[nodiscard]] const HierarchyCounters& counters(cache::CoreId core) const;
   /// Mutable L1/counter access for the set-sharded simulator: its demux
   /// thread drives the private L1s directly (they filter the streams the
   /// shard workers consume), and the driver installs the replicated counters
   /// when the workers join.
-  [[nodiscard]] cache::SetAssocCache& l1d_mut(cache::CoreId core);
+  [[nodiscard]] cache::LruFilter& l1d_mut(cache::CoreId core);
   void set_counters(cache::CoreId core, const HierarchyCounters& ctr);
   [[nodiscard]] std::uint32_t num_cores() const noexcept { return config_.l2.num_cores; }
 
@@ -79,7 +79,7 @@ class PLRUPART_EXPORT MemoryHierarchy {
 
  private:
   HierarchyConfig config_;
-  std::vector<std::unique_ptr<cache::SetAssocCache>> l1d_;
+  std::vector<cache::LruFilter> l1d_;
   std::unique_ptr<core::PartitionedCacheSystem> l2_;
   std::vector<HierarchyCounters> counters_;
 };

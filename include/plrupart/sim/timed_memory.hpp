@@ -149,6 +149,11 @@ class PLRUPART_EXPORT TimedMemory {
 
   TimedParams params_;
   cache::Geometry geo_;
+  // DRAM interleave (bank = line mod banks, row = line / banks / lines per
+  // row), as a mask and a shift when both divisors are powers of two.
+  std::uint64_t lines_per_row_ = 1;
+  bool pow2_interleave_ = false;
+  std::uint32_t row_shift_ = 0;
   EventQueue queue_;
   std::vector<Mshr> mshrs_;
   std::vector<Bank> banks_;

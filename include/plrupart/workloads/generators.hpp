@@ -73,6 +73,13 @@ class PLRUPART_EXPORT SyntheticTrace final : public sim::TraceSource {
   }
 
  private:
+  /// Per-component line bookkeeping, precomputed so next() divides by nothing.
+  struct Cursor {
+    std::uint64_t lines = 0;  ///< lines in the component's region
+    std::uint64_t step = 0;   ///< scan advance per access, reduced mod lines
+    std::uint64_t pos = 0;    ///< next scanned line, in [0, lines)
+  };
+
   [[nodiscard]] std::size_t pick_component();
   [[nodiscard]] cache::Addr component_address(std::size_t idx);
 
@@ -80,11 +87,14 @@ class PLRUPART_EXPORT SyntheticTrace final : public sim::TraceSource {
   std::uint64_t base_addr_;
   std::uint64_t seed_;
   Rng rng_;
-  std::vector<std::uint64_t> bases_;    // absolute base address per component
-  std::vector<std::uint64_t> cursors_;  // scan position per component
+  std::vector<std::uint64_t> bases_;  // absolute base address per component
+  std::vector<Cursor> cursors_;
   std::uint64_t ops_ = 0;
+  double mean_gap_ = 0.0;  // (1 - f) / f gap instructions per memory op
   double gap_carry_ = 0.0;
   double total_weight_ = 0.0;
+  std::size_t rot_ = 0;          // phase() % components
+  std::uint64_t phase_left_ = 0;  // ops until the next rotation (0: stationary)
 };
 
 /// Build the trace for one benchmark instance running on `core_id` (the id

@@ -1,19 +1,12 @@
 #include "plrupart/sim/memory_hierarchy.hpp"
 
-#include "plrupart/common/rng.hpp"
-
 namespace plrupart::sim {
 
 MemoryHierarchy::MemoryHierarchy(HierarchyConfig config) : config_(std::move(config)) {
   config_.validate();
   const std::uint32_t cores = config_.l2.num_cores;
   PLRUPART_ASSERT(cores >= 1);
-  l1d_.reserve(cores);
-  for (std::uint32_t i = 0; i < cores; ++i) {
-    l1d_.push_back(std::make_unique<cache::SetAssocCache>(
-        config_.l1d, cache::ReplacementKind::kLru, /*num_cores=*/1,
-        cache::EnforcementMode::kNone, derive_seed(config_.l2.seed, 1000 + i)));
-  }
+  l1d_.assign(cores, cache::LruFilter(config_.l1d));
   l2_ = std::make_unique<core::PartitionedCacheSystem>(config_.l2);
   counters_.resize(cores);
 }
@@ -31,8 +24,7 @@ AccessLevel MemoryHierarchy::access(cache::CoreId core, cache::Addr addr, bool w
   echo = L2Echo{};
 
   ++ctr.l1_accesses;
-  const auto l1 = l1d_[core]->access(0, addr, write);
-  if (l1.hit) return AccessLevel::kL1;
+  if (l1d_[core].access(addr)) return AccessLevel::kL1;
 
   ++ctr.l1_misses;
   ++ctr.l2_accesses;
@@ -48,9 +40,9 @@ AccessLevel MemoryHierarchy::access(cache::CoreId core, cache::Addr addr, bool w
   return AccessLevel::kMemory;
 }
 
-const cache::SetAssocCache& MemoryHierarchy::l1d(cache::CoreId core) const {
+const cache::LruFilter& MemoryHierarchy::l1d(cache::CoreId core) const {
   PLRUPART_ASSERT(core < l1d_.size());
-  return *l1d_[core];
+  return l1d_[core];
 }
 
 const HierarchyCounters& MemoryHierarchy::counters(cache::CoreId core) const {
@@ -58,9 +50,9 @@ const HierarchyCounters& MemoryHierarchy::counters(cache::CoreId core) const {
   return counters_[core];
 }
 
-cache::SetAssocCache& MemoryHierarchy::l1d_mut(cache::CoreId core) {
+cache::LruFilter& MemoryHierarchy::l1d_mut(cache::CoreId core) {
   PLRUPART_ASSERT(core < l1d_.size());
-  return *l1d_[core];
+  return l1d_[core];
 }
 
 void MemoryHierarchy::set_counters(cache::CoreId core, const HierarchyCounters& ctr) {
@@ -69,7 +61,7 @@ void MemoryHierarchy::set_counters(cache::CoreId core, const HierarchyCounters& 
 }
 
 void MemoryHierarchy::reset() {
-  for (auto& l1 : l1d_) l1->reset();
+  for (auto& l1 : l1d_) l1.reset();
   l2_->reset();
   for (auto& c : counters_) c = HierarchyCounters{};
 }

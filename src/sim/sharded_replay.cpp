@@ -33,7 +33,7 @@
 // Residual divergences, all invisible to SimResult/CSV: canonical ATD
 // contents stay cold (estimates live in the replicas), and the demux thread
 // runs the L1s ahead of the merge loop by up to the ring capacity, so final
-// L1 contents/stats differ from serial. HierarchyCounters are replicated and
+// L1 contents differ from serial. HierarchyCounters are replicated and
 // installed from worker 0; L2 stats deltas are absorbed in shard order
 // (integer sums, order-independent).
 #include "sim/sharded_replay.hpp"
@@ -182,12 +182,12 @@ SimResult run_set_sharded(const SimConfig& config,
       for (std::uint32_t c = 0; c < n; ++c) {
         if (!op_rings[c]->can_push()) continue;
         const MemOp op = traces[c]->next();
-        const auto l1 = hierarchy.l1d_mut(c).access(0, op.addr, op.write);
+        const bool l1_hit = hierarchy.l1d_mut(c).access(op.addr);
         OpRecord rec;
         rec.addr = op.addr;
         rec.gap_instrs = op.gap_instrs;
         rec.write = op.write ? 1 : 0;
-        rec.l1_hit = l1.hit ? 1 : 0;
+        rec.l1_hit = l1_hit ? 1 : 0;
         op_rings[c]->push(rec, abort);
         produced = true;
       }

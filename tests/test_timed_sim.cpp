@@ -311,6 +311,24 @@ TEST(TimedMemory, RowBufferOutcomesFollowTheOpenRow) {
   EXPECT_EQ(mem.stats().bank_conflicts, 1u);  // different row: precharge first
 }
 
+TEST(TimedMemory, NonPowerOfTwoInterleaveDividesExactly) {
+  TimedParams p;
+  p.dram_banks = 3;
+  p.row_bytes = 384;  // 3 lines per row
+  TimedMemory mem(p, one_set_geo());
+
+  // bank = line % 3, row = line / 3 / 3: lines 0 and 3 share bank 0 row 0,
+  // line 9 is bank 0 row 1, line 1 opens bank 1.
+  std::uint64_t t = 0;
+  for (const cache::Addr line : {0ULL, 3ULL, 9ULL, 1ULL}) {
+    auto tk = mem.miss(t += 1'000, line, 0, false, false, 0);
+    (void)mem.retire(tk);
+  }
+  EXPECT_EQ(mem.stats().row_misses, 2u);
+  EXPECT_EQ(mem.stats().row_hits, 1u);
+  EXPECT_EQ(mem.stats().bank_conflicts, 1u);
+}
+
 TEST(TimedMemory, ValidateRejectsDegenerateParams) {
   TimedParams p;
   p.mshrs = 0;
