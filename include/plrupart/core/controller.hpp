@@ -43,6 +43,12 @@ class PLRUPART_EXPORT IntervalController {
   /// if a repartition happened.
   bool tick(std::uint64_t now_cycles);
 
+  /// Would tick(now_cycles) repartition? The one owner of the boundary rule:
+  /// the set-sharded replay asks it to decide when to enter its barrier.
+  [[nodiscard]] bool due(std::uint64_t now_cycles) const noexcept {
+    return now_cycles >= next_boundary_;
+  }
+
   [[nodiscard]] const Partition& current() const noexcept { return current_; }
   [[nodiscard]] const std::vector<RepartitionEvent>& history() const noexcept {
     return history_;

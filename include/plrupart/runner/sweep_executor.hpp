@@ -82,6 +82,12 @@ class PLRUPART_EXPORT SweepExecutor {
  private:
   [[nodiscard]] sim::SimResult run_supervised(const RunSpec& spec, RunJournal* journal,
                                               std::size_t pos) const;
+  /// The one fan-out behind run() and run_csv(): run (and consume) jobs[i]
+  /// for every i in `todo` on the worker pool, log each completion
+  /// (--progress), and hand the result to `sink(i, JobResult&&)`.
+  template <class Sink>
+  void fan_out(std::vector<RunSpec>& jobs, const std::vector<std::size_t>& todo,
+               RunJournal* journal, Sink&& sink) const;
 
   SweepOptions opts_;
 };

@@ -122,9 +122,6 @@ class PLRUPART_EXPORT CmpSimulator {
   [[nodiscard]] const MemoryHierarchy& hierarchy() const noexcept { return *hierarchy_; }
 
  private:
-  [[nodiscard]] SimResult run_serial();
-  [[nodiscard]] SimResult run_timed();
-
   SimConfig config_;
   std::vector<std::unique_ptr<TraceSource>> traces_;
   std::unique_ptr<MemoryHierarchy> hierarchy_;

@@ -31,7 +31,8 @@ namespace plrupart::sim {
 /// How CmpSimulator accounts time. kFunctional is the fast fixed-latency IPC
 /// approximation (the default, byte-identical to earlier releases); kTimed
 /// runs the event-driven MSHR/DRAM overlay. Partition decisions are identical
-/// between the modes by construction — see timed_replay.cpp.
+/// between the modes by construction: both run the one replay loop and differ
+/// only in the clocks it reports (see CmpSimulator).
 enum class TimingMode : std::uint8_t { kFunctional, kTimed };
 
 [[nodiscard]] PLRUPART_EXPORT std::string to_string(TimingMode mode);

@@ -28,7 +28,7 @@ IntervalController::IntervalController(std::uint64_t interval_cycles,
 }
 
 bool IntervalController::tick(std::uint64_t now_cycles) {
-  if (now_cycles < next_boundary_) return false;
+  if (!due(now_cycles)) return false;
   repartition_now(now_cycles);
   // Re-arm relative to the boundary grid, skipping intervals the simulator
   // jumped over (a long stall can cross several boundaries at once).

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <istream>
 #include <memory>
+#include <numeric>
 #include <ostream>
 #include <sstream>
 #include <string_view>
@@ -99,25 +100,40 @@ sim::SimResult SweepExecutor::run_supervised(const RunSpec& spec, RunJournal* jo
   }
 }
 
-std::vector<JobResult> SweepExecutor::run(std::vector<RunSpec> jobs) const {
-  const std::size_t total = jobs.size();
-  std::vector<JobResult> out(total);
+template <class Sink>
+void SweepExecutor::fan_out(std::vector<RunSpec>& jobs,
+                            const std::vector<std::size_t>& todo, RunJournal* journal,
+                            Sink&& sink) const {
   std::atomic<std::size_t> done{0};
   parallel_for(
-      total,
-      [&](std::size_t i) {
-        out[i].spec = std::move(jobs[i]);
+      todo.size(),
+      [&](std::size_t k) {
+        const std::size_t i = todo[k];
+        JobResult jr;
+        // Moved, not copied: a per-job copy's allocations land among the 1 MiB
+        // trace-reader buffers and doubled the page faults of short
+        // trace-backed jobs.
+        jr.spec = std::move(jobs[i]);
         const auto t0 = std::chrono::steady_clock::now();
-        out[i].result = run_supervised(out[i].spec, nullptr, i);
+        jr.result = run_supervised(jr.spec, journal, i);
         if (opts_.progress) {
           const double secs =
               std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
                   .count();
-          log_progress(out[i], done.fetch_add(1, std::memory_order_relaxed) + 1, total,
+          log_progress(jr, done.fetch_add(1, std::memory_order_relaxed) + 1, todo.size(),
                        secs);
         }
+        sink(i, std::move(jr));
       },
       opts_.threads);
+}
+
+std::vector<JobResult> SweepExecutor::run(std::vector<RunSpec> jobs) const {
+  std::vector<std::size_t> all(jobs.size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  std::vector<JobResult> out(jobs.size());
+  fan_out(jobs, all, nullptr,
+          [&](std::size_t i, JobResult&& jr) { out[i] = std::move(jr); });
   return out;
 }
 
@@ -139,24 +155,8 @@ void SweepExecutor::run_csv(std::vector<RunSpec> jobs, std::ostream& os) const {
     std::fprintf(stderr, "plrupart: resuming: %zu/%zu jobs already journaled\n",
                  jobs.size() - todo.size(), jobs.size());
   }
-  std::atomic<std::size_t> done{0};
-  parallel_for(
-      todo.size(),
-      [&](std::size_t k) {
-        const std::size_t i = todo[k];
-        JobResult jr;
-        jr.spec = jobs[i];
-        const auto t0 = std::chrono::steady_clock::now();
-        jr.result = run_supervised(jr.spec, &journal, i);
-        if (opts_.progress) {
-          const double secs =
-              std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-                  .count();
-          log_progress(jr, done.fetch_add(1, std::memory_order_relaxed) + 1, todo.size(),
-                       secs);
-        }
-      },
-      opts_.threads);
+  // The journal already holds each job's rows; the in-memory result is dropped.
+  fan_out(jobs, todo, &journal, [](std::size_t, JobResult&&) {});
   journal.write_final_csv(os);
 }
 

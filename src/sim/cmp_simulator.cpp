@@ -1,14 +1,146 @@
 #include "plrupart/sim/cmp_simulator.hpp"
 
-#include <algorithm>
 #include <chrono>
-#include <limits>
 #include <string>
 
 #include "plrupart/common/error.hpp"
+#include "sim/replay_loop.hpp"
 #include "sim/sharded_replay.hpp"
 
 namespace plrupart::sim {
+
+namespace {
+
+/// The direct L2 port: ops come straight from the trace sources and go through
+/// the real MemoryHierarchy, with a polled watchdog. Wall time is only ever
+/// compared against the deadline — it decides whether the run dies, never
+/// what the run computes.
+class DirectPort {
+ public:
+  DirectPort(const std::vector<std::unique_ptr<TraceSource>>& traces,
+             MemoryHierarchy& hierarchy, double timeout_s, const char* mode)
+      : traces_(traces),
+        hierarchy_(hierarchy),
+        has_deadline_(timeout_s > 0.0),
+        deadline_(std::chrono::steady_clock::now() +
+                  std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                      std::chrono::duration<double>(has_deadline_ ? timeout_s : 0.0))),
+        timeout_s_(timeout_s),
+        mode_(mode) {}
+
+  void poll() {
+    if (has_deadline_ && (++ops_since_poll_ & 0xfffU) == 0 &&
+        std::chrono::steady_clock::now() >= deadline_) {
+      throw TimeoutError("simulation exceeded watchdog deadline of " +
+                         std::to_string(timeout_s_) + " s (" + mode_ + " run)");
+    }
+  }
+  MemOp next(std::uint32_t core) { return traces_[core]->next(); }
+  AccessLevel access(std::uint32_t core, const MemOp& op, std::uint64_t now,
+                     L2Echo& echo) {
+    return hierarchy_.access(core, op.addr, op.write, now, echo);
+  }
+  [[nodiscard]] const HierarchyCounters& counters(std::uint32_t core) const {
+    return hierarchy_.counters(core);
+  }
+
+ private:
+  const std::vector<std::unique_ptr<TraceSource>>& traces_;
+  MemoryHierarchy& hierarchy_;
+  bool has_deadline_;
+  std::chrono::steady_clock::time_point deadline_;
+  double timeout_s_;
+  const char* mode_;
+  std::uint64_t ops_since_poll_ = 0;
+};
+
+/// The timed overlay: a second per-core clock charges memory latency from the
+/// event-driven MSHR/writeback/banked-DRAM model (TimedMemory) instead of the
+/// fixed penalties, and those clocks are what the SimResult reports.
+///
+/// A core keeps at most one L2 transaction in flight (its `outstanding`
+/// ticket). L1 hits retire under it — hit-under-miss — and the fill is awaited
+/// lazily at the core's next L2-reaching access, charging only the exposed
+/// fraction of whatever latency is still uncovered at that point. Cross-core
+/// concurrency is real: many cores' fills occupy MSHRs and DRAM banks at once,
+/// which is where queueing, coalescing, and bank conflicts come from.
+class TimedClocks {
+ public:
+  explicit TimedClocks(const SimConfig& config)
+      : config_(config),
+        memory_(config.timed, config.hierarchy.l2.geometry),
+        cores_(config.cores.size()) {}
+
+  [[nodiscard]] double clock(std::uint32_t core, const CoreModel& /*model*/) const {
+    return cores_[core].cycles;
+  }
+
+  /// Same committed instructions as the functional clock, latency from the model.
+  void on_access(std::uint32_t core, const MemOp& op, const L2Echo& echo) {
+    TimedCore& tc = cores_[core];
+    const CoreParams& cp = config_.cores[core];
+    tc.cycles += (static_cast<double>(op.gap_instrs) + 1.0) / cp.base_ipc;
+    if (!echo.reached_l2) return;
+    // One demand transaction in flight per core: the previous one must
+    // retire before the next issues (L1 hits in between already proceeded).
+    settle(core);
+    const auto t_issue = static_cast<std::uint64_t>(tc.cycles);
+    const cache::Addr line = config_.hierarchy.l2.geometry.line_addr(op.addr);
+    if (echo.hit) {
+      const auto tk = memory_.hit(t_issue, line, echo.way, op.write);
+      if (tk.valid) {
+        // Fill still in flight: this "hit" waits on the fill, not the array.
+        tc.outstanding = tk;
+        tc.has_outstanding = true;
+      } else {
+        tc.cycles += static_cast<double>(config_.timed.l2_hit_cycles) * cp.stall_fraction;
+      }
+    } else {
+      tc.outstanding = memory_.miss(t_issue, line, echo.way, op.write, echo.evicted_valid,
+                                    echo.evicted_line);
+      tc.has_outstanding = true;
+    }
+  }
+
+  /// Settle every in-flight transaction so the measured window starts from a
+  /// clean overlay, then restart peak tracking.
+  void open_window() {
+    for (std::uint32_t i = 0; i < cores_.size(); ++i) settle(i);
+    memory_.mark();
+    stats_base_ = memory_.stats();
+  }
+
+  /// Await core's in-flight L2 transaction and charge the exposed remainder
+  /// (at a freeze: the quota's last miss belongs to the window).
+  void settle(std::uint32_t core) {
+    TimedCore& tc = cores_[core];
+    if (!tc.has_outstanding) return;
+    const auto done = static_cast<double>(memory_.retire(tc.outstanding));
+    tc.has_outstanding = false;
+    if (done > tc.cycles) {
+      tc.cycles += (done - tc.cycles) * config_.cores[core].stall_fraction;
+    }
+  }
+
+  void finish(SimResult& out) const {
+    out.timing = TimingMode::kTimed;
+    out.timed = memory_.stats().delta_since(stats_base_);
+  }
+
+ private:
+  struct TimedCore {
+    double cycles = 0.0;  ///< the timed clock (what this mode reports)
+    TimedMemory::Ticket outstanding{};
+    bool has_outstanding = false;
+  };
+
+  const SimConfig& config_;
+  TimedMemory memory_;
+  std::vector<TimedCore> cores_;
+  TimedStats stats_base_;  ///< snapshot of the overlay counters at window open
+};
+
+}  // namespace
 
 CmpSimulator::CmpSimulator(SimConfig config, std::vector<std::unique_ptr<TraceSource>> traces)
     : config_(std::move(config)), traces_(std::move(traces)) {
@@ -33,106 +165,21 @@ SimResult CmpSimulator::run() {
   }
   ran_ = true;
 
-  if (config_.timing_mode == TimingMode::kTimed) return run_timed();
-
   const std::uint32_t shards = internal::resolve_sim_shards(config_);
   if (shards > 1) {
     return internal::run_set_sharded(config_, traces_, *hierarchy_, shards);
   }
-  return run_serial();
-}
-
-SimResult CmpSimulator::run_serial() {
-  const std::uint32_t n = hierarchy_->num_cores();
-  std::vector<CoreModel> models;
-  models.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) models.emplace_back(config_.cores[i]);
-
-  struct Baseline {
-    std::uint64_t instructions = 0;
-    double cycles = 0.0;
-    HierarchyCounters mem;
-  };
-  std::vector<Baseline> baselines(n);
-  bool windows_open = config_.warmup_instr == 0;
-
-  std::vector<bool> frozen(n, false);
-  std::vector<ThreadResult> results(n);
-  std::uint32_t remaining = n;
-
-  // Watchdog: wall time is only ever compared against the deadline — it
-  // decides whether the run dies, never what the run computes.
-  const bool has_deadline = config_.timeout_s > 0.0;
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(has_deadline ? config_.timeout_s : 0.0));
-  std::uint64_t ops_since_poll = 0;
-
-  while (remaining > 0) {
-    if (has_deadline && (++ops_since_poll & 0xfffU) == 0 &&
-        std::chrono::steady_clock::now() >= deadline) {
-      throw TimeoutError("simulation exceeded watchdog deadline of " +
-                         std::to_string(config_.timeout_s) + " s (serial run)");
-    }
-    // Advance the core with the smallest local clock (finished cores keep
-    // running to preserve contention, with frozen statistics).
-    std::uint32_t core = 0;
-    double min_cycles = std::numeric_limits<double>::infinity();
-    for (std::uint32_t i = 0; i < n; ++i) {
-      if (models[i].cycles() < min_cycles) {
-        min_cycles = models[i].cycles();
-        core = i;
-      }
-    }
-
-    const MemOp op = traces_[core]->next();
-    models[core].commit_gap(op.gap_instrs);
-    const auto now = static_cast<std::uint64_t>(models[core].cycles());
-    const AccessLevel level = hierarchy_->access(core, op.addr, op.write, now);
-    models[core].commit_mem(level);
-
-    if (!windows_open) {
-      // Windows open for everyone at once, when the slowest core has warmed.
-      std::uint64_t min_instr = models[0].instructions();
-      for (std::uint32_t i = 1; i < n; ++i)
-        min_instr = std::min(min_instr, models[i].instructions());
-      if (min_instr >= config_.warmup_instr) {
-        windows_open = true;
-        for (std::uint32_t i = 0; i < n; ++i) {
-          baselines[i].instructions = models[i].instructions();
-          baselines[i].cycles = models[i].cycles();
-          baselines[i].mem = hierarchy_->counters(i);
-        }
-      }
-      continue;
-    }
-
-    if (!frozen[core] &&
-        models[core].instructions() >= baselines[core].instructions + config_.instr_limit) {
-      frozen[core] = true;
-      --remaining;
-      const Baseline& base = baselines[core];
-      ThreadResult& r = results[core];
-      r.benchmark = traces_[core]->name();
-      r.instructions = models[core].instructions() - base.instructions;
-      r.cycles = models[core].cycles() - base.cycles;
-      r.ipc = r.cycles > 0.0 ? static_cast<double>(r.instructions) / r.cycles : 0.0;
-      const HierarchyCounters& now_mem = hierarchy_->counters(core);
-      r.mem.l1_accesses = now_mem.l1_accesses - base.mem.l1_accesses;
-      r.mem.l1_misses = now_mem.l1_misses - base.mem.l1_misses;
-      r.mem.l2_accesses = now_mem.l2_accesses - base.mem.l2_accesses;
-      r.mem.l2_misses = now_mem.l2_misses - base.mem.l2_misses;
-    }
+  std::vector<std::string> names;
+  names.reserve(traces_.size());
+  for (const auto& t : traces_) names.push_back(t->name());
+  const bool timed = config_.timing_mode == TimingMode::kTimed;
+  DirectPort port(traces_, *hierarchy_, config_.timeout_s, timed ? "timed" : "serial");
+  if (timed) {
+    TimedClocks clocks(config_);
+    return internal::replay(config_, names, hierarchy_->l2(), port, clocks);
   }
-
-  SimResult out;
-  out.threads = std::move(results);
-  for (const auto& t : out.threads) out.wall_cycles = std::max(out.wall_cycles, t.cycles);
-  const auto* ctrl = hierarchy_->l2().controller();
-  out.repartitions = ctrl ? ctrl->history().size() : 0;
-  out.l2_config = hierarchy_->l2().config().acronym();
-  return out;
+  internal::FunctionalClocks clocks;
+  return internal::replay(config_, names, hierarchy_->l2(), port, clocks);
 }
 
 }  // namespace plrupart::sim

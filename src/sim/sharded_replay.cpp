@@ -11,15 +11,16 @@
 // Why it is *bit-identical* and not merely statistically equivalent: the
 // serial loop's timing feedback (core clocks depend on L2 hit/miss outcomes,
 // and the interleave order depends on the clocks) is replicated, not
-// approximated. Every worker replays the full global merge loop — core
-// models, counters, warmup/freeze bookkeeping, the argmin scheduler — over
-// the same per-core op streams, so every worker derives the same interleave,
-// the same `now` timestamps, and the same boundary ops as the serial path.
-// What is *partitioned* is only the expensive part: the owner of an access's
-// set performs the real L2 access (stats externalized to a per-shard bundle)
-// and broadcasts the hit/miss bit; everyone else consumes the bit. Per-core
-// L1s are program-order-deterministic, so the demux thread drives them while
-// decoding traces and ships (addr, gap, write, l1_hit) records downstream.
+// approximated. Every worker runs the one replay loop (sim/replay_loop.hpp)
+// — core models, warmup/freeze bookkeeping, the argmin scheduler — over the
+// same per-core op streams, so every worker derives the same interleave, the
+// same `now` timestamps, and the same boundary ops as the serial path. Only
+// the L2 port differs (ShardPort below), and what it *partitions* is only the
+// expensive part: the owner of an access's set performs the real L2 access
+// (stats externalized to a per-shard bundle) and broadcasts the hit/miss
+// bit; everyone else consumes the bit. Per-core L1s are program-order-
+// deterministic, so the demux thread drives them while decoding traces and
+// ships (addr, gap, write, l1_hit) records downstream.
 //
 // Profiling merges exactly: each (shard, core) keeps a full Profiler replica
 // seeded like the canonical one. Only sampled sets touch an ATD, every ATD
@@ -40,7 +41,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
 #include <string>
 #include <thread>
 #include <utility>
@@ -48,6 +48,7 @@
 #include "common/parallel.hpp"
 #include "plrupart/common/bits.hpp"
 #include "plrupart/common/rng.hpp"
+#include "sim/replay_loop.hpp"
 #include "sim/shard_sync.hpp"
 
 namespace plrupart::sim::internal {
@@ -66,9 +67,138 @@ struct OpRecord {
 constexpr std::size_t kOpRingSlots = std::size_t{1} << 12;       // per core
 constexpr std::size_t kOutcomeRingSlots = std::size_t{1} << 15;  // per shard
 
-struct WorkerOut {
-  std::vector<ThreadResult> threads;
-  std::vector<HierarchyCounters> counters;
+/// Everything the demux thread and the K workers of one run share.
+struct ShardedRun {
+  ShardedRun(const SimConfig& config, MemoryHierarchy& hierarchy, std::uint32_t k,
+             const ShardedTestHooks* test_hooks)
+      : l2(hierarchy.l2()),
+        geo(config.hierarchy.l2.geometry),
+        shards(k),
+        set_bits(ilog2_exact(geo.sets())),
+        faults(config.faults != nullptr && config.faults->armed(FaultSite::kWorker)
+                   ? config.faults.get()
+                   : nullptr),
+        hooks(test_hooks),
+        barrier(k),
+        replicas(k),
+        stats(k, cache::CacheStatsBundle(hierarchy.num_cores())) {
+    const std::uint32_t n = hierarchy.num_cores();
+    if (config.timeout_s > 0.0) {
+      abort.arm_deadline(
+          std::chrono::steady_clock::now() +
+              std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                  std::chrono::duration<double>(config.timeout_s)),
+          "simulation exceeded watchdog deadline of " + std::to_string(config.timeout_s) +
+              " s (set-sharded run, " + std::to_string(shards) + " shards)");
+    }
+    op_rings.reserve(n);
+    for (std::uint32_t c = 0; c < n; ++c)
+      op_rings.push_back(std::make_unique<BroadcastRing<OpRecord>>(kOpRingSlots, shards));
+    outcome_rings.reserve(shards);
+    for (std::uint32_t s = 0; s < shards; ++s)
+      outcome_rings.push_back(
+          std::make_unique<BroadcastRing<std::uint8_t>>(kOutcomeRingSlots, shards));
+    // Replicas are seeded exactly like the canonical profilers so replica
+    // ATDs reproduce the serial per-set observations.
+    const core::CpaConfig& l2cfg = config.hierarchy.l2;
+    if (!l2cfg.partitioned()) return;
+    for (auto& shard : replicas) {
+      shard.reserve(n);
+      for (std::uint32_t c = 0; c < n; ++c) {
+        shard.push_back(core::make_profiler(
+            l2cfg.profiler, l2cfg.replacement, geo, l2cfg.sampling_ratio,
+            l2cfg.esdh_scale, l2cfg.nru_update, derive_seed(l2cfg.seed, c)));
+      }
+    }
+  }
+
+  /// Fold every shard's replica SDH records into the canonical profilers.
+  void absorb_replicas() {
+    for (std::uint32_t c = 0; c < replicas.front().size(); ++c) {
+      core::Profiler& canonical = l2.profiler_mut(c);
+      for (const auto& shard : replicas) canonical.absorb_shard(*shard[c]);
+    }
+  }
+
+  core::PartitionedCacheSystem& l2;
+  const cache::Geometry& geo;
+  std::uint32_t shards;
+  std::uint32_t set_bits;
+  const FaultPlan* faults;  ///< non-null when FaultSite::kWorker is armed
+  const ShardedTestHooks* hooks;
+  AbortFlag abort;
+  ShardBarrier barrier;
+  std::vector<std::unique_ptr<BroadcastRing<OpRecord>>> op_rings;  ///< per core
+  /// Per shard. Every worker is a registered consumer; the owning worker
+  /// publishes and self-skips so its own cursor never gates the ring.
+  std::vector<std::unique_ptr<BroadcastRing<std::uint8_t>>> outcome_rings;
+  /// Per-(shard, core) profiler replicas; empty per shard when unpartitioned.
+  std::vector<std::vector<std::unique_ptr<core::Profiler>>> replicas;
+  std::vector<cache::CacheStatsBundle> stats;  ///< per shard
+};
+
+/// The set-sharded L2 port of worker `w`, owning the L2 work for sets in
+/// [w*S/K, (w+1)*S/K). Ops come from the demux rings with their L1 outcome
+/// attached; the counters the serial MemoryHierarchy would keep are
+/// replicated here. No watchdog poll: every blocking ring/barrier wait
+/// already polls the AbortFlag that carries the deadline.
+struct ShardPort {
+  ShardedRun& run;
+  std::uint32_t w;
+  std::vector<HierarchyCounters> ctrs;
+  std::uint64_t owned_ops = 0;  ///< this worker's kWorker fault-opportunity counter
+
+  static void poll() noexcept {}
+  OpRecord next(std::uint32_t core) { return run.op_rings[core]->pop(w, run.abort); }
+  [[nodiscard]] const HierarchyCounters& counters(std::uint32_t core) const {
+    return ctrs[core];
+  }
+
+  AccessLevel access(std::uint32_t core, const OpRecord& op, std::uint64_t now,
+                     L2Echo& /*echo*/) {
+    HierarchyCounters& ctr = ctrs[core];
+    ++ctr.l1_accesses;
+    if (op.l1_hit != 0) return AccessLevel::kL1;
+    ++ctr.l1_misses;
+    ++ctr.l2_accesses;
+    const cache::Addr line = run.geo.line_addr(op.addr);
+    const std::uint64_t set = run.geo.set_index(line);
+    const auto shard = static_cast<std::uint32_t>((set * run.shards) >> run.set_bits);
+
+    if (run.l2.config().partitioned()) {
+      // Same per-op order as the serial PartitionedCacheSystem::access:
+      // profile, then boundary check, then the cache access (which runs
+      // under the freshly-applied partition on a boundary op). The
+      // controller is written only inside the barrier's critical section,
+      // so every worker reads the same boundary here.
+      if (shard == w) run.replicas[w][core]->record_access(line);
+      if (run.l2.controller()->due(now)) {
+        run.barrier.arrive_and_wait(run.abort, [&] {
+          run.absorb_replicas();
+          run.l2.controller_mut()->tick(now);
+        });
+      }
+    }
+
+    bool l2_hit;
+    if (shard == w) {
+      if (run.faults != nullptr) {
+        run.faults->maybe_throw(FaultSite::kWorker, owned_ops++, w,
+                                "shard worker " + std::to_string(w) + '/' +
+                                    std::to_string(run.shards));
+      }
+      if (run.hooks != nullptr && run.hooks->on_owned_access)
+        run.hooks->on_owned_access(w);
+      l2_hit = run.l2.l2().access(core, op.addr, op.write != 0, run.stats[w]).hit;
+      run.outcome_rings[w]->push(l2_hit ? 1 : 0, run.abort);
+      run.outcome_rings[w]->skip(w);
+    } else {
+      l2_hit = run.outcome_rings[shard]->pop(w, run.abort) != 0;
+    }
+    if (l2_hit) return AccessLevel::kL2;
+    ++ctr.l2_misses;
+    return AccessLevel::kMemory;
+  }
 };
 
 }  // namespace
@@ -107,62 +237,13 @@ SimResult run_set_sharded(const SimConfig& config,
                           MemoryHierarchy& hierarchy, std::uint32_t shards,
                           const ShardedTestHooks* hooks) {
   const std::uint32_t n = hierarchy.num_cores();
-  const core::CpaConfig& l2cfg = config.hierarchy.l2;
-  const cache::Geometry& geo = l2cfg.geometry;
-  const bool partitioned = l2cfg.partitioned();
-  const std::uint32_t set_bits = ilog2_exact(geo.sets());
-  PLRUPART_ASSERT(shards >= 2 && shards <= geo.sets());
+  PLRUPART_ASSERT(shards >= 2 && shards <= config.hierarchy.l2.geometry.sets());
   PLRUPART_ASSERT(config.cores.size() == n && traces.size() == n);
 
-  AbortFlag abort;
-  ShardBarrier barrier(shards);
+  ShardedRun run(config, hierarchy, shards, hooks);
   std::atomic<bool> stop{false};
-  if (config.timeout_s > 0.0) {
-    abort.arm_deadline(
-        std::chrono::steady_clock::now() +
-            std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                std::chrono::duration<double>(config.timeout_s)),
-        "simulation exceeded watchdog deadline of " + std::to_string(config.timeout_s) +
-            " s (set-sharded run, " + std::to_string(shards) + " shards)");
-  }
-  const FaultPlan* worker_faults =
-      config.faults != nullptr && config.faults->armed(FaultSite::kWorker)
-          ? config.faults.get()
-          : nullptr;
-
-  std::vector<std::unique_ptr<BroadcastRing<OpRecord>>> op_rings;
-  op_rings.reserve(n);
-  for (std::uint32_t c = 0; c < n; ++c)
-    op_rings.push_back(std::make_unique<BroadcastRing<OpRecord>>(kOpRingSlots, shards));
-
-  // Outcome rings register all K workers as consumers; the owning worker
-  // publishes and self-skips so its own cursor never gates the ring.
-  std::vector<std::unique_ptr<BroadcastRing<std::uint8_t>>> outcome_rings;
-  outcome_rings.reserve(shards);
-  for (std::uint32_t s = 0; s < shards; ++s)
-    outcome_rings.push_back(
-        std::make_unique<BroadcastRing<std::uint8_t>>(kOutcomeRingSlots, shards));
-
-  // Per-(shard, core) profiler replicas, seeded exactly like the canonical
-  // profilers so replica ATDs reproduce the serial per-set observations.
-  std::vector<std::vector<std::unique_ptr<core::Profiler>>> replicas(shards);
-  if (partitioned) {
-    for (std::uint32_t s = 0; s < shards; ++s) {
-      replicas[s].reserve(n);
-      for (std::uint32_t c = 0; c < n; ++c) {
-        replicas[s].push_back(core::make_profiler(
-            l2cfg.profiler, l2cfg.replacement, geo, l2cfg.sampling_ratio,
-            l2cfg.esdh_scale, l2cfg.nru_update, derive_seed(l2cfg.seed, c)));
-      }
-    }
-  }
-
-  std::vector<cache::CacheStatsBundle> shard_stats(shards, cache::CacheStatsBundle(n));
-  std::vector<WorkerOut> outs(shards);
-  for (auto& o : outs) {
-    o.threads.resize(n);
-    o.counters.resize(n);
-  }
+  SimResult out;  // every worker computes the same result; worker 0 reports it
+  std::vector<HierarchyCounters> counters;
   std::vector<std::string> names(n);
   for (std::uint32_t c = 0; c < n; ++c) names[c] = traces[c]->name();
 
@@ -173,14 +254,14 @@ SimResult run_set_sharded(const SimConfig& config,
   // to wait, which also makes the stop flag sufficient for shutdown.
   auto producer_body = [&] {
     std::uint32_t spins = 0;
-    while (!stop.load(std::memory_order_acquire) && !abort.aborted()) {
+    while (!stop.load(std::memory_order_acquire) && !run.abort.aborted()) {
       // The demux doubles as the watchdog's last line of defense: if every
       // worker is wedged outside a blocking loop, this poll still expires the
       // deadline (check() throws ShardAbort, caught by the thread wrapper).
-      abort.check();
+      run.abort.check();
       bool produced = false;
       for (std::uint32_t c = 0; c < n; ++c) {
-        if (!op_rings[c]->can_push()) continue;
+        if (!run.op_rings[c]->can_push()) continue;
         const MemOp op = traces[c]->next();
         const bool l1_hit = hierarchy.l1d_mut(c).access(op.addr);
         OpRecord rec;
@@ -188,136 +269,21 @@ SimResult run_set_sharded(const SimConfig& config,
         rec.gap_instrs = op.gap_instrs;
         rec.write = op.write ? 1 : 0;
         rec.l1_hit = l1_hit ? 1 : 0;
-        op_rings[c]->push(rec, abort);
+        run.op_rings[c]->push(rec, run.abort);
         produced = true;
       }
       if (!produced) shard_relax(spins);
     }
   };
 
-  // Shard worker: replays the serial merge loop verbatim (same statements in
-  // the same order on the same values — see cmp_simulator.cpp run()), owning
-  // the L2 work for sets in [w*S/K, (w+1)*S/K).
   auto worker_body = [&](std::uint32_t w) {
-    std::vector<CoreModel> models;
-    models.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) models.emplace_back(config.cores[i]);
-
-    struct Baseline {
-      std::uint64_t instructions = 0;
-      double cycles = 0.0;
-      HierarchyCounters mem;
-    };
-    std::vector<Baseline> baselines(n);
-    std::vector<HierarchyCounters> counters(n);
-    bool windows_open = config.warmup_instr == 0;
-    std::vector<bool> frozen(n, false);
-    std::vector<ThreadResult>& results = outs[w].threads;
-    std::uint32_t remaining = n;
-
-    const std::uint64_t interval = l2cfg.interval_cycles;
-    std::uint64_t next_boundary = interval;  // mirrors IntervalController
-    std::uint64_t owned_ops = 0;  // this worker's kWorker fault-opportunity counter
-    cache::SetAssocCache& l2cache = hierarchy.l2().l2();
-    cache::CacheStatsBundle& my_stats = shard_stats[w];
-
-    while (remaining > 0) {
-      std::uint32_t core = 0;
-      double min_cycles = std::numeric_limits<double>::infinity();
-      for (std::uint32_t i = 0; i < n; ++i) {
-        if (models[i].cycles() < min_cycles) {
-          min_cycles = models[i].cycles();
-          core = i;
-        }
-      }
-
-      const OpRecord op = op_rings[core]->pop(w, abort);
-      models[core].commit_gap(op.gap_instrs);
-      const auto now = static_cast<std::uint64_t>(models[core].cycles());
-
-      AccessLevel level = AccessLevel::kL1;
-      ++counters[core].l1_accesses;
-      if (op.l1_hit == 0) {
-        ++counters[core].l1_misses;
-        ++counters[core].l2_accesses;
-        const cache::Addr line = geo.line_addr(op.addr);
-        const std::uint64_t set = geo.set_index(line);
-        const auto shard = static_cast<std::uint32_t>((set * shards) >> set_bits);
-
-        if (partitioned) {
-          // Same per-op order as the serial PartitionedCacheSystem::access:
-          // profile, then boundary check, then the cache access (which runs
-          // under the freshly-applied partition on a boundary op).
-          if (shard == w) replicas[w][core]->record_access(line);
-          if (now >= next_boundary) {
-            barrier.arrive_and_wait(abort, [&] {
-              for (std::uint32_t c = 0; c < n; ++c) {
-                core::Profiler& canonical = hierarchy.l2().profiler_mut(c);
-                for (std::uint32_t s = 0; s < shards; ++s)
-                  canonical.absorb_shard(*replicas[s][c]);
-              }
-              hierarchy.l2().controller_mut()->tick(now);
-            });
-            while (next_boundary <= now) next_boundary += interval;
-          }
-        }
-
-        bool l2_hit;
-        if (shard == w) {
-          if (worker_faults != nullptr) {
-            worker_faults->maybe_throw(FaultSite::kWorker, owned_ops++, w,
-                                       "shard worker " + std::to_string(w) + '/' +
-                                           std::to_string(shards));
-          }
-          if (hooks != nullptr && hooks->on_owned_access) hooks->on_owned_access(w);
-          l2_hit = l2cache.access(core, op.addr, op.write != 0, my_stats).hit;
-          outcome_rings[w]->push(l2_hit ? 1 : 0, abort);
-          outcome_rings[w]->skip(w);
-        } else {
-          l2_hit = outcome_rings[shard]->pop(w, abort) != 0;
-        }
-        if (l2_hit) {
-          level = AccessLevel::kL2;
-        } else {
-          ++counters[core].l2_misses;
-          level = AccessLevel::kMemory;
-        }
-      }
-      models[core].commit_mem(level);
-
-      if (!windows_open) {
-        std::uint64_t min_instr = models[0].instructions();
-        for (std::uint32_t i = 1; i < n; ++i)
-          min_instr = std::min(min_instr, models[i].instructions());
-        if (min_instr >= config.warmup_instr) {
-          windows_open = true;
-          for (std::uint32_t i = 0; i < n; ++i) {
-            baselines[i].instructions = models[i].instructions();
-            baselines[i].cycles = models[i].cycles();
-            baselines[i].mem = counters[i];
-          }
-        }
-        continue;
-      }
-
-      if (!frozen[core] && models[core].instructions() >=
-                               baselines[core].instructions + config.instr_limit) {
-        frozen[core] = true;
-        --remaining;
-        const Baseline& base = baselines[core];
-        ThreadResult& r = results[core];
-        r.benchmark = names[core];
-        r.instructions = models[core].instructions() - base.instructions;
-        r.cycles = models[core].cycles() - base.cycles;
-        r.ipc = r.cycles > 0.0 ? static_cast<double>(r.instructions) / r.cycles : 0.0;
-        const HierarchyCounters& now_mem = counters[core];
-        r.mem.l1_accesses = now_mem.l1_accesses - base.mem.l1_accesses;
-        r.mem.l1_misses = now_mem.l1_misses - base.mem.l1_misses;
-        r.mem.l2_accesses = now_mem.l2_accesses - base.mem.l2_accesses;
-        r.mem.l2_misses = now_mem.l2_misses - base.mem.l2_misses;
-      }
+    ShardPort port{.run = run, .w = w, .ctrs = std::vector<HierarchyCounters>(n)};
+    FunctionalClocks clocks;
+    SimResult result = replay(config, names, hierarchy.l2(), port, clocks);
+    if (w == 0) {
+      out = std::move(result);
+      counters = std::move(port.ctrs);
     }
-    outs[w].counters = std::move(counters);
   };
 
   std::vector<std::thread> threads;
@@ -327,7 +293,7 @@ SimResult run_set_sharded(const SimConfig& config,
       producer_body();
     } catch (const ShardAbort&) {
     } catch (...) {
-      abort.raise(std::current_exception());
+      run.abort.raise(std::current_exception());
     }
   });
   for (std::uint32_t w = 0; w < shards; ++w) {
@@ -336,35 +302,21 @@ SimResult run_set_sharded(const SimConfig& config,
         worker_body(w);
       } catch (const ShardAbort&) {
       } catch (...) {
-        abort.raise(std::current_exception());
+        run.abort.raise(std::current_exception());
       }
     });
   }
   for (std::size_t t = 1; t < threads.size(); ++t) threads[t].join();
   stop.store(true, std::memory_order_release);
   threads[0].join();
-  abort.rethrow_if_error();
+  run.abort.rethrow_if_error();
 
   // Fold the partitioned-off state back so post-run introspection matches
   // serial: tail-interval SDH records, L2 stat deltas, replicated counters.
-  if (partitioned) {
-    for (std::uint32_t c = 0; c < n; ++c) {
-      core::Profiler& canonical = hierarchy.l2().profiler_mut(c);
-      for (std::uint32_t s = 0; s < shards; ++s)
-        canonical.absorb_shard(*replicas[s][c]);
-    }
-  }
+  run.absorb_replicas();
   for (std::uint32_t s = 0; s < shards; ++s)
-    hierarchy.l2().l2().absorb_stats(shard_stats[s]);
-  for (std::uint32_t c = 0; c < n; ++c)
-    hierarchy.set_counters(c, outs[0].counters[c]);
-
-  SimResult out;
-  out.threads = std::move(outs[0].threads);
-  for (const auto& t : out.threads) out.wall_cycles = std::max(out.wall_cycles, t.cycles);
-  const auto* ctrl = hierarchy.l2().controller();
-  out.repartitions = ctrl ? ctrl->history().size() : 0;
-  out.l2_config = hierarchy.l2().config().acronym();
+    hierarchy.l2().l2().absorb_stats(run.stats[s]);
+  for (std::uint32_t c = 0; c < n; ++c) hierarchy.set_counters(c, counters[c]);
   out.sim_shards = shards;
   return out;
 }

@@ -63,6 +63,23 @@ TEST(Controller, SkippedBoundariesCollapseToOneFiring) {
   EXPECT_TRUE(rig.controller->tick(6001));
 }
 
+TEST(Controller, DueTracksTheBoundaryGrid) {
+  ControllerRig rig(1000);
+  EXPECT_FALSE(rig.controller->due(999));
+  EXPECT_TRUE(rig.controller->due(1000));
+  // A single tick re-arms one interval ahead.
+  EXPECT_TRUE(rig.controller->tick(1000));
+  EXPECT_FALSE(rig.controller->due(1999));
+  EXPECT_TRUE(rig.controller->due(2000));
+  // A stall that jumps several boundaries re-arms on the grid past it.
+  EXPECT_TRUE(rig.controller->tick(5500));
+  EXPECT_FALSE(rig.controller->due(5999));
+  EXPECT_TRUE(rig.controller->due(6000));
+  // due() is a pure query: asking never fires or re-arms.
+  EXPECT_TRUE(rig.controller->due(6000));
+  EXPECT_EQ(rig.controller->history().size(), 2U);
+}
+
 TEST(Controller, DecaysProfilersOnRepartition) {
   ControllerRig rig(1000);
   for (int i = 0; i < 8; ++i) rig.profilers[0]->record_access(0);

@@ -515,6 +515,19 @@ TEST_F(SupervisionTest, SerialWatchdogThrowsTimeoutError) {
   }
 }
 
+TEST_F(SupervisionTest, TimedWatchdogThrowsTimeoutError) {
+  auto jobs = tiny_matrix().expand();
+  jobs[0].timing = sim::TimingMode::kTimed;
+  runner::ExecuteControls controls;
+  controls.timeout_s = 1e-6;
+  try {
+    (void)runner::execute(jobs[0], controls);
+    FAIL() << "a microsecond deadline must trip on a timed 25k-op job";
+  } catch (const TimeoutError& e) {
+    EXPECT_NE(std::string(e.what()).find("timed"), std::string::npos) << e.what();
+  }
+}
+
 TEST_F(SupervisionTest, ShardedWatchdogAbortsAndJoinsWorkersCleanly) {
   auto jobs = tiny_matrix().expand();
   jobs[0].sim_threads = 3;  // under TSan this also proves a race-free abort path

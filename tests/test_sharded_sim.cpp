@@ -53,16 +53,40 @@ std::vector<std::unique_ptr<TraceSource>> traces_for(
   return traces;
 }
 
-SimResult run_one(const std::vector<std::string>& names, const char* acronym,
-                  std::uint32_t sim_threads) {
+/// A finished run: its result plus the controller's decision history (empty
+/// when the configuration is unpartitioned).
+struct Outcome {
+  SimResult result;
+  std::vector<core::RepartitionEvent> history;
+};
+
+Outcome run_sim(CmpSimulator& sim) {
+  Outcome out{sim.run(), {}};
+  if (const auto* ctrl = sim.hierarchy().l2().controller()) out.history = ctrl->history();
+  return out;
+}
+
+Outcome run_one(const std::vector<std::string>& names, const char* acronym,
+                std::uint32_t sim_threads) {
   CmpSimulator sim(small_config(names, acronym, sim_threads), traces_for(names));
-  return sim.run();
+  return run_sim(sim);
 }
 
 /// Every CSV-visible field, compared exactly (doubles included: the sharded
-/// replay executes the same float operations in the same order).
-void expect_identical(const SimResult& serial, const SimResult& sharded,
+/// replay executes the same float operations in the same order), and every
+/// repartition decision — cycle and chosen allocation — event by event.
+void expect_identical(const Outcome& serial_run, const Outcome& sharded_run,
                       const std::string& context) {
+  ASSERT_EQ(serial_run.history.size(), sharded_run.history.size())
+      << context << ": repartition count diverged";
+  for (std::size_t i = 0; i < serial_run.history.size(); ++i) {
+    EXPECT_EQ(serial_run.history[i].cycle, sharded_run.history[i].cycle)
+        << context << " interval " << i;
+    EXPECT_EQ(serial_run.history[i].partition, sharded_run.history[i].partition)
+        << context << " interval " << i;
+  }
+  const SimResult& serial = serial_run.result;
+  const SimResult& sharded = sharded_run.result;
   ASSERT_EQ(serial.threads.size(), sharded.threads.size()) << context;
   for (std::size_t i = 0; i < serial.threads.size(); ++i) {
     const auto& a = serial.threads[i];
@@ -91,10 +115,13 @@ const std::vector<const char*>& shardable_configs() {
 TEST(ShardedSim, ByteIdenticalToSerialForEveryShardableConfig) {
   const std::vector<std::string> names{"twolf", "art"};
   for (const char* acronym : shardable_configs()) {
-    const SimResult serial = run_one(names, acronym, 1);
+    const Outcome serial = run_one(names, acronym, 1);
+    if (core::CpaConfig::from_acronym(acronym, 2, {}).partitioned()) {
+      EXPECT_FALSE(serial.history.empty()) << acronym << ": no boundary was crossed";
+    }
     for (const std::uint32_t shards : {2u, 4u, 8u}) {
-      const SimResult sharded = run_one(names, acronym, shards);
-      EXPECT_EQ(sharded.sim_shards, shards) << acronym;
+      const Outcome sharded = run_one(names, acronym, shards);
+      EXPECT_EQ(sharded.result.sim_shards, shards) << acronym;
       expect_identical(serial, sharded,
                        std::string(acronym) + " @" + std::to_string(shards));
     }
@@ -103,9 +130,9 @@ TEST(ShardedSim, ByteIdenticalToSerialForEveryShardableConfig) {
 
 TEST(ShardedSim, FourCoreRunMatchesSerial) {
   const std::vector<std::string> names{"twolf", "art", "mcf", "gzip"};
-  const SimResult serial = run_one(names, "M-BT", 1);
-  const SimResult sharded = run_one(names, "M-BT", 4);
-  EXPECT_EQ(sharded.sim_shards, 4u);
+  const Outcome serial = run_one(names, "M-BT", 1);
+  const Outcome sharded = run_one(names, "M-BT", 4);
+  EXPECT_EQ(sharded.result.sim_shards, 4u);
   expect_identical(serial, sharded, "M-BT 4-core @4");
 }
 
@@ -114,9 +141,9 @@ TEST(ShardedSim, UnshardableConfigsFallBackToSerialWithIdenticalResults) {
   // stream; both must silently run the serial loop.
   const std::vector<std::string> names{"twolf", "art"};
   for (const char* acronym : {"M-0.75N", "NOPART-N", "NOPART-R"}) {
-    const SimResult serial = run_one(names, acronym, 1);
-    const SimResult sharded = run_one(names, acronym, 4);
-    EXPECT_EQ(sharded.sim_shards, 1u) << acronym << " must fall back to serial";
+    const Outcome serial = run_one(names, acronym, 1);
+    const Outcome sharded = run_one(names, acronym, 4);
+    EXPECT_EQ(sharded.result.sim_shards, 1u) << acronym << " must fall back to serial";
     expect_identical(serial, sharded, std::string(acronym) + " fallback");
   }
 }
@@ -194,9 +221,9 @@ TEST(ShardedSim, ZeroWarmupAndSingleCoreWorkSharded) {
   SimConfig sharded_cfg = small_config(names, "NOPART-BT", 8, 20'000, 0);
   CmpSimulator a(std::move(serial_cfg), traces_for(names));
   CmpSimulator b(std::move(sharded_cfg), traces_for(names));
-  const SimResult ra = a.run();
-  const SimResult rb = b.run();
-  EXPECT_EQ(rb.sim_shards, 8u);
+  const Outcome ra = run_sim(a);
+  const Outcome rb = run_sim(b);
+  EXPECT_EQ(rb.result.sim_shards, 8u);
   expect_identical(ra, rb, "NOPART-BT 1-core warmup=0 @8");
 }
 
