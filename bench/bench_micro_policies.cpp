@@ -129,7 +129,7 @@ void BM_CacheAccess(benchmark::State& state) {
 }
 
 /// Serial access path under an explicitly forced dispatch tier
-/// (0 = scalar, 1 = swar, 2 = avx2, 3 = avx512; see cache/dispatch.hpp).
+/// (1 = swar, 2 = avx2; see cache/dispatch.hpp).
 /// Narrower policy axis than BM_CacheAccess -- NRU (the paper's pointer-scan
 /// policy) and SRRIP (the tier's biggest winner: the distant-line scan
 /// vectorizes) -- under way-mask enforcement. Tiers the build/host cannot
@@ -161,43 +161,6 @@ void BM_CacheAccessDispatch(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
   state.SetLabel(to_string(tier) + "/" + to_string(kind) + "/" +
                  std::to_string(ways) + "way");
-}
-
-/// Batched access path (SetAssocCache::access_batch) on the default runtime
-/// tier: same stream/partitioning as BM_CacheAccess, fed in 256-op chunks so
-/// the prefetch window has room to work. Per-op semantics are identical to
-/// the serial path (bit-identity is CI-enforced), so this series isolates
-/// the batching + prefetch win.
-void BM_CacheAccessBatch(benchmark::State& state) {
-  const auto kind = kind_of(state.range(0));
-  const auto ways = static_cast<std::uint32_t>(state.range(1));
-  const auto enf = static_cast<cache::EnforcementMode>(state.range(2));
-  const auto geo = bench_geo(ways);
-  cache::SetAssocCache c(geo, kind, 2, enf);
-  if (enf == cache::EnforcementMode::kWayMasks) {
-    c.set_way_mask(0, way_range_mask(0, ways / 2));
-    c.set_way_mask(1, way_range_mask(ways / 2, ways / 2));
-  } else if (enf == cache::EnforcementMode::kOwnerCounters) {
-    c.set_way_quota(0, ways / 2);
-    c.set_way_quota(1, ways / 2);
-  }
-  const auto addrs = make_addr_stream(geo, 32 * geo.lines(), 3);
-  std::vector<cache::SetAssocCache::BatchOp> ops(addrs.size());
-  for (std::size_t i = 0; i < addrs.size(); ++i) {
-    ops[i] = {addrs[i], static_cast<cache::CoreId>(i & 1), false};
-  }
-  std::vector<cache::AccessOutcome> out(ops.size());
-  constexpr std::size_t kChunk = 256;
-  const std::size_t chunks = ops.size() / kChunk;
-  std::size_t chunk = 0;
-  while (state.KeepRunningBatch(kChunk)) {
-    c.access_batch(ops.data() + chunk * kChunk, kChunk, out.data());
-    benchmark::DoNotOptimize(out.data());
-    chunk = (chunk + 1) % chunks;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  state.SetLabel(to_string(kind) + "/" + std::to_string(ways) + "way/" +
-                 to_string(enf));
 }
 
 /// ATD probe path on sampled accesses only (the stream is pre-filtered to
@@ -241,13 +204,10 @@ BENCHMARK(BM_PolicyMaskedVictim)->DenseRange(0, 3)->Unit(benchmark::kNanosecond)
 BENCHMARK(BM_CacheAccess)
     ->ArgsProduct({{0, 1, 2, 3, 4}, {16, 32}, {0, 1, 2}})
     ->Unit(benchmark::kNanosecond);
-// Dispatch tiers: scalar/swar always run; avx2/avx512 self-skip when the
-// build or host lacks them.
+// Dispatch tiers: swar always runs; avx2 self-skips when the build or host
+// lacks it.
 BENCHMARK(BM_CacheAccessDispatch)
-    ->ArgsProduct({{0, 1, 2, 3}, {1, 4}, {16, 32}})
-    ->Unit(benchmark::kNanosecond);
-BENCHMARK(BM_CacheAccessBatch)
-    ->ArgsProduct({{0, 1, 2, 3, 4}, {16, 32}, {0, 1, 2}})
+    ->ArgsProduct({{1, 2}, {1, 4}, {16, 32}})
     ->Unit(benchmark::kNanosecond);
 BENCHMARK(BM_AtdSampledAccess)
     ->ArgsProduct({{0, 1, 2, 3, 4}, {16, 32}})

@@ -35,7 +35,6 @@
 
 #include "plrupart/export.hpp"
 
-#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -70,35 +69,16 @@ class PLRUPART_EXPORT SetAssocCache {
   SetAssocCache(const Geometry& geo, ReplacementKind repl, std::uint32_t num_cores,
                 EnforcementMode enforcement, std::uint64_t seed = 0x5eed);
 
-  /// Perform one access for `core` at byte address `addr`. Misses allocate.
-  AccessOutcome access(CoreId core, Addr addr, bool write = false);
-
-  /// Same access, but the per-core counters land in `stats` instead of the
-  /// cache's own bundle. The set-sharded simulator runs each shard worker
-  /// with a private bundle (per-set state is disjoint across shards, the
-  /// counters are not) and folds the deltas back via absorb_stats().
+  /// Perform one access for `core` at byte address `addr`, counting into
+  /// `stats`. Misses allocate. The set-sharded simulator runs each shard
+  /// worker with a private bundle (per-set state is disjoint across shards,
+  /// the counters are not) and folds the deltas back via absorb_stats().
   AccessOutcome access(CoreId core, Addr addr, bool write, CacheStatsBundle& stats);
 
-  /// One element of a batched replay (see access_batch).
-  struct BatchOp {
-    Addr addr = 0;
-    CoreId core = 0;
-    bool write = false;
-  };
-
-  /// Replay `n` accesses in order, writing one AccessOutcome per op into
-  /// `out`. Semantically identical to calling access() n times — same state,
-  /// same statistics, same outcomes — but the driver prefetches the set
-  /// metadata of a small window of upcoming ops, overlapping the dependent
-  /// set-lookup chains that serialize the one-at-a-time path. No simulator
-  /// path calls it: every replay loop (serial, timed, set-sharded) issues
-  /// per-op access() because its argmin interleave makes each op's issue
-  /// depend on the previous op's outcome. Its callers are the micro benches,
-  /// the SIMD perf gate and the tests.
-  void access_batch(const BatchOp* ops, std::size_t n, AccessOutcome* out);
-  /// Batched replay with externalized statistics (see the 4-arg access()).
-  void access_batch(const BatchOp* ops, std::size_t n, AccessOutcome* out,
-                    CacheStatsBundle& stats);
+  /// Same access, counting into the cache's own bundle (stats()).
+  AccessOutcome access(CoreId core, Addr addr, bool write = false) {
+    return access(core, addr, write, stats_);
+  }
 
   /// Non-mutating lookup: would this access hit, and in which way?
   [[nodiscard]] AccessOutcome probe(Addr addr) const;
@@ -187,50 +167,27 @@ class PLRUPART_EXPORT SetAssocCache {
   AccessOutcome access_impl(Policy& pol, CoreId core, Addr addr, bool write,
                             CacheStatsBundle& stats);
 
-  /// Batched counterpart of access_impl: per-op serial semantics plus a
-  /// prefetch window over upcoming ops' set metadata.
-  template <EnforcementMode E, DispatchTier D, class Policy>
-  void access_batch_impl(Policy& pol, const BatchOp* ops, std::size_t n,
-                         AccessOutcome* out, CacheStatsBundle& stats);
-
-  /// find_way with the tag-filter scan of tier `D` (kSwar delegates to
-  /// find_way above; the AVX tiers compare all partial bytes in 1-2 ops).
-  /// Defined in access_impl.ipp; AVX instantiations exist only in the
-  /// src/cache/simd/access_*.cpp TUs compiled with the matching -m flags.
+  /// find_way with the tag-filter scan of tier `D` (kSwar is find_way above;
+  /// kAvx2 compares all partial bytes in 1-2 ops). Defined in
+  /// access_impl.ipp; the kAvx2 instantiation exists only in
+  /// src/cache/simd/access_avx2.cpp, the TU compiled with -mavx2.
   template <DispatchTier D>
   [[nodiscard]] std::uint32_t find_way_dispatch(std::uint64_t set,
                                                 std::uint64_t tag) const;
 
-  /// Tier-pinned full access / batch drivers: the policy x enforcement
-  /// dispatch around access_impl, templated so each tier's TU instantiates
-  /// exactly its own matrix (one tier per TU — see access_impl.ipp for why
-  /// that isolation matters to codegen). Defined in access_impl.ipp.
+  /// Tier-pinned access driver: the policy x enforcement dispatch around
+  /// access_impl, templated so each tier's TU instantiates exactly its own
+  /// matrix (one tier per TU — see access_impl.ipp for why that isolation
+  /// matters to codegen). Defined in access_impl.ipp.
   template <DispatchTier D>
   AccessOutcome access_host(CoreId core, Addr addr, bool write,
                             CacheStatsBundle& stats);
-  template <DispatchTier D>
-  void access_batch_host(const BatchOp* ops, std::size_t n, AccessOutcome* out,
-                         CacheStatsBundle& stats);
 
-  // Entry point into the kScalar reference TU (src/cache/access_scalar.cpp).
-  // The byte-loop tier is for bit-identity proofs, not throughput; keeping
-  // its instantiation out of the hot TUs preserves their inlining budget.
-  AccessOutcome access_scalar(CoreId core, Addr addr, bool write,
-                              CacheStatsBundle& stats);
-  void access_batch_scalar(const BatchOp* ops, std::size_t n, AccessOutcome* out,
-                           CacheStatsBundle& stats);
-
-  // Entry points into the AVX translation units (src/cache/simd/access_*.cpp,
-  // compiled with the matching target flags). Only called when the active
-  // tier says so, which implies the build carries them.
+  // Entry point into the AVX2 translation unit (src/cache/simd/access_avx2.cpp,
+  // compiled with -mavx2). Only called when the instance's tier is kAvx2,
+  // which implies the build carries it.
   AccessOutcome access_avx2(CoreId core, Addr addr, bool write,
                             CacheStatsBundle& stats);
-  AccessOutcome access_avx512(CoreId core, Addr addr, bool write,
-                              CacheStatsBundle& stats);
-  void access_batch_avx2(const BatchOp* ops, std::size_t n, AccessOutcome* out,
-                         CacheStatsBundle& stats);
-  void access_batch_avx512(const BatchOp* ops, std::size_t n, AccessOutcome* out,
-                           CacheStatsBundle& stats);
 
   /// The ways `core` may search for a victim in `set` under kOwnerCounters
   /// enforcement (always non-empty). kNone/kWayMasks scopes come straight
@@ -284,8 +241,8 @@ class PLRUPART_EXPORT SetAssocCache {
   ///   [1 + c]                  ways owned by core c (partitions the valid mask)
   ///   [partial_off_ + j]       packed 1-byte partial tags (byte w%8 of word
   ///                            w/8 holds way w's low tag byte) — find_way's filter
-  /// Both tags_ and set_meta_ are over-allocated by 64 bytes: the AVX tiers'
-  /// kernels load whole 32/64-byte blocks past the scanned range and mask the
+  /// Both tags_ and set_meta_ are over-allocated by 64 bytes: the AVX2
+  /// kernels load whole 32-byte blocks past the scanned range and mask the
   /// overhang away (the padded-buffer contract of src/cache/simd).
   std::vector<WayMask> set_meta_;
   std::uint32_t meta_stride_ = 0;   ///< (1 + num_cores) + ceil(A / 8)

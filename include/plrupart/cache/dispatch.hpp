@@ -1,34 +1,31 @@
-// SIMD dispatch tiers for the batched tag-filtering hot paths.
+// SIMD dispatch tiers for the tag-filtering hot paths.
 //
 // The per-access cost of the L2/ATD lookup is dominated by equality scans over
 // small arrays: the packed 1-byte partial-tag filter of SetAssocCache, the
 // full-tag compare of the sampled ATD, and the SRRIP distant-line scan. All
 // three are the exact shape x86 `vpcmpeqb`/`vpcmpeqq` + movemask batching
-// wants: 32-64 lanes compared per instruction instead of 4-8 per SWAR word.
+// wants: 32 lanes compared per instruction instead of 8 per SWAR word.
 //
-// The library ships the kernels in four tiers:
+// The library ships the kernels in two tiers:
 //
-//   kScalar  — plain per-way loops. The reference semantics every other tier
-//              must reproduce bit-for-bit; also the portable floor.
-//   kSwar    — SWAR over uint64_t words (the PR 3 hot path). Always available.
-//   kAvx2    — 256-bit vpcmpeqb/vpcmpeqq + movemask. Requires the build to
-//              enable PLRUPART_SIMD (on by default on x86-64 GCC/Clang) and
-//              the CPU to report AVX2.
-//   kAvx512  — 512-bit compares producing k-masks directly. Requires
-//              PLRUPART_SIMD and AVX-512BW.
+//   kSwar  — SWAR over uint64_t words. Always available, and the only tier
+//            on non-x86-64 targets or CPUs without AVX2.
+//   kAvx2  — 256-bit vpcmpeqb/vpcmpeqq + movemask. Requires the build to
+//            enable PLRUPART_SIMD (on by default on x86-64 GCC/Clang) and
+//            the CPU to report AVX2.
 //
 // Selection is runtime (cpuid), once per process: `best_dispatch_tier()` is
-// the preferred available tier (AVX2 when it can run — see the function) and
-// seeds `active_dispatch_tier()`, which every cache/ATD/policy instance
-// samples at construction. The environment variable
-// `PLRUPART_FORCE_DISPATCH=scalar|swar|avx2|avx512` overrides the choice
+// the preferred available tier and seeds `active_dispatch_tier()`, which
+// every cache/ATD/policy instance samples at construction. The environment
+// variable `PLRUPART_FORCE_DISPATCH=swar|avx2` overrides the choice
 // process-wide (it is how CI pins each path deterministically); forcing a
 // tier the build or CPU cannot run fails loudly instead of silently degrading.
 //
-// Bit-identity contract: every tier computes the same function — the caches'
+// Bit-identity contract: both tiers compute the same function — the caches'
 // replacement decisions, statistics, and CSV output are byte-identical across
-// tiers (proven by the GoldenEquivalence replay suite and the forced-dispatch
-// CI leg), so the tier is purely a throughput knob.
+// tiers (proven by the GoldenEquivalence replay suite against the frozen
+// reference model and the forced-dispatch CI leg), so the tier is purely a
+// throughput knob.
 #pragma once
 
 #include "plrupart/export.hpp"
@@ -40,30 +37,25 @@
 
 namespace plrupart::cache {
 
+// The numeric values are the BM_CacheAccessDispatch tier arguments.
 enum class DispatchTier : std::uint8_t {
-  kScalar = 0,
   kSwar = 1,
   kAvx2 = 2,
-  kAvx512 = 3,
 };
 
 [[nodiscard]] PLRUPART_EXPORT std::string to_string(DispatchTier t);
 
-/// Parse "scalar" / "swar" / "avx2" / "avx512" (the PLRUPART_FORCE_DISPATCH
-/// spellings); nullopt for anything else.
+/// Parse "swar" / "avx2" (the PLRUPART_FORCE_DISPATCH spellings); nullopt
+/// for anything else.
 [[nodiscard]] PLRUPART_EXPORT std::optional<DispatchTier> parse_dispatch_tier(
     std::string_view name);
 
 /// True iff this build carries the tier's kernels AND the running CPU can
-/// execute them. kScalar and kSwar are always available.
+/// execute them. kSwar is always available.
 [[nodiscard]] PLRUPART_EXPORT bool dispatch_tier_available(DispatchTier t) noexcept;
 
-/// Preferred available tier on this machine (>= kSwar). Prefers kAvx2 over
-/// kAvx512 when both can run: the kernels are byte-compare + movemask over
-/// at-most-64-byte blocks, where 512-bit lanes save no memory trips while the
-/// k-mask extraction and downclock risk cost a little on most parts (measured
-/// equal-or-slower across the BM_CacheAccessDispatch matrix). kAvx512 stays a
-/// first-class tier via PLRUPART_FORCE_DISPATCH / set_active_dispatch_tier.
+/// Preferred available tier on this machine: kAvx2 when it can run, else
+/// kSwar.
 [[nodiscard]] PLRUPART_EXPORT DispatchTier best_dispatch_tier() noexcept;
 
 /// The tier new cache/ATD/policy instances adopt. Defaults to

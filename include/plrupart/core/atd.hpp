@@ -75,8 +75,8 @@ class PLRUPART_EXPORT Atd {
 
   /// Shared tag scan of the probe path (same shape as SetAssocCache::find_way,
   /// on full tag words): the full-tag equality scan runs through the kernel of
-  /// the dispatch tier sampled at construction — vpcmpeqq compares 4-8 tags
-  /// per instruction on the AVX tiers, with the same match mask (and thus the
+  /// the dispatch tier sampled at construction — vpcmpeqq compares 4 tags
+  /// per instruction on the AVX2 tier, with the same match mask (and thus the
   /// same result) on every tier. Out-of-line in atd.cpp because the kernels
   /// are internal to src/cache/simd.
   [[nodiscard]] std::uint32_t find_way(std::uint64_t set, std::uint64_t tag) const;

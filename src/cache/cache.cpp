@@ -43,9 +43,9 @@ SetAssocCache::SetAssocCache(const Geometry& geo, ReplacementKind repl,
   partial_words_ = (ways_ + 7) / 8;
   partial_off_ = num_cores_ + 1;
   meta_stride_ = partial_off_ + partial_words_;
-  // +8 words = 64 bytes of padding on each array: the AVX dispatch tiers'
-  // kernels load whole 32/64-byte blocks past the scanned range and mask the
-  // overhang (the padded-buffer contract of src/cache/simd).
+  // +8 words = 64 bytes of padding on each array: the AVX2 kernels load
+  // whole 32-byte blocks past the scanned range and mask the overhang (the
+  // padded-buffer contract of src/cache/simd).
   tags_.assign(geo_.sets() * ways_ + 8, 0);
   set_meta_.assign(geo_.sets() * meta_stride_ + 8, 0);
 }
@@ -72,25 +72,15 @@ WayMask SetAssocCache::eviction_mask(std::uint64_t set, CoreId core) const {
   return valid != 0 ? valid : all_ways_;
 }
 
-// The serial hot path. The externalized-stats 4-arg overload lives in
-// cache_shard_access.cpp so its access_impl instantiations cannot perturb
-// this TU's codegen, and the AVX tiers live in src/cache/simd/access_*.cpp
-// (the only TUs built with the matching -m flags) — see access_impl.ipp.
-AccessOutcome SetAssocCache::access(CoreId core, Addr addr, bool write) {
-  switch (dispatch_) {
+// The one access entry. The kSwar matrix is instantiated here; the kAvx2
+// one lives in src/cache/simd/access_avx2.cpp, the only TU built with
+// -mavx2 — see access_impl.ipp.
+AccessOutcome SetAssocCache::access(CoreId core, Addr addr, bool write,
+                                    CacheStatsBundle& stats) {
 #if defined(PLRUPART_SIMD_AVX2)
-    case DispatchTier::kAvx2:
-      return access_avx2(core, addr, write, stats_);
+  if (dispatch_ == DispatchTier::kAvx2) return access_avx2(core, addr, write, stats);
 #endif
-#if defined(PLRUPART_SIMD_AVX512)
-    case DispatchTier::kAvx512:
-      return access_avx512(core, addr, write, stats_);
-#endif
-    case DispatchTier::kScalar:
-      return access_scalar(core, addr, write, stats_);
-    default:
-      return access_host<DispatchTier::kSwar>(core, addr, write, stats_);
-  }
+  return access_host<DispatchTier::kSwar>(core, addr, write, stats);
 }
 
 AccessOutcome SetAssocCache::probe(Addr addr) const {

@@ -1,8 +1,7 @@
 // The kAvx2 access path. This TU is compiled with -mavx2 and is the only
 // place access_impl is instantiated with D = kAvx2, so the vpcmpeqb+movemask
 // branches of find_way_dispatch / choose_victim_dispatch inline right here
-// while every other TU stays baseline x86-64 — the per-TU analog of how
-// cache_shard_access.cpp shields the serial TU's codegen.
+// while every other TU stays baseline x86-64 (see access_impl.ipp).
 #include "plrupart/cache/cache.hpp"
 
 #include "cache/policy_visit.hpp"
@@ -14,11 +13,6 @@ namespace plrupart::cache {
 AccessOutcome SetAssocCache::access_avx2(CoreId core, Addr addr, bool write,
                                          CacheStatsBundle& stats) {
   return access_host<DispatchTier::kAvx2>(core, addr, write, stats);
-}
-
-void SetAssocCache::access_batch_avx2(const BatchOp* ops, std::size_t n,
-                                      AccessOutcome* out, CacheStatsBundle& stats) {
-  access_batch_host<DispatchTier::kAvx2>(ops, n, out, stats);
 }
 
 }  // namespace plrupart::cache

@@ -1,11 +1,11 @@
 // Runtime dispatch-tier selection (see plrupart/cache/dispatch.hpp).
 //
-// Availability is the AND of two gates: the build carries the tier's kernels
-// (PLRUPART_SIMD_AVX2 / PLRUPART_SIMD_AVX512, defined by CMake only when the
-// PLRUPART_SIMD option is on, the target is x86-64, and the compiler takes
-// the -m flags) and the running CPU reports the feature (cpuid via
-// __builtin_cpu_supports). The active tier is process-wide, initialized once
-// on first use from PLRUPART_FORCE_DISPATCH or best_dispatch_tier().
+// kAvx2 availability is the AND of two gates: the build carries the kernels
+// (PLRUPART_SIMD_AVX2, defined by CMake only when the PLRUPART_SIMD option is
+// on, the target is x86-64, and the compiler takes -mavx2) and the running
+// CPU reports the feature (cpuid via __builtin_cpu_supports). The active
+// tier is process-wide, initialized once on first use from
+// PLRUPART_FORCE_DISPATCH or best_dispatch_tier().
 #include "plrupart/cache/dispatch.hpp"
 
 #include <atomic>
@@ -17,29 +17,22 @@ namespace plrupart::cache {
 
 std::string to_string(DispatchTier t) {
   switch (t) {
-    case DispatchTier::kScalar:
-      return "scalar";
     case DispatchTier::kSwar:
       return "swar";
     case DispatchTier::kAvx2:
       return "avx2";
-    case DispatchTier::kAvx512:
-      return "avx512";
   }
   return "?";
 }
 
 std::optional<DispatchTier> parse_dispatch_tier(std::string_view name) {
-  if (name == "scalar") return DispatchTier::kScalar;
   if (name == "swar") return DispatchTier::kSwar;
   if (name == "avx2") return DispatchTier::kAvx2;
-  if (name == "avx512") return DispatchTier::kAvx512;
   return std::nullopt;
 }
 
 bool dispatch_tier_available(DispatchTier t) noexcept {
   switch (t) {
-    case DispatchTier::kScalar:
     case DispatchTier::kSwar:
       return true;
     case DispatchTier::kAvx2:
@@ -48,23 +41,13 @@ bool dispatch_tier_available(DispatchTier t) noexcept {
 #else
       return false;
 #endif
-    case DispatchTier::kAvx512:
-#if defined(PLRUPART_SIMD_AVX512)
-      return __builtin_cpu_supports("avx512bw") != 0;
-#else
-      return false;
-#endif
   }
   return false;
 }
 
 DispatchTier best_dispatch_tier() noexcept {
-  // AVX2 before AVX-512 on purpose: see the declaration's comment. Every
-  // AVX-512BW machine also runs the AVX2 kernels, so the order is a
-  // preference, not a capability question.
-  if (dispatch_tier_available(DispatchTier::kAvx2)) return DispatchTier::kAvx2;
-  if (dispatch_tier_available(DispatchTier::kAvx512)) return DispatchTier::kAvx512;
-  return DispatchTier::kSwar;
+  return dispatch_tier_available(DispatchTier::kAvx2) ? DispatchTier::kAvx2
+                                                      : DispatchTier::kSwar;
 }
 
 namespace {
@@ -75,7 +58,7 @@ DispatchTier initial_tier() {
     const auto forced = parse_dispatch_tier(env);
     PLRUPART_ASSERT_MSG(forced.has_value(),
                         std::string("PLRUPART_FORCE_DISPATCH: unknown tier '") + env +
-                            "' (want scalar|swar|avx2|avx512)");
+                            "' (want swar|avx2)");
     PLRUPART_ASSERT_MSG(dispatch_tier_available(*forced),
                         "PLRUPART_FORCE_DISPATCH: tier '" + to_string(*forced) +
                             "' is not available in this build / on this CPU");

@@ -7,18 +7,18 @@
 // (see plrupart/cache/dispatch.hpp); bit-identity across tiers is asserted by
 // tests/test_simd_dispatch.cpp and the GoldenEquivalence replay matrix.
 //
-// PADDED-BUFFER CONTRACT: the vector kernels load whole 32/64-byte blocks and
+// PADDED-BUFFER CONTRACT: the vector kernels load whole 32-byte blocks and
 // mask afterwards, so callers must guarantee that at least kSimdPadBytes past
 // `values + count * sizeof(T)` are readable (same allocation). Every caller
 // in the library over-allocates its scanned arrays accordingly (SetAssocCache
 // set metadata, Atd tags, Srrip RRPV array). This header is internal
 // precisely because the contract cannot be imposed on external buffers.
 //
-// The *_avx2/*_avx512 inline definitions are guarded by the compiler's target
-// macros: they exist only in translation units compiled with the matching
-// -m flags (src/cache/simd/*.cpp and the per-tier access TUs). Out-of-line
-// wrappers (byte_match / u64_match) give runtime-dispatched callers (Atd,
-// Srrip's virtual victim scan) access to the same kernels from plain TUs.
+// The *_avx2_impl inline definitions are guarded by __AVX2__: they exist only
+// in the translation units compiled with -mavx2 (src/cache/simd/access_avx2.cpp
+// and kernels_avx2.cpp). Out-of-line wrappers (byte_match / u64_match) give
+// runtime-dispatched callers (Atd, Srrip's virtual victim scan) access to the
+// same kernels from plain TUs.
 #pragma once
 
 #include <cstddef>
@@ -27,7 +27,7 @@
 #include "plrupart/cache/dispatch.hpp"
 #include "plrupart/common/bits.hpp"
 
-#if defined(__AVX2__) || defined(__AVX512BW__)
+#if defined(__AVX2__)
 #include <immintrin.h>
 #endif
 
@@ -35,16 +35,6 @@ namespace plrupart::cache::simd {
 
 /// Bytes the vector kernels may read past the end of the scanned range.
 inline constexpr std::size_t kSimdPadBytes = 64;
-
-/// Reference semantics: the plain per-element loop (kScalar tier).
-template <class T>
-[[nodiscard]] inline WayMask match_scalar(const T* values, std::uint32_t count,
-                                          T needle) noexcept {
-  WayMask m = 0;
-  for (std::uint32_t i = 0; i < count; ++i)
-    m |= static_cast<WayMask>(values[i] == needle ? 1U : 0U) << i;
-  return m;
-}
 
 #if defined(__AVX2__)
 
@@ -85,83 +75,35 @@ template <class T>
 
 #endif  // __AVX2__
 
-#if defined(__AVX512BW__)
-
-/// 64 byte lanes in one compare, k-mask result; count in [1, 64].
-[[nodiscard]] inline WayMask byte_match_avx512_impl(const std::uint8_t* values,
-                                                    std::uint32_t count,
-                                                    std::uint8_t needle) noexcept {
-  const __m512i v = _mm512_loadu_si512(values);
-  const __mmask64 k =
-      _mm512_cmpeq_epi8_mask(v, _mm512_set1_epi8(static_cast<char>(needle)));
-  return static_cast<WayMask>(k) & full_way_mask(count);
-}
-
-/// 8 uint64 lanes per compare, k-mask result; count in [1, 64].
-[[nodiscard]] inline WayMask u64_match_avx512_impl(const std::uint64_t* values,
-                                                   std::uint32_t count,
-                                                   std::uint64_t needle) noexcept {
-  WayMask m = 0;
-  for (std::uint32_t i = 0; i < count; i += 8) {
-    const __m512i v = _mm512_loadu_si512(values + i);
-    const __mmask8 k = _mm512_cmpeq_epi64_mask(v, _mm512_set1_epi64(
-                                                      static_cast<long long>(needle)));
-    m |= static_cast<WayMask>(k) << i;
-  }
-  return m & full_way_mask(count);
-}
-
-#endif  // __AVX512BW__
-
-// Out-of-line kernels (kernels_avx2.cpp / kernels_avx512.cpp, compiled with
-// the matching -m flags) for runtime-dispatched callers in plain TUs. Only
-// call when dispatch_tier_available() says so.
+// Out-of-line kernels (kernels_avx2.cpp, compiled with -mavx2) for
+// runtime-dispatched callers in plain TUs. Only call when
+// dispatch_tier_available(kAvx2) says so.
 [[nodiscard]] WayMask byte_match_avx2(const std::uint8_t* values, std::uint32_t count,
                                       std::uint8_t needle) noexcept;
 [[nodiscard]] WayMask u64_match_avx2(const std::uint64_t* values, std::uint32_t count,
                                      std::uint64_t needle) noexcept;
-[[nodiscard]] WayMask byte_match_avx512(const std::uint8_t* values, std::uint32_t count,
-                                        std::uint8_t needle) noexcept;
-[[nodiscard]] WayMask u64_match_avx512(const std::uint64_t* values, std::uint32_t count,
-                                       std::uint64_t needle) noexcept;
 
-/// Runtime-dispatched byte scan (padded-buffer contract for the AVX tiers).
-/// kSwar routes through the portable tag_match_mask template.
+/// Runtime-dispatched byte scan (padded-buffer contract for kAvx2). kSwar
+/// routes through the portable tag_match_mask template.
 [[nodiscard]] inline WayMask byte_match(DispatchTier t, const std::uint8_t* values,
                                         std::uint32_t count, std::uint8_t needle) {
-  switch (t) {
-    case DispatchTier::kScalar:
-      return match_scalar(values, count, needle);
 #if defined(PLRUPART_SIMD_AVX2)
-    case DispatchTier::kAvx2:
-      return byte_match_avx2(values, count, needle);
+  if (t == DispatchTier::kAvx2) return byte_match_avx2(values, count, needle);
+#else
+  (void)t;
 #endif
-#if defined(PLRUPART_SIMD_AVX512)
-    case DispatchTier::kAvx512:
-      return byte_match_avx512(values, count, needle);
-#endif
-    default:
-      return tag_match_mask(values, count, needle);
-  }
+  return tag_match_mask(values, count, needle);
 }
 
-/// Runtime-dispatched uint64 scan (padded-buffer contract for the AVX tiers).
+/// Runtime-dispatched uint64 scan (padded-buffer contract for kAvx2).
 [[nodiscard]] inline WayMask u64_match(DispatchTier t, const std::uint64_t* values,
                                        std::uint32_t count, std::uint64_t needle) {
-  switch (t) {
-    case DispatchTier::kScalar:
-      return match_scalar(values, count, needle);
 #if defined(PLRUPART_SIMD_AVX2)
-    case DispatchTier::kAvx2:
-      return u64_match_avx2(values, count, needle);
+  if (t == DispatchTier::kAvx2) return u64_match_avx2(values, count, needle);
+#else
+  (void)t;
 #endif
-#if defined(PLRUPART_SIMD_AVX512)
-    case DispatchTier::kAvx512:
-      return u64_match_avx512(values, count, needle);
-#endif
-    default:
-      return tag_match_mask(values, count, needle);
-  }
+  return tag_match_mask(values, count, needle);
 }
 
 }  // namespace plrupart::cache::simd

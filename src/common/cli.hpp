@@ -64,10 +64,18 @@ class Cli {
     return out;
   }
 
+  /// Whole-string parse: trailing junk ("5x"), non-numbers and out-of-range
+  /// values ("1e400") all throw, naming the flag and the offending text.
   [[nodiscard]] double get_double(std::string_view name, double def) const {
     auto v = value(name);
     if (!v) return def;
-    return std::stod(*v);
+    double out{};
+    const auto* begin = v->data();
+    const auto* end = begin + v->size();
+    auto [ptr, ec] = std::from_chars(begin, end, out);
+    PLRUPART_ASSERT_MSG(ec == std::errc{} && ptr == end,
+                        "bad number for flag " + std::string(name) + ": '" + *v + "'");
+    return out;
   }
 
  private:

@@ -1,14 +1,14 @@
 // Throughput smoke gate for the SIMD dispatch tiers (cache/dispatch.hpp).
 //
-// Replays identical streams through the serial SWAR access path and the
-// batched best-tier path (SetAssocCache::access_batch under the runtime-
-// selected AVX tier) at 32 ways, for every policy x enforcement combo.
+// Replays identical streams through SetAssocCache::access() -- one op at a
+// time, as every simulator replay loop issues them -- on a SWAR-tier cache and
+// on a best-tier (AVX2) cache at 32 ways, for every policy x enforcement combo.
 //
 // What vectorization buys here is concentrated where a wide scan sits on the
 // hot path: the SRRIP victim scan re-runs a whole-set RRPV compare up to
-// kMaxRrpv times per miss, and measures ~1.5x. The other policies' combos
+// kMaxRrpv times per miss, and measures ~1.4-1.8x. The other policies' combos
 // are filter-bound for at most one 32-byte compare per access and measure
-// parity (~0.9-1.15x) on a miss-dominated stream -- the SWAR baseline
+// near parity (~1.0-1.4x) on a miss-dominated stream -- the SWAR baseline
 // already harvested most of the filter win. The gate encodes exactly that
 // shape so a regression in either direction fails tier-1:
 //   - SRRIP subset (3 enforcement modes): geo-mean >= 1.3x
@@ -40,6 +40,11 @@ constexpr int kPasses = 6;  // per timed sample: ~400k accesses
 constexpr int kReps = 5;    // best-of; generous because the gated margin is
                             // narrower than perf_smoke's 2-3x cushion
 
+struct Op {
+  cache::Addr addr = 0;
+  cache::CoreId core = 0;
+};
+
 std::unique_ptr<cache::SetAssocCache> make_cache(const cache::Geometry& geo,
                                                  cache::ReplacementKind kind,
                                                  cache::EnforcementMode enf,
@@ -60,27 +65,15 @@ std::unique_ptr<cache::SetAssocCache> make_cache(const cache::Geometry& geo,
   return c;
 }
 
-double measure_serial(cache::SetAssocCache& c,
-                      const std::vector<cache::SetAssocCache::BatchOp>& ops) {
+double measure(cache::SetAssocCache& c, const std::vector<Op>& ops) {
   std::uint64_t sink = 0;
   const auto t0 = std::chrono::steady_clock::now();
   for (int pass = 0; pass < kPasses; ++pass) {
-    for (const auto& op : ops) sink += c.access(op.core, op.addr, op.write).way;
+    for (const auto& op : ops) sink += c.access(op.core, op.addr).way;
   }
   const auto t1 = std::chrono::steady_clock::now();
   if (sink == 0xdeadbeef) std::printf("(unreachable %llu)\n",
                                       static_cast<unsigned long long>(sink));
-  return std::chrono::duration<double>(t1 - t0).count();
-}
-
-double measure_batch(cache::SetAssocCache& c,
-                     const std::vector<cache::SetAssocCache::BatchOp>& ops,
-                     std::vector<cache::AccessOutcome>& out) {
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int pass = 0; pass < kPasses; ++pass) {
-    c.access_batch(ops.data(), ops.size(), out.data());
-  }
-  const auto t1 = std::chrono::steady_clock::now();
   return std::chrono::duration<double>(t1 - t0).count();
 }
 
@@ -97,13 +90,12 @@ int main() {
 
   const cache::Geometry geo{.size_bytes = 1024ULL * kWays * 128,
                             .associativity = kWays, .line_bytes = 128};
-  std::vector<cache::SetAssocCache::BatchOp> ops(kStream);
+  std::vector<Op> ops(kStream);
   Rng rng(3);
   for (std::size_t i = 0; i < kStream; ++i) {
     ops[i].addr = rng.next_below(32 * geo.lines()) * geo.line_bytes;
     ops[i].core = static_cast<cache::CoreId>(i & 1);
   }
-  std::vector<cache::AccessOutcome> out(kStream);
   const double accesses = static_cast<double>(kStream) * kPasses;
 
   bool ok = true;
@@ -121,10 +113,10 @@ int main() {
       // Interleaved best-of: both sides see the same machine load.
       for (int rep = 0; rep < kReps; ++rep) {
         auto swar = make_cache(geo, kind, enf, cache::DispatchTier::kSwar);
-        const double ts = measure_serial(*swar, ops);
+        const double ts = measure(*swar, ops);
         if (ts < best_swar) best_swar = ts;
         auto simd = make_cache(geo, kind, enf, best);
-        const double tb = measure_batch(*simd, ops, out);
+        const double tb = measure(*simd, ops);
         if (tb < best_simd) best_simd = tb;
       }
       const double speedup = best_swar / best_simd;
@@ -136,7 +128,7 @@ int main() {
       } else {
         combo_ok = speedup >= kParityFloor;
       }
-      std::printf("%-6s %-14s: swar-serial %7.2f M acc/s, %s-batch %7.2f "
+      std::printf("%-6s %-14s: swar %7.2f M acc/s, %s %7.2f "
                   "M acc/s, speedup %.2fx%s %s\n",
                   to_string(kind).c_str(), to_string(enf).c_str(),
                   accesses / best_swar / 1e6, to_string(best).c_str(),
@@ -155,8 +147,8 @@ int main() {
   ok &= srrip_ok;
 
   if (!ok) {
-    std::printf("perf smoke (simd) gate FAILED: the %s batched path lost its "
-                "measured shape vs the serial SWAR baseline\n",
+    std::printf("perf smoke (simd) gate FAILED: the %s access path lost its "
+                "measured shape vs the SWAR baseline\n",
                 to_string(best).c_str());
     return 1;
   }

@@ -4,11 +4,14 @@
 // of ownership bitmasks, and an O(A) per-miss rebuild of the owner-counter
 // eviction mask.
 //
-// It exists for two tier-1 checks:
+// It is the one independent byte-loop oracle of the cache: the library keeps
+// no per-way reference tier of its own, only the swar and avx2 dispatch
+// tiers, and this model shares no code with their access path. It exists for
+// two tier-1 checks:
 //  * test_golden_equivalence.cpp replays long random traces through this model
 //    and the production cache, asserting identical AccessOutcome sequences and
-//    statistics for every ReplacementKind × EnforcementMode combination — the
-//    hot-path refactor must be bit-invisible.
+//    statistics for every ReplacementKind × EnforcementMode × DispatchTier
+//    combination — the hot-path refactor must be bit-invisible.
 //  * perf_smoke.cpp uses it as the in-process throughput baseline the
 //    optimized access path must beat.
 //

@@ -64,5 +64,20 @@ TEST(Cli, BadIntegerThrows) {
   EXPECT_THROW((void)cli.get_int("--n", 0), InvariantError);
 }
 
+TEST(Cli, BadDoubleThrows) {
+  for (const char* text : {"5x", "abc", "", "1e400"}) {
+    const auto cli = make_cli({"--job-timeout", text});
+    try {
+      (void)cli.get_double("--job-timeout", 0.0);
+      ADD_FAILURE() << "accepted '" << text << "'";
+    } catch (const InvariantError& e) {
+      EXPECT_NE(std::string(e.what()).find("bad number for flag --job-timeout: '" +
+                                           std::string(text) + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace plrupart

@@ -4,23 +4,18 @@
 // Kernel-level proof: every available tier's byte/u64 equality scan computes
 // exactly tag_match_mask() -- fuzzed over widths 1..64, planted needles at
 // every position (including every position inside each 4-wide SWAR chunk and
-// each 32/64-byte vector block), and buffers padded per the padded-buffer
+// each 32-byte vector block), and buffers padded per the padded-buffer
 // contract with poison bytes past the end that must never leak into a result.
+// (Cache-level tier-vs-reference identity is the GoldenEquivalence matrix's
+// job.)
 //
-// Cache-level proof: access_batch() is bit-identical to the serial access
-// loop under every tier, for every policy x enforcement combo, including
-// chunked/uneven/zero-length batches. (Tier-vs-reference identity is the
-// GoldenEquivalence matrix's job.)
-//
-// The PLRUPART_SIMD_AVX* macros are mirrored onto this test target by
+// The PLRUPART_SIMD_AVX2 macro is mirrored onto this test target by
 // tests/CMakeLists.txt so the runtime-dispatch helpers route identically to
-// the library's own TUs; tiers the build or host cannot run are skipped via
+// the library's own TUs; a tier the build or host cannot run is skipped via
 // dispatch_tier_available().
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <iterator>
 #include <memory>
 #include <vector>
 
@@ -38,8 +33,7 @@ using cache::DispatchTier;
 using cache::EnforcementMode;
 using cache::ReplacementKind;
 
-constexpr DispatchTier kAllTiers[] = {DispatchTier::kScalar, DispatchTier::kSwar,
-                                      DispatchTier::kAvx2, DispatchTier::kAvx512};
+constexpr DispatchTier kAllTiers[] = {DispatchTier::kSwar, DispatchTier::kAvx2};
 
 std::vector<DispatchTier> available_tiers() {
   std::vector<DispatchTier> tiers;
@@ -121,10 +115,12 @@ TEST(DispatchTierApi, ToStringParseRoundTrip) {
   EXPECT_FALSE(cache::parse_dispatch_tier("avx").has_value());
   EXPECT_FALSE(cache::parse_dispatch_tier("AVX2").has_value());
   EXPECT_FALSE(cache::parse_dispatch_tier("native").has_value());
+  // Spellings of removed tiers are rejected, not remapped to a live tier.
+  EXPECT_FALSE(cache::parse_dispatch_tier("scalar").has_value());
+  EXPECT_FALSE(cache::parse_dispatch_tier("avx512").has_value());
 }
 
 TEST(DispatchTierApi, PortableTiersAlwaysAvailableAndBestIsAvailable) {
-  EXPECT_TRUE(cache::dispatch_tier_available(DispatchTier::kScalar));
   EXPECT_TRUE(cache::dispatch_tier_available(DispatchTier::kSwar));
   const auto best = cache::best_dispatch_tier();
   EXPECT_TRUE(cache::dispatch_tier_available(best));
@@ -135,15 +131,16 @@ TEST(DispatchTierApi, InstancesSampleActiveTierAtConstruction) {
   const auto prev = cache::active_dispatch_tier();
   const cache::Geometry geo{.size_bytes = 16 * 4 * 64, .associativity = 4,
                             .line_bytes = 64};
-  cache::set_active_dispatch_tier(DispatchTier::kScalar);
-  const cache::SetAssocCache scalar_cache(geo, ReplacementKind::kNru, 1,
-                                          EnforcementMode::kNone);
+  const auto best = cache::best_dispatch_tier();
   cache::set_active_dispatch_tier(DispatchTier::kSwar);
   const cache::SetAssocCache swar_cache(geo, ReplacementKind::kNru, 1,
                                         EnforcementMode::kNone);
+  cache::set_active_dispatch_tier(best);
+  const cache::SetAssocCache best_cache(geo, ReplacementKind::kNru, 1,
+                                        EnforcementMode::kNone);
   cache::set_active_dispatch_tier(prev);
-  EXPECT_EQ(scalar_cache.dispatch_tier(), DispatchTier::kScalar);
   EXPECT_EQ(swar_cache.dispatch_tier(), DispatchTier::kSwar);
+  EXPECT_EQ(best_cache.dispatch_tier(), best);
   EXPECT_EQ(cache::active_dispatch_tier(), prev);
 }
 
@@ -156,94 +153,6 @@ TEST(DispatchTierApi, ForcingUnavailableTierThrows) {
   for (const auto t : kAllTiers) {
     if (!cache::dispatch_tier_available(t)) {
       EXPECT_THROW(cache::set_active_dispatch_tier(t), InvariantError) << to_string(t);
-    }
-  }
-}
-
-/// access_batch vs the serial loop: same ops, same seed, bit-identical
-/// outcomes and stats, across every tier and every policy/enforcement combo.
-/// The batch is fed in deliberately awkward chunk sizes (0, 1, sub-window,
-/// exactly the prefetch window, and a large remainder).
-TEST(AccessBatch, BitIdenticalToSerialAccessOnEveryTier) {
-  const cache::Geometry geo{.size_bytes = 32 * 8 * 128, .associativity = 8,
-                            .line_bytes = 128};
-  constexpr std::uint32_t kCores = 2;
-  constexpr std::uint64_t kSeed = 0xfeed;
-  constexpr std::size_t kOps = 8192;
-
-  std::vector<cache::SetAssocCache::BatchOp> ops(kOps);
-  Rng rng(9);
-  for (auto& op : ops) {
-    op.addr = rng.next_below(8 * geo.lines()) * geo.line_bytes;
-    op.core = static_cast<cache::CoreId>(rng.next_below(kCores));
-    op.write = rng.next_below(4) == 0;
-  }
-
-  const auto prev = cache::active_dispatch_tier();
-  for (const auto tier : available_tiers()) {
-    for (const auto kind : {ReplacementKind::kLru, ReplacementKind::kNru,
-                            ReplacementKind::kTreePlru, ReplacementKind::kRandom,
-                            ReplacementKind::kSrrip}) {
-      for (const auto enf : {EnforcementMode::kNone, EnforcementMode::kWayMasks,
-                             EnforcementMode::kOwnerCounters}) {
-        cache::set_active_dispatch_tier(tier);
-        cache::SetAssocCache serial(geo, kind, kCores, enf, kSeed);
-        cache::SetAssocCache batched(geo, kind, kCores, enf, kSeed);
-        cache::set_active_dispatch_tier(prev);
-        if (enf == EnforcementMode::kWayMasks) {
-          for (auto* c : {&serial, &batched}) {
-            c->set_way_mask(0, way_range_mask(0, 4));
-            c->set_way_mask(1, way_range_mask(4, 4));
-          }
-        } else if (enf == EnforcementMode::kOwnerCounters) {
-          for (auto* c : {&serial, &batched}) {
-            c->set_way_quota(0, 4);
-            c->set_way_quota(1, 4);
-          }
-        }
-
-        std::vector<cache::AccessOutcome> serial_out(kOps);
-        for (std::size_t i = 0; i < kOps; ++i) {
-          serial_out[i] = serial.access(ops[i].core, ops[i].addr, ops[i].write);
-        }
-
-        std::vector<cache::AccessOutcome> batch_out(kOps);
-        constexpr std::size_t kChunks[] = {0, 1, 3, 8, 61, 4096};
-        std::size_t done = 0;
-        std::size_t ci = 0;
-        while (done < kOps) {
-          const std::size_t n =
-              std::min(kChunks[ci % std::size(kChunks)], kOps - done);
-          batched.access_batch(ops.data() + done, n, batch_out.data() + done);
-          done += n;
-          ++ci;
-        }
-
-        for (std::size_t i = 0; i < kOps; ++i) {
-          ASSERT_EQ(serial_out[i].hit, batch_out[i].hit)
-              << to_string(tier) << " " << to_string(kind) << " " << to_string(enf)
-              << " op " << i;
-          ASSERT_EQ(serial_out[i].way, batch_out[i].way) << "op " << i;
-          ASSERT_EQ(serial_out[i].evicted_valid, batch_out[i].evicted_valid)
-              << "op " << i;
-          ASSERT_EQ(serial_out[i].evicted_line, batch_out[i].evicted_line)
-              << "op " << i;
-          ASSERT_EQ(serial_out[i].evicted_owner, batch_out[i].evicted_owner)
-              << "op " << i;
-        }
-
-        const auto& sa = serial.stats().per_core;
-        const auto& sb = batched.stats().per_core;
-        ASSERT_EQ(sa.size(), sb.size());
-        for (std::size_t c = 0; c < sa.size(); ++c) {
-          EXPECT_EQ(sa[c].accesses, sb[c].accesses);
-          EXPECT_EQ(sa[c].hits, sb[c].hits);
-          EXPECT_EQ(sa[c].misses, sb[c].misses);
-          EXPECT_EQ(sa[c].writes, sb[c].writes);
-          EXPECT_EQ(sa[c].self_evictions, sb[c].self_evictions);
-          EXPECT_EQ(sa[c].cross_evictions, sb[c].cross_evictions);
-        }
-      }
     }
   }
 }
