@@ -57,7 +57,7 @@ struct PLRUPART_EXPORT SimConfig {
   /// Deterministic fault plan for instrumented sites inside the simulator
   /// (FaultSite::kWorker at owned L2 accesses of shard workers). Trace-read
   /// faults are armed by the caller on each TraceSource; see
-  /// FileTraceSource::set_fault_plan.
+  /// FileTraceSource's constructor.
   std::shared_ptr<const FaultPlan> faults;
   /// Timed mode (opt-in): overlay the functional replay with the event-driven
   /// MSHR/writeback/banked-DRAM model. The L2 access stream — and with it

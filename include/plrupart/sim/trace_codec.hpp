@@ -1,6 +1,12 @@
 // Low-level trace-format machinery shared by the streaming reader, the
-// writer, and the format converter: the chunk-buffered byte reader, the
+// writer, and the format converter: the windowed byte reader, the
 // varint/zigzag codec of the binary v2 format, and the format constants.
+//
+// ByteReader holds one fixed-size window of the file. A refill replaces the
+// window with the next bytes; at end of file the last window stays, and a
+// seek() to an offset still inside the window only moves the cursor. So the
+// open-time header check followed by a rewind, and every lap of a file no
+// larger than the window, read the file from disk once.
 //
 // Native trace formats (both start with a one-line text header):
 //   v1 (text):    "# plrupart-trace v1\n" then one "<gap> <addr-hex> <R|W>"
@@ -66,19 +72,19 @@ inline constexpr std::string_view kTraceHeaderV2 = "# plrupart-trace v2";
 /// carry only the top bit of a 64-bit value.
 inline constexpr std::size_t kMaxVarintBytes = 10;
 
-/// Chunk-buffered file reader: memory stays O(buffer) however large the file
-/// is. The buffer size is honored exactly (down to 1 byte) so decoders must
-/// not assume a whole record is ever contiguous in memory.
+/// Windowed file reader: memory stays O(window) however large the file is.
+/// The window size is honored exactly (down to 1 byte) so decoders must not
+/// assume a whole record is ever contiguous in memory.
 class PLRUPART_EXPORT ByteReader {
  public:
   static constexpr int kEof = -1;
 
   ByteReader(std::string path, std::size_t buffer_bytes);
 
-  /// Consult `plan` at every buffer refill (FaultSite::kRead); `lane`
-  /// distinguishes concurrent readers (e.g. per-core trace streams). The
-  /// opportunity counter is this reader's refill count, so a given plan
-  /// fails the same refill on every replay.
+  /// Consult `plan` at every window refill (FaultSite::kRead), the first
+  /// fill included; `lane` distinguishes concurrent readers (e.g. per-core
+  /// trace streams). The opportunity counter is this reader's refill count,
+  /// so a given plan fails the same refill on every replay.
   void set_fault_plan(std::shared_ptr<const FaultPlan> plan, std::uint64_t lane = 0) noexcept {
     faults_ = std::move(plan);
     fault_lane_ = lane;
@@ -97,7 +103,9 @@ class PLRUPART_EXPORT ByteReader {
     return static_cast<unsigned char>(buf_[pos_]);
   }
 
-  /// Reposition to an absolute file offset (drops buffered bytes).
+  /// Reposition to an absolute file offset. An offset inside the current
+  /// window only moves the cursor; any other drops the window and seeks the
+  /// file, so the next get() refills from there.
   void seek(std::uint64_t file_offset);
 
   /// File offset of the next byte get() would return.
@@ -117,7 +125,7 @@ class PLRUPART_EXPORT ByteReader {
   std::size_t pos_ = 0;   ///< next unread byte in buf_
   std::size_t len_ = 0;   ///< valid bytes in buf_
   std::uint64_t base_ = 0;  ///< file offset of buf_[0]
-  bool eof_ = false;        ///< a refill already hit end of file
+  bool eof_ = false;        ///< the window ends at end of file
   std::shared_ptr<const FaultPlan> faults_;
   std::uint64_t fault_lane_ = 0;
   std::uint64_t fills_ = 0;  ///< refill count == fault opportunity counter

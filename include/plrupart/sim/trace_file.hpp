@@ -10,6 +10,12 @@
 // size (multi-GB traces are the design point), and TraceWriter appends
 // records without materializing the trace. Reading back a whole trace into a
 // vector is the caller's (test's) business, not the API's.
+//
+// A reader's buffer is one read window (ByteReader, sim/trace_codec.hpp),
+// 64 KiB by default. rewind() into the current window is free, so opening a
+// FileTraceSource (header and first-record check, then rewind) fills the
+// window once, and a trace no larger than the window loops without further
+// reads.
 #pragma once
 
 #include "plrupart/export.hpp"
@@ -27,24 +33,31 @@
 namespace plrupart::sim {
 
 /// One forward pass over a trace file, decoding records on the fly from a
-/// fixed-size chunk buffer. Detects v1/v2 by the header line. Malformed
+/// fixed-size read window. Detects v1/v2 by the header line. Malformed
 /// input raises TraceError at the offending record, never later and never UB.
 class PLRUPART_EXPORT TraceReader {
  public:
-  static constexpr std::size_t kDefaultBufferBytes = std::size_t{1} << 20;
+  /// About 18k v2 records per refill.
+  static constexpr std::size_t kDefaultBufferBytes = std::size_t{64} << 10;
 
+  /// A non-null `faults` is armed on `lane` (see set_fault_plan) before the
+  /// header is read, so the opening fill is the plan's first read opportunity.
   explicit TraceReader(const std::string& path,
-                       std::size_t buffer_bytes = kDefaultBufferBytes);
+                       std::size_t buffer_bytes = kDefaultBufferBytes,
+                       std::shared_ptr<const FaultPlan> faults = nullptr,
+                       std::uint64_t lane = 0);
 
   /// Decode the next record; nullopt at (clean) end of file. EOF inside a
   /// record is an error, not an end.
   [[nodiscard]] std::optional<MemOp> next();
 
   /// Rewind to the first record (same stream again, like a fresh reader).
+  /// Free while the first record is still in the window.
   void rewind();
 
   /// Forward a fault plan to the underlying ByteReader (FaultSite::kRead at
-  /// every buffer refill); `lane` distinguishes concurrent readers.
+  /// every window refill); `lane` distinguishes concurrent readers. Refills
+  /// before this call are not counted.
   void set_fault_plan(std::shared_ptr<const FaultPlan> plan, std::uint64_t lane = 0) noexcept {
     in_.set_fault_plan(std::move(plan), lane);
   }
@@ -53,7 +66,7 @@ class PLRUPART_EXPORT TraceReader {
   [[nodiscard]] const std::string& path() const noexcept { return in_.path(); }
   /// Records decoded since construction or the last rewind().
   [[nodiscard]] std::uint64_t ops_read() const noexcept { return ops_; }
-  /// Actual chunk-buffer size — what "O(buffer) memory" refers to.
+  /// Actual read-window size — what "O(buffer) memory" refers to.
   [[nodiscard]] std::size_t buffer_capacity() const noexcept {
     return in_.buffer_capacity();
   }
@@ -77,19 +90,24 @@ class PLRUPART_EXPORT TraceReader {
 /// restarts the stream from the first record; replays are byte-identical.
 ///
 /// Construction validates the header and the first record, so an unreadable
-/// or empty trace fails fast, before any simulation starts.
+/// or empty trace fails fast, before any simulation starts. That check fills
+/// the read window; the rewind after it stays inside the window.
 class PLRUPART_EXPORT FileTraceSource final : public TraceSource {
  public:
   static constexpr std::size_t kDefaultBufferBytes = TraceReader::kDefaultBufferBytes;
 
+  /// `faults` and `lane` as for TraceReader: armed before the opening fill.
   explicit FileTraceSource(const std::string& path,
-                           std::size_t buffer_bytes = kDefaultBufferBytes);
+                           std::size_t buffer_bytes = kDefaultBufferBytes,
+                           std::shared_ptr<const FaultPlan> faults = nullptr,
+                           std::uint64_t lane = 0);
 
   MemOp next() override;
   void reset() override;
   [[nodiscard]] std::string name() const override { return name_; }
 
-  /// See TraceReader::set_fault_plan.
+  /// See TraceReader::set_fault_plan; refills before this call (at least the
+  /// opening one) are not counted.
   void set_fault_plan(std::shared_ptr<const FaultPlan> plan, std::uint64_t lane = 0) noexcept {
     reader_.set_fault_plan(std::move(plan), lane);
   }

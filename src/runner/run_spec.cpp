@@ -42,10 +42,14 @@ sim::SimResult execute(const RunSpec& spec, const ExecuteControls& controls) {
   for (std::uint32_t core = 0; core < spec.workload.threads(); ++core) {
     if (spec.workload.trace_backed()) {
       cfg.cores.push_back(workloads::trace_core_params());
-      auto src = std::make_unique<sim::FileTraceSource>(spec.workload.traces[core]);
-      if (controls.faults != nullptr && controls.faults->armed(FaultSite::kRead))
-        src->set_fault_plan(controls.faults, core);
-      traces.push_back(std::move(src));
+      // Arm read faults before the opening fill: with a trace that fits its
+      // window, that fill is the only read the job makes.
+      auto faults = controls.faults != nullptr && controls.faults->armed(FaultSite::kRead)
+                        ? controls.faults
+                        : nullptr;
+      traces.push_back(std::make_unique<sim::FileTraceSource>(
+          spec.workload.traces[core], sim::FileTraceSource::kDefaultBufferBytes,
+          std::move(faults), core));
     } else {
       const auto& profile = workloads::benchmark(spec.workload.benchmarks[core]);
       cfg.cores.push_back(profile.core);
@@ -53,7 +57,16 @@ sim::SimResult execute(const RunSpec& spec, const ExecuteControls& controls) {
     }
   }
   sim::CmpSimulator sim(std::move(cfg), std::move(traces));
-  return sim.run();
+  auto result = sim.run();
+  // Name each trace-backed core after its workload entry, not its file: two
+  // traces may share a basename, which only the workload's "@<core>" suffix
+  // tells apart. Synthetic cores keep their profile's name ("perl" runs the
+  // "perlbmk" profile, and the CSV has always said "perlbmk").
+  if (spec.workload.trace_backed()) {
+    for (std::size_t core = 0; core < result.threads.size(); ++core)
+      result.threads[core].benchmark = spec.workload.benchmarks[core];
+  }
+  return result;
 }
 
 std::uint64_t jobs_fingerprint(const std::vector<RunSpec>& jobs) {

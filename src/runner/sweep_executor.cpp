@@ -110,8 +110,8 @@ void SweepExecutor::fan_out(std::vector<RunSpec>& jobs,
       [&](std::size_t k) {
         const std::size_t i = todo[k];
         JobResult jr;
-        // Moved, not copied: a per-job copy's allocations land among the 1 MiB
-        // trace-reader buffers and doubled the page faults of short
+        // Moved, not copied: a per-job copy's allocations land among the
+        // trace-reader windows and doubled the page faults of short
         // trace-backed jobs.
         jr.spec = std::move(jobs[i]);
         const auto t0 = std::chrono::steady_clock::now();

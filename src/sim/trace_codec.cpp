@@ -14,21 +14,28 @@ ByteReader::ByteReader(std::string path, std::size_t buffer_bytes)
 }
 
 bool ByteReader::fill() {
-  base_ += static_cast<std::uint64_t>(len_);
-  pos_ = 0;
-  len_ = 0;
+  // At end of file the last window stays in place, so seek() back into it
+  // needs no I/O.
   if (eof_) return false;
+  const std::uint64_t next_base = base_ + static_cast<std::uint64_t>(len_);
   for (;;) {
     if (faults_ != nullptr) {
       faults_->maybe_throw(FaultSite::kRead, fills_++, fault_lane_,
-                           "trace file '" + path_ + "' near byte " + std::to_string(base_));
+                           "trace file '" + path_ + "' near byte " + std::to_string(next_base));
     }
     errno = 0;
     const std::size_t n = std::fread(buf_.data(), 1, buf_.size(), in_.get());
     if (n > 0) {
       // A short count with EINTR is a partial success: hand back what we got
       // and clear the error so the next refill resumes where this one left off.
-      if (std::ferror(in_.get()) != 0 && errno == EINTR) std::clearerr(in_.get());
+      // A short count at end of file makes this the last window.
+      if (std::ferror(in_.get()) != 0 && errno == EINTR) {
+        std::clearerr(in_.get());
+      } else if (std::feof(in_.get()) != 0) {
+        eof_ = true;
+      }
+      base_ = next_base;
+      pos_ = 0;
       len_ = n;
       return true;
     }
@@ -40,7 +47,7 @@ bool ByteReader::fill() {
         continue;  // interrupted before any bytes arrived: just retry
       }
       throw TraceIoError("I/O error reading trace file '" + path_ + "' near byte " +
-                         std::to_string(base_) + ": " + std::strerror(errno));
+                         std::to_string(next_base) + ": " + std::strerror(errno));
     }
     eof_ = true;
     return false;
@@ -48,6 +55,10 @@ bool ByteReader::fill() {
 }
 
 void ByteReader::seek(std::uint64_t file_offset) {
+  if (file_offset >= base_ && file_offset - base_ <= len_) {
+    pos_ = static_cast<std::size_t>(file_offset - base_);
+    return;
+  }
   std::clearerr(in_.get());
   if (::fseeko(in_.get(), static_cast<off_t>(file_offset), SEEK_SET) != 0)
     throw TraceError("cannot seek to byte " + std::to_string(file_offset) +

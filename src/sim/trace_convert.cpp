@@ -15,6 +15,10 @@ namespace plrupart::sim {
 
 namespace {
 
+/// The converter holds one reader, not one per simulated core, so it keeps
+/// the large read chunk trace readers used before their 64 KiB window.
+constexpr std::size_t kConvertBufferBytes = std::size_t{1} << 20;
+
 /// True when the writer has hit the op cap (0 = unlimited).
 [[nodiscard]] bool at_cap(const TraceWriter& writer, std::uint64_t max_ops) {
   return max_ops != 0 && writer.ops_written() >= max_ops;
@@ -23,7 +27,7 @@ namespace {
 ConvertStats convert_native(const std::string& in_path, TraceWriter& writer,
                             std::uint64_t max_ops) {
   ConvertStats stats;
-  TraceReader reader(in_path);
+  TraceReader reader(in_path, kConvertBufferBytes);
   while (!at_cap(writer, max_ops)) {
     const auto op = reader.next();
     if (!op) break;
@@ -53,7 +57,7 @@ constexpr std::size_t kChampSimSrcMemCount = 4;
 ConvertStats convert_champsim(const std::string& in_path, TraceWriter& writer,
                               std::uint64_t max_ops) {
   ConvertStats stats;
-  ByteReader in(in_path, TraceReader::kDefaultBufferBytes);
+  ByteReader in(in_path, kConvertBufferBytes);
   std::array<unsigned char, kChampSimRecordBytes> rec{};
   // Non-memory instructions accumulate here and ride on the next memory op.
   // Saturates at 2^32-1: a 4-billion-instruction memory-free stretch carries

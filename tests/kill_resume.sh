@@ -13,12 +13,17 @@
 #      --job-retries recover to byte-identical CSVs; an exhausted retry
 #      budget surfaces the last error; PLRUPART_FAULT_INJECT is honored and
 #      the flag overrides it.
+#   5. Read faults reach a trace-backed sweep (the `read` site fires only in
+#      trace readers) and retries recover to the fault-free bytes.
 #
-# Usage: kill_resume.sh <plrupart-cli> <work-dir>
+# Usage: kill_resume.sh <plrupart-cli> <work-dir> <plrupart-trace-convert>
+#                       <champsim-fixture>
 set -u
 
 CLI=$1
 WORK=$2
+CONVERT=$3
+FIXTURE=$4
 
 die() { echo "kill_resume: FAIL: $*" >&2; exit 1; }
 
@@ -136,5 +141,26 @@ for n in $(seq 1 "$NJOBS"); do
 done
 grep -q "\[$((NJOBS + 1))/$NJOBS\]" prog.err &&
   die "done counter overran the job total (retries double-counted)"
+
+# --- 5. Read faults on a trace-backed sweep -------------------------------
+# The synthetic legs above never open a trace file, so their `read` specs
+# cannot fire. A read opportunity is one window refill, the opening fill
+# included; this small trace fits one window, so each core's reader gets one.
+"$CONVERT" --in "$FIXTURE" --from champsim --to v2 --out small.trace ||
+  die "converting the ChampSim fixture failed"
+TRACE=(--trace small.trace,small.trace --configs NOPART-L,M-BT --l2-kb-sweep 128,256,512
+       --interval 40000 --threads 1 --seed 7 --instr 200000)
+"$CLI" "${TRACE[@]}" --csv base_trace.csv || die "trace baseline run failed"
+"$CLI" "${TRACE[@]}" --progress --fault-inject read:0.05 --job-retries 12 \
+    --retry-backoff-ms 0 --csv trace_fault.csv 2>trace_fault.err ||
+  { cat trace_fault.err >&2; die "trace read-fault run did not recover"; }
+cmp -s base_trace.csv trace_fault.csv || die "trace read-fault run changed the CSV"
+grep -q "failed (injected read fault" trace_fault.err ||
+  die "no read fault fired on the trace-backed sweep: the leg exercised nothing"
+"$CLI" "${TRACE[@]}" --fault-inject read:1 --job-retries 0 --csv never_trace.csv \
+    2>trace_exhaust.err && die "p=1 read faults must fail a trace-backed sweep"
+grep -q "injected read fault" trace_exhaust.err ||
+  die "a trace-backed sweep under p=1 read faults does not surface the fault"
+[ -e never_trace.csv ] && die "a failed trace-backed sweep published a CSV"
 
 echo "kill_resume: all resilience gates passed"

@@ -4,6 +4,7 @@
 // determinism guarantees for trace-backed (file-driven) workloads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -160,6 +161,23 @@ TEST(SweepExecutor, MergedShardCsvsEqualTheUnshardedRun) {
   EXPECT_EQ(merged.str(), unsharded);
 }
 
+TEST(SweepExecutor, SyntheticCoresKeepTheirProfileNames) {
+  // Table II writes "perl" where the catalog profile is "perlbmk"; the CSV
+  // has always printed the profile's name.
+  auto m = small_matrix();
+  m.configs = {"NOPART-L"};
+  m.l2_kb = {256};
+  const auto& four = workloads::workloads_4t();
+  const auto w = std::find_if(four.begin(), four.end(),
+                              [](const workloads::Workload& x) { return x.id == "4T_14"; });
+  ASSERT_NE(w, four.end());
+  ASSERT_EQ(w->benchmarks[1], "perl");
+  m.workloads = {*w};
+  const auto csv = csv_at_threads(m, 1);
+  EXPECT_NE(csv.find(",1,perlbmk,"), std::string::npos) << csv;
+  EXPECT_EQ(csv.find(",perl,"), std::string::npos) << csv;
+}
+
 TEST(MergeCsv, RejectsDuplicateJobKeys) {
   const auto m = small_matrix();
   const auto results = runner::SweepExecutor({.threads = 2}).run(m.shard(0, 2));
@@ -273,6 +291,26 @@ TEST(TraceWorkload, DisambiguatesCollidingBasenamesAcrossDirectories) {
   EXPECT_EQ(collide.id, "trace:x.trace@0+x.trace@1");
   const auto copies = workloads::workload_from_traces({"a/x.trace", "a/x.trace"});
   EXPECT_EQ(copies.benchmarks, (std::vector<std::string>{"x.trace", "x.trace"}));
+}
+
+TEST_F(TraceBackedMatrixTest, CollidingBasenamesNameEachCoreInTheCsv) {
+  // Two captures with one file name: the benchmark cells must carry the
+  // workload's "@<core>" names, not the bare basename both files share.
+  std::filesystem::create_directories(dir_ / "a");
+  std::filesystem::create_directories(dir_ / "b");
+  const auto xa = (dir_ / "a" / "x.trace").string();
+  const auto xb = (dir_ / "b" / "x.trace").string();
+  record("gzip", 0, xa, sim::TraceFormat::kBinaryV2);
+  record("twolf", 1, xb, sim::TraceFormat::kBinaryV2);
+  auto m = trace_matrix();
+  m.configs = {"NOPART-L"};
+  m.l2_kb = {128};
+  m.workloads = {workloads::workload_from_traces({xa, xb})};
+  const auto csv = csv_at_threads(m, 1);
+  EXPECT_NE(csv.find(",trace:x.trace@0+x.trace@1,"), std::string::npos) << csv;
+  EXPECT_NE(csv.find(",0,x.trace@0,"), std::string::npos) << csv;
+  EXPECT_NE(csv.find(",1,x.trace@1,"), std::string::npos) << csv;
+  EXPECT_EQ(csv.find(",x.trace,"), std::string::npos) << csv;
 }
 
 TEST_F(TraceBackedMatrixTest, ValidateFailsFastOnBadTraceFiles) {

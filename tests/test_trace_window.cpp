@@ -1,0 +1,241 @@
+// The trace reader's read window: a trace is read from disk once per window,
+// so the open-time check, rewinds into the window and every lap of a trace
+// shorter than the window cost no refill (pinned through the `read` fault
+// site, which fires once per refill); and the decoded stream never depends
+// on the window size, for well-formed and mutated inputs alike.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <memory>
+#include <string>
+#include <tuple>
+#include <unistd.h>
+#include <vector>
+
+#include "plrupart/common/error.hpp"
+#include "plrupart/common/fault_inject.hpp"
+#include "plrupart/common/rng.hpp"
+#include "plrupart/sim/trace_codec.hpp"
+#include "plrupart/sim/trace_file.hpp"
+
+namespace plrupart::sim {
+namespace {
+
+class TraceWindowTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = std::filesystem::temp_directory_path() /
+           ("plrupart_window_test_" + std::to_string(::getpid()));
+    std::filesystem::create_directories(dir_);
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  [[nodiscard]] std::string path(const char* name) const { return (dir_ / name).string(); }
+
+  static void write_bytes(const std::string& p, const std::string& bytes) {
+    std::ofstream out(p, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  [[nodiscard]] static std::string read_bytes(const std::string& p) {
+    std::ifstream in(p, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+  }
+
+  std::filesystem::path dir_;
+};
+
+/// A plan that fails every read opportunity.
+std::shared_ptr<const FaultPlan> always_fail_reads() {
+  FaultSpec spec;
+  spec.probability[static_cast<std::size_t>(FaultSite::kRead)] = 1.0;
+  return std::make_shared<FaultPlan>(spec, 5);
+}
+
+/// Strided runs with occasional 64-bit jumps, so v2 records vary from 2 to
+/// 15 bytes and straddle every small window.
+std::vector<MemOp> mixed_ops(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<MemOp> ops(n);
+  cache::Addr prev = 0x1000'0000;
+  for (auto& op : ops) {
+    op.addr = rng.next_bool(0.25) ? rng.next_u64() : prev + 64 * rng.next_below(16);
+    prev = op.addr;
+    op.write = rng.next_bool(0.3);
+    op.gap_instrs = static_cast<std::uint32_t>(rng.next_below(rng.next_bool(0.1) ? 1u << 30 : 40));
+  }
+  return ops;
+}
+
+// ---------------------------------------------------------------------------
+// Read-once contract
+// ---------------------------------------------------------------------------
+
+TEST_F(TraceWindowTest, ArmedAtConstructionTheOpeningFillIsTheFirstReadOpportunity) {
+  const auto p = path("short.v2.trace");
+  write_trace_file(p, mixed_ops(50, 1), TraceFormat::kBinaryV2);
+  EXPECT_THROW(FileTraceSource(p, FileTraceSource::kDefaultBufferBytes, always_fail_reads(), 0), InjectedFault);
+}
+
+TEST_F(TraceWindowTest, LongTraceRefillsOnlyAfterTheFirstWindow) {
+  const auto ops = mixed_ops(20'000, 2);
+  const auto p = path("long.v2.trace");
+  write_trace_file(p, ops, TraceFormat::kBinaryV2);
+
+  // Count the records that end inside the first window by encoding them the
+  // way TraceWriter does.
+  constexpr std::size_t kWindow = FileTraceSource::kDefaultBufferBytes;
+  std::string bytes(kTraceHeaderV2);
+  bytes.push_back('\n');
+  std::size_t in_window = 0;
+  cache::Addr prev = 0;
+  for (const auto& op : ops) {
+    append_varint(bytes, (std::uint64_t{op.gap_instrs} << 1) | (op.write ? 1u : 0u));
+    append_varint(bytes, zigzag_encode(static_cast<std::int64_t>(op.addr - prev)));
+    prev = op.addr;
+    if (bytes.size() <= kWindow) ++in_window;
+  }
+  ASSERT_EQ(read_bytes(p), bytes);
+  ASSERT_GT(bytes.size(), kWindow) << "the trace must outgrow one window";
+
+  FileTraceSource src(p);  // header check + rewind: all inside the opening fill
+  src.set_fault_plan(always_fail_reads(), 0);
+  for (std::size_t i = 0; i < in_window; ++i)
+    ASSERT_EQ(src.next().addr, ops[i].addr) << "record " << i << " is in the first window";
+  EXPECT_THROW((void)src.next(), InjectedFault) << "the next record needs a refill";
+}
+
+TEST_F(TraceWindowTest, ShortTraceLapsWithoutRefill) {
+  const auto ops = mixed_ops(400, 3);
+  for (const auto format : {TraceFormat::kTextV1, TraceFormat::kBinaryV2}) {
+    const auto p = path(format == TraceFormat::kTextV1 ? "laps.v1.trace" : "laps.v2.trace");
+    write_trace_file(p, ops, format);
+    ASSERT_LT(std::filesystem::file_size(p), FileTraceSource::kDefaultBufferBytes);
+
+    FileTraceSource src(p);
+    src.set_fault_plan(always_fail_reads(), 0);
+    for (int lap = 0; lap < 100; ++lap) {
+      for (std::size_t i = 0; i < ops.size(); ++i)
+        ASSERT_EQ(src.next().addr, ops[i].addr) << trace_format_name(format) << " lap "
+                                                << lap << " op " << i;
+    }
+    EXPECT_EQ(src.loops_completed(), 99u);
+    src.reset();
+    EXPECT_EQ(src.next().addr, ops[0].addr);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Window independence over mutated inputs
+// ---------------------------------------------------------------------------
+
+constexpr std::uint64_t kLaps = 3;
+
+/// What a source yields over kLaps laps: the op stream, or the ops before
+/// the TraceError that stopped it plus its message.
+struct Outcome {
+  std::vector<std::tuple<cache::Addr, bool, std::uint32_t>> ops;
+  std::string error;
+};
+
+Outcome replay(const std::string& p, std::size_t window, std::size_t max_ops) {
+  Outcome out;
+  try {
+    FileTraceSource src(p, window);
+    for (;;) {
+      const auto op = src.next();
+      if (src.loops_completed() == kLaps) break;
+      out.ops.emplace_back(op.addr, op.write, op.gap_instrs);
+      if (out.ops.size() > max_ops) {
+        out.error = "runaway: more records than the file has bytes";
+        break;
+      }
+    }
+  } catch (const TraceError& e) {
+    out.error = e.what();
+  }
+  return out;
+}
+
+/// Seeded byte-flip / truncate / extend mutation of a whole file.
+std::string mutate(std::string bytes, Rng& rng) {
+  switch (rng.next_below(3)) {
+    case 0: {
+      const auto flips = 1 + rng.next_below(4);
+      for (std::uint64_t k = 0; k < flips; ++k)
+        bytes[rng.next_below(bytes.size())] ^= static_cast<char>(1 + rng.next_below(255));
+      break;
+    }
+    case 1:
+      bytes.resize(rng.next_below(bytes.size()));
+      break;
+    default: {
+      const auto n = 1 + rng.next_below(64);
+      if (rng.next_bool(0.5)) {
+        for (std::uint64_t k = 0; k < n; ++k)
+          bytes.push_back(static_cast<char>(rng.next_below(256)));
+      } else {  // a copy of a slice of itself: often well-formed records
+        const auto from = rng.next_below(bytes.size());
+        bytes.append(bytes.substr(from, n));
+      }
+      break;
+    }
+  }
+  return bytes;
+}
+
+TEST_F(TraceWindowTest, MutatedTracesDecodeIdenticallyAtEveryWindowSize) {
+  // Fixtures: the checked-in v1 conversion golden plus generated v1 and v2
+  // traces larger than a 4 KiB window, so every window size below refills
+  // at a different set of offsets.
+  const auto gen_v1 = path("fixture.v1.trace");
+  const auto gen_v2 = path("fixture.v2.trace");
+  write_trace_file(gen_v1, mixed_ops(300, 4), TraceFormat::kTextV1);
+  write_trace_file(gen_v2, mixed_ops(1000, 5), TraceFormat::kBinaryV2);
+  const std::vector<std::string> fixtures = {
+      read_bytes(PLRUPART_TEST_SUPPORT_DIR "/champsim_small.golden.v1.trace"),
+      read_bytes(gen_v1), read_bytes(gen_v2)};
+  ASSERT_GT(fixtures[1].size(), 4096u);
+  ASSERT_GT(fixtures[2].size(), 4096u);
+
+  constexpr std::size_t kMutantsPerFixture = 150;
+  const std::size_t windows[] = {1, 7, 4096, FileTraceSource::kDefaultBufferBytes};
+  const auto p = path("mutant.trace");
+  Rng rng(20'101);
+  std::size_t decoded = 0;
+  std::size_t rejected = 0;
+  for (std::size_t f = 0; f < fixtures.size(); ++f) {
+    for (std::size_t m = 0; m < kMutantsPerFixture; ++m) {
+      const auto bytes = m == 0 ? fixtures[f] : mutate(fixtures[f], rng);
+      write_bytes(p, bytes);
+      const std::size_t max_ops = kLaps * (bytes.size() + 1);
+      const auto reference = replay(p, windows[0], max_ops);
+      for (std::size_t w = 1; w < std::size(windows); ++w) {
+        const auto got = replay(p, windows[w], max_ops);
+        ASSERT_EQ(got.error, reference.error)
+            << "fixture " << f << " mutant " << m << " window " << windows[w];
+        ASSERT_EQ(got.ops, reference.ops)
+            << "fixture " << f << " mutant " << m << " window " << windows[w];
+      }
+      ASSERT_EQ(reference.error.find("runaway"), std::string::npos)
+          << "fixture " << f << " mutant " << m;
+      if (reference.error.empty()) {
+        ++decoded;
+      } else {
+        ++rejected;
+      }
+      if (m == 0) {
+        EXPECT_TRUE(reference.error.empty()) << reference.error;
+      }
+    }
+  }
+  // Both outcomes must be common, or the mutator is not exercising anything.
+  EXPECT_GT(decoded, fixtures.size() * 10);
+  EXPECT_GT(rejected, fixtures.size() * 10);
+}
+
+}  // namespace
+}  // namespace plrupart::sim
