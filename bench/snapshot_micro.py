@@ -25,7 +25,6 @@ import tempfile
 MICRO_BENCHES = (
     "bench_micro_policies",
     "bench_micro_profiling",
-    "bench_micro_shard",
     "bench_micro_timed",
     "bench_micro_trace",
 )

@@ -70,15 +70,8 @@ class PLRUPART_EXPORT SetAssocCache {
                 EnforcementMode enforcement, std::uint64_t seed = 0x5eed);
 
   /// Perform one access for `core` at byte address `addr`, counting into
-  /// `stats`. Misses allocate. The set-sharded simulator runs each shard
-  /// worker with a private bundle (per-set state is disjoint across shards,
-  /// the counters are not) and folds the deltas back via absorb_stats().
-  AccessOutcome access(CoreId core, Addr addr, bool write, CacheStatsBundle& stats);
-
-  /// Same access, counting into the cache's own bundle (stats()).
-  AccessOutcome access(CoreId core, Addr addr, bool write = false) {
-    return access(core, addr, write, stats_);
-  }
+  /// stats(). Misses allocate.
+  AccessOutcome access(CoreId core, Addr addr, bool write = false);
 
   /// Non-mutating lookup: would this access hit, and in which way?
   [[nodiscard]] AccessOutcome probe(Addr addr) const;
@@ -111,9 +104,6 @@ class PLRUPART_EXPORT SetAssocCache {
   [[nodiscard]] const ReplacementPolicy& policy() const noexcept { return *policy_; }
   [[nodiscard]] const CacheStatsBundle& stats() const noexcept { return stats_; }
   void reset_stats() { stats_.reset(); }
-  /// Fold externally-accumulated counters (see the stats-taking access
-  /// overload) into the cache's canonical bundle.
-  void absorb_stats(const CacheStatsBundle& delta) { stats_.absorb(delta); }
 
   /// Clear all contents, replacement state and statistics.
   void reset();
@@ -164,8 +154,7 @@ class PLRUPART_EXPORT SetAssocCache {
   /// SRRIP distant-line scan). Every (E, D, Policy) combination computes the
   /// same function — D only changes how many lanes one instruction compares.
   template <EnforcementMode E, DispatchTier D, class Policy>
-  AccessOutcome access_impl(Policy& pol, CoreId core, Addr addr, bool write,
-                            CacheStatsBundle& stats);
+  AccessOutcome access_impl(Policy& pol, CoreId core, Addr addr, bool write);
 
   /// find_way with the tag-filter scan of tier `D` (kSwar is find_way above;
   /// kAvx2 compares all partial bytes in 1-2 ops). Defined in
@@ -180,14 +169,12 @@ class PLRUPART_EXPORT SetAssocCache {
   /// matrix (one tier per TU — see access_impl.ipp for why that isolation
   /// matters to codegen). Defined in access_impl.ipp.
   template <DispatchTier D>
-  AccessOutcome access_host(CoreId core, Addr addr, bool write,
-                            CacheStatsBundle& stats);
+  AccessOutcome access_host(CoreId core, Addr addr, bool write);
 
   // Entry point into the AVX2 translation unit (src/cache/simd/access_avx2.cpp,
   // compiled with -mavx2). Only called when the instance's tier is kAvx2,
   // which implies the build carries it.
-  AccessOutcome access_avx2(CoreId core, Addr addr, bool write,
-                            CacheStatsBundle& stats);
+  AccessOutcome access_avx2(CoreId core, Addr addr, bool write);
 
   /// The ways `core` may search for a victim in `set` under kOwnerCounters
   /// enforcement (always non-empty). kNone/kWayMasks scopes come straight

@@ -6,8 +6,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "plrupart/common/assert.hpp"
-
 namespace plrupart::cache {
 
 struct PLRUPART_EXPORT CoreCacheStats {
@@ -48,22 +46,6 @@ struct PLRUPART_EXPORT CacheStatsBundle {
 
   void reset() {
     for (auto& c : per_core) c.reset();
-  }
-
-  /// Accumulate another bundle's counters into this one (exact uint64 sums).
-  /// Used by the set-sharded simulator to fold per-shard stat deltas back
-  /// into the cache's canonical bundle after the workers join.
-  void absorb(const CacheStatsBundle& other) {
-    PLRUPART_ASSERT_MSG(other.per_core.size() == per_core.size(),
-                        "stats bundle core-count mismatch in absorb");
-    for (std::size_t c = 0; c < per_core.size(); ++c) {
-      per_core[c].accesses += other.per_core[c].accesses;
-      per_core[c].hits += other.per_core[c].hits;
-      per_core[c].misses += other.per_core[c].misses;
-      per_core[c].writes += other.per_core[c].writes;
-      per_core[c].cross_evictions += other.per_core[c].cross_evictions;
-      per_core[c].self_evictions += other.per_core[c].self_evictions;
-    }
   }
 };
 

@@ -13,7 +13,10 @@
 // Sites:
 //   read    ByteReader::fill() — a trace-stream read fails mid-run
 //   write   journal/CSV record commit (AtomicFile) — a result write fails
-//   worker  a set-shard worker dies at an owned L2 access (sharded runs)
+//   worker  a front-end producer fails at a core's op (--sim-threads > 1);
+//           lane = core, counter = the core's op index, so the schedule is
+//           the same at every K, and the fault surfaces when the replay
+//           reaches that op
 //
 // Injected faults throw InjectedFault, a TransientError: the SweepExecutor
 // retry budget (--job-retries) treats them exactly like real I/O failures.
@@ -73,7 +76,7 @@ struct PLRUPART_EXPORT FaultSpec {
 /// A spec bound to a seed: the deterministic oracle every instrumented site
 /// consults. Immutable and stateless — safe to share across threads; callers
 /// supply their own opportunity counters (and a lane id when several actors
-/// of the same site run concurrently, e.g. shard workers).
+/// of the same site run concurrently, e.g. one per simulated core).
 class PLRUPART_EXPORT FaultPlan {
  public:
   FaultPlan(FaultSpec spec, std::uint64_t seed) noexcept : spec_(spec), seed_(seed) {}

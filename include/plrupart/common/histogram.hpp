@@ -40,15 +40,6 @@ class PLRUPART_EXPORT Histogram {
                            counts_.end(), std::uint64_t{0});
   }
 
-  /// Element-wise accumulate `other` into this histogram. Counter addition is
-  /// exact and commutative, so shard-local histograms merged in any order give
-  /// the same counts as a single serial histogram over the combined stream.
-  void add(const Histogram& other) {
-    PLRUPART_ASSERT_MSG(other.counts_.size() == counts_.size(),
-                        "histogram size mismatch in add");
-    for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
-  }
-
   /// Halve every counter (right shift): the SDH anti-saturation decay.
   void decay_halve() noexcept {
     for (auto& c : counts_) c >>= 1;

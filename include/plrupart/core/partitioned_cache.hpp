@@ -101,9 +101,8 @@ class PLRUPART_EXPORT PartitionedCacheSystem {
   [[nodiscard]] const IntervalController* controller() const noexcept {
     return controller_.get();
   }
-  /// Mutable profiler/controller access for the set-sharded simulator's
-  /// interval barrier: shard-replica SDHs are absorbed into the canonical
-  /// profilers, then the controller is ticked from the merged curves.
+  /// Mutable profiler/controller access, for harnesses that drive the L2's
+  /// layers one by one (bench/e2e's per-layer run).
   [[nodiscard]] Profiler& profiler_mut(cache::CoreId core);
   [[nodiscard]] IntervalController* controller_mut() noexcept {
     return controller_.get();

@@ -53,18 +53,6 @@ class PLRUPART_EXPORT Profiler {
   /// Interval-boundary decay (divide every SDH register by two).
   virtual void decay() { sdh_.decay_halve(); }
 
-  /// Fold a shard-replica profiler's SDH registers into this one and zero the
-  /// replica, the merge step of the set-sharded simulator's interval barrier.
-  /// Sound because ATD state is strictly per-ATD-set and every ATD set is fed
-  /// by exactly one L2 set, so replicas over disjoint L2 set ranges observe
-  /// exactly the serial per-set streams and their SDHs sum to the serial SDH.
-  /// Only SDH registers move: the NRU kSmear fractional side histogram has no
-  /// merge story, which is one reason NRU profiling is never sharded.
-  void absorb_shard(Profiler& shard) {
-    sdh_.add(shard.sdh_);
-    shard.sdh_.clear();
-  }
-
   [[nodiscard]] const Sdh& sdh() const noexcept { return sdh_; }
   [[nodiscard]] const Atd& atd() const noexcept { return atd_; }
   [[nodiscard]] virtual std::string name() const = 0;

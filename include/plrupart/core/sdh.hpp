@@ -55,15 +55,6 @@ class PLRUPART_EXPORT Sdh {
   [[nodiscard]] std::uint64_t total() const noexcept { return hist_.total(); }
   [[nodiscard]] std::uint32_t associativity() const noexcept { return assoc_; }
 
-  /// Accumulate another SDH's registers into this one (exact uint64 sums).
-  /// This is the interval-boundary merge of the set-sharded execution mode:
-  /// each shard profiles a disjoint slice of the set space, and summing the
-  /// per-shard registers reproduces the serial SDH bit-for-bit.
-  void add(const Sdh& other) {
-    PLRUPART_ASSERT_MSG(other.assoc_ == assoc_, "SDH associativity mismatch in add");
-    hist_.add(other.hist_);
-  }
-
   /// Interval-boundary decay: right-shift every register by one (divide by 2),
   /// keeping a fair ratio between past and future intervals (paper §II-A).
   void decay_halve() noexcept { hist_.decay_halve(); }

@@ -37,7 +37,7 @@ struct PLRUPART_EXPORT RunSpec {
   /// Per-job deterministic seed (feeds trace generation and the L2's RNG).
   /// Derived from the matrix position — see RunMatrix::job_seed().
   std::uint64_t seed = 1;
-  /// Intra-run set-shard workers (SimConfig::sim_threads): 1 = serial,
+  /// Intra-run front-end producers (SimConfig::sim_threads): 1 = serial,
   /// 0 = hardware concurrency. Results are identical at any value, so this is
   /// a performance knob, not part of the job's identity (key() ignores it).
   std::uint32_t sim_threads = 1;
@@ -53,7 +53,7 @@ struct PLRUPART_EXPORT RunSpec {
 };
 
 /// Run one job to completion. Deterministic: identical RunSpecs produce
-/// bit-identical SimResults on any machine, single-threaded or set-sharded
+/// bit-identical SimResults on any machine, serial or pipelined
 /// (sim_threads).
 [[nodiscard]] PLRUPART_EXPORT sim::SimResult execute(const RunSpec& spec);
 
@@ -64,7 +64,7 @@ struct PLRUPART_EXPORT RunSpec {
 struct PLRUPART_EXPORT ExecuteControls {
   double timeout_s = 0.0;  ///< watchdog deadline (0 = none); see SimConfig
   /// Fault plan armed on this job's trace readers (FaultSite::kRead, lane =
-  /// core) and shard workers (FaultSite::kWorker, lane = shard).
+  /// core) and front-end producers (FaultSite::kWorker, lane = core).
   std::shared_ptr<const FaultPlan> faults;
 };
 
@@ -94,7 +94,7 @@ struct PLRUPART_EXPORT RunMatrix {
   std::uint64_t interval_cycles = 1'000'000;
   std::uint32_t sampling_ratio = 32;
   std::uint64_t seed = 1;  ///< root seed; per-job seeds derive from it
-  std::uint32_t sim_threads = 1;  ///< intra-run set-shard workers per job
+  std::uint32_t sim_threads = 1;  ///< intra-run front-end producers per job
   sim::TimingMode timing = sim::TimingMode::kFunctional;  ///< all jobs' timing mode
 
   /// Number of jobs in the full matrix.

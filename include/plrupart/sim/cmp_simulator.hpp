@@ -29,14 +29,13 @@ struct PLRUPART_EXPORT SimConfig {
   HierarchyConfig hierarchy;
   std::vector<CoreParams> cores;          ///< one per core (benchmark-specific)
   std::uint64_t instr_limit = 2'000'000;  ///< per-thread MEASURED instructions
-  /// Intra-run parallelism: number of set-shard workers for this run. 1 (the
-  /// default) runs the classic serial loop; 0 means hardware concurrency;
-  /// K > 1 partitions the L2 set space into K shards replayed by K workers
-  /// plus one trace-demux thread, synchronizing only at interval-controller
-  /// boundaries. Results are byte-identical to the serial path at any value.
-  /// Configurations whose replacement policy or profiler carries cache-global
-  /// state (NRU, Random) silently fall back to serial; SimResult::sim_shards
-  /// reports what actually ran.
+  /// Intra-run parallelism: front-end producer threads for this run. 1 (the
+  /// default) runs the serial loop; 0 means hardware concurrency; K > 1
+  /// starts min(K, cores) producers, each generating its cores' traces and
+  /// running their private L1s ahead of the replay, which stays on the
+  /// calling thread and does the L2 work. Every configuration and both timing
+  /// modes run this way, with results byte-identical to the serial loop at
+  /// any value. SimResult::sim_shards reports the producers used.
   std::uint32_t sim_threads = 1;
   /// Warmup: measurement windows open for ALL cores at the same wall-cycle
   /// instant — the moment the slowest core has committed this many
@@ -48,14 +47,16 @@ struct PLRUPART_EXPORT SimConfig {
   /// explicit warmup is required.
   std::uint64_t warmup_instr = 0;
   /// Watchdog: abort with TimeoutError once the run has consumed this many
-  /// wall-clock seconds (0 disables it). The serial loop polls every few
-  /// thousand ops; the sharded path latches the deadline into the AbortFlag
-  /// that every blocking loop already polls, so a wedged worker aborts and
-  /// joins cleanly instead of hanging the fleet. Wall time never feeds
-  /// simulation state — a timeout kills the run, it cannot skew its numbers.
+  /// wall-clock seconds (0 disables it). The replay loop polls every few
+  /// thousand ops, and keeps polling while it waits on a front-end producer,
+  /// so a wedged producer aborts the run (and is joined) instead of hanging
+  /// the fleet. Wall time never feeds simulation state — a timeout kills the
+  /// run, it cannot skew its numbers.
   double timeout_s = 0.0;
   /// Deterministic fault plan for instrumented sites inside the simulator
-  /// (FaultSite::kWorker at owned L2 accesses of shard workers). Trace-read
+  /// (FaultSite::kWorker in the front-end producers of a pipelined run, keyed
+  /// by core and the core's op index, so the schedule is the same at every
+  /// K > 1; a fault surfaces when the replay reaches that op). Trace-read
   /// faults are armed by the caller on each TraceSource; see
   /// FileTraceSource's constructor.
   std::shared_ptr<const FaultPlan> faults;
@@ -63,7 +64,7 @@ struct PLRUPART_EXPORT SimConfig {
   /// MSHR/writeback/banked-DRAM model. The L2 access stream — and with it
   /// every per-interval partition decision — is identical to functional mode
   /// by construction; only the cycle accounting (and the extra TimedStats)
-  /// differ. Timed runs are always serial (sim_threads is ignored).
+  /// differ. Timed runs honour sim_threads like functional ones.
   TimingMode timing_mode = TimingMode::kFunctional;
   TimedParams timed;  ///< knobs of the timed overlay (timing_mode == kTimed)
 };
@@ -81,7 +82,7 @@ struct PLRUPART_EXPORT SimResult {
   double wall_cycles = 0.0;        ///< cycle count of the last thread to finish
   std::uint64_t repartitions = 0;  ///< interval-controller activations
   std::string l2_config;           ///< acronym of the L2 configuration
-  std::uint32_t sim_shards = 1;    ///< set-shard workers the run actually used
+  std::uint32_t sim_shards = 1;    ///< front-end producers the run used (1 = serial)
   TimingMode timing = TimingMode::kFunctional;  ///< mode that produced this result
   TimedStats timed;  ///< measured-window deltas; all-zero in functional mode
 
@@ -113,10 +114,13 @@ class PLRUPART_EXPORT CmpSimulator {
   /// may be a single entry (applied to all) or one entry per core.
   CmpSimulator(SimConfig config, std::vector<std::unique_ptr<TraceSource>> traces);
 
-  /// Run to completion and return per-thread results — serially or
-  /// set-sharded per SimConfig::sim_threads, with identical results either
-  /// way. Call once: a second call throws InvariantError (the hierarchy's
-  /// warmed-up state cannot be re-run meaningfully).
+  /// Run to completion and return per-thread results — serially or through
+  /// the front-end pipeline per SimConfig::sim_threads, with identical
+  /// results either way. Call once: a second call throws InvariantError (the
+  /// hierarchy's warmed-up state cannot be re-run meaningfully). After a
+  /// pipelined run the private L1s and the traces have run ahead of the
+  /// replay by up to one ring per core; the L2, profilers and counters match
+  /// the serial run.
   [[nodiscard]] SimResult run();
 
   [[nodiscard]] const MemoryHierarchy& hierarchy() const noexcept { return *hierarchy_; }

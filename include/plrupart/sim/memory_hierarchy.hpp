@@ -62,17 +62,22 @@ class PLRUPART_EXPORT MemoryHierarchy {
   AccessLevel access(cache::CoreId core, cache::Addr addr, bool write,
                      std::uint64_t now_cycles, L2Echo& echo);
 
+  /// The two halves `access` composes. The L1 half touches only `core`'s
+  /// private filter, so the pipelined simulator runs it on the core's
+  /// front-end producer; the after-L1 half (counters, the L2 and its
+  /// profilers, the echo) stays on the replaying thread.
+  bool access_l1(cache::CoreId core, cache::Addr addr) {
+    PLRUPART_ASSERT(core < l1d_.size());
+    return l1d_[core].access(addr);
+  }
+  AccessLevel access_after_l1(cache::CoreId core, cache::Addr addr, bool write,
+                              bool l1_hit, std::uint64_t now_cycles, L2Echo& echo);
+
   [[nodiscard]] const HierarchyConfig& config() const noexcept { return config_; }
   [[nodiscard]] core::PartitionedCacheSystem& l2() noexcept { return *l2_; }
   [[nodiscard]] const core::PartitionedCacheSystem& l2() const noexcept { return *l2_; }
   [[nodiscard]] const cache::LruFilter& l1d(cache::CoreId core) const;
   [[nodiscard]] const HierarchyCounters& counters(cache::CoreId core) const;
-  /// Mutable L1/counter access for the set-sharded simulator: its demux
-  /// thread drives the private L1s directly (they filter the streams the
-  /// shard workers consume), and the driver installs the replicated counters
-  /// when the workers join.
-  [[nodiscard]] cache::LruFilter& l1d_mut(cache::CoreId core);
-  void set_counters(cache::CoreId core, const HierarchyCounters& ctr);
   [[nodiscard]] std::uint32_t num_cores() const noexcept { return config_.l2.num_cores; }
 
   void reset();

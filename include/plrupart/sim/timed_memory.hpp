@@ -141,6 +141,12 @@ class PLRUPART_EXPORT TimedMemory {
 
   void process_until(std::uint64_t t);
   void handle(const TimedEvent& ev);
+  /// Queue `req`, which arrives at the bank at tick `t`. Known defect, kept
+  /// because fixing it changes pinned timed CSV bytes: the request joins the
+  /// bank's queue at issue time, so a busy bank that frees up before `t` can
+  /// start serving it before it arrives. With one bank, a miss on line 0 at
+  /// t=0 and one on line 1000 at t=170, the second arrives at 200 but starts
+  /// at 190 and completes at 410, not at 420 or later.
   void enqueue_dram(std::uint64_t t, DramRequest req);
   void start_service(std::uint32_t bank_idx, std::uint64_t t);
   [[nodiscard]] std::uint32_t bank_of(cache::Addr line) const noexcept;

@@ -75,12 +75,11 @@ WayMask SetAssocCache::eviction_mask(std::uint64_t set, CoreId core) const {
 // The one access entry. The kSwar matrix is instantiated here; the kAvx2
 // one lives in src/cache/simd/access_avx2.cpp, the only TU built with
 // -mavx2 — see access_impl.ipp.
-AccessOutcome SetAssocCache::access(CoreId core, Addr addr, bool write,
-                                    CacheStatsBundle& stats) {
+AccessOutcome SetAssocCache::access(CoreId core, Addr addr, bool write) {
 #if defined(PLRUPART_SIMD_AVX2)
-  if (dispatch_ == DispatchTier::kAvx2) return access_avx2(core, addr, write, stats);
+  if (dispatch_ == DispatchTier::kAvx2) return access_avx2(core, addr, write);
 #endif
-  return access_host<DispatchTier::kSwar>(core, addr, write, stats);
+  return access_host<DispatchTier::kSwar>(core, addr, write);
 }
 
 AccessOutcome SetAssocCache::probe(Addr addr) const {

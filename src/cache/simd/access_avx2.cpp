@@ -10,9 +10,8 @@
 
 namespace plrupart::cache {
 
-AccessOutcome SetAssocCache::access_avx2(CoreId core, Addr addr, bool write,
-                                         CacheStatsBundle& stats) {
-  return access_host<DispatchTier::kAvx2>(core, addr, write, stats);
+AccessOutcome SetAssocCache::access_avx2(CoreId core, Addr addr, bool write) {
+  return access_host<DispatchTier::kAvx2>(core, addr, write);
 }
 
 }  // namespace plrupart::cache

@@ -41,8 +41,8 @@ void log_progress(const JobResult& jr, std::size_t n, std::size_t total, double 
     std::fprintf(stderr, "plrupart: [%zu/%zu] %s done (%.1fM acc/s, %.1fM cyc/s)\n", n,
                  total, jr.spec.key().c_str(), rate / 1e6, cyc_rate / 1e6);
   } else if (jr.result.sim_shards > 1) {
-    // Rate is the aggregate across the job's intra-run shard workers;
-    // surface the shard count so scaling is visible in the field.
+    // A pipelined job: surface its front-end producer count (SimResult::
+    // sim_shards) so scaling is visible in the field.
     std::fprintf(stderr, "plrupart: [%zu/%zu] %s done (%.1fM acc/s, %u shards)\n", n,
                  total, jr.spec.key().c_str(), rate / 1e6, jr.result.sim_shards);
   } else {

@@ -1,40 +1,57 @@
 #include "plrupart/sim/cmp_simulator.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <string>
+#include <utility>
 
 #include "plrupart/common/error.hpp"
+#include "common/parallel.hpp"
+#include "sim/front_end.hpp"
 #include "sim/replay_loop.hpp"
-#include "sim/sharded_replay.hpp"
 
 namespace plrupart::sim {
 
 namespace {
 
-/// The direct L2 port: ops come straight from the trace sources and go through
-/// the real MemoryHierarchy, with a polled watchdog. Wall time is only ever
-/// compared against the deadline — it decides whether the run dies, never
-/// what the run computes.
-class DirectPort {
+/// The run's wall-clock watchdog. Wall time is only ever compared against the
+/// deadline — it decides whether the run dies, never what the run computes.
+class Watchdog {
  public:
-  DirectPort(const std::vector<std::unique_ptr<TraceSource>>& traces,
-             MemoryHierarchy& hierarchy, double timeout_s, const char* mode)
-      : traces_(traces),
-        hierarchy_(hierarchy),
-        has_deadline_(timeout_s > 0.0),
+  Watchdog(double timeout_s, std::string mode)
+      : has_deadline_(timeout_s > 0.0),
         deadline_(std::chrono::steady_clock::now() +
                   std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                       std::chrono::duration<double>(has_deadline_ ? timeout_s : 0.0))),
         timeout_s_(timeout_s),
-        mode_(mode) {}
+        mode_(std::move(mode)) {}
 
+  /// Reads the clock on every 4096th call.
   void poll() {
-    if (has_deadline_ && (++ops_since_poll_ & 0xfffU) == 0 &&
+    if (has_deadline_ && (++polls_ & 0xfffU) == 0 &&
         std::chrono::steady_clock::now() >= deadline_) {
       throw TimeoutError("simulation exceeded watchdog deadline of " +
-                         std::to_string(timeout_s_) + " s (" + mode_ + " run)");
+                         std::to_string(timeout_s_) + " s (" + mode_ + ")");
     }
   }
+
+ private:
+  bool has_deadline_;
+  std::chrono::steady_clock::time_point deadline_;
+  double timeout_s_;
+  std::string mode_;
+  std::uint64_t polls_ = 0;
+};
+
+/// The direct L2 port: ops come straight from the trace sources and go through
+/// the real MemoryHierarchy.
+class DirectPort {
+ public:
+  DirectPort(const std::vector<std::unique_ptr<TraceSource>>& traces,
+             MemoryHierarchy& hierarchy, Watchdog watchdog)
+      : traces_(traces), hierarchy_(hierarchy), watchdog_(std::move(watchdog)) {}
+
+  void poll() { watchdog_.poll(); }
   MemOp next(std::uint32_t core) { return traces_[core]->next(); }
   AccessLevel access(std::uint32_t core, const MemOp& op, std::uint64_t now,
                      L2Echo& echo) {
@@ -47,11 +64,33 @@ class DirectPort {
  private:
   const std::vector<std::unique_ptr<TraceSource>>& traces_;
   MemoryHierarchy& hierarchy_;
-  bool has_deadline_;
-  std::chrono::steady_clock::time_point deadline_;
-  double timeout_s_;
-  const char* mode_;
-  std::uint64_t ops_since_poll_ = 0;
+  Watchdog watchdog_;
+};
+
+/// The pipelined L2 port: ops arrive from the front-end producers with their
+/// L1 outcome attached, and only the after-L1 half of each access runs here.
+/// Waits on an empty ring keep polling the watchdog.
+class PipelinePort {
+ public:
+  PipelinePort(internal::FrontEnd& front, MemoryHierarchy& hierarchy, Watchdog watchdog)
+      : front_(front), hierarchy_(hierarchy), watchdog_(std::move(watchdog)) {}
+
+  void poll() { watchdog_.poll(); }
+  internal::OpRecord next(std::uint32_t core) {
+    return front_.pop(core, [this] { watchdog_.poll(); });
+  }
+  AccessLevel access(std::uint32_t core, const internal::OpRecord& op, std::uint64_t now,
+                     L2Echo& echo) {
+    return hierarchy_.access_after_l1(core, op.addr, op.write, op.l1_hit, now, echo);
+  }
+  [[nodiscard]] const HierarchyCounters& counters(std::uint32_t core) const {
+    return hierarchy_.counters(core);
+  }
+
+ private:
+  internal::FrontEnd& front_;
+  MemoryHierarchy& hierarchy_;
+  Watchdog watchdog_;
 };
 
 /// The timed overlay: a second per-core clock charges memory latency from the
@@ -76,7 +115,8 @@ class TimedClocks {
   }
 
   /// Same committed instructions as the functional clock, latency from the model.
-  void on_access(std::uint32_t core, const MemOp& op, const L2Echo& echo) {
+  template <class Op>
+  void on_access(std::uint32_t core, const Op& op, const L2Echo& echo) {
     TimedCore& tc = cores_[core];
     const CoreParams& cp = config_.cores[core];
     tc.cycles += (static_cast<double>(op.gap_instrs) + 1.0) / cp.base_ipc;
@@ -165,21 +205,34 @@ SimResult CmpSimulator::run() {
   }
   ran_ = true;
 
-  const std::uint32_t shards = internal::resolve_sim_shards(config_);
-  if (shards > 1) {
-    return internal::run_set_sharded(config_, traces_, *hierarchy_, shards);
-  }
   std::vector<std::string> names;
   names.reserve(traces_.size());
   for (const auto& t : traces_) names.push_back(t->name());
   const bool timed = config_.timing_mode == TimingMode::kTimed;
-  DirectPort port(traces_, *hierarchy_, config_.timeout_s, timed ? "timed" : "serial");
-  if (timed) {
-    TimedClocks clocks(config_);
+  auto run_with = [&](auto& port) {
+    if (timed) {
+      TimedClocks clocks(config_);
+      return internal::replay(config_, names, hierarchy_->l2(), port, clocks);
+    }
+    internal::FunctionalClocks clocks;
     return internal::replay(config_, names, hierarchy_->l2(), port, clocks);
+  };
+
+  const std::size_t want =
+      config_.sim_threads == 0 ? default_parallelism() : config_.sim_threads;
+  if (want <= 1) {
+    DirectPort port(traces_, *hierarchy_,
+                    Watchdog(config_.timeout_s, timed ? "timed run" : "serial run"));
+    return run_with(port);
   }
-  internal::FunctionalClocks clocks;
-  return internal::replay(config_, names, hierarchy_->l2(), port, clocks);
+  const auto producers = static_cast<std::uint32_t>(std::min(want, traces_.size()));
+  internal::FrontEnd front(traces_, *hierarchy_, producers, config_.faults.get());
+  const std::string mode = std::string(timed ? "timed " : "") + "pipelined run, " +
+                           std::to_string(producers) + " producers";
+  PipelinePort port(front, *hierarchy_, Watchdog(config_.timeout_s, mode));
+  SimResult out = run_with(port);
+  out.sim_shards = producers;
+  return out;
 }
 
 }  // namespace plrupart::sim

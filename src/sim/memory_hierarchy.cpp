@@ -19,12 +19,18 @@ AccessLevel MemoryHierarchy::access(cache::CoreId core, cache::Addr addr, bool w
 
 AccessLevel MemoryHierarchy::access(cache::CoreId core, cache::Addr addr, bool write,
                                     std::uint64_t now_cycles, L2Echo& echo) {
-  PLRUPART_ASSERT(core < l1d_.size());
+  return access_after_l1(core, addr, write, access_l1(core, addr), now_cycles, echo);
+}
+
+AccessLevel MemoryHierarchy::access_after_l1(cache::CoreId core, cache::Addr addr,
+                                             bool write, bool l1_hit,
+                                             std::uint64_t now_cycles, L2Echo& echo) {
+  PLRUPART_ASSERT(core < counters_.size());
   HierarchyCounters& ctr = counters_[core];
   echo = L2Echo{};
 
   ++ctr.l1_accesses;
-  if (l1d_[core].access(addr)) return AccessLevel::kL1;
+  if (l1_hit) return AccessLevel::kL1;
 
   ++ctr.l1_misses;
   ++ctr.l2_accesses;
@@ -48,16 +54,6 @@ const cache::LruFilter& MemoryHierarchy::l1d(cache::CoreId core) const {
 const HierarchyCounters& MemoryHierarchy::counters(cache::CoreId core) const {
   PLRUPART_ASSERT(core < counters_.size());
   return counters_[core];
-}
-
-cache::LruFilter& MemoryHierarchy::l1d_mut(cache::CoreId core) {
-  PLRUPART_ASSERT(core < l1d_.size());
-  return l1d_[core];
-}
-
-void MemoryHierarchy::set_counters(cache::CoreId core, const HierarchyCounters& ctr) {
-  PLRUPART_ASSERT(core < counters_.size());
-  counters_[core] = ctr;
 }
 
 void MemoryHierarchy::reset() {

@@ -1,5 +1,5 @@
 // The replay loop: the one implementation of the paper's methodology behind
-// every CmpSimulator mode — serial, timed, and each set-sharded worker.
+// every CmpSimulator mode — serial or pipelined, functional or timed.
 //
 // Threads interleave by local clock (the core with the smallest FUNCTIONAL
 // cycle count goes next), measurement windows open for all cores together

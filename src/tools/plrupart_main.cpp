@@ -30,7 +30,7 @@
 // Scale-out flags:
 //   --threads N        worker threads; 0 = one per hardware thread  [0]
 //   --shard i/n        run slice i of an n-way split of the matrix
-//   --sim-threads K    intra-run set-shard workers per job; 0 = hardware  [1]
+//   --sim-threads K    intra-run front-end producers per job; 0 = hardware  [1]
 //   --progress         per-job completion lines on stderr
 //
 // Timing flags:
@@ -114,7 +114,9 @@ void print_usage() {
       "             --line N [128]  --interval N [1000000]  --sampling N [32]\n"
       "             --seed N [1]  --csv PATH (default: stdout)\n"
       "scale-out:   --threads N [0 = all hardware threads]  --shard i/n  --progress\n"
-      "             --sim-threads K [1]  intra-run set-shard workers per job\n"
+      "             --sim-threads K [1]  intra-run front-end producers per job:\n"
+      "                                  K > 1 generates traces and runs the L1s\n"
+      "                                  on min(K, cores) threads ahead of the L2\n"
       "                                  (0 = all hardware threads; results are\n"
       "                                  byte-identical to serial at any K)\n"
       "timing:      --timing MODE [functional]  functional | timed; timed runs the\n"

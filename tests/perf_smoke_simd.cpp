@@ -16,7 +16,7 @@
 //     cliff -- e.g. a dispatch bug routing per-access work through a slow
 //     fallback -- while tolerating machine noise)
 //
-// Skips (exit 0, like perf_smoke_shard) when the build or host has no AVX2
+// Skips (exit 0) when the build or host has no AVX2
 // tier; debug/sanitizer builds never register it (tests/CMakeLists.txt).
 #include <chrono>
 #include <cmath>

@@ -5,11 +5,6 @@
 // resets. The tier axis is the bit-identity proof for the SIMD kernels
 // (src/cache/simd): each combo runs the SUT under one forced tier against the
 // tier-less reference model; a tier the build/host cannot run is skipped.
-//
-// Each combo drives two SUTs: one through the 3-arg access (the cache's own
-// stats bundle) and one through the 4-arg access into an external bundle
-// that is folded back with absorb_stats(), as the set-sharded simulator does
-// at its interval barriers.
 #include <gtest/gtest.h>
 
 #include <tuple>
@@ -84,10 +79,7 @@ TEST_P(GoldenEquivalence, RandomTraceReplaysIdentically) {
 
   const ScopedDispatchTier forced(tier);
   cache::SetAssocCache sut(geo, kind, kCores, enforcement, kSeed);
-  cache::SetAssocCache ext(geo, kind, kCores, enforcement, kSeed);
-  cache::CacheStatsBundle ext_stats(kCores);
   ASSERT_EQ(sut.dispatch_tier(), tier);
-  ASSERT_EQ(ext.dispatch_tier(), tier);
   testing::ReferenceCache ref(geo, kind, kCores, enforcement, kSeed);
 
   Rng rng(42);
@@ -101,11 +93,9 @@ TEST_P(GoldenEquivalence, RandomTraceReplaysIdentically) {
       const WayMask m0 = way_range_mask(0, cut1);
       const WayMask m1 = way_range_mask(cut1, cut2 - cut1);
       const WayMask m2 = way_range_mask(cut2, 8 - cut2);
-      for (auto* c : {&sut, &ext}) {
-        c->set_way_mask(0, m0);
-        c->set_way_mask(1, m1);
-        c->set_way_mask(2, m2);
-      }
+      sut.set_way_mask(0, m0);
+      sut.set_way_mask(1, m1);
+      sut.set_way_mask(2, m2);
       ref.set_way_mask(0, m0);
       ref.set_way_mask(1, m1);
       ref.set_way_mask(2, m2);
@@ -114,11 +104,9 @@ TEST_P(GoldenEquivalence, RandomTraceReplaysIdentically) {
       const auto q0 = static_cast<std::uint32_t>(rng.next_in(1, 6));
       const auto q1 = static_cast<std::uint32_t>(rng.next_in(1, 7 - q0));
       const std::uint32_t q2 = 8 - q0 - q1;
-      for (auto* c : {&sut, &ext}) {
-        c->set_way_quota(0, q0);
-        c->set_way_quota(1, q1);
-        c->set_way_quota(2, q2 > 0 ? q2 : 1);
-      }
+      sut.set_way_quota(0, q0);
+      sut.set_way_quota(1, q1);
+      sut.set_way_quota(2, q2 > 0 ? q2 : 1);
       ref.set_way_quota(0, q0);
       ref.set_way_quota(1, q1);
       ref.set_way_quota(2, q2 > 0 ? q2 : 1);
@@ -127,8 +115,6 @@ TEST_P(GoldenEquivalence, RandomTraceReplaysIdentically) {
     if (step == 17'000 || step == 39'000) {
       // Mid-trace reset: both models must return to the same cold state.
       sut.reset();
-      ext.reset();
-      ext_stats.reset();
       ref.reset();
       history.clear();
     }
@@ -139,16 +125,14 @@ TEST_P(GoldenEquivalence, RandomTraceReplaysIdentically) {
       const cache::Addr addr = history[rng.next_below(history.size())];
       const bool dropped = ref.invalidate(addr);
       EXPECT_EQ(sut.invalidate(addr), dropped) << "step " << step;
-      EXPECT_EQ(ext.invalidate(addr), dropped) << "step " << step;
       continue;
     }
     if (op < 8 && !history.empty()) {
       const cache::Addr addr = history[rng.next_below(history.size())];
       const auto pr = ref.probe(addr);
-      for (const auto& ps : {sut.probe(addr), ext.probe(addr)}) {
-        EXPECT_EQ(ps.hit, pr.hit) << "step " << step;
-        EXPECT_EQ(ps.way, pr.way) << "step " << step;
-      }
+      const auto ps = sut.probe(addr);
+      EXPECT_EQ(ps.hit, pr.hit) << "step " << step;
+      EXPECT_EQ(ps.way, pr.way) << "step " << step;
       continue;
     }
     const auto core = static_cast<cache::CoreId>(rng.next_below(kCores));
@@ -166,33 +150,24 @@ TEST_P(GoldenEquivalence, RandomTraceReplaysIdentically) {
     const bool write = rng.next_below(4) == 0;
 
     const auto b = ref.access(core, addr, write);
-    for (const auto& a : {sut.access(core, addr, write),
-                          ext.access(core, addr, write, ext_stats)}) {
-      ASSERT_EQ(a.hit, b.hit) << "step " << step;
-      ASSERT_EQ(a.way, b.way) << "step " << step;
-      ASSERT_EQ(a.evicted_valid, b.evicted_valid) << "step " << step;
-      ASSERT_EQ(a.evicted_line, b.evicted_line) << "step " << step;
-      ASSERT_EQ(a.evicted_owner, b.evicted_owner) << "step " << step;
-    }
+    const auto a = sut.access(core, addr, write);
+    ASSERT_EQ(a.hit, b.hit) << "step " << step;
+    ASSERT_EQ(a.way, b.way) << "step " << step;
+    ASSERT_EQ(a.evicted_valid, b.evicted_valid) << "step " << step;
+    ASSERT_EQ(a.evicted_line, b.evicted_line) << "step " << step;
+    ASSERT_EQ(a.evicted_owner, b.evicted_owner) << "step " << step;
 
     if (step % 1024 == 0) {
       for (std::uint64_t set = 0; set < geo.sets(); set += 7) {
         for (cache::CoreId c = 0; c < kCores; ++c) {
           ASSERT_EQ(sut.owned_in_set(set, c), ref.owned_in_set(set, c))
               << "step " << step << " set " << set << " core " << c;
-          ASSERT_EQ(ext.owned_in_set(set, c), ref.owned_in_set(set, c))
-              << "step " << step << " set " << set << " core " << c;
         }
       }
-      // Fold the external deltas back, as a shard barrier does.
-      ext.absorb_stats(ext_stats);
-      ext_stats.reset();
     }
   }
 
   expect_same_stats(sut.stats(), ref.stats());
-  ext.absorb_stats(ext_stats);
-  expect_same_stats(ext.stats(), ref.stats());
 }
 
 std::vector<Combo> all_combos() {

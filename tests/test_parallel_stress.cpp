@@ -1,9 +1,9 @@
 // TSan-facing stress suite: hammers the two places std::thread concurrency
 // lives today — common/parallel.hpp and runner::SweepExecutor — so the
 // ThreadSanitizer tier (PLRUPART_SANITIZE=thread) has real contention to bite
-// on. This is the race-clean baseline the intra-run (set-sharded) parallelism
-// work must keep green: any new cross-thread sharing that reaches these paths
-// shows up here first.
+// on — plus the intra-run front-end pipeline (--sim-threads), whose producers
+// call TraceSource::next() and the private L1s from K threads at once: any
+// cross-thread sharing that reaches these paths shows up here first.
 //
 // The suite is deliberately repetition-heavy (many rounds x many thread
 // counts): TSan finds races by observing conflicting access pairs, so one
@@ -20,16 +20,19 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/parallel.hpp"
 #include "plrupart/cache/geometry.hpp"
+#include "plrupart/common/error.hpp"
 #include "plrupart/runner/run_spec.hpp"
 #include "plrupart/runner/sweep_executor.hpp"
+#include "plrupart/sim/cmp_simulator.hpp"
 #include "plrupart/workloads/catalog.hpp"
 #include "plrupart/workloads/generators.hpp"
 #include "plrupart/workloads/workload_table.hpp"
-#include "sim/sharded_replay.hpp"
+#include "support/probe_trace.hpp"
 
 namespace plrupart {
 namespace {
@@ -286,11 +289,10 @@ TEST(SweepExecutorStress, TimedProgressLinesReportSimulatedCycleRate) {
   EXPECT_EQ(lines, jobs.size());
 }
 
-// --- Intra-run set-sharded parallelism under contention ---------------------
+// --- Intra-run front-end pipeline under contention ---------------------------
 
 /// Like stress_matrix(), but with a pseudo-LRU partitioned config (the
-/// paper's centre of mass) alongside the NRU one, so both the set-sharded
-/// path and its silent serial fallback run in every round.
+/// paper's centre of mass) alongside the unpartitioned LRU and the NRU ones.
 runner::RunMatrix sharded_stress_matrix() {
   runner::RunMatrix m = stress_matrix();
   m.configs = {"M-BT", "NOPART-L", "M-0.75N"};
@@ -301,7 +303,7 @@ runner::RunMatrix sharded_stress_matrix() {
 TEST(ShardedSimStress, CsvByteIdenticalAcrossSimThreadCounts) {
   // The issue contract: {1, 2, 8, hardware} intra-run workers, CSV bytes
   // identical at every count — here with the sweep pool (2 jobs at a time)
-  // layered on top, so demux/worker threads of different jobs contend.
+  // layered on top, so the producers of different jobs contend.
   runner::RunMatrix m = sharded_stress_matrix();
   std::string reference;
   for (const std::size_t sim_threads : stress_thread_counts()) {
@@ -318,7 +320,7 @@ TEST(ShardedSimStress, CsvByteIdenticalAcrossSimThreadCounts) {
 }
 
 TEST(ShardedSimStress, RepeatedShardedRunsAreStable) {
-  // Many short sharded runs back to back: thread creation/join churn is where
+  // Many short pipelined runs back to back: thread creation/join churn is where
   // lost-wakeup and reuse-after-join bugs live, and TSan needs the repetition
   // to observe conflicting pairs.
   runner::RunMatrix m = sharded_stress_matrix();
@@ -350,86 +352,108 @@ TEST(ShardedSimStress, ProgressLinesReportAggregateShardCount)
   while (std::getline(is, line)) {
     if (line.empty()) continue;
     ++lines;
-    // The rate is the aggregate across the job's shard workers; the line must
-    // say how many shards produced it.
+    // The line must say how many front-end producers the job ran.
     EXPECT_TRUE(line.ends_with("M acc/s, 2 shards)")) << "line: " << line;
   }
   EXPECT_EQ(lines, jobs.size());
 }
 
-/// Plumbing for driving the internal engine directly (exception injection
-/// needs ShardedTestHooks, which CmpSimulator does not expose).
-struct ShardedRunParts {
+/// A 4-core M-BT run over ProbeTraces, and a view of each probe.
+struct ProbedRun {
   sim::SimConfig config;
   std::vector<std::unique_ptr<sim::TraceSource>> traces;
-  std::unique_ptr<sim::MemoryHierarchy> hierarchy;
+  std::vector<const testing::ProbeTrace*> probes;
 };
 
-ShardedRunParts make_sharded_parts() {
-  ShardedRunParts p;
-  p.config.hierarchy.l1d =
+/// The run at `sim_threads`; the cores in `probed` throw at op `throw_at` and
+/// stall from op `stall_from` on.
+ProbedRun make_probed_run(std::uint32_t sim_threads,
+                          const std::set<std::uint32_t>& probed = {},
+                          std::uint64_t throw_at = testing::ProbeTrace::kNever,
+                          std::uint64_t stall_from = testing::ProbeTrace::kNever) {
+  ProbedRun r;
+  r.config.hierarchy.l1d =
       cache::Geometry{.size_bytes = 4096, .associativity = 2, .line_bytes = 128};
-  p.config.hierarchy.l2 = core::CpaConfig::from_acronym(
-      "M-BT", 2,
+  const char* names[] = {"twolf", "art", "mcf", "gzip"};
+  r.config.hierarchy.l2 = core::CpaConfig::from_acronym(
+      "M-BT", 4,
       cache::Geometry{.size_bytes = 128 * 1024, .associativity = 16, .line_bytes = 128});
-  p.config.hierarchy.l2.interval_cycles = 20'000;
-  p.config.hierarchy.l2.sampling_ratio = 8;
-  p.config.instr_limit = 8'000;
-  p.config.warmup_instr = 2'000;
-  const char* names[] = {"twolf", "art"};
-  for (std::uint32_t i = 0; i < 2; ++i) {
+  r.config.hierarchy.l2.interval_cycles = 20'000;
+  r.config.hierarchy.l2.sampling_ratio = 8;
+  r.config.instr_limit = 8'000;
+  r.config.warmup_instr = 2'000;
+  r.config.sim_threads = sim_threads;
+  for (std::uint32_t i = 0; i < 4; ++i) {
     const auto& prof = workloads::benchmark(names[i]);
-    p.config.cores.push_back(prof.core);
-    p.traces.push_back(workloads::make_trace(prof, i, 55));
+    r.config.cores.push_back(prof.core);
+    constexpr auto kNever = testing::ProbeTrace::kNever;
+    auto probe = std::make_unique<testing::ProbeTrace>(
+        workloads::make_trace(prof, i, 55), probed.contains(i) ? throw_at : kNever,
+        probed.contains(i) ? stall_from : kNever);
+    r.probes.push_back(probe.get());
+    r.traces.push_back(std::move(probe));
   }
-  p.hierarchy = std::make_unique<sim::MemoryHierarchy>(p.config.hierarchy);
-  return p;
+  return r;
 }
 
 TEST(ShardedSimStress, ExceptionInOneShardWorkerJoinsCleanlyAndPropagates) {
-  // One worker throws mid-run while the demux thread and the other workers
-  // are blocked in ring/barrier waits; everything must unwind and join, and
-  // the original exception must surface. Repeated: the abort latch and the
-  // join ordering are themselves shared state worth hammering.
-  for (int round = 0; round < 8; ++round) {
-    ShardedRunParts p = make_sharded_parts();
-    std::atomic<int> owned{0};
-    sim::internal::ShardedTestHooks hooks;
-    hooks.on_owned_access = [&](std::uint32_t shard) {
-      // Let the run reach steady state first, then fail from one shard only.
-      if (shard == 1 && owned.fetch_add(1, std::memory_order_relaxed) > 200)
-        throw std::runtime_error("injected shard failure");
-    };
+  // Cores 1 and 2 fail at the same op index, one on each producer, while
+  // both producers keep filling their other core's ring. Every thread must
+  // join, and exactly one error must surface: the one the serial replay
+  // meets first. Repeated: the error hand-off and the join are shared state
+  // worth hammering.
+  const auto run = [](std::uint32_t sim_threads) -> std::string {
+    ProbedRun r = make_probed_run(sim_threads, {1, 2}, 1'000);
+    sim::CmpSimulator sim(std::move(r.config), std::move(r.traces));
     try {
-      (void)sim::internal::run_set_sharded(p.config, p.traces, *p.hierarchy, 4, &hooks);
-      FAIL() << "round " << round << ": injected exception did not propagate";
-    } catch (const std::runtime_error& e) {
-      EXPECT_STREQ(e.what(), "injected shard failure") << "round=" << round;
+      (void)sim.run();
+    } catch (const testing::ProbeTraceError& e) {
+      return e.what();
     }
-  }
+    return "";
+  };
+  const std::string serial = run(1);
+  ASSERT_NE(serial, "");
+  for (int round = 0; round < 8; ++round)
+    EXPECT_EQ(run(2), serial) << "round=" << round;
 }
 
-TEST(ShardedSimStress, HookSeesOnlyOwnedShardIndices) {
-  // Sanity on the instrumentation point itself: each worker reports only its
-  // own shard index, and all shards end up owning work.
-  ShardedRunParts p = make_sharded_parts();
-  constexpr std::uint32_t kShards = 4;
-  std::array<std::atomic<std::uint64_t>, kShards> per_shard{};
-  sim::internal::ShardedTestHooks hooks;
-  hooks.on_owned_access = [&](std::uint32_t shard) {
-    ASSERT_LT(shard, kShards);
-    per_shard[shard].fetch_add(1, std::memory_order_relaxed);
-  };
-  const auto r =
-      sim::internal::run_set_sharded(p.config, p.traces, *p.hierarchy, kShards, &hooks);
-  EXPECT_EQ(r.sim_shards, kShards);
-  std::uint64_t total = 0;
-  for (const auto& c : per_shard) {
-    EXPECT_GT(c.load(), 0u) << "a shard owned no L2 accesses";
-    total += c.load();
+TEST(ShardedSimStress, EachCoreIsProducedByOneThreadOwningCoresModuloK) {
+  // Producer p owns the cores c with c % K == p: each core's trace is read
+  // by exactly one thread, cores 0 and 2 (and 1 and 3) share theirs, and the
+  // replaying thread reads none.
+  ProbedRun r = make_probed_run(2);
+  const auto probes = r.probes;
+  sim::CmpSimulator sim(std::move(r.config), std::move(r.traces));
+  EXPECT_EQ(sim.run().sim_shards, 2u);
+  std::vector<std::thread::id> owner;
+  for (const auto* p : probes) {
+    const auto ids = p->threads();
+    ASSERT_EQ(ids.size(), 1u);
+    EXPECT_NE(*ids.begin(), std::this_thread::get_id());
+    owner.push_back(*ids.begin());
   }
-  // Every post-L1-miss access is owned by exactly one shard.
-  EXPECT_GT(total, 0u);
+  EXPECT_EQ(owner[0], owner[2]);
+  EXPECT_EQ(owner[1], owner[3]);
+  EXPECT_NE(owner[0], owner[1]);
+}
+
+TEST(ShardedSimStress, WedgedProducerTripsTheWatchdogAndJoins) {
+  // Core 3's trace stalls 2 ms per op from op 500 on, so its ring runs dry
+  // and the replay waits on it: the wait must keep polling the watchdog,
+  // which throws once, after which the producers join.
+  for (int round = 0; round < 3; ++round) {
+    ProbedRun r = make_probed_run(2, {3}, testing::ProbeTrace::kNever, 500);
+    r.config.timeout_s = 0.05;
+    sim::CmpSimulator sim(std::move(r.config), std::move(r.traces));
+    try {
+      (void)sim.run();
+      FAIL() << "round " << round << ": the watchdog did not trip";
+    } catch (const TimeoutError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("pipelined run, 2 producers"), std::string::npos) << what;
+    }
+  }
 }
 
 }  // namespace

@@ -535,9 +535,9 @@ TEST_F(SupervisionTest, ShardedWatchdogAbortsAndJoinsWorkersCleanly) {
   controls.timeout_s = 1e-6;
   try {
     (void)runner::execute(jobs[0], controls);
-    FAIL() << "the sharded watchdog must trip";
+    FAIL() << "the pipelined run's watchdog must trip";
   } catch (const TimeoutError& e) {
-    EXPECT_NE(std::string(e.what()).find("set-sharded"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("pipelined run"), std::string::npos) << e.what();
   }
 }
 
@@ -560,7 +560,7 @@ TEST_F(SupervisionTest, WorkerFaultsFireInsideShardedRuns) {
   controls.faults = std::make_shared<FaultPlan>(spec, 17);
   try {
     (void)runner::execute(jobs[0], controls);
-    FAIL() << "a p=1 worker plan must kill the first owned access";
+    FAIL() << "a p=1 worker plan must fail the first op the replay reads";
   } catch (const InjectedFault& e) {
     EXPECT_NE(std::string(e.what()).find("injected worker fault"), std::string::npos)
         << e.what();

@@ -1,22 +1,26 @@
-// Set-sharded execution mode (SimConfig::sim_threads): the whole point of the
-// mode is that it is invisible — every CSV-visible field of SimResult must be
-// bit-identical to the serial loop at any shard count, for every supported
-// configuration, and configurations the mode cannot shard must silently run
-// serial with the same results. This suite pins that contract at the
-// simulator API level; tests/test_parallel_stress.cpp re-checks it under TSan
-// through the sweep executor.
+// Pipelined execution mode (SimConfig::sim_threads): the whole point of the
+// mode is that it is invisible — every CSV-visible field of SimResult and
+// every repartition event must be bit-identical to the serial loop at any
+// producer count, for every configuration. This suite pins that contract at
+// the simulator API level, along with where producer errors surface;
+// tests/test_parallel_stress.cpp re-checks it under TSan through the sweep
+// executor.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <exception>
 #include <memory>
 #include <string>
+#include <typeinfo>
 #include <vector>
 
 #include "common/parallel.hpp"
 #include "plrupart/common/assert.hpp"
+#include "plrupart/common/fault_inject.hpp"
 #include "plrupart/sim/cmp_simulator.hpp"
 #include "plrupart/workloads/catalog.hpp"
 #include "plrupart/workloads/generators.hpp"
-#include "sim/sharded_replay.hpp"
+#include "support/probe_trace.hpp"
 
 namespace plrupart::sim {
 namespace {
@@ -24,9 +28,8 @@ namespace {
 using workloads::benchmark;
 using workloads::make_trace;
 
-/// 256 KB / 16-way / 128 B lines = 128 sets: room for 8 shards while keeping
-/// runs fast. The short interval makes every run cross many controller
-/// boundaries, so the barrier/merge path is exercised hard.
+/// 256 KB / 16-way / 128 B lines, with a short interval so every run crosses
+/// many controller boundaries while staying fast.
 SimConfig small_config(const std::vector<std::string>& names, const char* acronym,
                        std::uint32_t sim_threads, std::uint64_t instr = 40'000,
                        std::uint64_t warmup = 10'000) {
@@ -105,25 +108,19 @@ void expect_identical(const Outcome& serial_run, const Outcome& sharded_run,
   EXPECT_EQ(serial.l2_config, sharded.l2_config) << context;
 }
 
-/// Every configuration acronym the shardability predicate accepts.
-const std::vector<const char*>& shardable_configs() {
-  static const std::vector<const char*> configs{
-      "C-L", "M-L", "M-BT", "M-RRIP", "NOPART-L", "NOPART-BT", "NOPART-RRIP"};
-  return configs;
-}
-
 TEST(ShardedSim, ByteIdenticalToSerialForEveryShardableConfig) {
-  const std::vector<std::string> names{"twolf", "art"};
-  for (const char* acronym : shardable_configs()) {
-    const Outcome serial = run_one(names, acronym, 1);
-    if (core::CpaConfig::from_acronym(acronym, 2, {}).partitioned()) {
+  // Every configuration runs pipelined, NRU and Random included. Three cores
+  // make K = 2 share a producer between cores 0 and 2, and K = 4 clamp to 3.
+  const std::vector<std::string> names{"twolf", "art", "mcf"};
+  for (const auto& acronym : core::CpaConfig::known_acronyms()) {
+    const Outcome serial = run_one(names, acronym.c_str(), 1);
+    if (core::CpaConfig::from_acronym(acronym, 3, {}).partitioned()) {
       EXPECT_FALSE(serial.history.empty()) << acronym << ": no boundary was crossed";
     }
-    for (const std::uint32_t shards : {2u, 4u, 8u}) {
-      const Outcome sharded = run_one(names, acronym, shards);
-      EXPECT_EQ(sharded.result.sim_shards, shards) << acronym;
-      expect_identical(serial, sharded,
-                       std::string(acronym) + " @" + std::to_string(shards));
+    for (const std::uint32_t k : {2u, 3u, 4u}) {
+      const Outcome piped = run_one(names, acronym.c_str(), k);
+      EXPECT_EQ(piped.result.sim_shards, std::min(k, 3u)) << acronym;
+      expect_identical(serial, piped, acronym + " @" + std::to_string(k));
     }
   }
 }
@@ -131,66 +128,52 @@ TEST(ShardedSim, ByteIdenticalToSerialForEveryShardableConfig) {
 TEST(ShardedSim, FourCoreRunMatchesSerial) {
   const std::vector<std::string> names{"twolf", "art", "mcf", "gzip"};
   const Outcome serial = run_one(names, "M-BT", 1);
-  const Outcome sharded = run_one(names, "M-BT", 4);
-  EXPECT_EQ(sharded.result.sim_shards, 4u);
-  expect_identical(serial, sharded, "M-BT 4-core @4");
-}
-
-TEST(ShardedSim, UnshardableConfigsFallBackToSerialWithIdenticalResults) {
-  // NRU carries one cache-wide rotating pointer and Random one shared RNG
-  // stream; both must silently run the serial loop.
-  const std::vector<std::string> names{"twolf", "art"};
-  for (const char* acronym : {"M-0.75N", "NOPART-N", "NOPART-R"}) {
-    const Outcome serial = run_one(names, acronym, 1);
-    const Outcome sharded = run_one(names, acronym, 4);
-    EXPECT_EQ(sharded.result.sim_shards, 1u) << acronym << " must fall back to serial";
-    expect_identical(serial, sharded, std::string(acronym) + " fallback");
+  for (const std::uint32_t k : {2u, 3u, 4u, 7u}) {
+    const Outcome piped = run_one(names, "M-BT", k);
+    EXPECT_EQ(piped.result.sim_shards, std::min(k, 4u));
+    expect_identical(serial, piped, "M-BT 4-core @" + std::to_string(k));
   }
 }
 
-TEST(ShardedSim, ShardabilityPredicateMatchesConfigState) {
-  const auto geo =
-      cache::Geometry{.size_bytes = 256 * 1024, .associativity = 16, .line_bytes = 128};
-  for (const char* acronym : shardable_configs())
-    EXPECT_TRUE(internal::set_sharding_supported(
-        core::CpaConfig::from_acronym(acronym, 2, geo)))
-        << acronym;
-  for (const char* acronym : {"M-1.0N", "M-0.75N", "M-0.5N", "NOPART-N", "NOPART-R"})
-    EXPECT_FALSE(internal::set_sharding_supported(
-        core::CpaConfig::from_acronym(acronym, 2, geo)))
-        << acronym;
+TEST(ShardedSim, NruAndRandomConfigsNoLongerFallBackToSerial) {
+  // NRU's cache-wide rotating pointer and Random's shared RNG stream live in
+  // the L2, which only the replaying thread touches.
+  const std::vector<std::string> names{"twolf", "art"};
+  for (const char* acronym : {"M-0.75N", "NOPART-N", "NOPART-R"}) {
+    const Outcome serial = run_one(names, acronym, 1);
+    const Outcome piped = run_one(names, acronym, 2);
+    EXPECT_EQ(piped.result.sim_shards, 2u) << acronym;
+    expect_identical(serial, piped, std::string(acronym) + " @2");
+  }
 }
 
-TEST(ShardedSim, ResolveClampsToSetCountAndHonoursAuto) {
-  // 16 KB / 16-way / 128 B lines = 8 sets: an absurd sim_threads request must
-  // clamp to the set count, and 0 must resolve to hardware concurrency.
-  SimConfig cfg = small_config({"twolf", "art"}, "NOPART-L", 64);
-  cfg.hierarchy.l2.geometry =
-      cache::Geometry{.size_bytes = 16 * 1024, .associativity = 16, .line_bytes = 128};
-  EXPECT_EQ(internal::resolve_sim_shards(cfg), 8u);
-
-  cfg.sim_threads = 0;
-  const std::uint32_t hw = static_cast<std::uint32_t>(default_parallelism());
-  EXPECT_EQ(internal::resolve_sim_shards(cfg), std::min(hw, 8u) <= 1 ? 1u
-                                                   : std::min(hw, 8u));
-
-  cfg.sim_threads = 1;
-  EXPECT_EQ(internal::resolve_sim_shards(cfg), 1u);
+TEST(ShardedSim, ProducerCountClampsToCoreCountAndHonoursAuto) {
+  // A producer owns cores c with c % K == p, so more producers than cores
+  // would idle: K clamps to the core count, and 0 means hardware threads.
+  const std::vector<std::string> names{"twolf", "art"};
+  const auto producers = [&](std::uint32_t sim_threads) {
+    CmpSimulator sim(small_config(names, "NOPART-L", sim_threads, 5'000, 0),
+                     traces_for(names));
+    return sim.run().sim_shards;
+  };
+  EXPECT_EQ(producers(64), 2u);
+  EXPECT_EQ(producers(1), 1u);
+  const auto hw = static_cast<std::uint32_t>(default_parallelism());
+  EXPECT_EQ(producers(0), std::min(hw, 2u));
 }
 
 TEST(ShardedSim, MergedProfilerHistogramsMatchSerial) {
-  // After the final merge, the canonical profilers' SDH registers must equal
-  // the serial run's bit for bit: the per-shard replicas partition exactly the
-  // accesses the serial profiler saw, and uint64 register sums are exact.
+  // The replaying thread drives the real profilers, so their SDH registers
+  // must equal the serial run's bit for bit.
   const std::vector<std::string> names{"twolf", "art"};
   CmpSimulator serial(small_config(names, "M-BT", 1), traces_for(names));
-  CmpSimulator sharded(small_config(names, "M-BT", 4), traces_for(names));
+  CmpSimulator piped(small_config(names, "M-BT", 4), traces_for(names));
   (void)serial.run();
-  const SimResult r = sharded.run();
-  ASSERT_EQ(r.sim_shards, 4u);
+  const SimResult r = piped.run();
+  ASSERT_EQ(r.sim_shards, 2u);
   for (std::uint32_t core = 0; core < names.size(); ++core) {
     const core::Sdh& a = serial.hierarchy().l2().profiler(core).sdh();
-    const core::Sdh& b = sharded.hierarchy().l2().profiler(core).sdh();
+    const core::Sdh& b = piped.hierarchy().l2().profiler(core).sdh();
     ASSERT_EQ(a.associativity(), b.associativity());
     for (std::uint32_t reg = 1; reg <= a.associativity() + 1; ++reg)
       EXPECT_EQ(a.reg(reg), b.reg(reg)) << "core " << core << " r" << reg;
@@ -214,17 +197,128 @@ TEST(ShardedSim, SecondRunThrowsInvariantErrorOnShardedPathToo) {
 }
 
 TEST(ShardedSim, ZeroWarmupAndSingleCoreWorkSharded) {
-  // Degenerate corners of the replicated loop: no warmup baseline snapshot,
-  // and a one-core "CMP" (argmin always picks core 0).
+  // Degenerate corners: no warmup baseline snapshot, and a one-core "CMP"
+  // (argmin always picks core 0) whose 8 requested producers clamp to 1.
   const std::vector<std::string> names{"twolf"};
-  SimConfig serial_cfg = small_config(names, "NOPART-BT", 1, 20'000, 0);
-  SimConfig sharded_cfg = small_config(names, "NOPART-BT", 8, 20'000, 0);
-  CmpSimulator a(std::move(serial_cfg), traces_for(names));
-  CmpSimulator b(std::move(sharded_cfg), traces_for(names));
+  CmpSimulator a(small_config(names, "NOPART-BT", 1, 20'000, 0), traces_for(names));
+  CmpSimulator b(small_config(names, "NOPART-BT", 8, 20'000, 0), traces_for(names));
   const Outcome ra = run_sim(a);
   const Outcome rb = run_sim(b);
-  EXPECT_EQ(rb.result.sim_shards, 8u);
+  EXPECT_EQ(rb.result.sim_shards, 1u);
   expect_identical(ra, rb, "NOPART-BT 1-core warmup=0 @8");
+}
+
+// --- Producer errors surface where the serial loop would meet them -----------
+
+/// `names`' traces, each wrapped in a ProbeTrace; core `failing` throws at op
+/// `throw_at`.
+std::vector<std::unique_ptr<TraceSource>> probed_traces(
+    const std::vector<std::string>& names, std::uint32_t failing,
+    std::uint64_t throw_at) {
+  std::vector<std::unique_ptr<TraceSource>> traces;
+  auto plain = traces_for(names);
+  for (std::uint32_t i = 0; i < names.size(); ++i) {
+    traces.push_back(std::make_unique<testing::ProbeTrace>(
+        std::move(plain[i]), i == failing ? throw_at : testing::ProbeTrace::kNever));
+  }
+  return traces;
+}
+
+/// How many ops the serial replay reads from each core's trace.
+std::vector<std::uint64_t> serial_ops_per_core(const std::vector<std::string>& names,
+                                               const char* acronym) {
+  auto traces = probed_traces(names, 0, testing::ProbeTrace::kNever);
+  std::vector<const testing::ProbeTrace*> probes;
+  for (const auto& t : traces) {
+    probes.push_back(static_cast<const testing::ProbeTrace*>(t.get()));
+  }
+  CmpSimulator sim(small_config(names, acronym, 1), std::move(traces));
+  (void)sim.run();
+  std::vector<std::uint64_t> ops;
+  for (const auto* p : probes) ops.push_back(p->calls());
+  return ops;
+}
+
+/// The run's outcome, or the type and message of what it threw.
+struct RunOrError {
+  Outcome outcome;
+  std::string error;            ///< "<type>: <what>", empty when the run finished
+  std::uint64_t failing_calls;  ///< next() calls on the failing core's trace
+};
+
+RunOrError run_probed(const std::vector<std::string>& names, const char* acronym,
+                      std::uint32_t sim_threads, std::uint32_t failing,
+                      std::uint64_t throw_at) {
+  auto traces = probed_traces(names, failing, throw_at);
+  const auto* probe = static_cast<const testing::ProbeTrace*>(traces[failing].get());
+  CmpSimulator sim(small_config(names, acronym, sim_threads), std::move(traces));
+  try {
+    Outcome out = run_sim(sim);
+    return {std::move(out), {}, probe->calls()};
+  } catch (const std::exception& e) {
+    return {{}, std::string(typeid(e).name()) + ": " + e.what(), probe->calls()};
+  }
+}
+
+TEST(ShardedSim, ProducerErrorPastTheLastFreezeIsNeverSeen) {
+  // Producers run ahead of the replay; an op the serial loop never reads
+  // must not fail the pipelined run. The failing op is the one right after
+  // the serial loop's last, so unless it opens a new 64-op batch, the batch
+  // that carries the last op carries it too: the producer meets it for sure.
+  const std::vector<std::string> names{"twolf", "art", "mcf"};
+  const auto ops = serial_ops_per_core(names, "M-BT");
+  const Outcome serial = run_one(names, "M-BT", 1);
+  for (std::uint32_t failing = 0; failing < names.size(); ++failing) {
+    for (const std::uint32_t k : {2u, 3u}) {
+      const RunOrError piped = run_probed(names, "M-BT", k, failing, ops[failing]);
+      ASSERT_EQ(piped.error, "") << "core " << failing << " @" << k;
+      if (ops[failing] % 64 != 0) {
+        EXPECT_GT(piped.failing_calls, ops[failing]);
+      }
+      expect_identical(serial, piped.outcome,
+                       "core " + std::to_string(failing) + " @" + std::to_string(k));
+    }
+  }
+}
+
+TEST(ShardedSim, ProducerErrorBeforeTheQuotaMatchesSerial) {
+  // An op the serial loop does read: the pipelined run throws the same
+  // exception, of the same type, as the serial one.
+  const std::vector<std::string> names{"twolf", "art", "mcf"};
+  const auto ops = serial_ops_per_core(names, "M-BT");
+  for (std::uint32_t failing = 0; failing < names.size(); ++failing) {
+    const std::uint64_t throw_at = ops[failing] / 2;
+    const RunOrError serial = run_probed(names, "M-BT", 1, failing, throw_at);
+    ASSERT_NE(serial.error, "") << "core " << failing;
+    for (const std::uint32_t k : {2u, 3u}) {
+      EXPECT_EQ(run_probed(names, "M-BT", k, failing, throw_at).error, serial.error)
+          << "core " << failing << " @" << k;
+    }
+  }
+}
+
+TEST(ShardedSim, WorkerFaultScheduleIsTheSameAtEveryK) {
+  // kWorker faults fire in the producers keyed by (core, the core's op
+  // index), and surface when the replay reaches that op: every K > 1 throws
+  // the same InjectedFault.
+  const std::vector<std::string> names{"twolf", "art", "mcf", "gzip"};
+  FaultSpec spec;
+  spec.probability[static_cast<std::size_t>(FaultSite::kWorker)] = 1e-4;
+  std::string first;
+  for (const std::uint32_t k : {2u, 3u, 4u}) {
+    SimConfig cfg = small_config(names, "M-BT", k);
+    cfg.faults = std::make_shared<FaultPlan>(spec, 3);
+    CmpSimulator sim(std::move(cfg), traces_for(names));
+    try {
+      (void)sim.run();
+      FAIL() << "no worker fault fired @" << k;
+    } catch (const InjectedFault& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("front-end producer of core"), std::string::npos) << what;
+      if (first.empty()) first = what;
+      EXPECT_EQ(what, first) << "@" << k;
+    }
+  }
 }
 
 }  // namespace

@@ -142,24 +142,34 @@ TEST(TimedSim, ZeroLatencyDegenerateStillMatchesFunctionalDecisions) {
   }
 }
 
-TEST(TimedSim, TimedIgnoresSimThreadsAndStaysDeterministic) {
-  const std::vector<std::string> names{"twolf", "art"};
-  SimConfig a = small_config(names, "M-BT", TimingMode::kTimed);
-  SimConfig b = a;
-  b.sim_threads = 8;  // must silently run serial with identical results
-  CmpSimulator sim_a(std::move(a), traces_for(names));
-  CmpSimulator sim_b(std::move(b), traces_for(names));
-  const SimResult ra = sim_a.run();
-  const SimResult rb = sim_b.run();
-  EXPECT_EQ(rb.sim_shards, 1u);
-  ASSERT_EQ(ra.threads.size(), rb.threads.size());
-  for (std::size_t i = 0; i < ra.threads.size(); ++i) {
-    EXPECT_EQ(ra.threads[i].cycles, rb.threads[i].cycles);
-    EXPECT_EQ(ra.threads[i].ipc, rb.threads[i].ipc);
+TEST(TimedSim, TimedPipelinedRunsMatchSerialTimed) {
+  // The timed overlay only reads the replay's access stream, so timed runs
+  // take the front-end pipeline too, byte-identical to serial timed.
+  const std::vector<std::string> names{"twolf", "art", "mcf"};
+  CmpSimulator serial(small_config(names, "M-BT", TimingMode::kTimed), traces_for(names));
+  const SimResult ra = serial.run();
+  for (const std::uint32_t k : {2u, 3u}) {
+    SimConfig cfg = small_config(names, "M-BT", TimingMode::kTimed);
+    cfg.sim_threads = k;
+    CmpSimulator piped(std::move(cfg), traces_for(names));
+    const SimResult rb = piped.run();
+    EXPECT_EQ(rb.sim_shards, k);
+    ASSERT_EQ(ra.threads.size(), rb.threads.size());
+    for (std::size_t i = 0; i < ra.threads.size(); ++i) {
+      EXPECT_EQ(ra.threads[i].cycles, rb.threads[i].cycles) << "core " << i << " @" << k;
+      EXPECT_EQ(ra.threads[i].ipc, rb.threads[i].ipc) << "core " << i << " @" << k;
+      EXPECT_EQ(ra.threads[i].mem.l2_misses, rb.threads[i].mem.l2_misses) << "@" << k;
+    }
+    EXPECT_EQ(ra.wall_cycles, rb.wall_cycles) << "@" << k;
+    EXPECT_EQ(ra.repartitions, rb.repartitions) << "@" << k;
+    EXPECT_EQ(ra.timed.dram_reads, rb.timed.dram_reads) << "@" << k;
+    EXPECT_EQ(ra.timed.dram_writebacks, rb.timed.dram_writebacks) << "@" << k;
+    EXPECT_EQ(ra.timed.dram_bytes, rb.timed.dram_bytes) << "@" << k;
+    EXPECT_EQ(ra.timed.row_hits, rb.timed.row_hits) << "@" << k;
+    EXPECT_EQ(ra.timed.bank_conflicts, rb.timed.bank_conflicts) << "@" << k;
+    EXPECT_EQ(ra.timed.mshr_coalesced, rb.timed.mshr_coalesced) << "@" << k;
+    EXPECT_EQ(ra.timed.mshr_peak, rb.timed.mshr_peak) << "@" << k;
   }
-  EXPECT_EQ(ra.timed.dram_reads, rb.timed.dram_reads);
-  EXPECT_EQ(ra.timed.dram_bytes, rb.timed.dram_bytes);
-  EXPECT_EQ(ra.timed.bank_conflicts, rb.timed.bank_conflicts);
 }
 
 TEST(TimedSim, TimedCountersAreCoherent) {
