@@ -1,5 +1,6 @@
 // Ablation: repartition hysteresis (an implementation lever this repo adds on
-// top of the paper's controller — see DESIGN.md).
+// top of the paper's controller — see IntervalController in
+// plrupart/core/controller.hpp).
 //
 // Mask-based enforcement pays a working-set rebuild every time the partition
 // moves, so oscillating MinMisses decisions are costly; quota-based

@@ -128,41 +128,6 @@ void BM_CacheAccess(benchmark::State& state) {
                  to_string(enf));
 }
 
-/// Serial access path under an explicitly forced dispatch tier
-/// (1 = swar, 2 = avx2; see cache/dispatch.hpp).
-/// Narrower policy axis than BM_CacheAccess -- NRU (the paper's pointer-scan
-/// policy) and SRRIP (the tier's biggest winner: the distant-line scan
-/// vectorizes) -- under way-mask enforcement. Tiers the build/host cannot
-/// run are skipped, so snapshot name sets vary by host; the ratchet
-/// comparator treats one-sided names as notes, not failures.
-void BM_CacheAccessDispatch(benchmark::State& state) {
-  const auto tier = static_cast<cache::DispatchTier>(state.range(0));
-  if (!cache::dispatch_tier_available(tier)) {
-    state.SkipWithError("dispatch tier unavailable on this build/host");
-    return;
-  }
-  const auto kind = kind_of(state.range(1));
-  const auto ways = static_cast<std::uint32_t>(state.range(2));
-  const auto geo = bench_geo(ways);
-  const auto prev = cache::active_dispatch_tier();
-  cache::set_active_dispatch_tier(tier);
-  cache::SetAssocCache c(geo, kind, 2, cache::EnforcementMode::kWayMasks);
-  cache::set_active_dispatch_tier(prev);
-  c.set_way_mask(0, way_range_mask(0, ways / 2));
-  c.set_way_mask(1, way_range_mask(ways / 2, ways / 2));
-  const auto addrs = make_addr_stream(geo, 32 * geo.lines(), 3);
-  const std::size_t mask = addrs.size() - 1;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const auto core = static_cast<cache::CoreId>(i & 1);
-    benchmark::DoNotOptimize(c.access(core, addrs[i & mask], false));
-    ++i;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  state.SetLabel(to_string(tier) + "/" + to_string(kind) + "/" +
-                 std::to_string(ways) + "way");
-}
-
 /// ATD probe path on sampled accesses only (the stream is pre-filtered to
 /// sampled sets, as the hardware filter would before the ATD sees a probe).
 void BM_AtdSampledAccess(benchmark::State& state) {
@@ -203,11 +168,6 @@ BENCHMARK(BM_PolicyMaskedVictim)->DenseRange(0, 3)->Unit(benchmark::kNanosecond)
 // enforcement modes (0 = none, 1 = way masks, 2 = owner counters).
 BENCHMARK(BM_CacheAccess)
     ->ArgsProduct({{0, 1, 2, 3, 4}, {16, 32}, {0, 1, 2}})
-    ->Unit(benchmark::kNanosecond);
-// Dispatch tiers: swar always runs; avx2 self-skips when the build or host
-// lacks it.
-BENCHMARK(BM_CacheAccessDispatch)
-    ->ArgsProduct({{1, 2}, {1, 4}, {16, 32}})
     ->Unit(benchmark::kNanosecond);
 BENCHMARK(BM_AtdSampledAccess)
     ->ArgsProduct({{0, 1, 2, 3, 4}, {16, 32}})

@@ -40,7 +40,6 @@
 #include <vector>
 
 #include "plrupart/cache/cache_stats.hpp"
-#include "plrupart/cache/dispatch.hpp"
 #include "plrupart/cache/geometry.hpp"
 #include "plrupart/cache/replacement.hpp"
 
@@ -94,9 +93,6 @@ class PLRUPART_EXPORT SetAssocCache {
 
   // --- Introspection ------------------------------------------------------
   [[nodiscard]] const Geometry& geometry() const noexcept { return geo_; }
-  /// The SIMD dispatch tier this instance's access path runs on (sampled from
-  /// active_dispatch_tier() at construction; see plrupart/cache/dispatch.hpp).
-  [[nodiscard]] DispatchTier dispatch_tier() const noexcept { return dispatch_; }
   [[nodiscard]] EnforcementMode enforcement() const noexcept { return enforcement_; }
   [[nodiscard]] std::uint32_t num_cores() const noexcept { return num_cores_; }
   [[nodiscard]] ReplacementKind replacement() const noexcept { return kind_; }
@@ -112,24 +108,19 @@ class PLRUPART_EXPORT SetAssocCache {
   static constexpr std::uint32_t kNoWay = ~std::uint32_t{0};
 
   /// The one tag-scan everybody shares (access hit path, probe, invalidate).
-  /// Two-phase, like a hardware way predictor: a SWAR compare over the set's
-  /// packed 1-byte partial tags (A bytes — one or two words, a single cache
-  /// line) nominates candidate ways, and only candidates load the full tag
-  /// word for exact verification. A miss usually touches no tag line at all;
-  /// a hit usually verifies exactly one way. Returns the way or kNoWay.
+  /// Two-phase, like a hardware way predictor: a SWAR compare
+  /// (byte_match_mask) over the set's packed 1-byte partial tags (A bytes —
+  /// one to eight words, a single cache line) nominates candidate ways, and
+  /// only candidates load the full tag word for exact verification. A miss
+  /// usually touches no tag line at all; a hit usually verifies exactly one
+  /// way. Returns the way or kNoWay. The partial tags sit in whole words
+  /// inside the set's metadata block, so the scan reads nothing past it.
   [[nodiscard]] std::uint32_t find_way(std::uint64_t set, std::uint64_t tag) const {
-    const std::uint64_t needle = (tag & 0xff) * 0x0101010101010101ULL;
-    const std::uint64_t* pw = set_meta_.data() + set * meta_stride_ + partial_off_;
-    WayMask candidates = 0;
-    for (std::uint32_t j = 0; j < partial_words_; ++j) {
-      // Zero-byte finder on pw[j] ^ needle: 0x80 marks each matching byte;
-      // the movemask multiply packs those marks into 8 way bits, branchlessly.
-      const std::uint64_t x = pw[j] ^ needle;
-      const std::uint64_t hit_bytes =
-          (x - 0x0101010101010101ULL) & ~x & 0x8080808080808080ULL;
-      candidates |= ((hit_bytes * 0x0002040810204081ULL) >> 56) << (j * 8);
-    }
-    candidates &= valid_mask(set);
+    const auto* partial = reinterpret_cast<const std::uint8_t*>(
+        set_meta_.data() + set * meta_stride_ + partial_off_);
+    WayMask candidates =
+        byte_match_mask(partial, ways_, static_cast<std::uint8_t>(tag & 0xff)) &
+        valid_mask(set);
     const std::uint64_t* tags = tags_.data() + set * ways_;
     while (candidates != 0) {
       const std::uint32_t w = mask_first(candidates);
@@ -147,34 +138,11 @@ class PLRUPART_EXPORT SetAssocCache {
   }
 
   /// The statically-dispatched access core; `Policy` is the concrete (final)
-  /// replacement class, so every policy hook inlines, `E` is the enforcement
-  /// mode, so the unpartitioned path carries no enforcement branches and the
-  /// mask/quota paths fold their scope selection, and `D` is the SIMD
-  /// dispatch tier, selecting the tag-scan kernels (find_way_dispatch and the
-  /// SRRIP distant-line scan). Every (E, D, Policy) combination computes the
-  /// same function — D only changes how many lanes one instruction compares.
-  template <EnforcementMode E, DispatchTier D, class Policy>
+  /// replacement class, so every policy hook inlines, and `E` is the
+  /// enforcement mode, so the unpartitioned path carries no enforcement
+  /// branches and the mask/quota paths fold their scope selection.
+  template <EnforcementMode E, class Policy>
   AccessOutcome access_impl(Policy& pol, CoreId core, Addr addr, bool write);
-
-  /// find_way with the tag-filter scan of tier `D` (kSwar is find_way above;
-  /// kAvx2 compares all partial bytes in 1-2 ops). Defined in
-  /// access_impl.ipp; the kAvx2 instantiation exists only in
-  /// src/cache/simd/access_avx2.cpp, the TU compiled with -mavx2.
-  template <DispatchTier D>
-  [[nodiscard]] std::uint32_t find_way_dispatch(std::uint64_t set,
-                                                std::uint64_t tag) const;
-
-  /// Tier-pinned access driver: the policy x enforcement dispatch around
-  /// access_impl, templated so each tier's TU instantiates exactly its own
-  /// matrix (one tier per TU — see access_impl.ipp for why that isolation
-  /// matters to codegen). Defined in access_impl.ipp.
-  template <DispatchTier D>
-  AccessOutcome access_host(CoreId core, Addr addr, bool write);
-
-  // Entry point into the AVX2 translation unit (src/cache/simd/access_avx2.cpp,
-  // compiled with -mavx2). Only called when the instance's tier is kAvx2,
-  // which implies the build carries it.
-  AccessOutcome access_avx2(CoreId core, Addr addr, bool write);
 
   /// The ways `core` may search for a victim in `set` under kOwnerCounters
   /// enforcement (always non-empty). kNone/kWayMasks scopes come straight
@@ -209,7 +177,6 @@ class PLRUPART_EXPORT SetAssocCache {
   Geometry geo_;
   std::uint32_t num_cores_;
   EnforcementMode enforcement_;
-  DispatchTier dispatch_;
   ReplacementKind kind_;
   std::unique_ptr<ReplacementPolicy> policy_;
 
@@ -228,13 +195,9 @@ class PLRUPART_EXPORT SetAssocCache {
   ///   [1 + c]                  ways owned by core c (partitions the valid mask)
   ///   [partial_off_ + j]       packed 1-byte partial tags (byte w%8 of word
   ///                            w/8 holds way w's low tag byte) — find_way's filter
-  /// Both tags_ and set_meta_ are over-allocated by 64 bytes: the AVX2
-  /// kernels load whole 32-byte blocks past the scanned range and mask the
-  /// overhang away (the padded-buffer contract of src/cache/simd).
   std::vector<WayMask> set_meta_;
   std::uint32_t meta_stride_ = 0;   ///< (1 + num_cores) + ceil(A / 8)
   std::uint32_t partial_off_ = 0;   ///< 1 + num_cores
-  std::uint32_t partial_words_ = 0; ///< ceil(A / 8)
 
   std::vector<WayMask> masks_;          // kWayMasks: per-core eviction masks
   std::vector<std::uint32_t> quotas_;   // kOwnerCounters: per-core way quotas

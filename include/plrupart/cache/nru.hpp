@@ -11,7 +11,9 @@
 //    pointer advances one way past the victim.
 //  * Partitioned operation scopes the saturation reset to the accessing core's
 //    allowed ways (∪ the accessed line), which reduces to the base rule when
-//    the mask is full (see DESIGN.md "Interpretation decisions").
+//    the mask is full. The paper states the rule for the whole set only; the
+//    scoping is this repo's reading, so that one core's accesses never clear
+//    the used bits of another core's partition.
 //
 // Every per-access method is a handful of mask operations, defined inline (the
 // class is final) so the cache's statically-dispatched access path inlines

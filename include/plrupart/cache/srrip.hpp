@@ -41,28 +41,13 @@ class PLRUPART_EXPORT Srrip final : public ReplacementPolicy {
   }
 
   [[nodiscard]] std::uint32_t choose_victim(std::uint64_t set, WayMask allowed) override {
-    return choose_victim_scan(
-        set, allowed, [](const std::uint8_t* v, std::uint32_t n, std::uint8_t needle) {
-          return tag_match_mask(v, n, needle);
-        });
-  }
-
-  /// choose_victim with a pluggable distant-line scan: `scan(rrpv, ways,
-  /// kMaxRrpv)` must return the bitmask of ways whose RRPV equals kMaxRrpv
-  /// (exactly tag_match_mask's contract — the SIMD dispatch tiers substitute
-  /// their vpcmpeqb kernels here, which read up to 64 bytes past the set's
-  /// RRPV block; rrpv_ is padded accordingly). Same victim for every
-  /// conforming scan, so the dispatch tier never changes a decision.
-  template <class Scan>
-  [[nodiscard]] std::uint32_t choose_victim_scan(std::uint64_t set, WayMask allowed,
-                                                 Scan&& scan) {
     allowed &= all_ways();
     PLRUPART_ASSERT(allowed != 0);
     std::uint8_t* rrpv = rrpv_.data() + set * ways_;
     for (;;) {
-      // Branch-light scan: collect the mask of distant lines, then take the
-      // lowest allowed one.
-      const WayMask distant = scan(rrpv, ways_, kMaxRrpv) & allowed;
+      // Branch-light scan: collect the mask of distant lines (eight RRPVs per
+      // SWAR step), then take the lowest allowed one.
+      const WayMask distant = byte_match_mask(rrpv, ways_, kMaxRrpv) & allowed;
       if (distant != 0) return mask_first(distant);
       // Age only the victim scope: lines of other partitions keep their
       // RRPVs, mirroring how the paper scopes the NRU used-bit reset.
@@ -94,6 +79,8 @@ class PLRUPART_EXPORT Srrip final : public ReplacementPolicy {
   }
 
  private:
+  /// [set * A + way], plus 8 bytes of padding: byte_match_mask loads whole
+  /// words, which for A < 8 run past the last set's RRPVs.
   std::vector<std::uint8_t> rrpv_;
 };
 

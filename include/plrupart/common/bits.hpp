@@ -3,6 +3,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <string_view>
 #include <type_traits>
 
@@ -90,13 +91,12 @@ inline constexpr std::uint32_t kMaxAssociativity = 64;
   return static_cast<std::uint32_t>(std::countr_zero(m));
 }
 
-/// Bitmask of the ways in values[0..ways) equal to `needle`. The shared
-/// per-way equality scan of the lookup and victim paths (ATD tag compare,
-/// SRRIP distant-line scan): chunks of four fixed-offset compares keep the
-/// loop branch-light and give the compiler independent compare chains (and
-/// vectorizable code under -march flags) instead of a serial variable-shift
-/// reduction. The SIMD dispatch tiers (src/cache/simd) reimplement exactly
-/// this function with vector compares; test_simd_dispatch pins them to it.
+/// Bitmask of the ways in values[0..ways) equal to `needle`. The per-way
+/// equality scan of the ATD's full-tag compare, and the reference that
+/// byte_match_mask below is tested against (test_byte_match): chunks of four
+/// fixed-offset compares keep the loop branch-light and give the compiler
+/// independent compare chains (and vectorizable code under -march flags)
+/// instead of a serial variable-shift reduction.
 ///
 /// Shift/width contract: `ways` must not exceed kMaxAssociativity (asserted —
 /// in every build type). Within that bound every shift is by at most
@@ -124,6 +124,37 @@ template <class T>
   for (; w < ways; ++w)
     match |= static_cast<WayMask>(values[w] == needle ? 1U : 0U) << w;
   return match;
+}
+
+/// Bitmask of the positions in bytes[0..count) equal to `needle`, count in
+/// [1, kMaxAssociativity]: tag_match_mask for byte arrays, eight bytes per
+/// step (SWAR). The byte scans of the cache hot path run on it: the partial-tag
+/// filter of SetAssocCache::find_way and SRRIP's distant-line scan.
+///
+/// Reads whole 8-byte words, so bytes[0, 8 * ceil(count / 8)) must be
+/// readable (callers pad their arrays); bytes at and past `count` never reach
+/// the result. The zero-byte test is the exact one: in
+/// ~(((x & 0x7f..) + 0x7f..) | x) & 0x80.. no carry crosses a byte, so a top
+/// bit is set iff that byte of x is zero. The shorter borrow form
+/// (x - 0x01..) & ~x & 0x80.. also marks a 0x01 byte just above a zero byte,
+/// i.e. the way after a match whose value differs from `needle` only in bit 0.
+[[nodiscard]] inline WayMask byte_match_mask(const std::uint8_t* bytes, std::uint32_t count,
+                                             std::uint8_t needle) {
+  static_assert(std::endian::native == std::endian::little,
+                "byte i of a loaded word must be position i");
+  constexpr std::uint64_t kLow7 = 0x7f7f7f7f7f7f7f7fULL;
+  const std::uint64_t splat = needle * 0x0101010101010101ULL;
+  const WayMask in_range = full_way_mask(count);
+  WayMask match = 0;
+  for (std::uint32_t j = 0; j * 8 < count; ++j) {
+    std::uint64_t word;
+    std::memcpy(&word, bytes + j * 8, sizeof word);
+    const std::uint64_t x = word ^ splat;
+    const std::uint64_t zero_tops = ~(((x & kLow7) + kLow7) | x) & ~kLow7;
+    // The multiply gathers the eight top bits into the high byte, carry-free.
+    match |= ((zero_tops * 0x0002040810204081ULL) >> 56) << (j * 8);
+  }
+  return match & in_range;
 }
 
 /// First set way at or after `start`, searching circularly within an A-way set.

@@ -22,7 +22,6 @@
 #include <optional>
 #include <vector>
 
-#include "plrupart/cache/dispatch.hpp"
 #include "plrupart/cache/geometry.hpp"
 #include "plrupart/cache/replacement.hpp"
 
@@ -74,11 +73,8 @@ class PLRUPART_EXPORT Atd {
   static constexpr std::uint32_t kNoWay = ~std::uint32_t{0};
 
   /// Shared tag scan of the probe path (same shape as SetAssocCache::find_way,
-  /// on full tag words): the full-tag equality scan runs through the kernel of
-  /// the dispatch tier sampled at construction — vpcmpeqq compares 4 tags
-  /// per instruction on the AVX2 tier, with the same match mask (and thus the
-  /// same result) on every tier. Out-of-line in atd.cpp because the kernels
-  /// are internal to src/cache/simd.
+  /// on full tag words): tag_match_mask over the set's tags, restricted to
+  /// valid ways. Returns the lowest matching way or kNoWay.
   [[nodiscard]] std::uint32_t find_way(std::uint64_t set, std::uint64_t tag) const;
 
   template <class Policy>
@@ -87,7 +83,6 @@ class PLRUPART_EXPORT Atd {
   cache::Geometry l2_geo_;
   cache::Geometry atd_geo_;
   std::uint32_t sampling_ratio_;
-  cache::DispatchTier dispatch_;
   cache::ReplacementKind kind_;
   std::unique_ptr<cache::ReplacementPolicy> policy_;
 
@@ -98,8 +93,7 @@ class PLRUPART_EXPORT Atd {
   std::uint64_t l2_set_mask_ = 0;
   WayMask all_ways_ = 0;
 
-  // SoA entry state. tags_ carries 64 bytes of padding for the AVX kernels'
-  // whole-block loads (the padded-buffer contract of src/cache/simd).
+  // SoA entry state.
   std::vector<std::uint64_t> tags_;  ///< [set * A + way]
   std::vector<WayMask> valid_;       ///< per-set valid bitmask
 };

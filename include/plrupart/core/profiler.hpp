@@ -96,7 +96,8 @@ enum class NruUpdateMode : std::uint8_t {
   /// utility at the interval's endpoint.
   kPoint,
   /// Ablation: spread 1/U weight over r1..rU (kept in an idealized
-  /// fractional side histogram; see DESIGN.md).
+  /// fractional side histogram that integer SDH registers could not hold, so
+  /// this mode has no hardware counterpart).
   kSmear,
   /// Ablation for the used-bit==0 case: like kRange, but also record
   /// distance A when the used bit is 0 (the paper records nothing).

@@ -4,7 +4,8 @@
 //
 // Instruction fetch is not modeled: SPEC CPU 2000 code footprints fit the 64KB
 // L1I, so instruction traffic contributes negligibly to L2 contention — the
-// phenomenon under study (see DESIGN.md substitutions).
+// phenomenon under study. Leaving the L1I out is a deliberate simplification
+// of the paper's baseline, not an oversight.
 #pragma once
 
 #include "plrupart/export.hpp"

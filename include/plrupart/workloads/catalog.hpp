@@ -4,7 +4,9 @@
 // parameters are not measurements; they encode each benchmark's published
 // qualitative cache personality (working-set size, streaming vs. reuse,
 // latency sensitivity) so that partitioning decisions face the same kinds of
-// miss curves the paper's traces produced. See DESIGN.md "Substitutions".
+// miss curves the paper's traces produced. SPEC's traces are licensed and
+// cannot ship with the repo; captured traces run through --trace instead
+// (README "Real trace workloads").
 #pragma once
 
 #include "plrupart/export.hpp"

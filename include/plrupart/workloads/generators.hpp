@@ -1,6 +1,7 @@
 // Synthetic trace generation.
 //
-// The repo's substitute for SPEC CPU 2000 SimPoint traces (see DESIGN.md):
+// The repo's substitute for SPEC CPU 2000 SimPoint traces (licensed, so not
+// shippable; see catalog.hpp):
 // each benchmark is modeled as a weighted mixture of access components with
 // characteristic working-set sizes and reuse patterns, plus an optional phase
 // schedule that rotates the mixture over time (what the dynamic CPA adapts

@@ -4,8 +4,6 @@
 
 #include "cache/policy_visit.hpp"
 
-#include "cache/access_impl.ipp"
-
 namespace plrupart::cache {
 
 std::string to_string(EnforcementMode m) {
@@ -26,7 +24,6 @@ SetAssocCache::SetAssocCache(const Geometry& geo, ReplacementKind repl,
     : geo_(geo),
       num_cores_(num_cores),
       enforcement_(enforcement),
-      dispatch_(active_dispatch_tier()),
       kind_(repl),
       policy_(make_policy(repl, geo, seed)),
       masks_(num_cores, full_way_mask(geo.associativity)),
@@ -40,14 +37,10 @@ SetAssocCache::SetAssocCache(const Geometry& geo, ReplacementKind repl,
   tag_shift_ = ilog2_exact(geo_.sets());
   set_mask_ = geo_.sets() - 1;
   all_ways_ = full_way_mask(ways_);
-  partial_words_ = (ways_ + 7) / 8;
   partial_off_ = num_cores_ + 1;
-  meta_stride_ = partial_off_ + partial_words_;
-  // +8 words = 64 bytes of padding on each array: the AVX2 kernels load
-  // whole 32-byte blocks past the scanned range and mask the overhang (the
-  // padded-buffer contract of src/cache/simd).
-  tags_.assign(geo_.sets() * ways_ + 8, 0);
-  set_meta_.assign(geo_.sets() * meta_stride_ + 8, 0);
+  meta_stride_ = partial_off_ + (ways_ + 7) / 8;
+  tags_.assign(geo_.sets() * ways_, 0);
+  set_meta_.assign(geo_.sets() * meta_stride_, 0);
 }
 
 void SetAssocCache::reset() {
@@ -72,14 +65,91 @@ WayMask SetAssocCache::eviction_mask(std::uint64_t set, CoreId core) const {
   return valid != 0 ? valid : all_ways_;
 }
 
-// The one access entry. The kSwar matrix is instantiated here; the kAvx2
-// one lives in src/cache/simd/access_avx2.cpp, the only TU built with
-// -mavx2 — see access_impl.ipp.
+template <EnforcementMode E, class Policy>
+AccessOutcome SetAssocCache::access_impl(Policy& pol, CoreId core, Addr addr,
+                                         bool write) {
+  PLRUPART_ASSERT(core < num_cores_);
+  const Addr la = addr >> line_shift_;
+  const std::uint64_t set = la & set_mask_;
+  const std::uint64_t tag = la >> tag_shift_;
+
+  CoreCacheStats& cs = stats_.per_core[core];
+  ++cs.accesses;
+  cs.writes += static_cast<std::uint64_t>(write);
+
+  // The scope the replacement policy sees (NRU saturation resets, fills): the
+  // core's way mask under mask enforcement, the whole set otherwise. Owner
+  // counters derive their victim scope from line ownership, not from here.
+  const WayMask policy_scope =
+      E == EnforcementMode::kWayMasks ? masks_[core] : all_ways_;
+
+  // Hit path: a core may hit in any way, regardless of partitioning.
+  if (const std::uint32_t w = find_way(set, tag); w != kNoWay) {
+    ++cs.hits;
+    pol.on_hit(set, w, policy_scope);
+    AccessOutcome out;
+    out.hit = true;
+    out.way = w;
+    return out;
+  }
+
+  // Miss path.
+  ++cs.misses;
+
+  // Fill an invalid way first. Invalid lines belong to nobody, so the scan is
+  // scoped by the way mask (mask enforcement confines a core's fills) but not
+  // by ownership quotas.
+  std::uint32_t victim;
+  if (const WayMask invalid = policy_scope & ~valid_mask(set); invalid != 0) {
+    victim = mask_first(invalid);
+  } else {
+    const WayMask victim_scope = E == EnforcementMode::kOwnerCounters
+                                     ? eviction_mask(set, core)
+                                     : policy_scope;
+    victim = pol.choose_victim(set, victim_scope);
+    PLRUPART_ASSERT_MSG(mask_test(victim_scope, victim),
+                        "victim escaped the enforcement mask");
+  }
+
+  AccessOutcome out;
+  const std::uint64_t idx = set * ways_ + victim;
+  const WayMask victim_bit = WayMask{1} << victim;
+  if ((valid_mask(set) & victim_bit) != 0) {
+    const CoreId prev_owner = owner_of(set, victim);
+    out.evicted_valid = true;
+    out.evicted_line = (tags_[idx] << tag_shift_) | set;
+    out.evicted_owner = prev_owner;
+    if (prev_owner == core)
+      ++cs.self_evictions;
+    else
+      ++cs.cross_evictions;
+    owner_ways(set, prev_owner) &= ~victim_bit;
+  }
+
+  tags_[idx] = tag;
+  set_partial(set, victim, tag);
+  valid_mask(set) |= victim_bit;
+  owner_ways(set, core) |= victim_bit;
+
+  pol.on_fill(set, victim, policy_scope);
+  out.hit = false;
+  out.way = victim;
+  return out;
+}
+
+// The one access entry: the policy x enforcement dispatch around access_impl.
 AccessOutcome SetAssocCache::access(CoreId core, Addr addr, bool write) {
-#if defined(PLRUPART_SIMD_AVX2)
-  if (dispatch_ == DispatchTier::kAvx2) return access_avx2(core, addr, write);
-#endif
-  return access_host<DispatchTier::kSwar>(core, addr, write);
+  return visit_policy(kind_, *policy_, [&](auto& pol) {
+    switch (enforcement_) {
+      case EnforcementMode::kWayMasks:
+        return access_impl<EnforcementMode::kWayMasks>(pol, core, addr, write);
+      case EnforcementMode::kOwnerCounters:
+        return access_impl<EnforcementMode::kOwnerCounters>(pol, core, addr, write);
+      case EnforcementMode::kNone:
+        break;
+    }
+    return access_impl<EnforcementMode::kNone>(pol, core, addr, write);
+  });
 }
 
 AccessOutcome SetAssocCache::probe(Addr addr) const {

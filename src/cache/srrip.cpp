@@ -3,10 +3,8 @@
 namespace plrupart::cache {
 
 Srrip::Srrip(const Geometry& geo) : ReplacementPolicy(geo) {
-  // Cold lines look distant. The extra 64 bytes are the padded-buffer
-  // contract of the SIMD dispatch tiers (src/cache/simd): their whole-block
-  // loads may read past the last set's RRPVs; the overhang is masked away.
-  rrpv_.resize(sets_ * ways_ + 64, kMaxRrpv);
+  // Cold lines look distant.
+  rrpv_.resize(sets_ * ways_ + 8, kMaxRrpv);
 }
 
 void Srrip::reset() {

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "cache/policy_visit.hpp"
-#include "cache/simd/simd_kernels.hpp"
 #include "plrupart/common/bits.hpp"
 
 namespace plrupart::core {
@@ -25,7 +24,6 @@ Atd::Atd(const cache::Geometry& l2_geometry, cache::ReplacementKind replacement,
     : l2_geo_(l2_geometry),
       atd_geo_(sampled_geometry(l2_geometry, sampling_ratio)),
       sampling_ratio_(sampling_ratio),
-      dispatch_(cache::active_dispatch_tier()),
       kind_(replacement),
       policy_(cache::make_policy(replacement, atd_geo_, seed)) {
   PLRUPART_ASSERT(kind_ == policy_->kind());
@@ -34,16 +32,13 @@ Atd::Atd(const cache::Geometry& l2_geometry, cache::ReplacementKind replacement,
   l2_tag_shift_ = ilog2_exact(l2_geo_.sets());
   l2_set_mask_ = l2_geo_.sets() - 1;
   all_ways_ = full_way_mask(ways_);
-  // +8 tag words = 64 bytes: padding for the AVX kernels' whole-block loads
-  // (the padded-buffer contract of src/cache/simd).
-  tags_.assign(atd_geo_.sets() * ways_ + 8, 0);
+  tags_.assign(atd_geo_.sets() * ways_, 0);
   valid_.assign(atd_geo_.sets(), 0);
 }
 
 std::uint32_t Atd::find_way(std::uint64_t set, std::uint64_t tag) const {
   const WayMask match =
-      cache::simd::u64_match(dispatch_, tags_.data() + set * ways_, ways_, tag) &
-      valid_[set];
+      tag_match_mask(tags_.data() + set * ways_, ways_, tag) & valid_[set];
   return match != 0 ? mask_first(match) : kNoWay;
 }
 

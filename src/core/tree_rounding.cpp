@@ -19,9 +19,10 @@ Partition round_to_pow2_partition(const Partition& ideal, std::uint32_t total_wa
   std::uint32_t sum = std::accumulate(p.begin(), p.end(), 0U);
 
   // Grow until the budget is exactly consumed. At every step some block of
-  // size <= total_ways - sum exists (all quantities are powers of two and sum
-  // is a multiple of the smallest block; see DESIGN.md), so doubling the
-  // most-deprived eligible core always makes progress.
+  // size <= total_ways - sum exists: every block is a power of two, so sum is
+  // a multiple of the smallest block b, and so is total_ways (a power of two
+  // >= b); the positive gap is then a multiple of b, hence >= b. Doubling the
+  // most-deprived eligible core therefore always makes progress.
   while (sum < total_ways) {
     const std::uint32_t gap = total_ways - sum;
     std::size_t best = n;

@@ -18,13 +18,23 @@ namespace {
 /// deadline — it decides whether the run dies, never what the run computes.
 class Watchdog {
  public:
+  /// A timeout of 0 (or less), or one that lands past the clock's range
+  /// (~292 years of nanoseconds, `inf` included), means no deadline.
   Watchdog(double timeout_s, std::string mode)
-      : has_deadline_(timeout_s > 0.0),
-        deadline_(std::chrono::steady_clock::now() +
-                  std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                      std::chrono::duration<double>(has_deadline_ ? timeout_s : 0.0))),
-        timeout_s_(timeout_s),
-        mode_(std::move(mode)) {}
+      : timeout_s_(timeout_s), mode_(std::move(mode)) {
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point now = Clock::now();
+    const std::chrono::duration<double, Clock::period> ticks =
+        std::chrono::duration<double>(timeout_s);
+    // 2^63 is exact in a double, and every double below it fits the int64
+    // rep, so the cast below is defined; the integer compare then keeps
+    // `now + timeout` from overflowing.
+    if (!(timeout_s > 0.0 && ticks.count() < 0x1p63)) return;
+    const Clock::duration timeout(static_cast<Clock::rep>(ticks.count()));
+    if (timeout >= Clock::time_point::max() - now) return;
+    has_deadline_ = true;
+    deadline_ = now + timeout;
+  }
 
   /// Reads the clock on every 4096th call.
   void poll() {
@@ -36,7 +46,7 @@ class Watchdog {
   }
 
  private:
-  bool has_deadline_;
+  bool has_deadline_ = false;
   std::chrono::steady_clock::time_point deadline_;
   double timeout_s_;
   std::string mode_;

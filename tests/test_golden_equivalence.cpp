@@ -1,57 +1,40 @@
 // Golden-equivalence replay: the statically-dispatched SoA access path must be
 // bit-indistinguishable from the frozen pre-refactor reference model for every
-// ReplacementKind × EnforcementMode × DispatchTier combination, across hits,
+// ReplacementKind × EnforcementMode × associativity combination, across hits,
 // misses, evictions, probes, invalidations, partition updates and mid-trace
-// resets. The tier axis is the bit-identity proof for the SIMD kernels
-// (src/cache/simd): each combo runs the SUT under one forced tier against the
-// tier-less reference model; a tier the build/host cannot run is skipped.
+// resets. The associativity axis (8, 32, 64 ways) runs the SWAR scans of
+// plrupart/common/bits.hpp at one, four and eight words per set: the
+// partial-tag filter of every lookup and, for SRRIP, the distant-line scan of
+// every victim choice.
 #include <gtest/gtest.h>
 
-#include <tuple>
+#include <string>
 #include <vector>
 
 #include "plrupart/cache/cache.hpp"
-#include "plrupart/cache/dispatch.hpp"
 #include "plrupart/common/rng.hpp"
 #include "support/reference_cache.hpp"
 
 namespace plrupart {
 namespace {
 
-using cache::DispatchTier;
 using cache::EnforcementMode;
 using cache::ReplacementKind;
 
 struct Combo {
   ReplacementKind kind;
   EnforcementMode enforcement;
-  DispatchTier tier;
+  std::uint32_t ways;
 };
 
 std::string combo_name(const ::testing::TestParamInfo<Combo>& info) {
   std::string s = to_string(info.param.kind) + "_" + to_string(info.param.enforcement) +
-                  "_" + to_string(info.param.tier);
+                  "_" + std::to_string(info.param.ways) + "way";
   for (auto& c : s) {
     if (c == '-' || c == '.') c = '_';
   }
   return s;
 }
-
-/// Forces the process-wide dispatch tier for the lifetime of one test, so the
-/// SUT constructed inside samples the combo's tier.
-class ScopedDispatchTier {
- public:
-  explicit ScopedDispatchTier(DispatchTier tier)
-      : prev_(cache::active_dispatch_tier()) {
-    cache::set_active_dispatch_tier(tier);
-  }
-  ~ScopedDispatchTier() { cache::set_active_dispatch_tier(prev_); }
-  ScopedDispatchTier(const ScopedDispatchTier&) = delete;
-  ScopedDispatchTier& operator=(const ScopedDispatchTier&) = delete;
-
- private:
-  DispatchTier prev_;
-};
 
 class GoldenEquivalence : public ::testing::TestWithParam<Combo> {};
 
@@ -68,18 +51,14 @@ void expect_same_stats(const cache::CacheStatsBundle& a, const cache::CacheStats
 }
 
 TEST_P(GoldenEquivalence, RandomTraceReplaysIdentically) {
-  const auto [kind, enforcement, tier] = GetParam();
-  if (!cache::dispatch_tier_available(tier)) {
-    GTEST_SKIP() << to_string(tier) << " tier not available on this build/host";
-  }
-  const cache::Geometry geo{.size_bytes = 64 * 8 * 128, .associativity = 8,
+  const auto [kind, enforcement, ways] = GetParam();
+  // 64 sets at every associativity.
+  const cache::Geometry geo{.size_bytes = 64 * ways * 128, .associativity = ways,
                             .line_bytes = 128};
   constexpr std::uint32_t kCores = 3;
   constexpr std::uint64_t kSeed = 0xc0ffee;
 
-  const ScopedDispatchTier forced(tier);
   cache::SetAssocCache sut(geo, kind, kCores, enforcement, kSeed);
-  ASSERT_EQ(sut.dispatch_tier(), tier);
   testing::ReferenceCache ref(geo, kind, kCores, enforcement, kSeed);
 
   Rng rng(42);
@@ -87,12 +66,12 @@ TEST_P(GoldenEquivalence, RandomTraceReplaysIdentically) {
   for (int step = 0; step < 60'000; ++step) {
     // Occasionally reshape the partition, mirroring the interval controller.
     if (step % 4096 == 1000 && enforcement == EnforcementMode::kWayMasks) {
-      // Three contiguous non-empty blocks over 8 ways.
-      const auto cut1 = static_cast<std::uint32_t>(rng.next_in(1, 6));
-      const auto cut2 = static_cast<std::uint32_t>(rng.next_in(cut1 + 1, 7));
+      // Three contiguous non-empty blocks over the set's ways.
+      const auto cut1 = static_cast<std::uint32_t>(rng.next_in(1, ways - 2));
+      const auto cut2 = static_cast<std::uint32_t>(rng.next_in(cut1 + 1, ways - 1));
       const WayMask m0 = way_range_mask(0, cut1);
       const WayMask m1 = way_range_mask(cut1, cut2 - cut1);
-      const WayMask m2 = way_range_mask(cut2, 8 - cut2);
+      const WayMask m2 = way_range_mask(cut2, ways - cut2);
       sut.set_way_mask(0, m0);
       sut.set_way_mask(1, m1);
       sut.set_way_mask(2, m2);
@@ -101,9 +80,9 @@ TEST_P(GoldenEquivalence, RandomTraceReplaysIdentically) {
       ref.set_way_mask(2, m2);
     }
     if (step % 4096 == 2000 && enforcement == EnforcementMode::kOwnerCounters) {
-      const auto q0 = static_cast<std::uint32_t>(rng.next_in(1, 6));
-      const auto q1 = static_cast<std::uint32_t>(rng.next_in(1, 7 - q0));
-      const std::uint32_t q2 = 8 - q0 - q1;
+      const auto q0 = static_cast<std::uint32_t>(rng.next_in(1, ways - 2));
+      const auto q1 = static_cast<std::uint32_t>(rng.next_in(1, ways - 1 - q0));
+      const std::uint32_t q2 = ways - q0 - q1;
       sut.set_way_quota(0, q0);
       sut.set_way_quota(1, q1);
       sut.set_way_quota(2, q2 > 0 ? q2 : 1);
@@ -177,8 +156,8 @@ std::vector<Combo> all_combos() {
                           ReplacementKind::kSrrip}) {
     for (const auto enf : {EnforcementMode::kNone, EnforcementMode::kWayMasks,
                            EnforcementMode::kOwnerCounters}) {
-      for (const auto tier : {DispatchTier::kSwar, DispatchTier::kAvx2}) {
-        combos.push_back({kind, enf, tier});
+      for (const std::uint32_t ways : {8U, 32U, 64U}) {
+        combos.push_back({kind, enf, ways});
       }
     }
   }

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -539,6 +540,27 @@ TEST_F(SupervisionTest, ShardedWatchdogAbortsAndJoinsWorkersCleanly) {
   } catch (const TimeoutError& e) {
     EXPECT_NE(std::string(e.what()).find("pipelined run"), std::string::npos) << e.what();
   }
+}
+
+// A deadline the steady clock cannot represent (>= ~9.2e9 s of nanoseconds,
+// or inf) is no deadline, not one that wrapped into the past.
+void expect_unrepresentable_deadlines_never_fire(std::uint32_t sim_threads) {
+  auto m = tiny_matrix();
+  m.sim_threads = sim_threads;
+  const std::string baseline = run_csv(m, serial_opts());
+  for (const double timeout_s : {1e10, std::numeric_limits<double>::infinity()}) {
+    runner::SweepOptions opts = serial_opts();
+    opts.job_timeout_s = timeout_s;
+    EXPECT_EQ(run_csv(m, opts), baseline) << "timeout " << timeout_s << " s";
+  }
+}
+
+TEST_F(SupervisionTest, UnrepresentableDeadlinesNeverFireSerial) {
+  expect_unrepresentable_deadlines_never_fire(1);
+}
+
+TEST_F(SupervisionTest, UnrepresentableDeadlinesNeverFirePipelined) {
+  expect_unrepresentable_deadlines_never_fire(2);
 }
 
 TEST_F(SupervisionTest, TimeoutsAreNotRetried) {
