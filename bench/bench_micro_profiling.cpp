@@ -23,24 +23,16 @@ void BM_SdhRecord(benchmark::State& state) {
 
 void BM_ProfilerRecordAccess(benchmark::State& state) {
   const auto geo = cache::paper_l2_geometry();
-  std::unique_ptr<Profiler> prof;
-  switch (state.range(0)) {
-    case 0:
-      prof = std::make_unique<LruProfiler>(geo, 32);
-      break;
-    case 1:
-      prof = std::make_unique<NruProfiler>(geo, 32, 0.75);
-      break;
-    default:
-      prof = std::make_unique<BtProfiler>(geo, 32);
-      break;
-  }
+  constexpr cache::ReplacementKind kKinds[] = {
+      cache::ReplacementKind::kLru, cache::ReplacementKind::kNru,
+      cache::ReplacementKind::kTreePlru, cache::ReplacementKind::kSrrip};
+  Profiler prof(geo, kKinds[state.range(0)], 32, 0x5eed, /*esdh_scale=*/0.75);
   Rng rng(2);
   for (auto _ : state) {
-    prof->record_access(rng.next_below(1 << 22));
+    prof.record_access(rng.next_below(1 << 22));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  state.SetLabel(prof->name());
+  state.SetLabel(prof.name());
 }
 
 void BM_MissCurveBuild(benchmark::State& state) {
@@ -101,7 +93,7 @@ void BM_MinMissesTreeDp(benchmark::State& state) {
 }  // namespace
 
 BENCHMARK(BM_SdhRecord)->Unit(benchmark::kNanosecond);
-BENCHMARK(BM_ProfilerRecordAccess)->DenseRange(0, 2)->Unit(benchmark::kNanosecond);
+BENCHMARK(BM_ProfilerRecordAccess)->DenseRange(0, 3)->Unit(benchmark::kNanosecond);
 BENCHMARK(BM_MissCurveBuild)->Unit(benchmark::kNanosecond);
 BENCHMARK(BM_MinMissesOptimal)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_MinMissesGreedy)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMicrosecond);

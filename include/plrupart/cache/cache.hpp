@@ -26,9 +26,10 @@
 //    shares one cache line for up to 7 cores.
 //  * Static policy dispatch: the per-access path is templated over the
 //    concrete replacement policy (selected once per access by a switch on the
-//    construction-time ReplacementKind — see policy_visit.hpp), so the policy
-//    update inlines instead of paying 2-3 virtual calls per access. The
-//    virtual `policy()` seam remains for tests, tools and profilers.
+//    construction-time ReplacementKind in access()), so the policy update
+//    inlines instead of paying 2-3 virtual calls per access. The virtual
+//    `policy()` seam remains for the cold paths: the ATD's pre-update
+//    estimate_position, BT force-vector enforcement, and tests.
 //  * Address decomposition constants (line shift, set mask, tag shift) are
 //    precomputed, eliminating the per-access divisions hidden in Geometry.
 #pragma once

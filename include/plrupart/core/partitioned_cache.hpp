@@ -12,7 +12,9 @@
 //   M-0.75N way masks + NRU, eSDH scale 0.75
 //   M-0.5N  way masks + NRU, eSDH scale 0.5
 //   M-BT    way masks + binary-tree pseudo-LRU
-// plus NOPART-L / NOPART-N / NOPART-BT / NOPART-R for unpartitioned caches.
+//   M-RRIP  way masks + 2-bit SRRIP (extension beyond the paper)
+// plus NOPART-L / NOPART-N / NOPART-BT / NOPART-R / NOPART-RRIP for
+// unpartitioned caches.
 #pragma once
 
 #include "plrupart/export.hpp"
@@ -51,7 +53,6 @@ struct PLRUPART_EXPORT CpaConfig {
   /// kNone disables partitioning entirely (no ATDs, no controller).
   cache::EnforcementMode enforcement = cache::EnforcementMode::kWayMasks;
 
-  ProfilerKind profiler = ProfilerKind::kAuto;
   double esdh_scale = 1.0;                       // NRU profiling only
   NruUpdateMode nru_update = NruUpdateMode::kRange;
   PolicyKind policy = PolicyKind::kMinMissesOptimal;

@@ -2,7 +2,11 @@
 
 #include <algorithm>
 
-#include "cache/policy_visit.hpp"
+#include "plrupart/cache/lru.hpp"
+#include "plrupart/cache/nru.hpp"
+#include "plrupart/cache/random_repl.hpp"
+#include "plrupart/cache/srrip.hpp"
+#include "plrupart/cache/tree_plru.hpp"
 
 namespace plrupart::cache {
 
@@ -138,8 +142,11 @@ AccessOutcome SetAssocCache::access_impl(Policy& pol, CoreId core, Addr addr,
 }
 
 // The one access entry: the policy x enforcement dispatch around access_impl.
+// Every shipped policy is `final`, so downcasting once per access (on the
+// construction-time kind, which the constructor checked against the policy)
+// devirtualizes and inlines the whole policy update into access_impl.
 AccessOutcome SetAssocCache::access(CoreId core, Addr addr, bool write) {
-  return visit_policy(kind_, *policy_, [&](auto& pol) {
+  const auto run = [&](auto& pol) {
     switch (enforcement_) {
       case EnforcementMode::kWayMasks:
         return access_impl<EnforcementMode::kWayMasks>(pol, core, addr, write);
@@ -149,7 +156,20 @@ AccessOutcome SetAssocCache::access(CoreId core, Addr addr, bool write) {
         break;
     }
     return access_impl<EnforcementMode::kNone>(pol, core, addr, write);
-  });
+  };
+  switch (kind_) {
+    case ReplacementKind::kLru:
+      return run(static_cast<TrueLru&>(*policy_));
+    case ReplacementKind::kNru:
+      return run(static_cast<Nru&>(*policy_));
+    case ReplacementKind::kTreePlru:
+      return run(static_cast<TreePlru&>(*policy_));
+    case ReplacementKind::kRandom:
+      return run(static_cast<RandomRepl&>(*policy_));
+    case ReplacementKind::kSrrip:
+      break;
+  }
+  return run(static_cast<Srrip&>(*policy_));
 }
 
 AccessOutcome SetAssocCache::probe(Addr addr) const {

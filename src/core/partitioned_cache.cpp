@@ -117,10 +117,9 @@ PartitionedCacheSystem::PartitionedCacheSystem(CpaConfig config)
   profilers_.reserve(config_.num_cores);
   std::vector<Profiler*> raw;
   for (std::uint32_t i = 0; i < config_.num_cores; ++i) {
-    profilers_.push_back(make_profiler(config_.profiler, config_.replacement,
-                                       config_.geometry, config_.sampling_ratio,
-                                       config_.esdh_scale, config_.nru_update,
-                                       derive_seed(config_.seed, i)));
+    profilers_.push_back(std::make_unique<Profiler>(
+        config_.geometry, profiler_atd_kind(config_.replacement), config_.sampling_ratio,
+        derive_seed(config_.seed, i), config_.esdh_scale, config_.nru_update));
     raw.push_back(profilers_.back().get());
   }
 

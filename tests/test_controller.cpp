@@ -12,10 +12,14 @@ cache::Geometry small_l2() {
   return cache::Geometry{.size_bytes = 8192, .associativity = 4, .line_bytes = 64};
 }
 
+std::unique_ptr<Profiler> lru_profiler() {
+  return std::make_unique<Profiler>(small_l2(), cache::ReplacementKind::kLru, 1, 0x5eed);
+}
+
 struct ControllerRig {
   explicit ControllerRig(std::uint64_t interval = 1000, double hysteresis = 0.0) {
-    profilers.push_back(std::make_unique<LruProfiler>(small_l2(), 1));
-    profilers.push_back(std::make_unique<LruProfiler>(small_l2(), 1));
+    profilers.push_back(lru_profiler());
+    profilers.push_back(lru_profiler());
     std::vector<Profiler*> raw{profilers[0].get(), profilers[1].get()};
     controller = std::make_unique<IntervalController>(
         interval, 4, std::make_unique<MinMissesPolicy>(), std::move(raw),
@@ -154,7 +158,7 @@ TEST(Controller, HysteresisStillRecordsHistory) {
 
 TEST(Controller, RejectsBadHysteresis) {
   std::vector<std::unique_ptr<Profiler>> profs;
-  profs.push_back(std::make_unique<LruProfiler>(small_l2(), 1));
+  profs.push_back(lru_profiler());
   std::vector<Profiler*> raw{profs[0].get()};
   EXPECT_THROW(IntervalController(100, 4, std::make_unique<MinMissesPolicy>(), raw,
                                   [](const Partition&) {}, 1.0),
@@ -166,7 +170,7 @@ TEST(Controller, RejectsBadHysteresis) {
 
 TEST(Controller, RejectsDegenerateConstruction) {
   std::vector<std::unique_ptr<Profiler>> profs;
-  profs.push_back(std::make_unique<LruProfiler>(small_l2(), 1));
+  profs.push_back(lru_profiler());
   std::vector<Profiler*> raw{profs[0].get()};
   EXPECT_THROW(IntervalController(0, 4, std::make_unique<MinMissesPolicy>(), raw,
                                   [](const Partition&) {}),

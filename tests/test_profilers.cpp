@@ -1,5 +1,5 @@
-// Profiler correctness: the LRU profiler is exact against a full-trace
-// oracle; the NRU/BT estimated-SDH profilers obey the paper's update rules.
+// Profiler correctness: an LRU-ATD profiler is exact against a full-trace
+// oracle; NRU/BT-ATD profilers obey the paper's estimated-SDH update rules.
 #include <gtest/gtest.h>
 
 #include <deque>
@@ -11,6 +11,8 @@
 
 namespace plrupart::core {
 namespace {
+
+constexpr std::uint64_t kSeed = 0x5eed;
 
 cache::Geometry small_l2() {
   // 32 sets x 4 ways x 64B.
@@ -55,7 +57,7 @@ class StackOracle {
 
 TEST(LruProfiler, ExactAgainstOracleOnRandomTrace) {
   const auto g = small_l2();
-  LruProfiler prof(g, /*sampling_ratio=*/4);
+  Profiler prof(g, cache::ReplacementKind::kLru, /*sampling_ratio=*/4, kSeed);
   StackOracle oracle(g.associativity);
   Rng rng(2718);
   for (int i = 0; i < 50000; ++i) {
@@ -74,7 +76,7 @@ TEST(LruProfiler, MissCurvePredictsIsolatedMissesExactly) {
   // Cyclic access to 3 distinct lines in a 4-way set: after warmup every
   // access hits at distance 3.
   const auto g = small_l2();
-  LruProfiler prof(g, 1);
+  Profiler prof(g, cache::ReplacementKind::kLru, 1, kSeed);
   for (int round = 0; round < 10; ++round)
     for (std::uint64_t t = 0; t < 3; ++t)
       prof.record_access(line_in_set(g, 0, t));
@@ -90,7 +92,7 @@ TEST(NruProfiler, Fig3ScenarioScaleOne) {
   // access to D has U=2: per the paper, "we increase both SDH registers r1
   // and r2, assuming the stack distance to be 2".
   const auto g = small_l2();
-  NruProfiler prof(g, 1, /*scale=*/1.0);
+  Profiler prof(g, cache::ReplacementKind::kNru, 1, kSeed, /*esdh_scale=*/1.0);
   for (std::uint64_t t = 0; t < 4; ++t) prof.record_access(line_in_set(g, 0, t));
   // Fill saturation left only tag 3 used; touch tag 2 then tag 3.
   prof.record_access(line_in_set(g, 0, 2));
@@ -105,7 +107,7 @@ TEST(NruProfiler, Fig3ScenarioScaleOne) {
 
 TEST(NruProfiler, PointModeRecordsOnlyTheEndpoint) {
   const auto g = small_l2();
-  NruProfiler prof(g, 1, 1.0, NruUpdateMode::kPoint);
+  Profiler prof(g, cache::ReplacementKind::kNru, 1, kSeed, 1.0, NruUpdateMode::kPoint);
   for (std::uint64_t t = 0; t < 4; ++t) prof.record_access(line_in_set(g, 0, t));
   prof.record_access(line_in_set(g, 0, 2));
   prof.record_access(line_in_set(g, 0, 3));  // U = 2
@@ -118,7 +120,7 @@ TEST(NruProfiler, ScalingFactorsRoundUp) {
   const auto g = small_l2();
   for (const auto& [scale, expected_reg] :
        std::vector<std::pair<double, std::uint32_t>>{{0.75, 2U}, {0.5, 1U}}) {
-    NruProfiler prof(g, 1, scale);
+    Profiler prof(g, cache::ReplacementKind::kNru, 1, kSeed, scale);
     for (std::uint64_t t = 0; t < 4; ++t) prof.record_access(line_in_set(g, 0, t));
     prof.record_access(line_in_set(g, 0, 2));
     prof.record_access(line_in_set(g, 0, 3));
@@ -130,7 +132,7 @@ TEST(NruProfiler, UnusedBitHitRecordsNothingByDefault) {
   // Fill 4 lines (saturation leaves only tag 3 used), touch tags 0 and 1,
   // then hit tag 2 whose used bit is 0: the paper records nothing.
   const auto g = small_l2();
-  NruProfiler prof(g, 1, 1.0);
+  Profiler prof(g, cache::ReplacementKind::kNru, 1, kSeed, 1.0);
   for (std::uint64_t t = 0; t < 4; ++t) prof.record_access(line_in_set(g, 0, t));
   prof.record_access(line_in_set(g, 0, 0));
   prof.record_access(line_in_set(g, 0, 1));
@@ -141,7 +143,8 @@ TEST(NruProfiler, UnusedBitHitRecordsNothingByDefault) {
 
 TEST(NruProfiler, RecordUnusedAblationRecordsAssociativity) {
   const auto g = small_l2();
-  NruProfiler prof(g, 1, 1.0, NruUpdateMode::kPointRecordUnused);
+  Profiler prof(g, cache::ReplacementKind::kNru, 1, kSeed, 1.0,
+                NruUpdateMode::kPointRecordUnused);
   for (std::uint64_t t = 0; t < 4; ++t) prof.record_access(line_in_set(g, 0, t));
   prof.record_access(line_in_set(g, 0, 0));
   prof.record_access(line_in_set(g, 0, 1));
@@ -152,14 +155,14 @@ TEST(NruProfiler, RecordUnusedAblationRecordsAssociativity) {
 
 TEST(NruProfiler, AtdMissGoesToMissRegister) {
   const auto g = small_l2();
-  NruProfiler prof(g, 1, 0.75);
+  Profiler prof(g, cache::ReplacementKind::kNru, 1, kSeed, 0.75);
   for (std::uint64_t t = 0; t < 6; ++t) prof.record_access(line_in_set(g, 0, t));
   EXPECT_EQ(prof.sdh().reg(g.associativity + 1), 6ULL) << "all cold accesses miss";
 }
 
 TEST(NruProfiler, SmearModeSpreadsFractionalWeight) {
   const auto g = small_l2();
-  NruProfiler prof(g, 1, 1.0, NruUpdateMode::kSmear);
+  Profiler prof(g, cache::ReplacementKind::kNru, 1, kSeed, 1.0, NruUpdateMode::kSmear);
   for (std::uint64_t t = 0; t < 4; ++t) prof.record_access(line_in_set(g, 0, t));
   prof.record_access(line_in_set(g, 0, 2));
   prof.record_access(line_in_set(g, 0, 3));  // hit with U=2: +0.5 to d=1 and d=2
@@ -172,15 +175,17 @@ TEST(NruProfiler, SmearModeSpreadsFractionalWeight) {
 }
 
 TEST(NruProfiler, RejectsBadScale) {
-  EXPECT_THROW(NruProfiler(small_l2(), 1, 0.0), InvariantError);
-  EXPECT_THROW(NruProfiler(small_l2(), 1, 1.5), InvariantError);
+  EXPECT_THROW(Profiler(small_l2(), cache::ReplacementKind::kNru, 1, kSeed, 0.0),
+               InvariantError);
+  EXPECT_THROW(Profiler(small_l2(), cache::ReplacementKind::kNru, 1, kSeed, 1.5),
+               InvariantError);
 }
 
 // --- BT profiler ------------------------------------------------------------
 
 TEST(BtProfiler, ImmediateReReferenceRecordsMru) {
   const auto g = small_l2();
-  BtProfiler prof(g, 1);
+  Profiler prof(g, cache::ReplacementKind::kTreePlru, 1, kSeed);
   prof.record_access(line_in_set(g, 0, 7));
   prof.record_access(line_in_set(g, 0, 7));
   EXPECT_EQ(prof.sdh().reg(1), 1ULL);
@@ -188,7 +193,7 @@ TEST(BtProfiler, ImmediateReReferenceRecordsMru) {
 
 TEST(BtProfiler, EstimatesStayWithinStack) {
   const auto g = small_l2();
-  BtProfiler prof(g, 1);
+  Profiler prof(g, cache::ReplacementKind::kTreePlru, 1, kSeed);
   Rng rng(13);
   for (int i = 0; i < 20000; ++i) {
     prof.record_access(line_in_set(g, rng.next_below(g.sets()), rng.next_below(6)));
@@ -204,7 +209,7 @@ TEST(BtProfiler, AlternatingPairEstimatesDistanceTwo) {
   // ways are taken in order), sharing the deepest tree node: the XOR estimate
   // then reproduces the true LRU stack distance of 2 on every re-reference.
   const auto g = small_l2();
-  BtProfiler prof(g, 1);
+  Profiler prof(g, cache::ReplacementKind::kTreePlru, 1, kSeed);
   for (int i = 0; i < 10; ++i) {
     prof.record_access(line_in_set(g, 0, 0));
     prof.record_access(line_in_set(g, 0, 1));
@@ -213,31 +218,29 @@ TEST(BtProfiler, AlternatingPairEstimatesDistanceTwo) {
   EXPECT_EQ(prof.sdh().reg(4), 0ULL);
 }
 
-// --- Factory ----------------------------------------------------------------
+// --- ATD kind and names ------------------------------------------------------
 
 TEST(ProfilerFactory, AutoMatchesReplacement) {
-  const auto g = small_l2();
-  const auto lru = make_profiler(ProfilerKind::kAuto, cache::ReplacementKind::kLru, g, 1,
-                                 1.0, NruUpdateMode::kPoint, 1);
-  EXPECT_EQ(lru->name(), "SDH-LRU");
-  const auto nru = make_profiler(ProfilerKind::kAuto, cache::ReplacementKind::kNru, g, 1,
-                                 0.75, NruUpdateMode::kPoint, 1);
-  EXPECT_EQ(nru->name(), "eSDH-NRU(S=0.75)");
-  const auto bt = make_profiler(ProfilerKind::kAuto, cache::ReplacementKind::kTreePlru, g,
-                                1, 1.0, NruUpdateMode::kPoint, 1);
-  EXPECT_EQ(bt->name(), "eSDH-BT");
-}
+  // The ATD runs the L2's own policy; Random, which keeps no recency state,
+  // is profiled with an LRU ATD.
+  using cache::ReplacementKind;
+  for (const auto k : {ReplacementKind::kLru, ReplacementKind::kNru,
+                       ReplacementKind::kTreePlru, ReplacementKind::kSrrip}) {
+    EXPECT_EQ(profiler_atd_kind(k), k) << cache::to_string(k);
+  }
+  EXPECT_EQ(profiler_atd_kind(ReplacementKind::kRandom), ReplacementKind::kLru);
 
-TEST(ProfilerFactory, ExplicitOverrideIgnoresReplacement) {
   const auto g = small_l2();
-  const auto p = make_profiler(ProfilerKind::kLruExact, cache::ReplacementKind::kNru, g, 1,
-                               1.0, NruUpdateMode::kPoint, 1);
-  EXPECT_EQ(p->name(), "SDH-LRU");
+  EXPECT_EQ(Profiler(g, ReplacementKind::kLru, 1, 1).name(), "SDH-LRU");
+  EXPECT_EQ(Profiler(g, ReplacementKind::kNru, 1, 1, 0.75).name(), "eSDH-NRU(S=0.75)");
+  EXPECT_EQ(Profiler(g, ReplacementKind::kTreePlru, 1, 1).name(), "eSDH-BT");
+  EXPECT_EQ(Profiler(g, ReplacementKind::kSrrip, 1, 1).name(), "eSDH-SRRIP");
+  EXPECT_THROW(Profiler(g, ReplacementKind::kRandom, 1, 1), InvariantError);
 }
 
 TEST(Profiler, DecayHalvesSdh) {
   const auto g = small_l2();
-  LruProfiler prof(g, 1);
+  Profiler prof(g, cache::ReplacementKind::kLru, 1, kSeed);
   for (int i = 0; i < 8; ++i) prof.record_access(line_in_set(g, 0, 0));
   EXPECT_EQ(prof.sdh().reg(1), 7ULL);
   prof.decay();
