@@ -2,7 +2,7 @@
 //
 // Divides execution into fixed cycle intervals (paper: 1M cycles). At each
 // boundary it reads every thread's (e)SDH into a miss curve, asks the
-// partition policy for the next partition, hands it to the enforcement
+// decision function for the next partition, hands it to the enforcement
 // callback, and decays the SDHs.
 #pragma once
 
@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "plrupart/core/partition.hpp"
@@ -25,6 +24,9 @@ struct PLRUPART_EXPORT RepartitionEvent {
 
 class PLRUPART_EXPORT IntervalController {
  public:
+  /// Next partition from one miss curve per core (e.g. min_misses_optimal).
+  using DecideFn =
+      std::function<Partition(const std::vector<MissCurve>&, std::uint32_t total_ways)>;
   using ApplyFn = std::function<void(const Partition&)>;
 
   /// `hysteresis` damps repartition oscillation: a candidate partition
@@ -34,8 +36,7 @@ class PLRUPART_EXPORT IntervalController {
   /// partition change, so flip-flopping decisions are costly; quota-based
   /// enforcement is naturally lazy and barely notices. 0 disables damping.
   IntervalController(std::uint64_t interval_cycles, std::uint32_t total_ways,
-                     std::unique_ptr<PartitionPolicy> policy,
-                     std::vector<Profiler*> profilers, ApplyFn apply,
+                     DecideFn decide, std::vector<Profiler*> profilers, ApplyFn apply,
                      double hysteresis = 0.0);
 
   /// Advance controller time. Fires at most one repartition per call (the
@@ -53,7 +54,6 @@ class PLRUPART_EXPORT IntervalController {
     return history_;
   }
   [[nodiscard]] std::uint64_t interval_cycles() const noexcept { return interval_; }
-  [[nodiscard]] const PartitionPolicy& policy() const noexcept { return *policy_; }
 
   /// Immediate repartition, regardless of the boundary (used at time zero and
   /// by tests).
@@ -62,7 +62,7 @@ class PLRUPART_EXPORT IntervalController {
  private:
   std::uint64_t interval_;
   std::uint32_t total_ways_;
-  std::unique_ptr<PartitionPolicy> policy_;
+  DecideFn decide_;
   std::vector<Profiler*> profilers_;
   ApplyFn apply_;
   double hysteresis_;

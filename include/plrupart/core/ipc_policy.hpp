@@ -5,18 +5,20 @@
 // worth the same cycles to every thread: a pointer chaser exposes the full
 // memory latency while a streaming thread hides most of it. This policy
 // converts each thread's miss curve into a predicted-IPC curve through a
-// small analytical model and optimizes a performance metric directly:
+// small analytical model and optimizes a performance metric directly
+// (PolicyKind::kIpc):
 //
 //   kThroughput      maximize  sum_i IPC_i(w_i)
 //   kWeightedSpeedup maximize  sum_i IPC_i(w_i) / IPC_i(A)
 //   kHarmonicMean    maximize  N / sum_i (IPC_i(A) / IPC_i(w_i))
 //
-// All three are separable per thread, so the same exact DP used by
-// min_misses_optimal applies.
+// All three are separable per thread, so the exact DP min_cost_partition
+// applies.
 #pragma once
 
 #include "plrupart/export.hpp"
 
+#include <string>
 #include <vector>
 
 #include "plrupart/core/partition.hpp"
@@ -47,24 +49,10 @@ enum class IpcObjective : std::uint8_t {
 
 [[nodiscard]] PLRUPART_EXPORT std::string to_string(IpcObjective o);
 
-class PLRUPART_EXPORT IpcPolicy final : public PartitionPolicy {
- public:
-  /// One model per core, in core order.
-  IpcPolicy(std::vector<IpcModel> models, IpcObjective objective);
-
-  [[nodiscard]] Partition decide(const std::vector<MissCurve>& curves,
-                                 std::uint32_t total_ways) override;
-  [[nodiscard]] std::string name() const override;
-
-  [[nodiscard]] IpcObjective objective() const noexcept { return objective_; }
-
- private:
-  /// The additive per-thread cost the DP minimizes (lower = better).
-  [[nodiscard]] double cost(std::size_t core, const MissCurve& curve,
-                            std::uint32_t ways) const;
-
-  std::vector<IpcModel> models_;
-  IpcObjective objective_;
-};
+/// The partition optimizing `objective` under one model per core, in core
+/// order (models.size() must equal curves.size()).
+[[nodiscard]] PLRUPART_EXPORT Partition ipc_partition(
+    const std::vector<MissCurve>& curves, std::uint32_t total_ways,
+    const std::vector<IpcModel>& models, IpcObjective objective);
 
 }  // namespace plrupart::core

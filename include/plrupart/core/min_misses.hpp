@@ -2,8 +2,9 @@
 // assign ways to minimize the total predicted miss count, at least one way per
 // thread. Three interchangeable solvers:
 //
-//   * optimal  — exact dynamic program, O(N * A^2); cheap at hardware scales
-//                (N <= 8, A <= 64) and the library default.
+//   * optimal  — exact dynamic program (min_cost_partition), O(N * A^2);
+//                cheap at hardware scales (N <= 8, A <= 64) and the library
+//                default.
 //   * greedy   — classical marginal-utility hill climb; equals the optimum on
 //                convex curves, may lose on non-convex ones.
 //   * lookahead— UCP's fix for non-convexity: award the block of ways with the
@@ -24,20 +25,5 @@ namespace plrupart::core {
                                           std::uint32_t total_ways);
 [[nodiscard]] PLRUPART_EXPORT Partition min_misses_lookahead(const std::vector<MissCurve>& curves,
                                              std::uint32_t total_ways);
-
-enum class MinMissesAlgorithm : std::uint8_t { kOptimal, kGreedy, kLookahead };
-
-class PLRUPART_EXPORT MinMissesPolicy final : public PartitionPolicy {
- public:
-  explicit MinMissesPolicy(MinMissesAlgorithm algo = MinMissesAlgorithm::kOptimal)
-      : algo_(algo) {}
-
-  [[nodiscard]] Partition decide(const std::vector<MissCurve>& curves,
-                                 std::uint32_t total_ways) override;
-  [[nodiscard]] std::string name() const override;
-
- private:
-  MinMissesAlgorithm algo_;
-};
 
 }  // namespace plrupart::core

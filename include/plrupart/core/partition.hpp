@@ -1,12 +1,11 @@
-// Way partitions and the partition-selection policy interface.
+// Way partitions and the one exact allocation DP every separable policy uses.
 #pragma once
 
 #include "plrupart/export.hpp"
 
 #include <cstdint>
-#include <memory>
+#include <functional>
 #include <numeric>
-#include <string>
 #include <vector>
 
 #include "plrupart/common/assert.hpp"
@@ -52,14 +51,14 @@ inline void validate_partition(const Partition& p, std::uint32_t total_ways) {
   return total;
 }
 
-/// Interval-boundary decision logic: consumes one miss curve per core and
-/// produces the next partition.
-class PLRUPART_EXPORT PartitionPolicy {
- public:
-  virtual ~PartitionPolicy() = default;
-  [[nodiscard]] virtual Partition decide(const std::vector<MissCurve>& curves,
-                                         std::uint32_t total_ways) = 0;
-  [[nodiscard]] virtual std::string name() const = 0;
-};
+/// The split of `total_ways` among `cores` (at least one way each) that
+/// minimizes sum_i cost(i, w_i): an exact DP, O(cores * total_ways^2), over
+/// any separable objective. `pow2_only` restricts every w_i to a power of two.
+/// Ties go to the lexicographically smallest split. Throws InvariantError when
+/// every admissible split costs +inf.
+[[nodiscard]] PLRUPART_EXPORT Partition min_cost_partition(
+    std::uint32_t cores, std::uint32_t total_ways,
+    const std::function<double(std::uint32_t core, std::uint32_t ways)>& cost,
+    bool pow2_only = false);
 
 }  // namespace plrupart::core

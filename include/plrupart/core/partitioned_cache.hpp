@@ -118,7 +118,7 @@ class PLRUPART_EXPORT PartitionedCacheSystem {
 
  private:
   void apply_partition(const Partition& p);
-  [[nodiscard]] std::unique_ptr<PartitionPolicy> make_partition_policy() const;
+  [[nodiscard]] IntervalController::DecideFn make_partition_policy() const;
 
   CpaConfig config_;
   std::unique_ptr<cache::SetAssocCache> l2_;

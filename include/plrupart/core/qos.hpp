@@ -2,9 +2,9 @@
 // Iyer et al., Nesbit et al., FlexDCP).
 //
 // One thread is designated latency-critical with a miss budget expressed as a
-// multiple of its full-cache miss count. The policy reserves the minimum
-// number of ways meeting that budget, then distributes the rest among the
-// remaining threads with MinMisses.
+// multiple of its full-cache miss count. qos_partition (PolicyKind::kQos)
+// reserves the minimum number of ways meeting that budget, then distributes
+// the rest among the remaining threads with MinMisses.
 #pragma once
 
 #include "plrupart/export.hpp"
@@ -20,22 +20,13 @@ struct PLRUPART_EXPORT QosTarget {
   double factor = 1.1;
 };
 
-class PLRUPART_EXPORT QosPolicy final : public PartitionPolicy {
- public:
-  explicit QosPolicy(QosTarget target) : target_(target) {
-    PLRUPART_ASSERT(target.factor >= 1.0);
-  }
+/// Throws InvariantError when target.factor < 1 or target.core is not a core.
+[[nodiscard]] PLRUPART_EXPORT Partition qos_partition(
+    const std::vector<MissCurve>& curves, std::uint32_t total_ways, QosTarget target);
 
-  [[nodiscard]] Partition decide(const std::vector<MissCurve>& curves,
-                                 std::uint32_t total_ways) override;
-  [[nodiscard]] std::string name() const override { return "QoS"; }
-
-  /// Fewest ways meeting the budget (capped so every other core keeps >= 1).
-  [[nodiscard]] static std::uint32_t ways_for_budget(const MissCurve& c, double factor,
-                                                     std::uint32_t cap);
-
- private:
-  QosTarget target_;
-};
+/// Fewest ways meeting the budget (capped so every other core keeps >= 1).
+[[nodiscard]] PLRUPART_EXPORT std::uint32_t ways_for_budget(const MissCurve& c,
+                                                            double factor,
+                                                            std::uint32_t cap);
 
 }  // namespace plrupart::core

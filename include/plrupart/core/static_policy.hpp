@@ -7,14 +7,10 @@
 
 namespace plrupart::core {
 
-class PLRUPART_EXPORT StaticEvenPolicy final : public PartitionPolicy {
- public:
-  [[nodiscard]] Partition decide(const std::vector<MissCurve>& curves,
-                                 std::uint32_t total_ways) override;
-  [[nodiscard]] std::string name() const override { return "StaticEven"; }
-
-  /// Even split of `total_ways` among n cores, remainder to the lowest ids.
-  [[nodiscard]] static Partition even_split(std::uint32_t n, std::uint32_t total_ways);
-};
+/// Even split of `total_ways` among n cores, remainder to the lowest ids
+/// (PolicyKind::kStaticEven, and every controller's split before the first
+/// interval).
+[[nodiscard]] PLRUPART_EXPORT Partition even_split(std::uint32_t n,
+                                                   std::uint32_t total_ways);
 
 }  // namespace plrupart::core

@@ -11,7 +11,8 @@
 //     deficits until the budget is exactly consumed);
 //   * place_pow2_blocks       — buddy-style aligned placement of the blocks;
 //   * min_misses_tree         — MinMisses restricted to power-of-two
-//     allocations (exact DP), the "native tree" alternative to rounding.
+//     allocations (min_cost_partition with pow2_only), the "native tree"
+//     alternative to rounding (PolicyKind::kMinMissesTree).
 //
 // The default M-BT configuration instead uses contiguous masks with
 // mask-guided traversal (see cache::TreePlru), which needs none of this;
@@ -33,19 +34,10 @@ namespace plrupart::core {
 [[nodiscard]] PLRUPART_EXPORT std::vector<WayMask> place_pow2_blocks(const Partition& pow2_sizes,
                                                      std::uint32_t total_ways);
 
+/// MinMisses restricted to vector-expressible (power-of-two) allocations: the
+/// "native tree" alternative to rounding an unrestricted decision.
 [[nodiscard]] PLRUPART_EXPORT Partition min_misses_tree(const std::vector<MissCurve>& curves,
                                         std::uint32_t total_ways);
-
-/// MinMisses restricted to vector-expressible allocations, as a policy: the
-/// "native tree" alternative to rounding an unrestricted decision.
-class PLRUPART_EXPORT TreeMinMissesPolicy final : public PartitionPolicy {
- public:
-  [[nodiscard]] Partition decide(const std::vector<MissCurve>& curves,
-                                 std::uint32_t total_ways) override {
-    return min_misses_tree(curves, total_ways);
-  }
-  [[nodiscard]] std::string name() const override { return "MinMisses(tree)"; }
-};
 
 /// Convenience: masks + force vectors for a strict-BT partition.
 struct PLRUPART_EXPORT TreeEnforcement {

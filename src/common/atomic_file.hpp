@@ -19,6 +19,8 @@
 // what keeps this the single audited crash-consistency point.
 #pragma once
 
+#include "plrupart/export.hpp"
+
 #include <cstdint>
 #include <filesystem>
 #include <sstream>
@@ -29,7 +31,7 @@
 
 namespace plrupart {
 
-class AtomicFile {
+class PLRUPART_EXPORT AtomicFile {
  public:
   /// Targets `target`; nothing touches the filesystem until commit().
   explicit AtomicFile(std::filesystem::path target);

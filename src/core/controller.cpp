@@ -5,25 +5,23 @@
 namespace plrupart::core {
 
 IntervalController::IntervalController(std::uint64_t interval_cycles,
-                                       std::uint32_t total_ways,
-                                       std::unique_ptr<PartitionPolicy> policy,
+                                       std::uint32_t total_ways, DecideFn decide,
                                        std::vector<Profiler*> profilers, ApplyFn apply,
                                        double hysteresis)
     : interval_(interval_cycles),
       total_ways_(total_ways),
-      policy_(std::move(policy)),
+      decide_(std::move(decide)),
       profilers_(std::move(profilers)),
       apply_(std::move(apply)),
       hysteresis_(hysteresis),
       next_boundary_(interval_cycles) {
   PLRUPART_ASSERT(interval_ > 0);
-  PLRUPART_ASSERT(policy_ != nullptr);
+  PLRUPART_ASSERT(decide_ != nullptr);
   PLRUPART_ASSERT(!profilers_.empty());
   PLRUPART_ASSERT(apply_ != nullptr);
   PLRUPART_ASSERT(hysteresis_ >= 0.0 && hysteresis_ < 1.0);
   // Until the first interval completes there is no profile; start even.
-  current_ = StaticEvenPolicy::even_split(static_cast<std::uint32_t>(profilers_.size()),
-                                          total_ways_);
+  current_ = even_split(static_cast<std::uint32_t>(profilers_.size()), total_ways_);
   apply_(current_);
 }
 
@@ -41,7 +39,7 @@ void IntervalController::repartition_now(std::uint64_t now_cycles) {
   curves.reserve(profilers_.size());
   for (const Profiler* p : profilers_) curves.push_back(p->curve());
 
-  Partition candidate = policy_->decide(curves, total_ways_);
+  Partition candidate = decide_(curves, total_ways_);
   validate_partition(candidate, total_ways_);
   if (hysteresis_ > 0.0 && candidate != current_) {
     // Keep the standing partition unless the candidate's predicted misses

@@ -2,8 +2,7 @@
 
 namespace plrupart::core {
 
-Partition FairPolicy::decide(const std::vector<MissCurve>& curves,
-                             std::uint32_t total_ways) {
+Partition fair_partition(const std::vector<MissCurve>& curves, std::uint32_t total_ways) {
   PLRUPART_ASSERT(!curves.empty());
   PLRUPART_ASSERT(curves.size() <= total_ways);
   const auto n = static_cast<std::uint32_t>(curves.size());

@@ -1,7 +1,5 @@
 #include "plrupart/core/ipc_policy.hpp"
 
-#include <limits>
-
 namespace plrupart::core {
 
 void IpcModel::validate() const {
@@ -37,65 +35,28 @@ std::string to_string(IpcObjective o) {
   return "?";
 }
 
-IpcPolicy::IpcPolicy(std::vector<IpcModel> models, IpcObjective objective)
-    : models_(std::move(models)), objective_(objective) {
-  PLRUPART_ASSERT_MSG(!models_.empty(), "IpcPolicy needs one model per core");
-  for (const auto& m : models_) m.validate();
-}
-
-double IpcPolicy::cost(std::size_t core, const MissCurve& curve,
-                       std::uint32_t ways) const {
-  const IpcModel& m = models_[core];
-  const double ipc = m.predicted_ipc(curve, ways);
-  switch (objective_) {
-    case IpcObjective::kThroughput:
-      return -ipc;
-    case IpcObjective::kWeightedSpeedup:
-      return -ipc / m.predicted_ipc(curve, curve.max_ways());
-    case IpcObjective::kHarmonicMean:
-      // Maximizing N / sum(iso/ipc) == minimizing sum(iso/ipc).
-      return m.predicted_ipc(curve, curve.max_ways()) / ipc;
-  }
-  return 0.0;
-}
-
-Partition IpcPolicy::decide(const std::vector<MissCurve>& curves,
-                            std::uint32_t total_ways) {
-  PLRUPART_ASSERT_MSG(curves.size() == models_.size(),
-                      "curve count must match the registered IPC models");
-  PLRUPART_ASSERT(curves.size() <= total_ways);
-  const auto n = static_cast<std::uint32_t>(curves.size());
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-
-  // Exact DP over the separable per-thread costs (cf. min_misses_optimal).
-  std::vector<std::vector<double>> f(n + 1, std::vector<double>(total_ways + 1, kInf));
-  std::vector<std::vector<std::uint32_t>> choice(n,
-                                                 std::vector<std::uint32_t>(total_ways + 1, 0));
-  f[n][0] = 0.0;
-  for (std::uint32_t i = n; i-- > 0;) {
-    const std::uint32_t remaining_cores = n - i - 1;
-    for (std::uint32_t b = remaining_cores + 1; b <= total_ways; ++b) {
-      const std::uint32_t w_max = b - remaining_cores;
-      for (std::uint32_t w = 1; w <= w_max; ++w) {
-        const double c = cost(i, curves[i], w) + f[i + 1][b - w];
-        if (c < f[i][b]) {
-          f[i][b] = c;
-          choice[i][b] = w;
-        }
-      }
+Partition ipc_partition(const std::vector<MissCurve>& curves, std::uint32_t total_ways,
+                        const std::vector<IpcModel>& models, IpcObjective objective) {
+  PLRUPART_ASSERT_MSG(curves.size() == models.size(),
+                      "curve count must match the IPC models");
+  for (const auto& m : models) m.validate();
+  // The additive per-thread cost the DP minimizes (lower = better).
+  const auto cost = [&](std::uint32_t core, std::uint32_t ways) {
+    const IpcModel& m = models[core];
+    const MissCurve& curve = curves[core];
+    const double ipc = m.predicted_ipc(curve, ways);
+    switch (objective) {
+      case IpcObjective::kThroughput:
+        return -ipc;
+      case IpcObjective::kWeightedSpeedup:
+        return -ipc / m.predicted_ipc(curve, curve.max_ways());
+      case IpcObjective::kHarmonicMean:
+        // Maximizing N / sum(iso/ipc) == minimizing sum(iso/ipc).
+        return m.predicted_ipc(curve, curve.max_ways()) / ipc;
     }
-  }
-
-  Partition p(n);
-  std::uint32_t b = total_ways;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    p[i] = choice[i][b];
-    b -= p[i];
-  }
-  validate_partition(p, total_ways);
-  return p;
+    return 0.0;
+  };
+  return min_cost_partition(static_cast<std::uint32_t>(curves.size()), total_ways, cost);
 }
-
-std::string IpcPolicy::name() const { return "IPC(" + to_string(objective_) + ")"; }
 
 }  // namespace plrupart::core

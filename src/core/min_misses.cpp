@@ -1,7 +1,5 @@
 #include "plrupart/core/min_misses.hpp"
 
-#include <limits>
-
 namespace plrupart::core {
 
 namespace {
@@ -16,38 +14,9 @@ void check_inputs(const std::vector<MissCurve>& curves, std::uint32_t total_ways
 Partition min_misses_optimal(const std::vector<MissCurve>& curves,
                              std::uint32_t total_ways) {
   check_inputs(curves, total_ways);
-  const auto n = static_cast<std::uint32_t>(curves.size());
-  const std::uint32_t budget = total_ways;
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-
-  // f[i][b] = min misses for cores [i, n) sharing exactly b ways.
-  // choice[i][b] = the (smallest optimal) allocation of core i.
-  std::vector<std::vector<double>> f(n + 1, std::vector<double>(budget + 1, kInf));
-  std::vector<std::vector<std::uint32_t>> choice(n, std::vector<std::uint32_t>(budget + 1, 0));
-  f[n][0] = 0.0;
-
-  for (std::uint32_t i = n; i-- > 0;) {
-    const std::uint32_t remaining_cores = n - i - 1;
-    for (std::uint32_t b = remaining_cores + 1; b <= budget; ++b) {
-      const std::uint32_t w_max = b - remaining_cores;
-      for (std::uint32_t w = 1; w <= w_max; ++w) {
-        const double cost = curves[i].misses(w) + f[i + 1][b - w];
-        if (cost < f[i][b]) {
-          f[i][b] = cost;
-          choice[i][b] = w;
-        }
-      }
-    }
-  }
-
-  Partition p(n);
-  std::uint32_t b = budget;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    p[i] = choice[i][b];
-    b -= p[i];
-  }
-  validate_partition(p, total_ways);
-  return p;
+  return min_cost_partition(
+      static_cast<std::uint32_t>(curves.size()), total_ways,
+      [&](std::uint32_t core, std::uint32_t ways) { return curves[core].misses(ways); });
 }
 
 Partition min_misses_greedy(const std::vector<MissCurve>& curves,
@@ -102,32 +71,6 @@ Partition min_misses_lookahead(const std::vector<MissCurve>& curves,
   }
   validate_partition(p, total_ways);
   return p;
-}
-
-Partition MinMissesPolicy::decide(const std::vector<MissCurve>& curves,
-                                  std::uint32_t total_ways) {
-  switch (algo_) {
-    case MinMissesAlgorithm::kOptimal:
-      return min_misses_optimal(curves, total_ways);
-    case MinMissesAlgorithm::kGreedy:
-      return min_misses_greedy(curves, total_ways);
-    case MinMissesAlgorithm::kLookahead:
-      return min_misses_lookahead(curves, total_ways);
-  }
-  PLRUPART_ASSERT_MSG(false, "unknown MinMisses algorithm");
-  return {};
-}
-
-std::string MinMissesPolicy::name() const {
-  switch (algo_) {
-    case MinMissesAlgorithm::kOptimal:
-      return "MinMisses(optimal)";
-    case MinMissesAlgorithm::kGreedy:
-      return "MinMisses(greedy)";
-    case MinMissesAlgorithm::kLookahead:
-      return "MinMisses(lookahead)";
-  }
-  return "?";
 }
 
 }  // namespace plrupart::core

@@ -129,27 +129,39 @@ PartitionedCacheSystem::PartitionedCacheSystem(CpaConfig config)
       config_.repartition_hysteresis);
 }
 
-std::unique_ptr<PartitionPolicy> PartitionedCacheSystem::make_partition_policy() const {
+IntervalController::DecideFn PartitionedCacheSystem::make_partition_policy() const {
   switch (config_.policy) {
     case PolicyKind::kMinMissesOptimal:
-      return std::make_unique<MinMissesPolicy>(MinMissesAlgorithm::kOptimal);
+      return min_misses_optimal;
     case PolicyKind::kMinMissesGreedy:
-      return std::make_unique<MinMissesPolicy>(MinMissesAlgorithm::kGreedy);
+      return min_misses_greedy;
     case PolicyKind::kMinMissesLookahead:
-      return std::make_unique<MinMissesPolicy>(MinMissesAlgorithm::kLookahead);
+      return min_misses_lookahead;
     case PolicyKind::kMinMissesTree:
-      return std::make_unique<TreeMinMissesPolicy>();
+      return min_misses_tree;
     case PolicyKind::kFair:
-      return std::make_unique<FairPolicy>();
-    case PolicyKind::kQos:
+      return fair_partition;
+    case PolicyKind::kQos: {
       PLRUPART_ASSERT_MSG(config_.qos.has_value(), "QoS policy needs a QosTarget");
-      return std::make_unique<QosPolicy>(*config_.qos);
-    case PolicyKind::kIpc:
+      PLRUPART_ASSERT(config_.qos->factor >= 1.0);
+      return [target = *config_.qos](const std::vector<MissCurve>& curves,
+                                     std::uint32_t total_ways) {
+        return qos_partition(curves, total_ways, target);
+      };
+    }
+    case PolicyKind::kIpc: {
       PLRUPART_ASSERT_MSG(config_.ipc_models.size() == config_.num_cores,
                           "IPC policy needs one IpcModel per core");
-      return std::make_unique<IpcPolicy>(config_.ipc_models, config_.ipc_objective);
+      for (const auto& m : config_.ipc_models) m.validate();
+      return [models = config_.ipc_models, objective = config_.ipc_objective](
+                 const std::vector<MissCurve>& curves, std::uint32_t total_ways) {
+        return ipc_partition(curves, total_ways, models, objective);
+      };
+    }
     case PolicyKind::kStaticEven:
-      return std::make_unique<StaticEvenPolicy>();
+      return [](const std::vector<MissCurve>& curves, std::uint32_t total_ways) {
+        return even_split(static_cast<std::uint32_t>(curves.size()), total_ways);
+      };
   }
   PLRUPART_ASSERT_MSG(false, "unknown policy kind");
   return nullptr;

@@ -2,17 +2,12 @@
 
 namespace plrupart::core {
 
-Partition StaticEvenPolicy::even_split(std::uint32_t n, std::uint32_t total_ways) {
+Partition even_split(std::uint32_t n, std::uint32_t total_ways) {
   PLRUPART_ASSERT(n >= 1 && n <= total_ways);
   Partition p(n, total_ways / n);
   for (std::uint32_t i = 0; i < total_ways % n; ++i) ++p[i];
   validate_partition(p, total_ways);
   return p;
-}
-
-Partition StaticEvenPolicy::decide(const std::vector<MissCurve>& curves,
-                                   std::uint32_t total_ways) {
-  return even_split(static_cast<std::uint32_t>(curves.size()), total_ways);
 }
 
 }  // namespace plrupart::core

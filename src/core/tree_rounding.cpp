@@ -71,41 +71,13 @@ std::vector<WayMask> place_pow2_blocks(const Partition& pow2_sizes,
 
 Partition min_misses_tree(const std::vector<MissCurve>& curves,
                           std::uint32_t total_ways) {
-  PLRUPART_ASSERT(!curves.empty());
-  PLRUPART_ASSERT(curves.size() <= total_ways);
   PLRUPART_ASSERT(is_pow2(total_ways));
-  const auto n = static_cast<std::uint32_t>(curves.size());
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-
-  // Same DP as min_misses_optimal, with allocations restricted to powers of
-  // two. Kraft equality (exact budget) is enforced by the DP itself; any such
+  // Kraft equality (exact budget) is enforced by the DP itself; any such
   // multiset is placeable as aligned blocks (place_pow2_blocks).
-  std::vector<std::vector<double>> f(n + 1, std::vector<double>(total_ways + 1, kInf));
-  std::vector<std::vector<std::uint32_t>> choice(n,
-                                                 std::vector<std::uint32_t>(total_ways + 1, 0));
-  f[n][0] = 0.0;
-  for (std::uint32_t i = n; i-- > 0;) {
-    for (std::uint32_t b = 1; b <= total_ways; ++b) {
-      for (std::uint32_t w = 1; w <= b; w *= 2) {
-        if (f[i + 1][b - w] == kInf) continue;
-        const double cost = curves[i].misses(w) + f[i + 1][b - w];
-        if (cost < f[i][b]) {
-          f[i][b] = cost;
-          choice[i][b] = w;
-        }
-      }
-    }
-  }
-  PLRUPART_ASSERT_MSG(f[0][total_ways] < kInf, "no tree-feasible partition found");
-
-  Partition p(n);
-  std::uint32_t b = total_ways;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    p[i] = choice[i][b];
-    b -= p[i];
-  }
-  validate_partition(p, total_ways);
-  return p;
+  return min_cost_partition(
+      static_cast<std::uint32_t>(curves.size()), total_ways,
+      [&](std::uint32_t core, std::uint32_t ways) { return curves[core].misses(ways); },
+      /*pow2_only=*/true);
 }
 
 TreeEnforcement make_tree_enforcement(const cache::TreePlru& tree,

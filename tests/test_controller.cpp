@@ -22,7 +22,7 @@ struct ControllerRig {
     profilers.push_back(lru_profiler());
     std::vector<Profiler*> raw{profilers[0].get(), profilers[1].get()};
     controller = std::make_unique<IntervalController>(
-        interval, 4, std::make_unique<MinMissesPolicy>(), std::move(raw),
+        interval, 4, min_misses_optimal, std::move(raw),
         [this](const Partition& p) {
           applied.push_back(p);
         },
@@ -160,10 +160,10 @@ TEST(Controller, RejectsBadHysteresis) {
   std::vector<std::unique_ptr<Profiler>> profs;
   profs.push_back(lru_profiler());
   std::vector<Profiler*> raw{profs[0].get()};
-  EXPECT_THROW(IntervalController(100, 4, std::make_unique<MinMissesPolicy>(), raw,
+  EXPECT_THROW(IntervalController(100, 4, min_misses_optimal, raw,
                                   [](const Partition&) {}, 1.0),
                InvariantError);
-  EXPECT_THROW(IntervalController(100, 4, std::make_unique<MinMissesPolicy>(), raw,
+  EXPECT_THROW(IntervalController(100, 4, min_misses_optimal, raw,
                                   [](const Partition&) {}, -0.1),
                InvariantError);
 }
@@ -172,13 +172,13 @@ TEST(Controller, RejectsDegenerateConstruction) {
   std::vector<std::unique_ptr<Profiler>> profs;
   profs.push_back(lru_profiler());
   std::vector<Profiler*> raw{profs[0].get()};
-  EXPECT_THROW(IntervalController(0, 4, std::make_unique<MinMissesPolicy>(), raw,
+  EXPECT_THROW(IntervalController(0, 4, min_misses_optimal, raw,
                                   [](const Partition&) {}),
                InvariantError);
   EXPECT_THROW(
       IntervalController(100, 4, nullptr, raw, [](const Partition&) {}),
       InvariantError);
-  EXPECT_THROW(IntervalController(100, 4, std::make_unique<MinMissesPolicy>(),
+  EXPECT_THROW(IntervalController(100, 4, min_misses_optimal,
                                   std::vector<Profiler*>{}, [](const Partition&) {}),
                InvariantError);
 }

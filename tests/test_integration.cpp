@@ -108,7 +108,7 @@ TEST(Integration, EightCoreWorkloadRuns) {
   for (const auto& t : r.threads) EXPECT_GT(t.ipc, 0.0);
 }
 
-TEST(Integration, QosPolicyProtectsItsTarget) {
+TEST(Integration, QosTargetIsProtected) {
   auto mk = [&](core::PolicyKind policy) {
     SimConfig cfg;
     cfg.hierarchy.l1d =

@@ -65,7 +65,7 @@ TEST(IpcModel, ValidationRejectsNonsense) {
   EXPECT_THROW(m.validate(), InvariantError);
 }
 
-TEST(IpcPolicy, ThroughputFavorsTheLatencyTolerantThread) {
+TEST(IpcPartition, ThroughputFavorsTheLatencyTolerantThread) {
   // Identical miss curves, but thread 0 (chaser) pays full latency per miss
   // while thread 1 (streamer) hides it. Counter-intuitively, the throughput
   // objective gives the ways to the FAST thread: the chaser's IPC is so
@@ -74,33 +74,32 @@ TEST(IpcPolicy, ThroughputFavorsTheLatencyTolerantThread) {
   // MinMisses, by construction, would see an exact tie here — this asymmetry
   // is precisely what the IPC objective adds.
   const auto c = linear_curve(1000, 0);
-  IpcPolicy policy({chaser(), streamer()}, IpcObjective::kThroughput);
-  const auto p = policy.decide({c, c}, 8);
+  const auto p =
+      ipc_partition({c, c}, 8, {chaser(), streamer()}, IpcObjective::kThroughput);
   EXPECT_GT(p[1], p[0]);
   validate_partition(p, 8);
 }
 
-TEST(IpcPolicy, HarmonicObjectiveIsMoreEgalitarian) {
+TEST(IpcPartition, HarmonicObjectiveIsMoreEgalitarian) {
   // A thread with a flat curve gets nothing under throughput; the harmonic
   // objective must not allocate it fewer ways than throughput does.
   const auto steep = linear_curve(2000, 0);
   const auto flat = linear_curve(500, 450);
-  IpcPolicy thr({chaser(), chaser()}, IpcObjective::kThroughput);
-  IpcPolicy hm({chaser(), chaser()}, IpcObjective::kHarmonicMean);
-  const auto p_thr = thr.decide({steep, flat}, 8);
-  const auto p_hm = hm.decide({steep, flat}, 8);
+  const std::vector<IpcModel> models{chaser(), chaser()};
+  const auto p_thr = ipc_partition({steep, flat}, 8, models, IpcObjective::kThroughput);
+  const auto p_hm = ipc_partition({steep, flat}, 8, models, IpcObjective::kHarmonicMean);
   EXPECT_GE(p_hm[1], p_thr[1]);
 }
 
-TEST(IpcPolicy, IdenticalThreadsGetAnOptimumNoWorseThanEvenSplit) {
+TEST(IpcPartition, IdenticalThreadsGetAnOptimumNoWorseThanEvenSplit) {
   // With identical threads the optimum need NOT be the even split: IPC as a
   // function of ways is convex for near-linear miss curves (cycles shrink
   // linearly, IPC = I/cycles), so the throughput sum can peak at an extreme
   // allocation. The DP must return something at least as good as both the
   // even split and its own mirror image.
   const auto c = linear_curve(1000, 0);
-  IpcPolicy policy({chaser(), chaser()}, IpcObjective::kThroughput);
-  const auto p = policy.decide({c, c}, 8);
+  const auto p =
+      ipc_partition({c, c}, 8, {chaser(), chaser()}, IpcObjective::kThroughput);
   const auto total = [&](std::uint32_t w0, std::uint32_t w1) {
     return chaser().predicted_ipc(c, w0) + chaser().predicted_ipc(c, w1);
   };
@@ -108,19 +107,18 @@ TEST(IpcPolicy, IdenticalThreadsGetAnOptimumNoWorseThanEvenSplit) {
   EXPECT_NEAR(total(p[0], p[1]), total(p[1], p[0]), 1e-12) << "objective is symmetric";
 }
 
-TEST(IpcPolicy, WeightedSpeedupShieldsSlowThreadsBetterThanThroughput) {
+TEST(IpcPartition, WeightedSpeedupShieldsSlowThreadsBetterThanThroughput) {
   // A raw-throughput objective starves the slow, latency-bound thread (see
   // ThroughputFavorsTheLatencyTolerantThread); normalizing by each thread's
   // full-cache IPC must not make its allocation any worse.
   const auto c = linear_curve(1000, 0);
-  IpcPolicy thr({chaser(), streamer()}, IpcObjective::kThroughput);
-  IpcPolicy wsp({chaser(), streamer()}, IpcObjective::kWeightedSpeedup);
-  const auto p_thr = thr.decide({c, c}, 8);
-  const auto p_wsp = wsp.decide({c, c}, 8);
+  const std::vector<IpcModel> models{chaser(), streamer()};
+  const auto p_thr = ipc_partition({c, c}, 8, models, IpcObjective::kThroughput);
+  const auto p_wsp = ipc_partition({c, c}, 8, models, IpcObjective::kWeightedSpeedup);
   EXPECT_GE(p_wsp[0], p_thr[0]);
 }
 
-TEST(IpcPolicy, AllObjectivesProduceValidPartitionsOnRandomCurves) {
+TEST(IpcPartition, AllObjectivesProduceValidPartitionsOnRandomCurves) {
   Rng rng(99);
   for (int trial = 0; trial < 100; ++trial) {
     std::vector<MissCurve> curves;
@@ -139,20 +137,18 @@ TEST(IpcPolicy, AllObjectivesProduceValidPartitionsOnRandomCurves) {
     }
     for (const auto obj : {IpcObjective::kThroughput, IpcObjective::kWeightedSpeedup,
                            IpcObjective::kHarmonicMean}) {
-      IpcPolicy policy(models, obj);
-      validate_partition(policy.decide(curves, 16), 16);
+      validate_partition(ipc_partition(curves, 16, models, obj), 16);
     }
   }
 }
 
-TEST(IpcPolicy, ThroughputObjectiveIsDpOptimal) {
+TEST(IpcPartition, ThroughputObjectiveIsDpOptimal) {
   // Exhaustive check on a small instance: the DP must find the partition
   // maximizing the predicted-IPC sum.
   const auto c0 = linear_curve(800, 100, 6);
   const auto c1 = linear_curve(400, 0, 6);
   const std::vector<IpcModel> models{chaser(), streamer()};
-  IpcPolicy policy(models, IpcObjective::kThroughput);
-  const auto p = policy.decide({c0, c1}, 6);
+  const auto p = ipc_partition({c0, c1}, 6, models, IpcObjective::kThroughput);
   double best = -1.0;
   Partition best_p;
   for (std::uint32_t w0 = 1; w0 <= 5; ++w0) {
@@ -166,18 +162,17 @@ TEST(IpcPolicy, ThroughputObjectiveIsDpOptimal) {
   EXPECT_EQ(p, best_p);
 }
 
-TEST(IpcPolicy, RejectsMismatchedModelCount) {
-  IpcPolicy policy({chaser()}, IpcObjective::kThroughput);
+TEST(IpcPartition, RejectsMismatchedModelCount) {
   const auto c = linear_curve(100, 0);
-  EXPECT_THROW((void)policy.decide({c, c}, 8), InvariantError);
-  EXPECT_THROW(IpcPolicy({}, IpcObjective::kThroughput), InvariantError);
+  EXPECT_THROW((void)ipc_partition({c, c}, 8, {chaser()}, IpcObjective::kThroughput),
+               InvariantError);
+  EXPECT_THROW((void)ipc_partition({}, 8, {}, IpcObjective::kThroughput), InvariantError);
 }
 
-TEST(IpcPolicy, NamesIncludeObjective) {
-  EXPECT_EQ(IpcPolicy({chaser()}, IpcObjective::kThroughput).name(),
-            "IPC(throughput)");
-  EXPECT_EQ(IpcPolicy({chaser()}, IpcObjective::kHarmonicMean).name(),
-            "IPC(harmonic-mean)");
+TEST(IpcPartition, ObjectiveNames) {
+  EXPECT_EQ(to_string(IpcObjective::kThroughput), "throughput");
+  EXPECT_EQ(to_string(IpcObjective::kWeightedSpeedup), "weighted-speedup");
+  EXPECT_EQ(to_string(IpcObjective::kHarmonicMean), "harmonic-mean");
 }
 
 }  // namespace

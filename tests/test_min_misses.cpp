@@ -129,18 +129,77 @@ TEST(MinMissesLookahead, ValidOnRandomCurves) {
   }
 }
 
-TEST(MinMissesPolicy, DispatchesAndNames) {
-  const MissCurve c({10, 5, 2, 1, 0});
-  MinMissesPolicy opt(MinMissesAlgorithm::kOptimal);
-  MinMissesPolicy greedy(MinMissesAlgorithm::kGreedy);
-  MinMissesPolicy look(MinMissesAlgorithm::kLookahead);
-  EXPECT_EQ(opt.name(), "MinMisses(optimal)");
-  EXPECT_EQ(greedy.name(), "MinMisses(greedy)");
-  EXPECT_EQ(look.name(), "MinMisses(lookahead)");
-  for (auto* p : {&opt, &greedy, &look}) {
-    const auto part = p->decide({c, c}, 4);
-    validate_partition(part, 4);
+// min_cost_partition against exhaustive enumeration. Integer costs keep every
+// sum exact, so ties are real ties: small ranges make them common, negative
+// values mimic the IPC objectives, and +inf entries cut gaps into the table
+// (some tables admit no finite split at all).
+TEST(MinCostPartition, MatchesExhaustiveEnumerationWithItsTieRule) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Rng rng(2024);
+  int finite_cases = 0;
+  for (std::uint32_t n = 1; n <= 4; ++n) {
+    for (std::uint32_t total = n; total <= 16; ++total) {
+      for (const bool pow2_only : {false, true}) {
+        for (int trial = 0; trial < 4; ++trial) {
+          // table[i][w], w in [1, total]; index 0 unused.
+          std::vector<std::vector<double>> table(n, std::vector<double>(total + 1));
+          for (auto& row : table) {
+            for (std::uint32_t w = 1; w <= total; ++w) {
+              row[w] = rng.next_below(8) == 0
+                           ? kInf
+                           : static_cast<double>(rng.next_below(13)) - 6.0;
+            }
+          }
+          const auto cost = [&](std::uint32_t core, std::uint32_t ways) {
+            return table[core][ways];
+          };
+
+          // Splits in lexicographic order; the first strict minimum wins,
+          // which is the lexicographically smallest optimal split.
+          double best = kInf;
+          Partition best_p;
+          Partition p(n);
+          std::function<void(std::uint32_t, std::uint32_t)> rec = [&](std::uint32_t i,
+                                                                     std::uint32_t left) {
+            if (i == n) {
+              if (left != 0) return;
+              double sum = 0.0;  // the DP's association: c0 + (c1 + (... + 0))
+              for (std::uint32_t k = n; k-- > 0;) sum = cost(k, p[k]) + sum;
+              if (sum < best) {
+                best = sum;
+                best_p = p;
+              }
+              return;
+            }
+            for (std::uint32_t w = 1; w <= left; ++w) {
+              if (pow2_only && !is_pow2(w)) continue;
+              p[i] = w;
+              rec(i + 1, left - w);
+            }
+          };
+          rec(0, total);
+
+          if (best_p.empty()) {
+            EXPECT_THROW((void)min_cost_partition(n, total, cost, pow2_only),
+                         InvariantError)
+                << "n=" << n << " total=" << total << " pow2=" << pow2_only;
+            continue;
+          }
+          ++finite_cases;
+          EXPECT_EQ(min_cost_partition(n, total, cost, pow2_only), best_p)
+              << "n=" << n << " total=" << total << " pow2=" << pow2_only
+              << " trial=" << trial;
+        }
+      }
+    }
   }
+  EXPECT_GT(finite_cases, 300);
+}
+
+TEST(MinCostPartition, RejectsMoreCoresThanWays) {
+  const auto zero = [](std::uint32_t, std::uint32_t) { return 0.0; };
+  EXPECT_THROW((void)min_cost_partition(5, 4, zero), InvariantError);
+  EXPECT_THROW((void)min_cost_partition(0, 4, zero), InvariantError);
 }
 
 TEST(PartitionHelpers, ContiguousMasksTile) {

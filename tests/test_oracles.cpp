@@ -7,12 +7,16 @@
 //    recently used distinct lines of a set, so no access at true stack
 //    distance <= L misses. L = A for LRU, log2 A + 1 for tree-PLRU, 2 for NRU
 //    and 1 for SRRIP. Random has no such bound and is not checked.
+//  * Tree-PLRU: cache::TreePlru's packed-word promote and victim walks agree,
+//    step for step, with an independent recursive model over heap-indexed
+//    nodes 1..2A-1.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
 #include <vector>
 
+#include "plrupart/cache/tree_plru.hpp"
 #include "plrupart/common/rng.hpp"
 #include "plrupart/core/atd.hpp"
 #include "plrupart/core/partitioned_cache.hpp"
@@ -243,6 +247,144 @@ INSTANTIATE_TEST_SUITE_P(
       return cache::to_string(param_info.param.kind) + "_" +
              std::to_string(param_info.param.assoc) + "way";
     });
+
+// --- Tree-PLRU against a recursive model ---------------------------------------
+
+/// One set of tree-PLRU, written from the definition: node k (1..A-1) has
+/// children 2k (the upper half of its ways) and 2k+1 (the lower half); leaves
+/// A..2A-1 are ways 0..A-1. A node bit of 1 records that the MRU line is in
+/// the upper child, so the victim search descends into the lower one.
+class RecursiveTreePlru {
+ public:
+  explicit RecursiveTreePlru(std::uint32_t ways) : ways_(ways), bit_(ways, 0) {}
+
+  void promote(std::uint32_t way) { promote(1, 0, ways_, way); }
+
+  /// Victim among `allowed`: descend into the only child holding an allowed
+  /// way, else follow the node bit.
+  [[nodiscard]] std::uint32_t victim(std::uint64_t allowed) const {
+    return victim(1, 0, ways_, allowed);
+  }
+
+  /// Victim when level l's node bit is overridden by up (0) / down (1).
+  [[nodiscard]] std::uint32_t victim(const cache::ForceVectors& force) const {
+    return forced(1, 0, force);
+  }
+
+  /// The node bits on `way`'s root-to-leaf path, root first.
+  [[nodiscard]] std::uint32_t path_bits(std::uint32_t way) const {
+    return path_bits(1, 0, ways_, way, 0);
+  }
+
+ private:
+  static std::uint64_t range(std::uint32_t lo, std::uint32_t n) {
+    return n == 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << n) - 1) << lo;
+  }
+
+  void promote(std::uint32_t node, std::uint32_t lo, std::uint32_t span,
+               std::uint32_t way) {
+    if (span == 1) return;
+    const std::uint32_t half = span / 2;
+    const bool upper = way < lo + half;
+    bit_[node] = upper ? 1 : 0;
+    if (upper) {
+      promote(2 * node, lo, half, way);
+    } else {
+      promote(2 * node + 1, lo + half, half, way);
+    }
+  }
+
+  [[nodiscard]] std::uint32_t victim(std::uint32_t node, std::uint32_t lo,
+                                     std::uint32_t span, std::uint64_t allowed) const {
+    if (span == 1) return node - ways_;
+    const std::uint32_t half = span / 2;
+    const bool upper_allowed = (allowed & range(lo, half)) != 0;
+    const bool lower_allowed = (allowed & range(lo + half, half)) != 0;
+    const bool down = !upper_allowed || (lower_allowed && bit_[node] == 1);
+    return down ? victim(2 * node + 1, lo + half, half, allowed)
+                : victim(2 * node, lo, half, allowed);
+  }
+
+  [[nodiscard]] std::uint32_t forced(std::uint32_t node, std::uint32_t level,
+                                     const cache::ForceVectors& force) const {
+    if (node >= ways_) return node - ways_;
+    std::uint32_t dir = bit_[node];
+    if ((force.up >> level) & 1U) dir = 0;
+    if ((force.down >> level) & 1U) dir = 1;
+    return forced(2 * node + dir, level + 1, force);
+  }
+
+  [[nodiscard]] std::uint32_t path_bits(std::uint32_t node, std::uint32_t lo,
+                                        std::uint32_t span, std::uint32_t way,
+                                        std::uint32_t acc) const {
+    if (span == 1) return acc;
+    const std::uint32_t half = span / 2;
+    acc = (acc << 1) | bit_[node];
+    return way < lo + half ? path_bits(2 * node, lo, half, way, acc)
+                           : path_bits(2 * node + 1, lo + half, half, way, acc);
+  }
+
+  std::uint32_t ways_;
+  std::vector<std::uint32_t> bit_;  // internal nodes 1..A-1; index 0 unused
+};
+
+TEST(TreePlruOracle, AgreesWithRecursiveModelOnRandomStreams) {
+  constexpr std::uint32_t kSets = 4;
+  constexpr int kSteps = 20000;
+  for (std::uint32_t assoc = 2; assoc <= 64; assoc *= 2) {
+    const cache::Geometry geo{.size_bytes = std::uint64_t{kSets} * assoc * 64,
+                              .associativity = assoc,
+                              .line_bytes = 64};
+    cache::TreePlru tree(geo);
+    std::vector<RecursiveTreePlru> model(kSets, RecursiveTreePlru(assoc));
+    const WayMask full = full_way_mask(assoc);
+    Rng rng(derive_seed(0x7ee, assoc));
+    for (int step = 0; step < kSteps; ++step) {
+      const std::uint64_t set = rng.next_below(kSets);
+      auto& m = model[set];
+      const std::string at =
+          "A=" + std::to_string(assoc) + " step " + std::to_string(step);
+
+      ASSERT_EQ(tree.choose_victim(set, full), m.victim(full)) << at;
+
+      const auto first = static_cast<std::uint32_t>(rng.next_below(assoc));
+      const auto count = 1 + static_cast<std::uint32_t>(rng.next_below(assoc - first));
+      const WayMask contiguous = way_range_mask(first, count);
+      const std::uint32_t masked = tree.choose_victim(set, contiguous);
+      ASSERT_EQ(masked, m.victim(contiguous)) << at << " mask " << contiguous;
+
+      const std::uint32_t size = 1U << rng.next_below(tree.levels() + 1);
+      const auto base = static_cast<std::uint32_t>(rng.next_below(assoc / size)) * size;
+      const WayMask block = way_range_mask(base, size);
+      const auto force = tree.derive_force_vectors(block);
+      ASSERT_TRUE(force.has_value()) << at;
+      const std::uint32_t steered = tree.choose_victim_with_vectors(set, *force);
+      ASSERT_EQ(steered, m.victim(*force)) << at << " block " << block;
+      ASSERT_EQ(steered, m.victim(block)) << at << " block " << block;
+
+      for (std::uint32_t way = 0; way < assoc; ++way)
+        ASSERT_EQ(tree.path_bits(set, way), m.path_bits(way)) << at << " way " << way;
+
+      // Advance both: a hit on any way, or a fill of one of the victims.
+      std::uint32_t way = 0;
+      switch (rng.next_below(3)) {
+        case 0:
+          way = static_cast<std::uint32_t>(rng.next_below(assoc));
+          tree.on_hit(set, way, full);
+          break;
+        case 1:
+          way = masked;
+          tree.on_fill(set, way, contiguous);
+          break;
+        default:
+          way = steered;
+          tree.on_fill(set, way, block);
+          break;
+      }
+      m.promote(way);
+    }
+  }
+}
 
 }  // namespace
 }  // namespace plrupart

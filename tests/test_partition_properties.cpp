@@ -1,5 +1,5 @@
 // Property sweeps across (core count, associativity) for every partition
-// policy: structural invariants that must hold at any hardware shape.
+// function: structural invariants that must hold at any hardware shape.
 #include <gtest/gtest.h>
 
 #include <tuple>
@@ -61,12 +61,11 @@ TEST_P(PartitionProperties, OptimalNeverLosesToOtherSolvers) {
 
 TEST_P(PartitionProperties, FairAndQosAreValidEverywhere) {
   Rng rng(3000 + cores() * 100 + ways());
-  FairPolicy fair;
-  QosPolicy qos(QosTarget{.core = 0, .factor = 1.25});
   for (int trial = 0; trial < 50; ++trial) {
     const auto curves = random_curves(rng);
-    validate_partition(fair.decide(curves, ways()), ways());
-    validate_partition(qos.decide(curves, ways()), ways());
+    validate_partition(fair_partition(curves, ways()), ways());
+    const QosTarget target{.core = 0, .factor = 1.25};
+    validate_partition(qos_partition(curves, ways(), target), ways());
   }
 }
 

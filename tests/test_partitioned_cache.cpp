@@ -4,7 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "plrupart/common/rng.hpp"
+#include "plrupart/core/fair.hpp"
+#include "plrupart/core/static_policy.hpp"
+#include "plrupart/core/tree_rounding.hpp"
 
 namespace plrupart::core {
 namespace {
@@ -128,6 +133,70 @@ TEST(PartitionedCache, SamplingRatioLimitsProfiledShare) {
   }
   const double share = static_cast<double>(sys.profiler(0).sdh().total()) / 32000.0;
   EXPECT_NEAR(share, 1.0 / 32.0, 0.01);
+}
+
+TEST(PartitionedCache, PolicyKindSelectsItsFunction) {
+  const QosTarget qos{.core = 2, .factor = 1.0};
+  const std::vector<IpcModel> models{IpcModel{.stall_fraction = 0.05}, IpcModel{},
+                                     IpcModel{}};
+  const auto objective = IpcObjective::kHarmonicMean;
+  const std::vector<std::pair<PolicyKind, IntervalController::DecideFn>> kinds{
+      {PolicyKind::kMinMissesOptimal, min_misses_optimal},
+      {PolicyKind::kMinMissesGreedy, min_misses_greedy},
+      {PolicyKind::kMinMissesLookahead, min_misses_lookahead},
+      {PolicyKind::kMinMissesTree, min_misses_tree},
+      {PolicyKind::kFair, fair_partition},
+      {PolicyKind::kQos,
+       [&](const std::vector<MissCurve>& c, std::uint32_t a) {
+         return qos_partition(c, a, qos);
+       }},
+      {PolicyKind::kIpc,
+       [&](const std::vector<MissCurve>& c, std::uint32_t a) {
+         return ipc_partition(c, a, models, objective);
+       }},
+      {PolicyKind::kStaticEven, [](const std::vector<MissCurve>& c, std::uint32_t a) {
+         return even_split(static_cast<std::uint32_t>(c.size()), a);
+       }}};
+  std::set<Partition> distinct;
+  for (const auto& [kind, decide] : kinds) {
+    auto cfg = CpaConfig::from_acronym("M-L", 3, small_l2());
+    cfg.policy = kind;
+    cfg.qos = qos;
+    cfg.ipc_models = models;
+    cfg.ipc_objective = objective;
+    cfg.sampling_ratio = 1;
+    cfg.repartition_hysteresis = 0.0;
+    PartitionedCacheSystem sys(cfg);
+    // All lines map to set 0. Core 0 cycles 4 lines in order (a knee at 4
+    // ways), core 1 draws from 3 lines and core 2 from 8.
+    Rng rng(17);
+    for (std::uint64_t t = 0; t < 3000; ++t) {
+      const auto core = static_cast<cache::CoreId>(t % 3);
+      const std::uint64_t k = core == 0 ? (t / 3) % 4 : rng.next_below(core == 1 ? 3 : 8);
+      const std::uint64_t line = (k + 16 * core) * small_l2().sets();
+      sys.access(core, line * small_l2().line_bytes, false, t);
+    }
+    std::vector<MissCurve> curves;
+    for (cache::CoreId c = 0; c < 3; ++c) curves.push_back(sys.profiler(c).curve());
+    const Partition expected = decide(curves, 8);
+    sys.controller_mut()->repartition_now(3000);
+    EXPECT_EQ(sys.current_partition(), expected) << static_cast<int>(kind);
+    distinct.insert(expected);
+  }
+  EXPECT_GE(distinct.size(), 5U) << "the stream must tell most kinds apart";
+}
+
+TEST(PartitionedCache, RejectsBadPolicyConfigAtConstruction) {
+  auto cfg = CpaConfig::from_acronym("M-L", 2, small_l2());
+  cfg.policy = PolicyKind::kQos;
+  EXPECT_THROW(PartitionedCacheSystem{cfg}, InvariantError) << "no QosTarget";
+  cfg.qos = QosTarget{.core = 0, .factor = 0.5};
+  EXPECT_THROW(PartitionedCacheSystem{cfg}, InvariantError) << "factor below 1";
+  cfg.policy = PolicyKind::kIpc;
+  cfg.ipc_models = {IpcModel{}};
+  EXPECT_THROW(PartitionedCacheSystem{cfg}, InvariantError) << "one model, two cores";
+  cfg.ipc_models = {IpcModel{}, IpcModel{.base_ipc = 0.0}};
+  EXPECT_THROW(PartitionedCacheSystem{cfg}, InvariantError) << "invalid model";
 }
 
 TEST(PartitionedCache, RejectsMoreCoresThanWays) {
