@@ -9,15 +9,21 @@
 // job runs this suite as the gate.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "plrupart/common/assert.hpp"
+#include "plrupart/common/bits.hpp"
 #include "plrupart/sim/cmp_simulator.hpp"
 #include "plrupart/sim/timed_memory.hpp"
 #include "plrupart/workloads/catalog.hpp"
 #include "plrupart/workloads/generators.hpp"
+#include "plrupart/workloads/workload_table.hpp"
 
 namespace plrupart::sim {
 namespace {
@@ -27,13 +33,13 @@ using workloads::make_trace;
 
 SimConfig small_config(const std::vector<std::string>& names, const char* acronym,
                        TimingMode mode, std::uint64_t instr = 30'000,
-                       std::uint64_t warmup = 8'000) {
+                       std::uint64_t warmup = 8'000, std::uint64_t l2_kb = 256) {
   SimConfig cfg;
   cfg.hierarchy.l1d =
       cache::Geometry{.size_bytes = 4096, .associativity = 2, .line_bytes = 128};
   cfg.hierarchy.l2 = core::CpaConfig::from_acronym(
       acronym, static_cast<std::uint32_t>(names.size()),
-      cache::Geometry{.size_bytes = 256 * 1024, .associativity = 16, .line_bytes = 128});
+      cache::Geometry{.size_bytes = l2_kb * 1024, .associativity = 16, .line_bytes = 128});
   cfg.hierarchy.l2.interval_cycles = 25'000;
   cfg.hierarchy.l2.sampling_ratio = 8;
   cfg.instr_limit = instr;
@@ -185,6 +191,92 @@ TEST(TimedSim, TimedCountersAreCoherent) {
   // Every DRAM service resolves to exactly one row-buffer outcome.
   EXPECT_GT(r.timed.row_hits + r.timed.row_misses + r.timed.bank_conflicts, 0u);
   EXPECT_GT(r.wall_cycles, 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// TimedDigest: timed results pinned to the bit. Every acronym x {2T_01, 4T_10}
+// x L2 {256, 2048} KB is folded into one FNV-1a digest per run, over each
+// thread's cycles and ipc bits and every TimedStats field. A change to the
+// overlay's event order or arithmetic moves a digest; a pure refactor of
+// TimedMemory must leave all of them alone.
+// ---------------------------------------------------------------------------
+
+std::uint64_t fold_u64(std::uint64_t h, std::uint64_t v) {
+  char buf[8];
+  for (int b = 0; b < 8; ++b) buf[b] = static_cast<char>(v >> (8 * b));
+  return fnv1a64(std::string_view(buf, sizeof buf), h);
+}
+
+std::uint64_t timed_digest(const SimResult& r) {
+  std::uint64_t h = kFnv1a64Init;
+  for (const auto& th : r.threads) {
+    h = fold_u64(h, std::bit_cast<std::uint64_t>(th.cycles));
+    h = fold_u64(h, std::bit_cast<std::uint64_t>(th.ipc));
+  }
+  const TimedStats& s = r.timed;
+  for (const std::uint64_t v :
+       {s.dram_reads, s.dram_writebacks, s.row_hits, s.row_misses, s.bank_conflicts,
+        s.mshr_coalesced, s.mshr_full_stalls, s.wb_full_stalls, s.dram_bytes,
+        std::uint64_t{s.mshr_peak}})
+    h = fold_u64(h, v);
+  return h;
+}
+
+std::string hex(std::uint64_t v) {
+  char buf[19];
+  std::snprintf(buf, sizeof buf, "0x%016llx", static_cast<unsigned long long>(v));
+  return buf;
+}
+
+/// `expected` holds one digest per acronym, in known_acronyms() order.
+void expect_timed_digests(const std::string& workload_id, std::uint64_t l2_kb,
+                          const std::vector<std::uint64_t>& expected) {
+  std::vector<std::string> names;
+  for (const auto& w : workloads::all_workloads())
+    if (w.id == workload_id) names = w.benchmarks;
+  ASSERT_FALSE(names.empty()) << workload_id;
+  const auto& acronyms = core::CpaConfig::known_acronyms();
+  ASSERT_EQ(acronyms.size(), expected.size());
+  for (std::size_t i = 0; i < acronyms.size(); ++i) {
+    CmpSimulator sim(small_config(names, acronyms[i].c_str(), TimingMode::kTimed, 60'000,
+                                  15'000, l2_kb),
+                     traces_for(names));
+    const std::uint64_t got = timed_digest(sim.run());
+    EXPECT_EQ(hex(got), hex(expected[i]))
+        << workload_id << " " << acronyms[i] << " @ " << l2_kb << " KB";
+  }
+}
+
+TEST(TimedDigest, TwoThreads256KB) {
+  expect_timed_digests("2T_01", 256, {
+      0x52c31721e8e0ec8cULL, 0x626084d7b16af442ULL, 0x6f2b1b3a8f088f93ULL,
+      0xc54ec8eb7f8e36d6ULL, 0x73a58fe419ee3f38ULL, 0x96b856f3b2878acbULL,
+      0x1000732965cb03ecULL, 0xa9b783ee467be7e2ULL, 0xd350706df8845947ULL,
+      0x3c9ca5ceda221625ULL, 0x3bf3b7f66584f0eeULL, 0x0b6955ba8eb28eb4ULL});
+}
+
+TEST(TimedDigest, TwoThreads2048KB) {
+  expect_timed_digests("2T_01", 2048, {
+      0x4795a6e58133d335ULL, 0x4795a6e58133d335ULL, 0x4795a6e58133d335ULL,
+      0x4795a6e58133d335ULL, 0x4795a6e58133d335ULL, 0x4795a6e58133d335ULL,
+      0xe30448af410e6d07ULL, 0x4795a6e58133d335ULL, 0x4795a6e58133d335ULL,
+      0x4795a6e58133d335ULL, 0x4795a6e58133d335ULL, 0x4795a6e58133d335ULL});
+}
+
+TEST(TimedDigest, FourThreads256KB) {
+  expect_timed_digests("4T_10", 256, {
+      0x31e18cf871313659ULL, 0xffa9c843baecc681ULL, 0xb08f520d6e24679bULL,
+      0xd61e362d7cde630dULL, 0xb4ce107f2998b516ULL, 0x8ba7bf18b6b63a68ULL,
+      0x5a5fd9e9193f8ae8ULL, 0x12131c7966c2648aULL, 0x1e3d4fa9704fd9b1ULL,
+      0x676e426392c19ddcULL, 0x6c8780284de2c909ULL, 0xf45fc5d565183630ULL});
+}
+
+TEST(TimedDigest, FourThreads2048KB) {
+  expect_timed_digests("4T_10", 2048, {
+      0xca2bf62bd8e9ba86ULL, 0xe2406aa265caad67ULL, 0x025ff68867a9e902ULL,
+      0x9a2de7eb08baf592ULL, 0xe075a4b1173035a1ULL, 0xab6c58aaecfad9a6ULL,
+      0x39970b2498d42660ULL, 0xfaf41a468bcab9b8ULL, 0x847d375b7152fe75ULL,
+      0xecb989af1c5640efULL, 0xc1e1ae34c284a9b2ULL, 0xbec86e2ccbfe17e4ULL});
 }
 
 // ---------------------------------------------------------------------------
