@@ -1,12 +1,10 @@
 // google-benchmark microbenchmarks for the timed-simulation overlay: the
-// event-queue heap ops that every bank service rides on, the MSHR
-// allocate/fill/retire transaction that every L2 miss pays, and the end-to-end
+// MSHR allocate/fill/retire transaction that every L2 miss pays, alone and
+// interleaved across cores the way a timed run issues it, and the end-to-end
 // per-instruction cost of `--timing timed` relative to the functional replay.
-//
-// The last series is the one the snapshot ratchet watches: the timed overlay
-// is opt-in precisely because it is slower, and this pins down by how much.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -14,7 +12,6 @@
 
 #include "plrupart/cache/geometry.hpp"
 #include "plrupart/sim/cmp_simulator.hpp"
-#include "plrupart/sim/event_queue.hpp"
 #include "plrupart/sim/timed_memory.hpp"
 #include "plrupart/workloads/catalog.hpp"
 #include "plrupart/workloads/generators.hpp"
@@ -26,25 +23,6 @@ namespace {
 cache::Geometry bench_l2_geo() {
   return cache::Geometry{.size_bytes = 256 * 1024, .associativity = 16,
                          .line_bytes = 128};
-}
-
-/// Steady-state heap cycle at a held queue depth: one schedule + one pop per
-/// iteration against `depth` resident events. This is the per-event floor of
-/// the whole timed mode — every DRAM bank service is at least two of these.
-void BM_EventQueueCycle(benchmark::State& state) {
-  const auto depth = static_cast<std::uint64_t>(state.range(0));
-  sim::EventQueue q;
-  std::uint64_t tick = 0;
-  for (std::uint64_t i = 0; i < depth; ++i)
-    q.schedule(tick + 1 + i, sim::EventKind::kUser, 0, i);
-  for (auto _ : state) {
-    const sim::TimedEvent ev = q.pop();
-    tick = ev.tick;
-    q.schedule(tick + depth + 1, sim::EventKind::kUser, 0, ev.payload);
-    benchmark::DoNotOptimize(ev.payload);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  state.SetLabel(std::to_string(depth) + "deep");
 }
 
 /// Full miss transaction — MSHR allocate, bank enqueue/service, retire — on a
@@ -66,6 +44,43 @@ void BM_TimedMemoryMissRetire(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
   state.SetLabel(std::to_string(params.dram_banks) + "bank");
+}
+
+/// Miss traffic shaped like a timed run's: 4 lanes (cores) each hold at most
+/// one fill in flight and retire it before their next miss, so several fills
+/// overlap in the MSHRs and DRAM banks, and about 30% of misses evict a dirty
+/// victim (reported as wb_per_miss). A single retire-then-miss stream never overlaps two fills and so
+/// underprices a miss; this series carries the queueing a real run pays.
+void BM_TimedMemoryInterleaved(benchmark::State& state) {
+  constexpr std::uint32_t kLanes = 4;
+  const sim::TimedParams params;
+  const auto geo = bench_l2_geo();
+  sim::TimedMemory mem(params, geo);
+  std::vector<sim::TimedMemory::Ticket> held(kLanes);
+  std::vector<std::uint64_t> clock(kLanes, 0);
+  std::uint64_t rng = 0x9e3779b97f4a7c15ULL;
+  cache::Addr line = 0;
+  std::uint32_t lane = 0;
+  for (auto _ : state) {
+    rng ^= rng << 13;
+    rng ^= rng >> 7;
+    rng ^= rng << 17;
+    if (held[lane].valid) clock[lane] = std::max(clock[lane], mem.retire(held[lane]));
+    clock[lane] += 20 + (rng & 63);  // the instructions between two L2 misses
+    const auto way = static_cast<std::uint32_t>(rng >> 8) & (geo.associativity - 1);
+    // Every miss evicts a valid line; it writes back iff the miss that last
+    // filled the way was a write, which 30% are.
+    const bool write = (rng >> 16) % 10 < 3;
+    held[lane] = mem.miss(clock[lane], line, way, write, true, line ^ 0x5555);
+    line += 7;  // coprime stride: walks banks, rows, and sets
+    lane = (lane + 1) % kLanes;
+  }
+  for (auto& tk : held)
+    if (tk.valid) (void)mem.retire(tk);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.counters["wb_per_miss"] =
+      static_cast<double>(mem.stats().dram_writebacks) /
+      static_cast<double>(std::max<std::uint64_t>(1, mem.stats().dram_reads));
 }
 
 /// The coalescing window: a second miss to a line whose fill is in flight
@@ -128,10 +143,9 @@ void BM_ReplayPerInstruction(benchmark::State& state) {
 
 }  // namespace
 
-BENCHMARK(BM_EventQueueCycle)->Arg(4)->Arg(64)->Arg(1024)
-    ->Unit(benchmark::kNanosecond);
 BENCHMARK(BM_TimedMemoryMissRetire)->Arg(1)->Arg(8)->Arg(32)
     ->Unit(benchmark::kNanosecond);
+BENCHMARK(BM_TimedMemoryInterleaved)->Unit(benchmark::kNanosecond);
 BENCHMARK(BM_TimedMemoryCoalescedMiss)->Unit(benchmark::kNanosecond);
 // 0 = functional baseline, 1 = timed overlay; compare items/s across the two.
 BENCHMARK(BM_ReplayPerInstruction)->Arg(0)->Arg(1)

@@ -1,7 +1,6 @@
 // Timed backing-memory model behind the shared L2: MSHRs with miss
 // coalescing, a bounded writeback queue, and a banked DRAM with open-row
-// timing and a simple FR-FCFS scheduler, all driven through the monotone
-// EventQueue.
+// timing and a simple FR-FCFS scheduler.
 //
 // The timed mode is an overlay on the functional replay: the global memory
 // access stream (and therefore every profiler observation and every interval
@@ -10,11 +9,17 @@
 // when all are pending), possibly enqueues a victim writeback (stalling when
 // the bounded writeback queue is full), and issues a read to its DRAM bank,
 // which serves requests row-hit-first (FR-FCFS, reads before writebacks,
-// oldest first within a class). Completions propagate back as events; the
-// issuing core learns its fill time via retire() and charges the exposed
-// fraction of the latency. Everything is integer arithmetic over a
-// deterministic event order — identical inputs give identical cycle counts on
-// every platform.
+// oldest first within a class). The issuing core learns its fill time via
+// retire() and charges the exposed fraction of the latency.
+//
+// Events pop in strict (tick, seq) order, seq being a global stamp taken when
+// the event is created, so same-tick events apply first-come-first-served.
+// Only two kinds exist. A bank's service completion (at most one per bank
+// in flight) sits in a min-heap with one slot per bank. Its effect, an MSHR
+// fill or a writeback drain, is stamped at the completion tick and waits in a
+// FIFO ring until it applies; the bank's next service is stamped after it.
+// Everything is integer arithmetic over this deterministic order: identical
+// inputs give identical cycle counts on every platform.
 #pragma once
 
 #include "plrupart/export.hpp"
@@ -24,7 +29,6 @@
 #include <vector>
 
 #include "plrupart/cache/geometry.hpp"
-#include "plrupart/sim/event_queue.hpp"
 
 namespace plrupart::sim {
 
@@ -139,8 +143,30 @@ class PLRUPART_EXPORT TimedMemory {
     std::vector<DramRequest> pending;
   };
 
+  /// A bank's in-flight service completion, keyed (tick, seq).
+  struct BankEvent {
+    std::uint64_t tick = 0;
+    std::uint64_t seq = 0;
+    std::uint32_t bank = 0;
+  };
+  /// The effect of a completed service, due at now_: an MSHR fill, or a
+  /// writeback leaving the queue.
+  struct Completion {
+    std::uint64_t stamp = 0;  ///< seq, ordered against BankEvent::seq
+    std::uint32_t mshr = 0;
+    bool writeback = false;
+  };
+
+  [[nodiscard]] bool idle() const noexcept { return ring_size_ == 0 && heap_size_ == 0; }
+  /// Tick of the next event; requires !idle().
+  [[nodiscard]] std::uint64_t next_tick() const noexcept {
+    return ring_size_ != 0 ? now_ : heap_[0].tick;
+  }
+  /// Apply the earliest event by (tick, seq); requires !idle().
+  void step();
   void process_until(std::uint64_t t);
-  void handle(const TimedEvent& ev);
+  void push_bank_event(BankEvent ev);
+  [[nodiscard]] BankEvent pop_bank_event();
   /// Queue `req`, which arrives at the bank at tick `t`. Known defect, kept
   /// because fixing it changes pinned timed CSV bytes: the request joins the
   /// bank's queue at issue time, so a busy bank that frees up before `t` can
@@ -152,6 +178,8 @@ class PLRUPART_EXPORT TimedMemory {
   [[nodiscard]] std::uint32_t bank_of(cache::Addr line) const noexcept;
   [[nodiscard]] std::uint64_t row_of(cache::Addr line) const noexcept;
   [[nodiscard]] std::uint32_t alloc_mshr(std::uint64_t& t);
+  /// Slot of the pending (unfilled) MSHR for `line`, or mshrs_.size().
+  [[nodiscard]] std::size_t find_pending(cache::Addr line) const noexcept;
   [[nodiscard]] std::size_t dirty_index(cache::Addr line, std::uint32_t way) const;
 
   TimedParams params_;
@@ -161,7 +189,13 @@ class PLRUPART_EXPORT TimedMemory {
   std::uint64_t lines_per_row_ = 1;
   bool pow2_interleave_ = false;
   std::uint32_t row_shift_ = 0;
-  EventQueue queue_;
+  std::uint64_t now_ = 0;       ///< tick of the latest event; never decreases
+  std::uint64_t next_seq_ = 0;  ///< next event stamp
+  std::vector<BankEvent> heap_;  ///< min-heap, one slot per bank
+  std::uint32_t heap_size_ = 0;
+  std::vector<Completion> ring_;  ///< FIFO, one slot per bank
+  std::uint32_t ring_head_ = 0;
+  std::uint32_t ring_size_ = 0;
   std::vector<Mshr> mshrs_;
   std::vector<Bank> banks_;
   std::vector<bool> dirty_;  ///< per (set, way): would eviction write back?

@@ -48,6 +48,10 @@ TimedMemory::TimedMemory(const TimedParams& params, const cache::Geometry& l2_ge
   PLRUPART_ASSERT_MSG(params_.row_bytes >= geo_.line_bytes,
                       "DRAM row must span at least one cache line");
   banks_.resize(params_.dram_banks);
+  // Each bank has at most one service in flight, and its completion effect
+  // applies before the bank's next completion can: one slot per bank in both.
+  heap_.resize(params_.dram_banks);
+  ring_.resize(params_.dram_banks);
   // Slot bookkeeping is sized on demand (a filled-but-unretired entry briefly
   // holds a slot past its hardware lifetime); the HARDWARE limit is enforced
   // on pending_ in alloc_mshr, never on the slot count.
@@ -74,66 +78,78 @@ std::size_t TimedMemory::dirty_index(cache::Addr line, std::uint32_t way) const 
   return static_cast<std::size_t>(geo_.set_index(line)) * geo_.associativity + way;
 }
 
-void TimedMemory::process_until(std::uint64_t t) {
-  while (!queue_.empty() && queue_.peek().tick <= t) handle(queue_.pop());
-}
-
-void TimedMemory::handle(const TimedEvent& ev) {
-  switch (ev.kind) {
-    case EventKind::kBankService: {
-      Bank& bank = banks_[ev.lane];
-      PLRUPART_ASSERT(bank.in_service);
-      // Completion chains through a same-tick event (FIFO tie-break keeps it
-      // ordered after this one): the fill/drain effect and the bank's next
-      // service decision stay distinct, observable steps.
-      const DramRequest& done = bank.in_service_req;
-      if (done.writeback) {
-        queue_.schedule(ev.tick, EventKind::kWritebackDrain, ev.lane);
-      } else {
-        queue_.schedule(ev.tick, EventKind::kMshrComplete, done.mshr);
-      }
-      bank.in_service = false;
-      if (!bank.pending.empty()) start_service(ev.lane, ev.tick);
-      break;
-    }
-    case EventKind::kMshrComplete: {
-      Mshr& m = mshrs_[ev.lane];
-      PLRUPART_ASSERT(!m.done && m.refs > 0);
-      m.done = true;
-      m.done_at = ev.tick;
-      PLRUPART_ASSERT(pending_ > 0);
-      --pending_;
-      break;
-    }
-    case EventKind::kWritebackDrain: {
-      PLRUPART_ASSERT(wb_used_ > 0);
-      --wb_used_;
-      break;
-    }
-    case EventKind::kUser:
-      break;
+std::size_t TimedMemory::find_pending(cache::Addr line) const noexcept {
+  std::size_t i = 0;
+  for (; i < mshrs_.size(); ++i) {
+    const Mshr& m = mshrs_[i];
+    // Non-short-circuit: one compare chain, no data-dependent branches.
+    if ((m.line == line) & (m.refs > 0) & !m.done) break;
   }
+  return i;
 }
 
-void TimedMemory::start_service(std::uint32_t bank_idx, std::uint64_t t) {
+namespace {
+
+template <class Event>
+[[gnu::always_inline]] inline bool earlier(const Event& a, const Event& b) noexcept {
+  return a.tick < b.tick || (a.tick == b.tick && a.seq < b.seq);
+}
+
+}  // namespace
+
+[[gnu::always_inline]] inline void TimedMemory::push_bank_event(BankEvent ev) {
+  PLRUPART_ASSERT(ev.tick >= now_ && heap_size_ < heap_.size());
+  std::uint32_t i = heap_size_++;
+  while (i > 0) {
+    const std::uint32_t parent = (i - 1) / 2;
+    if (!earlier(ev, heap_[parent])) break;
+    heap_[i] = heap_[parent];
+    i = parent;
+  }
+  heap_[i] = ev;
+}
+
+[[gnu::always_inline]] inline TimedMemory::BankEvent TimedMemory::pop_bank_event() {
+  const BankEvent top = heap_[0];
+  const BankEvent last = heap_[--heap_size_];
+  std::uint32_t i = 0;
+  for (;;) {
+    std::uint32_t child = 2 * i + 1;
+    if (child >= heap_size_) break;
+    if (child + 1 < heap_size_ && earlier(heap_[child + 1], heap_[child])) ++child;
+    if (!earlier(heap_[child], last)) break;
+    heap_[i] = heap_[child];
+    i = child;
+  }
+  heap_[i] = last;
+  return top;
+}
+
+[[gnu::always_inline]] inline void TimedMemory::start_service(std::uint32_t bank_idx,
+                                                              std::uint64_t t) {
   Bank& bank = banks_[bank_idx];
   PLRUPART_ASSERT(!bank.in_service && !bank.pending.empty());
-  // FR-FCFS: open-row hits first, reads before writebacks, oldest first
-  // within a class. The arrival stamp makes the pick a strict total order.
-  std::size_t best = 0;
-  auto class_of = [&](const DramRequest& r) -> std::uint32_t {
-    const bool row_hit = bank.row_valid && r.row == bank.open_row;
-    return (r.writeback ? 2U : 0U) + (row_hit ? 0U : 1U);
-  };
-  for (std::size_t i = 1; i < bank.pending.size(); ++i) {
-    const std::uint32_t ci = class_of(bank.pending[i]);
-    const std::uint32_t cb = class_of(bank.pending[best]);
-    if (ci < cb || (ci == cb && bank.pending[i].order < bank.pending[best].order))
-      best = i;
+  DramRequest req;
+  if (bank.pending.size() == 1) {
+    req = bank.pending.front();
+    bank.pending.clear();
+  } else {
+    // FR-FCFS: open-row hits first, reads before writebacks, oldest first
+    // within a class. The arrival stamp makes the pick a strict total order.
+    std::size_t best = 0;
+    auto class_of = [&](const DramRequest& r) -> std::uint32_t {
+      const bool row_hit = bank.row_valid && r.row == bank.open_row;
+      return (r.writeback ? 2U : 0U) + (row_hit ? 0U : 1U);
+    };
+    for (std::size_t i = 1; i < bank.pending.size(); ++i) {
+      const std::uint32_t ci = class_of(bank.pending[i]);
+      const std::uint32_t cb = class_of(bank.pending[best]);
+      if (ci < cb || (ci == cb && bank.pending[i].order < bank.pending[best].order))
+        best = i;
+    }
+    req = bank.pending[best];
+    bank.pending.erase(bank.pending.begin() + static_cast<std::ptrdiff_t>(best));
   }
-  const DramRequest req = bank.pending[best];
-  bank.pending.erase(bank.pending.begin() +
-                     static_cast<std::ptrdiff_t>(best));
 
   std::uint64_t latency = 0;
   if (!bank.row_valid) {
@@ -150,10 +166,53 @@ void TimedMemory::start_service(std::uint32_t bank_idx, std::uint64_t t) {
   bank.row_valid = true;  // open-page policy: the row stays open after service
   bank.in_service = true;
   bank.in_service_req = req;
-  queue_.schedule(t + latency, EventKind::kBankService, bank_idx);
+  push_bank_event(BankEvent{t + latency, next_seq_++, bank_idx});
 }
 
-void TimedMemory::enqueue_dram(std::uint64_t t, DramRequest req) {
+[[gnu::always_inline]] inline void TimedMemory::step() {
+  // The ring holds completions due at now_. A bank event precedes its head
+  // only when it is due at now_ too with an older stamp: another bank
+  // finishing on the same tick, or a zero-latency service.
+  if (ring_size_ != 0 &&
+      (heap_size_ == 0 || heap_[0].tick != now_ || heap_[0].seq > ring_[ring_head_].stamp)) {
+    const Completion c = ring_[ring_head_];
+    if (++ring_head_ == ring_.size()) ring_head_ = 0;
+    --ring_size_;
+    if (c.writeback) {
+      PLRUPART_ASSERT(wb_used_ > 0);
+      --wb_used_;
+    } else {
+      Mshr& m = mshrs_[c.mshr];
+      PLRUPART_ASSERT(!m.done && m.refs > 0);
+      m.done = true;
+      m.done_at = now_;
+      PLRUPART_ASSERT(pending_ > 0);
+      --pending_;
+    }
+    return;
+  }
+  const BankEvent ev = pop_bank_event();
+  PLRUPART_ASSERT_MSG(ev.tick >= now_, "timed memory stepped backwards in time");
+  now_ = ev.tick;
+  Bank& bank = banks_[ev.bank];
+  PLRUPART_ASSERT(bank.in_service);
+  // The fill/drain effect is stamped before the bank's next service, so it
+  // applies first: the two stay distinct, ordered steps.
+  PLRUPART_ASSERT(ring_size_ < ring_.size());
+  std::uint32_t tail = ring_head_ + ring_size_++;
+  if (tail >= ring_.size()) tail -= static_cast<std::uint32_t>(ring_.size());
+  ring_[tail] = Completion{next_seq_++, bank.in_service_req.mshr,
+                           bank.in_service_req.writeback};
+  bank.in_service = false;
+  if (!bank.pending.empty()) start_service(ev.bank, now_);
+}
+
+void TimedMemory::process_until(std::uint64_t t) {
+  while (!idle() && next_tick() <= t) step();
+}
+
+[[gnu::always_inline]] inline void TimedMemory::enqueue_dram(std::uint64_t t,
+                                                             DramRequest req) {
   req.order = next_order_++;
   const std::uint32_t b = bank_of(req.line);
   req.row = row_of(req.line);
@@ -165,14 +224,14 @@ void TimedMemory::enqueue_dram(std::uint64_t t, DramRequest req) {
 std::uint32_t TimedMemory::alloc_mshr(std::uint64_t& t) {
   if (pending_ >= params_.mshrs) {
     // The hardware MSHR file is full: the issue stalls until a fill frees an
-    // entry. Every pending entry has a completion event in flight, so the
-    // queue cannot run dry before the file drains.
+    // entry. Every pending entry has a completion in flight, so the events
+    // cannot run dry before the file drains.
     ++stats_.mshr_full_stalls;
     while (pending_ >= params_.mshrs) {
-      PLRUPART_ASSERT_MSG(!queue_.empty(), "MSHR file full with no event in flight");
-      handle(queue_.pop());
+      PLRUPART_ASSERT_MSG(!idle(), "MSHR file full with no event in flight");
+      step();
     }
-    t = std::max(t, queue_.now());
+    t = std::max(t, now_);
   }
   for (std::size_t i = 0; i < mshrs_.size(); ++i) {
     if (mshrs_[i].refs == 0) return static_cast<std::uint32_t>(i);
@@ -185,33 +244,29 @@ TimedMemory::Ticket TimedMemory::miss(std::uint64_t t_issue, cache::Addr line,
                                       std::uint32_t way, bool write, bool evicted_valid,
                                       cache::Addr evicted_line) {
   process_until(t_issue);
+  const std::size_t di = dirty_index(line, way);
   // Coalesce: a pending fill for the same line absorbs this miss (the
   // functional cache evicted and re-missed the line inside the fill window).
-  for (std::size_t i = 0; i < mshrs_.size(); ++i) {
-    Mshr& m = mshrs_[i];
-    if (m.refs > 0 && !m.done && m.line == line) {
-      ++m.refs;
-      ++stats_.mshr_coalesced;
-      const std::size_t di = dirty_index(line, way);
-      dirty_[di] = dirty_[di] || write;
-      return Ticket{static_cast<std::uint32_t>(i), true};
-    }
+  if (const std::size_t i = find_pending(line); i < mshrs_.size()) {
+    ++mshrs_[i].refs;
+    ++stats_.mshr_coalesced;
+    dirty_[di] = dirty_[di] || write;
+    return Ticket{static_cast<std::uint32_t>(i), true};
   }
 
-  std::uint64_t t = std::max(t_issue, queue_.now());
+  std::uint64_t t = std::max(t_issue, now_);
   const std::uint32_t slot = alloc_mshr(t);
 
   // Victim writeback leaves first (it must clear the line buffer before the
   // fill lands); a full writeback queue backpressures the whole miss.
-  if (evicted_valid && dirty_[dirty_index(line, way)]) {
+  if (evicted_valid && dirty_[di]) {
     if (wb_used_ >= params_.writeback_queue) {
       ++stats_.wb_full_stalls;
       while (wb_used_ >= params_.writeback_queue) {
-        PLRUPART_ASSERT_MSG(!queue_.empty(),
-                            "writeback queue full with no event in flight");
-        handle(queue_.pop());
+        PLRUPART_ASSERT_MSG(!idle(), "writeback queue full with no event in flight");
+        step();
       }
-      t = std::max(t, queue_.now());
+      t = std::max(t, now_);
     }
     ++wb_used_;
     ++stats_.dram_writebacks;
@@ -221,7 +276,7 @@ TimedMemory::Ticket TimedMemory::miss(std::uint64_t t_issue, cache::Addr line,
     wb.writeback = true;
     enqueue_dram(t + params_.l2_miss_to_dram_cycles, wb);
   }
-  dirty_[dirty_index(line, way)] = write;
+  dirty_[di] = write;
 
   Mshr& m = mshrs_[slot];
   m.line = line;
@@ -248,13 +303,10 @@ TimedMemory::Ticket TimedMemory::hit(std::uint64_t t_issue, cache::Addr line,
   // A functional hit on a line whose fill is still in flight coalesces into
   // the MSHR: the data is not there yet, so the consumer waits for the fill
   // (hit-under-miss on the SAME line is a merge, not a hit).
-  for (std::size_t i = 0; i < mshrs_.size(); ++i) {
-    Mshr& m = mshrs_[i];
-    if (m.refs > 0 && !m.done && m.line == line) {
-      ++m.refs;
-      ++stats_.mshr_coalesced;
-      return Ticket{static_cast<std::uint32_t>(i), true};
-    }
+  if (const std::size_t i = find_pending(line); i < mshrs_.size()) {
+    ++mshrs_[i].refs;
+    ++stats_.mshr_coalesced;
+    return Ticket{static_cast<std::uint32_t>(i), true};
   }
   return Ticket{};
 }
@@ -264,15 +316,15 @@ std::uint64_t TimedMemory::retire(Ticket ticket) {
   Mshr& m = mshrs_[ticket.slot];
   PLRUPART_ASSERT(m.refs > 0);
   while (!m.done) {
-    PLRUPART_ASSERT_MSG(!queue_.empty(), "pending MSHR with no event in flight");
-    handle(queue_.pop());
+    PLRUPART_ASSERT_MSG(!idle(), "pending MSHR with no event in flight");
+    step();
   }
   --m.refs;
   return m.done_at;
 }
 
 void TimedMemory::drain() {
-  while (!queue_.empty()) handle(queue_.pop());
+  while (!idle()) step();
 }
 
 }  // namespace plrupart::sim
