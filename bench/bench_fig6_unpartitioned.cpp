@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(opt.l2.size_bytes / 1024),
               opt.l2.associativity);
   std::printf("(geometric means over Table II workloads; values relative to LRU;\n"
-              " %llu instr/thread — see EXPERIMENTS.md for scale notes)\n\n",
+              " %llu instr/thread — scale notes in bench/bench_util.hpp)\n\n",
               static_cast<unsigned long long>(opt.instr));
 
   std::optional<std::ofstream> csv_file;

@@ -1,9 +1,10 @@
 // Shared harness for the table/figure reproduction benches.
 //
 // Scale note: the paper simulates 100M instructions per thread on a
-// cycle-accurate simulator; these benches default to 1M instructions per
-// thread with a proportionally shortened repartition interval (200k cycles vs
-// the paper's 1M on 100x longer runs). Every binary accepts
+// cycle-accurate simulator; these benches default to 2M instructions per
+// thread, the first 1M of them warm-up, with a proportionally shortened
+// repartition interval (200k cycles vs the paper's 1M on 50x longer runs).
+// Every binary accepts
 //   --instr N       instructions per thread
 //   --interval N    repartition interval in cycles
 //   --seed N        RNG root seed

@@ -9,8 +9,8 @@
 // stack-distance estimation, data readout.
 //
 // Known paper inconsistency: Table I(b) prints "A−1 × log2(A) (52 bits)" for
-// LRU find-LRU-in-owned-lines; (16−1)·4 = 60. We implement the formula and
-// surface both numbers (see EXPERIMENTS.md).
+// LRU find-LRU-in-owned-lines; (16−1)·4 = 60. We implement the formula, and
+// bench_table1_complexity prints both numbers.
 #pragma once
 
 #include "plrupart/export.hpp"

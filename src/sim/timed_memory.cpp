@@ -207,7 +207,7 @@ template <class Event>
   if (!bank.pending.empty()) start_service(ev.bank, now_);
 }
 
-void TimedMemory::process_until(std::uint64_t t) {
+[[gnu::always_inline]] inline void TimedMemory::process_until(std::uint64_t t) {
   while (!idle() && next_tick() <= t) step();
 }
 

@@ -80,7 +80,7 @@ TEST(TableIb, PartitionedVictimSearch) {
 
   // LRU victim among owned lines: (A-1) x log2(A). The paper's bracket says
   // 52; the formula it prints gives 60 — we implement the formula and record
-  // the discrepancy in EXPERIMENTS.md.
+  // the discrepancy in plrupart/power/complexity.hpp.
   EXPECT_EQ(event_costs(ReplacementKind::kLru, p).find_victim_in_owned, 60ULL);
   EXPECT_EQ(event_costs(ReplacementKind::kNru, p).find_victim_in_owned, 19ULL);
   // BT: log2(A) BT bits + log2(A) up bits + log2(A) down bits.
