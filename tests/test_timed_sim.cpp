@@ -395,6 +395,18 @@ TEST(TimedMemory, ZeroLatencyFillsCompleteOnTheIssueTick) {
   EXPECT_EQ(mem.retire(tk), 42u);
 }
 
+TEST(TimedMemory, IssueBehindTheFloorIsServedFromTheFloor) {
+  // Time never runs backwards: once a retire has advanced the model to the
+  // fill at 190, a miss issued at tick 5 is served from 190 (a row hit on
+  // the still-open row: 190 + 30 + 100), not from 5 (5 + 30 + 100 = 135).
+  TimedMemory mem(TimedParams{}, one_set_geo());
+  const auto a = mem.miss(0, 0, 0, false, false, 0);
+  EXPECT_EQ(mem.retire(a), 190u);  // 30 to the controller + 160 cold bank
+  const auto c = mem.miss(5, 8, 1, false, false, 0);  // bank 0, row 0 again
+  EXPECT_EQ(mem.retire(c), 320u);
+  EXPECT_EQ(mem.stats().row_hits, 1u);
+}
+
 TEST(TimedMemory, RowBufferOutcomesFollowTheOpenRow) {
   TimedParams p;
   p.dram_banks = 1;
