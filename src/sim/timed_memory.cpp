@@ -91,7 +91,7 @@ std::size_t TimedMemory::find_pending(cache::Addr line) const noexcept {
 namespace {
 
 template <class Event>
-[[gnu::always_inline]] inline bool earlier(const Event& a, const Event& b) noexcept {
+inline bool earlier(const Event& a, const Event& b) noexcept {
   return a.tick < b.tick || (a.tick == b.tick && a.seq < b.seq);
 }
 
