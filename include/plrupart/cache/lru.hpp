@@ -7,10 +7,12 @@
 
 #include "plrupart/export.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "plrupart/cache/replacement.hpp"
+#include "plrupart/common/bits.hpp"
 
 namespace plrupart::cache {
 
@@ -29,20 +31,17 @@ class PLRUPART_EXPORT TrueLru final : public ReplacementPolicy {
     promote(set, way);
   }
 
+  /// Branch-free: stack positions are a permutation of 0..A-1, so the
+  /// deepest allowed position names exactly one way, found by one SWAR scan.
   [[nodiscard]] std::uint32_t choose_victim(std::uint64_t set, WayMask allowed) override {
     PLRUPART_ASSERT((allowed & all_ways()) != 0);
-    std::uint32_t victim = 0;
+    const std::uint8_t* p = pos_.data() + set * ways_;
     std::uint8_t deepest = 0;
-    bool found = false;
     for (std::uint32_t w = 0; w < ways_; ++w) {
-      if (!mask_test(allowed, w)) continue;
-      if (!found || pos(set, w) > deepest) {
-        victim = w;
-        deepest = pos(set, w);
-        found = true;
-      }
+      const auto keep = static_cast<std::uint8_t>(0U - ((allowed >> w) & 1U));
+      deepest = std::max(deepest, static_cast<std::uint8_t>(p[w] & keep));
     }
-    return victim;
+    return mask_first(byte_match_mask(p, ways_, deepest) & allowed);
   }
 
   [[nodiscard]] StackEstimate estimate_position(std::uint64_t set,
@@ -73,7 +72,8 @@ class PLRUPART_EXPORT TrueLru final : public ReplacementPolicy {
   }
 
   // pos_[set*A + way] = 0-based recency (0 = MRU). Initialized so that way i
-  // starts at position i, matching hardware reset of the LRU bits.
+  // starts at position i, matching hardware reset of the LRU bits. Eight
+  // bytes of padding keep choose_victim's whole-word loads in bounds.
   std::vector<std::uint8_t> pos_;
 };
 

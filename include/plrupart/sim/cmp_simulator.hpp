@@ -47,11 +47,11 @@ struct PLRUPART_EXPORT SimConfig {
   /// explicit warmup is required.
   std::uint64_t warmup_instr = 0;
   /// Watchdog: abort with TimeoutError once the run has consumed this many
-  /// wall-clock seconds (0 disables it). The replay loop polls every few
-  /// thousand ops, and keeps polling while it waits on a front-end producer,
-  /// so a wedged producer aborts the run (and is joined) instead of hanging
-  /// the fleet. Wall time never feeds simulation state — a timeout kills the
-  /// run, it cannot skew its numbers.
+  /// wall-clock seconds (0 disables it). The replay reads the clock every
+  /// few thousand ops fetched, and keeps polling while it waits on a
+  /// front-end producer, so a wedged producer aborts the run (and is joined)
+  /// instead of hanging the fleet. Wall time never feeds simulation state —
+  /// a timeout kills the run, it cannot skew its numbers.
   double timeout_s = 0.0;
   /// Deterministic fault plan for instrumented sites inside the simulator
   /// (FaultSite::kWorker in the front-end producers of a pipelined run, keyed
@@ -117,10 +117,12 @@ class PLRUPART_EXPORT CmpSimulator {
   /// Run to completion and return per-thread results — serially or through
   /// the front-end pipeline per SimConfig::sim_threads, with identical
   /// results either way. Call once: a second call throws InvariantError (the
-  /// hierarchy's warmed-up state cannot be re-run meaningfully). After a
-  /// pipelined run the private L1s and the traces have run ahead of the
-  /// replay by up to one ring per core; the L2, profilers and counters match
-  /// the serial run.
+  /// hierarchy's warmed-up state cannot be re-run meaningfully). Every run
+  /// reads ahead of the ops it executes and commits private-L1 hits ahead of
+  /// the interleave, so afterwards the private L1s, the traces and the L1
+  /// access counters have moved past the per-op serial state (a pipelined
+  /// run's L1s and traces by up to one ring per core); the L2, its profilers
+  /// and controller, and every result field match it.
   [[nodiscard]] SimResult run();
 
   [[nodiscard]] const MemoryHierarchy& hierarchy() const noexcept { return *hierarchy_; }

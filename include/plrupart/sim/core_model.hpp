@@ -33,7 +33,13 @@ struct PLRUPART_EXPORT CoreParams {
 
 class PLRUPART_EXPORT CoreModel {
  public:
-  explicit CoreModel(const CoreParams& params) : params_(params) { params.validate(); }
+  explicit CoreModel(const CoreParams& params)
+      : params_(params),
+        op_cycles_(1.0 / params.base_ipc),
+        l2_stall_cycles_(params.l2_hit_penalty * params.stall_fraction),
+        mem_stall_cycles_(params.mem_penalty * params.stall_fraction) {
+    params.validate();
+  }
 
   /// Commit `n` non-memory instructions.
   void commit_gap(std::uint32_t n) noexcept {
@@ -43,15 +49,15 @@ class PLRUPART_EXPORT CoreModel {
 
   /// Commit one memory instruction satisfied at `level`.
   void commit_mem(AccessLevel level) noexcept {
-    cycles_ += 1.0 / params_.base_ipc;
+    cycles_ += op_cycles_;
     switch (level) {
       case AccessLevel::kL1:
         break;  // pipelined L1 hit
       case AccessLevel::kL2:
-        cycles_ += params_.l2_hit_penalty * params_.stall_fraction;
+        cycles_ += l2_stall_cycles_;
         break;
       case AccessLevel::kMemory:
-        cycles_ += params_.mem_penalty * params_.stall_fraction;
+        cycles_ += mem_stall_cycles_;
         break;
     }
     ++instructions_;
@@ -71,6 +77,11 @@ class PLRUPART_EXPORT CoreModel {
 
  private:
   CoreParams params_;
+  // commit_mem's charges, computed once from params_: the same doubles as
+  // computing them per op, without a division on every op.
+  double op_cycles_;         ///< 1 / base_ipc
+  double l2_stall_cycles_;   ///< l2_hit_penalty * stall_fraction
+  double mem_stall_cycles_;  ///< mem_penalty * stall_fraction
   double cycles_ = 0.0;
   std::uint64_t instructions_ = 0;
 };

@@ -64,15 +64,22 @@ class PLRUPART_EXPORT MemoryHierarchy {
                      std::uint64_t now_cycles, L2Echo& echo);
 
   /// The two halves `access` composes. The L1 half touches only `core`'s
-  /// private filter, so the pipelined simulator runs it on the core's
-  /// front-end producer; the after-L1 half (counters, the L2 and its
-  /// profilers, the echo) stays on the replaying thread.
+  /// private filter, so the simulator resolves it when it fetches the op (on
+  /// the core's front-end producer in a pipelined run); the after-L1 half
+  /// (counters, the L2 and its profilers, the echo) runs in the replay order.
+  /// An L1 hit's after-L1 half is one counter increment, inline.
   bool access_l1(cache::CoreId core, cache::Addr addr) {
     PLRUPART_ASSERT(core < l1d_.size());
     return l1d_[core].access(addr);
   }
   AccessLevel access_after_l1(cache::CoreId core, cache::Addr addr, bool write,
-                              bool l1_hit, std::uint64_t now_cycles, L2Echo& echo);
+                              bool l1_hit, std::uint64_t now_cycles, L2Echo& echo) {
+    PLRUPART_ASSERT(core < counters_.size());
+    echo = L2Echo{};
+    ++counters_[core].l1_accesses;
+    if (l1_hit) return AccessLevel::kL1;
+    return access_l2(core, addr, write, now_cycles, echo);
+  }
 
   [[nodiscard]] const HierarchyConfig& config() const noexcept { return config_; }
   [[nodiscard]] core::PartitionedCacheSystem& l2() noexcept { return *l2_; }
@@ -84,6 +91,10 @@ class PLRUPART_EXPORT MemoryHierarchy {
   void reset();
 
  private:
+  /// An L1 miss: count it and access the shared L2, filling `echo`.
+  AccessLevel access_l2(cache::CoreId core, cache::Addr addr, bool write,
+                        std::uint64_t now_cycles, L2Echo& echo);
+
   HierarchyConfig config_;
   std::vector<cache::LruFilter> l1d_;
   std::unique_ptr<core::PartitionedCacheSystem> l2_;

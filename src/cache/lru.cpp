@@ -3,7 +3,7 @@
 namespace plrupart::cache {
 
 TrueLru::TrueLru(const Geometry& geo) : ReplacementPolicy(geo) {
-  pos_.resize(sets_ * ways_);
+  pos_.resize(sets_ * ways_ + 8);
   reset();
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <string>
 #include <utility>
 
@@ -53,19 +54,38 @@ class Watchdog {
   std::uint64_t polls_ = 0;
 };
 
-/// The direct L2 port: ops come straight from the trace sources and go through
-/// the real MemoryHierarchy.
+/// The direct L2 port: ops come straight from the trace sources, their L1
+/// resolved on the way, and the after-L1 half runs through the real
+/// MemoryHierarchy. A source error is kept with its op, so it surfaces only if
+/// the replay executes that op.
 class DirectPort {
  public:
   DirectPort(const std::vector<std::unique_ptr<TraceSource>>& traces,
              MemoryHierarchy& hierarchy, Watchdog watchdog)
-      : traces_(traces), hierarchy_(hierarchy), watchdog_(std::move(watchdog)) {}
+      : traces_(traces),
+        hierarchy_(hierarchy),
+        watchdog_(std::move(watchdog)),
+        errors_(traces.size()) {}
 
-  void poll() { watchdog_.poll(); }
-  MemOp next(std::uint32_t core) { return traces_[core]->next(); }
-  AccessLevel access(std::uint32_t core, const MemOp& op, std::uint64_t now,
+  internal::OpRecord next(std::uint32_t core) {
+    watchdog_.poll();
+    try {
+      const MemOp op = traces_[core]->next();
+      return {.addr = op.addr,
+              .gap_instrs = op.gap_instrs,
+              .write = op.write,
+              .l1_hit = hierarchy_.access_l1(core, op.addr)};
+    } catch (...) {
+      errors_[core] = std::current_exception();
+      return {.failed = true};
+    }
+  }
+  [[noreturn]] void rethrow(std::uint32_t core) const {
+    std::rethrow_exception(errors_[core]);
+  }
+  AccessLevel access(std::uint32_t core, const internal::OpRecord& op, std::uint64_t now,
                      L2Echo& echo) {
-    return hierarchy_.access(core, op.addr, op.write, now, echo);
+    return hierarchy_.access_after_l1(core, op.addr, op.write, op.l1_hit, now, echo);
   }
   [[nodiscard]] const HierarchyCounters& counters(std::uint32_t core) const {
     return hierarchy_.counters(core);
@@ -75,6 +95,7 @@ class DirectPort {
   const std::vector<std::unique_ptr<TraceSource>>& traces_;
   MemoryHierarchy& hierarchy_;
   Watchdog watchdog_;
+  std::vector<std::exception_ptr> errors_;  ///< per core: why its last fetch failed
 };
 
 /// The pipelined L2 port: ops arrive from the front-end producers with their
@@ -85,10 +106,11 @@ class PipelinePort {
   PipelinePort(internal::FrontEnd& front, MemoryHierarchy& hierarchy, Watchdog watchdog)
       : front_(front), hierarchy_(hierarchy), watchdog_(std::move(watchdog)) {}
 
-  void poll() { watchdog_.poll(); }
   internal::OpRecord next(std::uint32_t core) {
+    watchdog_.poll();
     return front_.pop(core, [this] { watchdog_.poll(); });
   }
+  [[noreturn]] void rethrow(std::uint32_t core) const { front_.rethrow(core); }
   AccessLevel access(std::uint32_t core, const internal::OpRecord& op, std::uint64_t now,
                      L2Echo& echo) {
     return hierarchy_.access_after_l1(core, op.addr, op.write, op.l1_hit, now, echo);

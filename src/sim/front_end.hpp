@@ -7,16 +7,17 @@
 // replay, producer p owning the cores c with c % K == p. Each core's records
 // {addr, gap, write, l1_hit} flow through one single-producer single-consumer
 // ring, published in kBatch-op batches. The calling thread is the one
-// consumer: it runs the unchanged replay loop, popping a core's next record
-// where the serial loop would call that core's TraceSource, and does the
-// after-L1 half of every access (counters, L2, profilers, controller) itself.
-// The replay sees the exact serial op stream, so results are byte-identical
-// to the serial loop at any K.
+// consumer: it runs the same replay loop as a serial run, popping a core's
+// next record where the serial port would fetch from that core's
+// TraceSource, and does the after-L1 half of every access (counters, L2,
+// profilers, controller) itself. The replay sees the exact serial op stream,
+// so results are byte-identical to the serial loop at any K.
 //
 // Errors surface where the serial loop would meet them. A producer that
 // fails on a core's op records the exception at that op's ring position and
-// stops producing for the core; the consumer rethrows it only when it pops
-// that record. A failure past the last op the replay consumes is never seen.
+// stops producing for the core; pop() hands the failed record back like any
+// other, and the replay rethrows the error only when it executes that op. A
+// failure past the last op the replay executes is never seen.
 //
 // No deadlock: a producer sleeps only while every ring it owns is full, and
 // the consumer waits only on an empty ring, so the two never wait on the same
@@ -99,8 +100,9 @@ class FrontEnd {
   FrontEnd& operator=(const FrontEnd&) = delete;
 
   /// Consumer: `core`'s next record. While the ring is empty, calls `poll()`
-  /// (the watchdog) and rethrows any latched producer error. Rethrows the
-  /// producer's exception when the record is the one it failed on.
+  /// (the watchdog) and rethrows any latched producer error. A record the
+  /// producer failed on comes back with `failed` set; rethrow(core) raises
+  /// its exception. Pop no further on that core.
   template <class Poll>
   OpRecord pop(std::uint32_t core, Poll&& poll) {
     Cursor& cur = cursors_[core];
@@ -117,8 +119,12 @@ class FrontEnd {
     if ((++cur.pos & (kBatch - 1)) == 0) {
       ring.tail.store(cur.pos, std::memory_order_release);
     }
-    if (rec.failed) std::rethrow_exception(ring.error);
     return rec;
+  }
+
+  /// Consumer: raise the exception of `core`'s failed record, once popped.
+  [[noreturn]] void rethrow(std::uint32_t core) const {
+    std::rethrow_exception(rings_[core]->error);
   }
 
  private:

@@ -22,16 +22,9 @@ AccessLevel MemoryHierarchy::access(cache::CoreId core, cache::Addr addr, bool w
   return access_after_l1(core, addr, write, access_l1(core, addr), now_cycles, echo);
 }
 
-AccessLevel MemoryHierarchy::access_after_l1(cache::CoreId core, cache::Addr addr,
-                                             bool write, bool l1_hit,
-                                             std::uint64_t now_cycles, L2Echo& echo) {
-  PLRUPART_ASSERT(core < counters_.size());
+AccessLevel MemoryHierarchy::access_l2(cache::CoreId core, cache::Addr addr, bool write,
+                                       std::uint64_t now_cycles, L2Echo& echo) {
   HierarchyCounters& ctr = counters_[core];
-  echo = L2Echo{};
-
-  ++ctr.l1_accesses;
-  if (l1_hit) return AccessLevel::kL1;
-
   ++ctr.l1_misses;
   ++ctr.l2_accesses;
   const auto l2 = l2_->access(core, addr, write, now_cycles);

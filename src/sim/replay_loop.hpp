@@ -7,21 +7,38 @@
 // its quota while it keeps running to preserve contention. Two statically
 // composed parts vary by mode, and the loop is their whole contract:
 //
-//  * The L2 port supplies each core's ops and their outcomes. `poll()` runs
-//    once per loop step (the watchdog, where the port has one); `next(core)`
-//    yields the core's next op (anything with `gap_instrs`); `access(core,
-//    op, now, echo)` performs the L1/L2 access stamped at the core's
-//    functional clock and returns the satisfying level, filling `echo` if it
-//    can; `counters(core)` reports the core's running HierarchyCounters.
-//    Every port must return the same levels for the same op stream — that is
-//    what keeps the interleave, and with it every partition decision,
-//    identical across modes.
+//  * The L2 port supplies each core's ops and their outcomes. `next(core)`
+//    fetches the core's next op with its private-L1 outcome already
+//    resolved (`l1_hit`), polling the watchdog; a fetch that fails comes
+//    back with `failed` set, and `rethrow(core)` raises its error. The loop
+//    calls it only when it executes that op, so an error on an op the serial
+//    order never reaches is never seen. `access(core, op, now, echo)` does
+//    the after-L1 half stamped at the core's functional clock and returns
+//    the satisfying level, filling `echo`; `counters(core)` reports the
+//    core's running HierarchyCounters. Every port must return the same
+//    levels for the same op stream — that is what keeps the interleave, and
+//    with it every partition decision, identical across modes.
 //  * The clocks overlay decides which cycle count the run reports:
 //    `on_access(core, op, echo)` sees every access after the functional
-//    commit, `clock(core, model)` is the reported clock, `open_window()`
-//    and `settle(core)` run at window open and at a core's freeze, and
-//    `finish(out)` adds mode-specific fields to the result. An overlay only
-//    ever reads the functional stream; it never feeds back into it.
+//    commit (an L1 hit gets a default echo), `clock(core, model)` is the
+//    reported clock, `open_window()` and `settle(core)` run at window open
+//    and at a core's freeze, and `finish(out)` adds mode-specific fields to
+//    the result. An overlay only ever reads the functional stream; it never
+//    feeds back into it.
+//
+// The argmin orders only the ops with effects outside their own core. An L1
+// hit changes only its core (its L1, counters and two clocks), so it commutes
+// with every other core's ops. Once the windows are open, each core therefore
+// runs ahead, committing its L1 hits in program order, and stops before its
+// next significant op: an L1 miss (an L2 access, which may tick the
+// controller), the op that reaches its quota (the freeze, whose settle steps
+// the timed overlay), a failed fetch, or the op after kRunCap hits. Each core
+// then waits at the clock its serial turn for that op would see, so the
+// strict-< scan (ties to the lowest index) picks the significant ops in
+// exactly the serial order. Before the windows open every op is significant:
+// window open reads every core's state at one instant. The L1s, the traces
+// and the L1 access counters end up past the serial state; the L2, its
+// profilers and controller, and the results match it.
 #pragma once
 
 #include <algorithm>
@@ -49,6 +66,11 @@ struct FunctionalClocks {
   static void finish(SimResult& /*out*/) noexcept {}
 };
 
+/// The most L1 hits a core commits ahead of the interleave in one run: a
+/// core whose ops all hit its L1 (a frozen one spinning on a small
+/// footprint) still hands an op to the argmin this often.
+inline constexpr std::uint32_t kRunCap = 64;
+
 /// Replay every core to its quota through `port`, reporting `clocks`.
 /// `names[i]` is core i's benchmark name; `l2` supplies the controller
 /// history and acronym for the result.
@@ -74,8 +96,40 @@ template <class Port, class Clocks>
   std::vector<ThreadResult> results(n);
   std::uint32_t remaining = n;
 
+  // Each core's next op: fetched, L1 resolved, not yet committed.
+  using Op = decltype(port.next(0));
+  std::vector<Op> next;
+  next.reserve(n);
+
+  // Commit core c's L1 hits in program order, from `op` on, and return its
+  // next significant op: an L1 miss, a failed fetch, the op that reaches c's
+  // quota, or the op after kRunCap hits. An L1 hit touches only its own
+  // core, so the hits commute with every other core's ops and the argmin
+  // never needs them.
+  const auto run_ahead = [&](std::uint32_t c, Op op) {
+    CoreModel& model = models[c];
+    // The op that brings c's count to `quota` is its freeze; a frozen core
+    // has none.
+    const std::uint64_t quota =
+        frozen[c] ? std::numeric_limits<std::uint64_t>::max()
+                  : baselines[c].instructions + config.instr_limit;
+    for (std::uint32_t k = 0; k < kRunCap; ++k) {
+      // A failed fetch carries no hit.
+      if (!op.l1_hit || model.instructions() + op.gap_instrs + 1 >= quota) break;
+      model.commit_gap(op.gap_instrs);
+      const auto now = static_cast<std::uint64_t>(model.cycles());
+      L2Echo echo;
+      model.commit_mem(port.access(c, op, now, echo));
+      clocks.on_access(c, op, L2Echo{});
+      op = port.next(c);
+    }
+    return op;
+  };
+  for (std::uint32_t i = 0; i < n; ++i) {
+    next.push_back(windows_open ? run_ahead(i, port.next(i)) : port.next(i));
+  }
+
   while (remaining > 0) {
-    port.poll();
     // Advance the core with the smallest local clock (finished cores keep
     // running to preserve contention, with frozen statistics).
     std::uint32_t core = 0;
@@ -87,7 +141,8 @@ template <class Port, class Clocks>
       }
     }
 
-    const auto op = port.next(core);
+    const Op op = next[core];
+    if (op.failed) port.rethrow(core);
     models[core].commit_gap(op.gap_instrs);
     const auto now = static_cast<std::uint64_t>(models[core].cycles());
     L2Echo echo;
@@ -96,6 +151,7 @@ template <class Port, class Clocks>
     clocks.on_access(core, op, echo);
 
     if (!windows_open) {
+      next[core] = port.next(core);
       // Windows open for everyone at once, when the slowest core has warmed.
       std::uint64_t min_instr = models[0].instructions();
       for (std::uint32_t i = 1; i < n; ++i)
@@ -108,6 +164,7 @@ template <class Port, class Clocks>
           baselines[i].cycles = clocks.clock(i, models[i]);
           baselines[i].mem = port.counters(i);
         }
+        for (std::uint32_t i = 0; i < n; ++i) next[i] = run_ahead(i, next[i]);
       }
       continue;
     }
@@ -129,6 +186,7 @@ template <class Port, class Clocks>
       r.mem.l2_accesses = now_mem.l2_accesses - base.mem.l2_accesses;
       r.mem.l2_misses = now_mem.l2_misses - base.mem.l2_misses;
     }
+    next[core] = run_ahead(core, port.next(core));
   }
 
   SimResult out;

@@ -21,6 +21,7 @@
 #include "plrupart/workloads/catalog.hpp"
 #include "plrupart/workloads/generators.hpp"
 #include "support/probe_trace.hpp"
+#include "support/reference_replay.hpp"
 
 namespace plrupart::sim {
 namespace {
@@ -224,19 +225,14 @@ std::vector<std::unique_ptr<TraceSource>> probed_traces(
   return traces;
 }
 
-/// How many ops the serial replay reads from each core's trace.
+/// How many ops the serial order executes from each core's trace. The per-op
+/// reference loop fetches exactly one op per step, so its fetch counts are
+/// those; the simulator's own fetch counts are not, because every port reads
+/// at least one op past the last one it executes.
 std::vector<std::uint64_t> serial_ops_per_core(const std::vector<std::string>& names,
                                                const char* acronym) {
-  auto traces = probed_traces(names, 0, testing::ProbeTrace::kNever);
-  std::vector<const testing::ProbeTrace*> probes;
-  for (const auto& t : traces) {
-    probes.push_back(static_cast<const testing::ProbeTrace*>(t.get()));
-  }
-  CmpSimulator sim(small_config(names, acronym, 1), std::move(traces));
-  (void)sim.run();
-  std::vector<std::uint64_t> ops;
-  for (const auto* p : probes) ops.push_back(p->calls());
-  return ops;
+  return testing::reference_replay(small_config(names, acronym, 1), traces_for(names))
+      .ops;
 }
 
 /// The run's outcome, or the type and message of what it threw.
@@ -261,37 +257,44 @@ RunOrError run_probed(const std::vector<std::string>& names, const char* acronym
 }
 
 TEST(ShardedSim, ProducerErrorPastTheLastFreezeIsNeverSeen) {
-  // Producers run ahead of the replay; an op the serial loop never reads
-  // must not fail the pipelined run. The failing op is the one right after
-  // the serial loop's last, so unless it opens a new 64-op batch, the batch
-  // that carries the last op carries it too: the producer meets it for sure.
+  // Every port reads ahead of the replay (a serial run by at least one op
+  // per core, the run-ahead through L1 hits by more); an op the serial order
+  // never executes must not fail the run. The failing op is the one right
+  // after the serial order's last. A serial run always fetches it; a
+  // producer does unless it opens a new 64-op batch.
   const std::vector<std::string> names{"twolf", "art", "mcf"};
   const auto ops = serial_ops_per_core(names, "M-BT");
   const Outcome serial = run_one(names, "M-BT", 1);
   for (std::uint32_t failing = 0; failing < names.size(); ++failing) {
-    for (const std::uint32_t k : {2u, 3u}) {
-      const RunOrError piped = run_probed(names, "M-BT", k, failing, ops[failing]);
-      ASSERT_EQ(piped.error, "") << "core " << failing << " @" << k;
-      if (ops[failing] % 64 != 0) {
-        EXPECT_GT(piped.failing_calls, ops[failing]);
+    for (const std::uint32_t k : {1u, 2u, 3u}) {
+      const RunOrError run = run_probed(names, "M-BT", k, failing, ops[failing]);
+      ASSERT_EQ(run.error, "") << "core " << failing << " @" << k;
+      if (k == 1 || ops[failing] % 64 != 0) {
+        EXPECT_GT(run.failing_calls, ops[failing]) << "core " << failing << " @" << k;
       }
-      expect_identical(serial, piped.outcome,
+      expect_identical(serial, run.outcome,
                        "core " + std::to_string(failing) + " @" + std::to_string(k));
     }
   }
 }
 
 TEST(ShardedSim, ProducerErrorBeforeTheQuotaMatchesSerial) {
-  // An op the serial loop does read: the pipelined run throws the same
-  // exception, of the same type, as the serial one.
+  // An op the serial order does execute: every K throws the same exception,
+  // of the same type, as the per-op reference loop.
   const std::vector<std::string> names{"twolf", "art", "mcf"};
   const auto ops = serial_ops_per_core(names, "M-BT");
   for (std::uint32_t failing = 0; failing < names.size(); ++failing) {
     const std::uint64_t throw_at = ops[failing] / 2;
-    const RunOrError serial = run_probed(names, "M-BT", 1, failing, throw_at);
-    ASSERT_NE(serial.error, "") << "core " << failing;
-    for (const std::uint32_t k : {2u, 3u}) {
-      EXPECT_EQ(run_probed(names, "M-BT", k, failing, throw_at).error, serial.error)
+    std::string reference;
+    try {
+      (void)testing::reference_replay(small_config(names, "M-BT", 1),
+                                      probed_traces(names, failing, throw_at));
+    } catch (const std::exception& e) {
+      reference = std::string(typeid(e).name()) + ": " + e.what();
+    }
+    ASSERT_NE(reference, "") << "core " << failing;
+    for (const std::uint32_t k : {1u, 2u, 3u}) {
+      EXPECT_EQ(run_probed(names, "M-BT", k, failing, throw_at).error, reference)
           << "core " << failing << " @" << k;
     }
   }
