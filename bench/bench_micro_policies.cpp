@@ -4,12 +4,15 @@
 //
 // The access benchmarks replay pre-generated address streams so the timed
 // loop measures the cache datapath itself, not the RNG that feeds it.
+//
+// The BM_Policy* cases drive each concrete policy class directly, as
+// SetAssocCache does through its policy variant: their numbers measure the
+// inlined hooks, not a virtual call.
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
 #include "plrupart/cache/cache.hpp"
-#include "plrupart/cache/replacement.hpp"
 #include "plrupart/common/rng.hpp"
 #include "plrupart/core/atd.hpp"
 
@@ -39,6 +42,34 @@ ReplacementKind kind_of(std::int64_t i) {
   }
 }
 
+/// Run `fn` on a freshly constructed policy of `kind`, as its concrete class,
+/// so the benchmark loop inside `fn` is instantiated per policy.
+template <class Fn>
+void with_policy(ReplacementKind kind, const Geometry& geo, Fn&& fn) {
+  switch (kind) {
+    case ReplacementKind::kLru: {
+      cache::TrueLru p(geo);
+      return fn(p);
+    }
+    case ReplacementKind::kNru: {
+      cache::Nru p(geo);
+      return fn(p);
+    }
+    case ReplacementKind::kTreePlru: {
+      cache::TreePlru p(geo);
+      return fn(p);
+    }
+    case ReplacementKind::kRandom: {
+      cache::RandomRepl p(geo, 0x5eed);
+      return fn(p);
+    }
+    case ReplacementKind::kSrrip:
+      break;
+  }
+  cache::Srrip p(geo);
+  fn(p);
+}
+
 /// Power-of-two-sized byte-address stream spanning `span_lines` cache lines
 /// of `geo`, replayed circularly by the access benchmarks.
 std::vector<cache::Addr> make_addr_stream(const Geometry& geo, std::uint64_t span_lines,
@@ -52,15 +83,16 @@ std::vector<cache::Addr> make_addr_stream(const Geometry& geo, std::uint64_t spa
 
 void BM_PolicyHitUpdate(benchmark::State& state) {
   const auto geo = bench_geo(static_cast<std::uint32_t>(state.range(1)));
-  const auto policy = cache::make_policy(kind_of(state.range(0)), geo);
-  Rng rng(1);
-  std::uint64_t set = 0;
-  std::uint32_t way = 0;
-  for (auto _ : state) {
-    policy->on_hit(set, way, policy->all_ways());
-    set = (set + 1) & (geo.sets() - 1);
-    way = static_cast<std::uint32_t>(rng.next_below(geo.associativity));
-  }
+  with_policy(kind_of(state.range(0)), geo, [&](auto& policy) {
+    Rng rng(1);
+    std::uint64_t set = 0;
+    std::uint32_t way = 0;
+    for (auto _ : state) {
+      policy.on_hit(set, way, policy.all_ways());
+      set = (set + 1) & (geo.sets() - 1);
+      way = static_cast<std::uint32_t>(rng.next_below(geo.associativity));
+    }
+  });
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
   state.SetLabel(to_string(kind_of(state.range(0))) + "/" +
                  std::to_string(state.range(1)) + "way");
@@ -68,19 +100,20 @@ void BM_PolicyHitUpdate(benchmark::State& state) {
 
 void BM_PolicyVictimSelection(benchmark::State& state) {
   const auto geo = bench_geo(static_cast<std::uint32_t>(state.range(1)));
-  const auto policy = cache::make_policy(kind_of(state.range(0)), geo);
-  // Realistic state: a warm cache with mixed recency.
-  Rng warm(7);
-  for (int i = 0; i < 100000; ++i) {
-    policy->on_hit(warm.next_below(geo.sets()),
-                   static_cast<std::uint32_t>(warm.next_below(geo.associativity)),
-                   policy->all_ways());
-  }
-  std::uint64_t set = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(policy->choose_victim(set, policy->all_ways()));
-    set = (set + 1) & (geo.sets() - 1);
-  }
+  with_policy(kind_of(state.range(0)), geo, [&](auto& policy) {
+    // Realistic state: a warm cache with mixed recency.
+    Rng warm(7);
+    for (int i = 0; i < 100000; ++i) {
+      policy.on_hit(warm.next_below(geo.sets()),
+                    static_cast<std::uint32_t>(warm.next_below(geo.associativity)),
+                    policy.all_ways());
+    }
+    std::uint64_t set = 0;
+    for (auto _ : state) {
+      benchmark::DoNotOptimize(policy.choose_victim(set, policy.all_ways()));
+      set = (set + 1) & (geo.sets() - 1);
+    }
+  });
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
   state.SetLabel(to_string(kind_of(state.range(0))) + "/" +
                  std::to_string(state.range(1)) + "way");
@@ -88,13 +121,14 @@ void BM_PolicyVictimSelection(benchmark::State& state) {
 
 void BM_PolicyMaskedVictim(benchmark::State& state) {
   const auto geo = bench_geo(16);
-  const auto policy = cache::make_policy(kind_of(state.range(0)), geo);
-  const WayMask mask = way_range_mask(4, 4);  // a 4-way partition
-  std::uint64_t set = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(policy->choose_victim(set, mask));
-    set = (set + 1) & (geo.sets() - 1);
-  }
+  with_policy(kind_of(state.range(0)), geo, [&](auto& policy) {
+    const WayMask mask = way_range_mask(4, 4);  // a 4-way partition
+    std::uint64_t set = 0;
+    for (auto _ : state) {
+      benchmark::DoNotOptimize(policy.choose_victim(set, mask));
+      set = (set + 1) & (geo.sets() - 1);
+    }
+  });
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
   state.SetLabel(to_string(kind_of(state.range(0))));
 }

@@ -1,4 +1,4 @@
-// Set-associative cache with pluggable replacement policy and the three
+// Set-associative cache with a choice of five replacement policies and the three
 // partition-enforcement mechanisms discussed in the paper:
 //
 //  * kNone          — no partitioning; every core may evict anywhere.
@@ -24,12 +24,13 @@
 //    and a line's owner is recovered from the owner masks on eviction).
 //    Keeping valid and ownership in one block means all per-set mask state
 //    shares one cache line for up to 7 cores.
-//  * Static policy dispatch: the per-access path is templated over the
-//    concrete replacement policy (selected once per access by a switch on the
-//    construction-time ReplacementKind in access()), so the policy update
-//    inlines instead of paying 2-3 virtual calls per access. The virtual
-//    `policy()` seam remains for the cold paths: the ATD's pre-update
-//    estimate_position, BT force-vector enforcement, and tests.
+//  * Policies by value: the cache holds its replacement policy as one
+//    PolicyVariant, the closed set of the five concrete policy classes.
+//    access() is one std::visit (a switch on the alternative index) around
+//    the enforcement switch, reaching an access path templated over the
+//    concrete policy, so every policy hook inlines. The cold paths (the ATD's
+//    pre-update estimate_position, BT force-vector enforcement) read the
+//    policy through the const policy() accessor.
 //  * Address decomposition constants (line shift, set mask, tag shift) are
 //    precomputed, eliminating the per-access divisions hidden in Geometry.
 #pragma once
@@ -37,14 +38,24 @@
 #include "plrupart/export.hpp"
 
 #include <cstdint>
-#include <memory>
+#include <variant>
 #include <vector>
 
 #include "plrupart/cache/cache_stats.hpp"
 #include "plrupart/cache/geometry.hpp"
+#include "plrupart/cache/lru.hpp"
+#include "plrupart/cache/nru.hpp"
+#include "plrupart/cache/random_repl.hpp"
 #include "plrupart/cache/replacement.hpp"
+#include "plrupart/cache/srrip.hpp"
+#include "plrupart/cache/tree_plru.hpp"
 
 namespace plrupart::cache {
+
+/// Every shipped replacement policy, by value. The alternatives follow
+/// ReplacementKind's order (checked in cache.cpp), so a held policy's index()
+/// is its kind.
+using PolicyVariant = std::variant<TrueLru, Nru, TreePlru, RandomRepl, Srrip>;
 
 enum class EnforcementMode : std::uint8_t {
   kNone,
@@ -96,9 +107,10 @@ class PLRUPART_EXPORT SetAssocCache {
   [[nodiscard]] const Geometry& geometry() const noexcept { return geo_; }
   [[nodiscard]] EnforcementMode enforcement() const noexcept { return enforcement_; }
   [[nodiscard]] std::uint32_t num_cores() const noexcept { return num_cores_; }
-  [[nodiscard]] ReplacementKind replacement() const noexcept { return kind_; }
-  [[nodiscard]] ReplacementPolicy& policy() noexcept { return *policy_; }
-  [[nodiscard]] const ReplacementPolicy& policy() const noexcept { return *policy_; }
+  [[nodiscard]] ReplacementKind replacement() const noexcept {
+    return static_cast<ReplacementKind>(policy_.index());
+  }
+  [[nodiscard]] const PolicyVariant& policy() const noexcept { return policy_; }
   [[nodiscard]] const CacheStatsBundle& stats() const noexcept { return stats_; }
   void reset_stats() { stats_.reset(); }
 
@@ -138,9 +150,9 @@ class PLRUPART_EXPORT SetAssocCache {
     word = (word & ~(std::uint64_t{0xff} << shift)) | ((tag & 0xff) << shift);
   }
 
-  /// The statically-dispatched access core; `Policy` is the concrete (final)
-  /// replacement class, so every policy hook inlines, and `E` is the
-  /// enforcement mode, so the unpartitioned path carries no enforcement
+  /// The statically-dispatched access core; `Policy` is the concrete
+  /// replacement class held in policy_, so every policy hook inlines, and `E`
+  /// is the enforcement mode, so the unpartitioned path carries no enforcement
   /// branches and the mask/quota paths fold their scope selection.
   template <EnforcementMode E, class Policy>
   AccessOutcome access_impl(Policy& pol, CoreId core, Addr addr, bool write);
@@ -178,8 +190,7 @@ class PLRUPART_EXPORT SetAssocCache {
   Geometry geo_;
   std::uint32_t num_cores_;
   EnforcementMode enforcement_;
-  ReplacementKind kind_;
-  std::unique_ptr<ReplacementPolicy> policy_;
+  PolicyVariant policy_;
 
   // Address decomposition, precomputed from geo_ (all powers of two).
   std::uint32_t ways_ = 0;

@@ -1,8 +1,8 @@
 // True LRU replacement: each line carries an exact stack position
 // (A * log2(A) bits per set in hardware; see power/complexity.hpp).
 //
-// The per-access methods are defined inline (and the class is final) so the
-// cache's statically-dispatched access path inlines them without LTO.
+// The per-access methods are defined inline so SetAssocCache, which holds the
+// policy by value in a variant, inlines them into its access path without LTO.
 #pragma once
 
 #include "plrupart/export.hpp"
@@ -16,24 +16,20 @@
 
 namespace plrupart::cache {
 
-class PLRUPART_EXPORT TrueLru final : public ReplacementPolicy {
+class PLRUPART_EXPORT TrueLru final : public PolicyShape {
  public:
   explicit TrueLru(const Geometry& geo);
 
-  [[nodiscard]] ReplacementKind kind() const noexcept override {
-    return ReplacementKind::kLru;
-  }
-
-  void on_hit(std::uint64_t set, std::uint32_t way, WayMask /*allowed*/) override {
+  void on_hit(std::uint64_t set, std::uint32_t way, WayMask /*allowed*/) {
     promote(set, way);
   }
-  void on_fill(std::uint64_t set, std::uint32_t way, WayMask /*allowed*/) override {
+  void on_fill(std::uint64_t set, std::uint32_t way, WayMask /*allowed*/) {
     promote(set, way);
   }
 
   /// Branch-free: stack positions are a permutation of 0..A-1, so the
   /// deepest allowed position names exactly one way, found by one SWAR scan.
-  [[nodiscard]] std::uint32_t choose_victim(std::uint64_t set, WayMask allowed) override {
+  [[nodiscard]] std::uint32_t choose_victim(std::uint64_t set, WayMask allowed) {
     PLRUPART_ASSERT((allowed & all_ways()) != 0);
     const std::uint8_t* p = pos_.data() + set * ways_;
     std::uint8_t deepest = 0;
@@ -45,12 +41,12 @@ class PLRUPART_EXPORT TrueLru final : public ReplacementPolicy {
   }
 
   [[nodiscard]] StackEstimate estimate_position(std::uint64_t set,
-                                                std::uint32_t way) const override {
+                                                std::uint32_t way) const {
     const auto p = static_cast<std::uint32_t>(pos(set, way)) + 1;  // 1-based
     return StackEstimate{.lo = p, .hi = p, .point = p};
   }
 
-  void reset() override;
+  void reset();
 
   /// Exact 0-based stack position (0 = MRU, A-1 = LRU) — test/profiler hook.
   [[nodiscard]] std::uint32_t stack_position(std::uint64_t set, std::uint32_t way) const;

@@ -15,9 +15,9 @@
 //    scoping is this repo's reading, so that one core's accesses never clear
 //    the used bits of another core's partition.
 //
-// Every per-access method is a handful of mask operations, defined inline (the
-// class is final) so the cache's statically-dispatched access path inlines
-// them without LTO.
+// Every per-access method is a handful of mask operations, defined inline so
+// SetAssocCache, which holds the policy by value in a variant, inlines them
+// into its access path without LTO.
 #pragma once
 
 #include "plrupart/export.hpp"
@@ -29,22 +29,18 @@
 
 namespace plrupart::cache {
 
-class PLRUPART_EXPORT Nru final : public ReplacementPolicy {
+class PLRUPART_EXPORT Nru final : public PolicyShape {
  public:
   explicit Nru(const Geometry& geo);
 
-  [[nodiscard]] ReplacementKind kind() const noexcept override {
-    return ReplacementKind::kNru;
-  }
-
-  void on_hit(std::uint64_t set, std::uint32_t way, WayMask allowed) override {
+  void on_hit(std::uint64_t set, std::uint32_t way, WayMask allowed) {
     mark_used(set, way, allowed);
   }
-  void on_fill(std::uint64_t set, std::uint32_t way, WayMask allowed) override {
+  void on_fill(std::uint64_t set, std::uint32_t way, WayMask allowed) {
     mark_used(set, way, allowed);
   }
 
-  [[nodiscard]] std::uint32_t choose_victim(std::uint64_t set, WayMask allowed) override {
+  [[nodiscard]] std::uint32_t choose_victim(std::uint64_t set, WayMask allowed) {
     allowed &= all_ways();
     PLRUPART_ASSERT(allowed != 0);
     WayMask& used = used_[set];
@@ -70,7 +66,7 @@ class PLRUPART_EXPORT Nru final : public ReplacementPolicy {
   }
 
   [[nodiscard]] StackEstimate estimate_position(std::uint64_t set,
-                                                std::uint32_t way) const override {
+                                                std::uint32_t way) const {
     const WayMask used = used_[set] & all_ways();
     const std::uint32_t u = mask_count(used);
     if (mask_test(used, way)) {
@@ -81,7 +77,7 @@ class PLRUPART_EXPORT Nru final : public ReplacementPolicy {
     return StackEstimate{.lo = u + 1, .hi = ways_, .point = ways_};
   }
 
-  void reset() override;
+  void reset();
 
   /// Test/profiler hooks.
   [[nodiscard]] bool used_bit(std::uint64_t set, std::uint32_t way) const;

@@ -1,8 +1,8 @@
 // Uniform-random replacement: the reference point the paper compares NRU's
 // pointer-driven behavior against ("guarantees a random-like replacement").
 //
-// The per-access methods are defined inline (and the class is final) so the
-// cache's statically-dispatched access path inlines them without LTO.
+// The per-access methods are defined inline so SetAssocCache, which holds the
+// policy by value in a variant, inlines them into its access path without LTO.
 #pragma once
 
 #include "plrupart/export.hpp"
@@ -14,18 +14,14 @@
 
 namespace plrupart::cache {
 
-class PLRUPART_EXPORT RandomRepl final : public ReplacementPolicy {
+class PLRUPART_EXPORT RandomRepl final : public PolicyShape {
  public:
   RandomRepl(const Geometry& geo, std::uint64_t seed);
 
-  [[nodiscard]] ReplacementKind kind() const noexcept override {
-    return ReplacementKind::kRandom;
-  }
+  void on_hit(std::uint64_t, std::uint32_t, WayMask) {}
+  void on_fill(std::uint64_t, std::uint32_t, WayMask) {}
 
-  void on_hit(std::uint64_t, std::uint32_t, WayMask) override {}
-  void on_fill(std::uint64_t, std::uint32_t, WayMask) override {}
-
-  [[nodiscard]] std::uint32_t choose_victim(std::uint64_t /*set*/, WayMask allowed) override {
+  [[nodiscard]] std::uint32_t choose_victim(std::uint64_t /*set*/, WayMask allowed) {
     allowed &= all_ways();
     PLRUPART_ASSERT(allowed != 0);
     const std::uint32_t n = mask_count(allowed);
@@ -35,13 +31,13 @@ class PLRUPART_EXPORT RandomRepl final : public ReplacementPolicy {
     return mask_first(allowed);
   }
 
-  [[nodiscard]] StackEstimate estimate_position(std::uint64_t, std::uint32_t) const override {
+  [[nodiscard]] StackEstimate estimate_position(std::uint64_t, std::uint32_t) const {
     // Random replacement keeps no recency state: the profiling logic can bound
     // the position only by the full stack.
     return StackEstimate{.lo = 1, .hi = ways_, .point = ways_};
   }
 
-  void reset() override;
+  void reset();
 
  private:
   Rng rng_;

@@ -1,20 +1,28 @@
-// Replacement policy interface.
+// Replacement policy vocabulary: the closed set of policies (ReplacementKind),
+// the profiling estimate they report, and the shape they share.
 //
 // A policy owns the per-set replacement metadata for an entire cache (LRU bits,
 // NRU used bits + the cache-global replacement pointer, or BT tree bits) and is
-// driven by the cache on hits and fills. Victim selection takes an `allowed`
-// way mask so the same policy object serves both unpartitioned caches
-// (allowed == all ways) and the paper's mask-based enforcement.
-//
-// `estimate_position` exposes what the profiling logic can read from the
-// replacement state *before* the access updates it: exact stack positions for
-// true LRU, the paper's estimated positions for NRU and BT.
+// driven by the cache on hits and fills. Every policy has the same hooks:
+//  * on_hit(set, way, allowed) — a line was re-referenced; `allowed` is the
+//    accessing core's enforcement mask (full when unpartitioned), to which NRU
+//    scopes its used-bit saturation reset;
+//  * on_fill(set, way, allowed) — a line was just installed into `way`;
+//  * choose_victim(set, allowed) — pick a victim among the valid lines that
+//    `allowed` (non-empty) selects, so the same policy object serves both
+//    unpartitioned caches and the paper's mask-based enforcement;
+//  * estimate_position(set, way) — what the profiling logic can read from the
+//    replacement state *before* the access updates it: exact stack positions
+//    for true LRU, the paper's estimated positions for NRU and BT;
+//  * reset() — back to the post-power-on state.
+// SetAssocCache holds the five concrete policies as one std::variant whose
+// alternatives follow ReplacementKind's order, so a policy is a value, not an
+// interface.
 #pragma once
 
 #include "plrupart/export.hpp"
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "plrupart/cache/geometry.hpp"
@@ -41,38 +49,14 @@ struct PLRUPART_EXPORT StackEstimate {
   std::uint32_t point = 0;
 };
 
-class PLRUPART_EXPORT ReplacementPolicy {
+/// The shape every policy carries: a plain base with no virtual interface, so
+/// the policies stay copyable and movable values.
+class PLRUPART_EXPORT PolicyShape {
  public:
-  ReplacementPolicy(const Geometry& geo)
+  explicit PolicyShape(const Geometry& geo)
       : sets_(geo.sets()),
         ways_(geo.associativity),
         all_mask_(full_way_mask(geo.associativity)) {}
-  virtual ~ReplacementPolicy() = default;
-
-  ReplacementPolicy(const ReplacementPolicy&) = delete;
-  ReplacementPolicy& operator=(const ReplacementPolicy&) = delete;
-
-  [[nodiscard]] virtual ReplacementKind kind() const noexcept = 0;
-
-  /// A line was re-referenced. `allowed` is the accessing core's enforcement
-  /// mask (full mask when unpartitioned); NRU scopes its used-bit saturation
-  /// reset to it.
-  virtual void on_hit(std::uint64_t set, std::uint32_t way, WayMask allowed) = 0;
-
-  /// A line was just installed into `way` (miss path, after victim eviction).
-  virtual void on_fill(std::uint64_t set, std::uint32_t way, WayMask allowed) = 0;
-
-  /// Choose a victim among the valid lines selected by `allowed` (non-empty).
-  /// The cache fills invalid ways first, so every allowed way holds live data.
-  [[nodiscard]] virtual std::uint32_t choose_victim(std::uint64_t set, WayMask allowed) = 0;
-
-  /// Profiling-logic view of the line's stack position, computed from the
-  /// replacement metadata as it stands *before* the access is applied.
-  [[nodiscard]] virtual StackEstimate estimate_position(std::uint64_t set,
-                                                        std::uint32_t way) const = 0;
-
-  /// Reset all metadata to the post-power-on state.
-  virtual void reset() = 0;
 
   [[nodiscard]] std::uint64_t sets() const noexcept { return sets_; }
   [[nodiscard]] std::uint32_t ways() const noexcept { return ways_; }
@@ -85,10 +69,5 @@ class PLRUPART_EXPORT ReplacementPolicy {
   std::uint32_t ways_;
   WayMask all_mask_;
 };
-
-/// Factory covering every policy the library ships.
-[[nodiscard]] PLRUPART_EXPORT std::unique_ptr<ReplacementPolicy> make_policy(ReplacementKind kind,
-                                                             const Geometry& geo,
-                                                             std::uint64_t seed = 0x5eed);
 
 }  // namespace plrupart::cache

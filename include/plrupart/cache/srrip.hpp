@@ -8,8 +8,8 @@
 // every scoped RRPV ages by one and the scan retries. The RRPV quartile also
 // yields a natural eSDH estimate for the profiling logic.
 //
-// The per-access methods are defined inline (and the class is final) so the
-// cache's statically-dispatched access path inlines them without LTO.
+// The per-access methods are defined inline so SetAssocCache, which holds the
+// policy by value in a variant, inlines them into its access path without LTO.
 #pragma once
 
 #include "plrupart/export.hpp"
@@ -21,7 +21,7 @@
 
 namespace plrupart::cache {
 
-class PLRUPART_EXPORT Srrip final : public ReplacementPolicy {
+class PLRUPART_EXPORT Srrip final : public PolicyShape {
  public:
   static constexpr std::uint8_t kMaxRrpv = 3;       ///< 2-bit RRPV
   static constexpr std::uint8_t kInsertRrpv = 2;    ///< SRRIP "long" insertion
@@ -29,18 +29,14 @@ class PLRUPART_EXPORT Srrip final : public ReplacementPolicy {
 
   explicit Srrip(const Geometry& geo);
 
-  [[nodiscard]] ReplacementKind kind() const noexcept override {
-    return ReplacementKind::kSrrip;
-  }
-
-  void on_hit(std::uint64_t set, std::uint32_t way, WayMask /*allowed*/) override {
+  void on_hit(std::uint64_t set, std::uint32_t way, WayMask /*allowed*/) {
     rrpv_[set * ways_ + way] = kHitRrpv;
   }
-  void on_fill(std::uint64_t set, std::uint32_t way, WayMask /*allowed*/) override {
+  void on_fill(std::uint64_t set, std::uint32_t way, WayMask /*allowed*/) {
     rrpv_[set * ways_ + way] = kInsertRrpv;
   }
 
-  [[nodiscard]] std::uint32_t choose_victim(std::uint64_t set, WayMask allowed) override {
+  [[nodiscard]] std::uint32_t choose_victim(std::uint64_t set, WayMask allowed) {
     allowed &= all_ways();
     PLRUPART_ASSERT(allowed != 0);
     std::uint8_t* rrpv = rrpv_.data() + set * ways_;
@@ -60,7 +56,7 @@ class PLRUPART_EXPORT Srrip final : public ReplacementPolicy {
   /// [r*A/4 + 1, (r+1)*A/4], recorded at the quartile's far edge — the same
   /// "upper bound" convention the paper's NRU estimator uses.
   [[nodiscard]] StackEstimate estimate_position(std::uint64_t set,
-                                                std::uint32_t way) const override {
+                                                std::uint32_t way) const {
     const std::uint32_t r = rrpv(set, way);
     // Quartile width; associativities below 4 collapse to coarse buckets.
     const std::uint32_t span = ways_ >= 4 ? ways_ / 4 : 1;
@@ -72,7 +68,7 @@ class PLRUPART_EXPORT Srrip final : public ReplacementPolicy {
     return StackEstimate{.lo = lo, .hi = hi, .point = hi};
   }
 
-  void reset() override;
+  void reset();
 
   [[nodiscard]] std::uint8_t rrpv(std::uint64_t set, std::uint32_t way) const {
     return rrpv_[set * ways_ + way];

@@ -15,9 +15,10 @@
 // vectors whenever the mask is an aligned power-of-two block (tested), and
 // generalizes them to arbitrary contiguous masks.
 //
-// The per-access methods are defined inline (and the class is final) so the
-// cache's statically-dispatched access path inlines them without LTO; the
-// unconstrained victim walk is a branchless descent over the packed tree word.
+// The per-access methods are defined inline so SetAssocCache, which holds the
+// policy by value in a variant, inlines them into its access path without LTO;
+// the unconstrained victim walk is a branchless descent over the packed tree
+// word.
 #pragma once
 
 #include "plrupart/export.hpp"
@@ -47,25 +48,21 @@ struct PLRUPART_EXPORT ForceVectors {
   friend constexpr bool operator==(const ForceVectors&, const ForceVectors&) = default;
 };
 
-class PLRUPART_EXPORT TreePlru final : public ReplacementPolicy {
+class PLRUPART_EXPORT TreePlru final : public PolicyShape {
  public:
   explicit TreePlru(const Geometry& geo);
 
-  [[nodiscard]] ReplacementKind kind() const noexcept override {
-    return ReplacementKind::kTreePlru;
-  }
-
-  void on_hit(std::uint64_t set, std::uint32_t way, WayMask /*allowed*/) override {
+  void on_hit(std::uint64_t set, std::uint32_t way, WayMask /*allowed*/) {
     promote(set, way);
   }
-  void on_fill(std::uint64_t set, std::uint32_t way, WayMask /*allowed*/) override {
+  void on_fill(std::uint64_t set, std::uint32_t way, WayMask /*allowed*/) {
     promote(set, way);
   }
 
   /// Mask-guided traversal (see file comment). The full-mask case — every
   /// access of an unpartitioned cache and every ATD probe — is a branchless
   /// walk steered only by the tree bits.
-  [[nodiscard]] std::uint32_t choose_victim(std::uint64_t set, WayMask allowed) override {
+  [[nodiscard]] std::uint32_t choose_victim(std::uint64_t set, WayMask allowed) {
     allowed &= all_ways();
     PLRUPART_ASSERT(allowed != 0);
     std::uint32_t node = 0;
@@ -111,13 +108,13 @@ class PLRUPART_EXPORT TreePlru final : public ReplacementPolicy {
   ///   A − numeric_value(ID(way) XOR path-bits(way)),
   /// where ID(way) is produced by the way-number decoder (way bits MSB-first).
   [[nodiscard]] StackEstimate estimate_position(std::uint64_t set,
-                                                std::uint32_t way) const override {
+                                                std::uint32_t way) const {
     const std::uint32_t x = id_bits(way) ^ path_bits(set, way);
     const std::uint32_t est = ways_ - x;  // 1 = MRU .. A = pseudo-LRU victim
     return StackEstimate{.lo = est, .hi = est, .point = est};
   }
 
-  void reset() override;
+  void reset();
 
   /// The decoder of paper Fig. 4(c): ID bits for `way`, packed with the root
   /// level in the most significant of log2(A) bits.

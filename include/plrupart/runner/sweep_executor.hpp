@@ -44,11 +44,11 @@ struct PLRUPART_EXPORT SweepOptions {
   /// immediately rather than burning the retry budget. 0 = no deadline.
   double job_timeout_s = 0.0;
   /// Journal directory (--journal); empty = no journal. See RunJournal.
-  std::string journal_dir;
+  std::string journal_dir{};
   /// Resume an existing journal (--resume): skip jobs already recorded.
   bool resume = false;
   /// Fault-injection probabilities (--fault-inject); all-zero = none.
-  FaultSpec faults;
+  FaultSpec faults{};
   /// Root seed for fault plans. Each (job, attempt) derives its own plan
   /// seed, so fault sequences are replayable AND a retry sees different
   /// faults than the attempt it is recovering from (otherwise an injected

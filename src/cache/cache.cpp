@@ -1,14 +1,43 @@
 #include "plrupart/cache/cache.hpp"
 
 #include <algorithm>
-
-#include "plrupart/cache/lru.hpp"
-#include "plrupart/cache/nru.hpp"
-#include "plrupart/cache/random_repl.hpp"
-#include "plrupart/cache/srrip.hpp"
-#include "plrupart/cache/tree_plru.hpp"
+#include <cstddef>
+#include <type_traits>
+#include <utility>
 
 namespace plrupart::cache {
+
+namespace {
+template <ReplacementKind K>
+using PolicyOf = std::variant_alternative_t<static_cast<std::size_t>(K), PolicyVariant>;
+
+// replacement() reads the kind off the variant index.
+static_assert(std::variant_size_v<PolicyVariant> == 5);
+static_assert(std::is_same_v<PolicyOf<ReplacementKind::kLru>, TrueLru>);
+static_assert(std::is_same_v<PolicyOf<ReplacementKind::kNru>, Nru>);
+static_assert(std::is_same_v<PolicyOf<ReplacementKind::kTreePlru>, TreePlru>);
+static_assert(std::is_same_v<PolicyOf<ReplacementKind::kRandom>, RandomRepl>);
+static_assert(std::is_same_v<PolicyOf<ReplacementKind::kSrrip>, Srrip>);
+
+/// The policy for `kind`, constructed in place in the returned variant.
+PolicyVariant build_policy(ReplacementKind kind, const Geometry& geo, std::uint64_t seed) {
+  geo.validate();
+  switch (kind) {
+    case ReplacementKind::kLru:
+      return PolicyVariant(std::in_place_type<TrueLru>, geo);
+    case ReplacementKind::kNru:
+      return PolicyVariant(std::in_place_type<Nru>, geo);
+    case ReplacementKind::kTreePlru:
+      return PolicyVariant(std::in_place_type<TreePlru>, geo);
+    case ReplacementKind::kRandom:
+      return PolicyVariant(std::in_place_type<RandomRepl>, geo, seed);
+    case ReplacementKind::kSrrip:
+      break;
+  }
+  PLRUPART_ASSERT_MSG(kind == ReplacementKind::kSrrip, "unknown replacement kind");
+  return PolicyVariant(std::in_place_type<Srrip>, geo);
+}
+}  // namespace
 
 std::string to_string(EnforcementMode m) {
   switch (m) {
@@ -28,14 +57,11 @@ SetAssocCache::SetAssocCache(const Geometry& geo, ReplacementKind repl,
     : geo_(geo),
       num_cores_(num_cores),
       enforcement_(enforcement),
-      kind_(repl),
-      policy_(make_policy(repl, geo, seed)),
+      policy_(build_policy(repl, geo, seed)),
       masks_(num_cores, full_way_mask(geo.associativity)),
       quotas_(num_cores, geo.associativity),
       stats_(num_cores) {
   PLRUPART_ASSERT(num_cores >= 1);
-  geo_.validate();
-  PLRUPART_ASSERT(kind_ == policy_->kind());
   ways_ = geo_.associativity;
   line_shift_ = ilog2_exact(geo_.line_bytes);
   tag_shift_ = ilog2_exact(geo_.sets());
@@ -50,7 +76,7 @@ SetAssocCache::SetAssocCache(const Geometry& geo, ReplacementKind repl,
 void SetAssocCache::reset() {
   std::fill(tags_.begin(), tags_.end(), 0);
   std::fill(set_meta_.begin(), set_meta_.end(), 0);
-  policy_->reset();
+  std::visit([](auto& pol) { pol.reset(); }, policy_);
   stats_.reset();
 }
 
@@ -142,34 +168,22 @@ AccessOutcome SetAssocCache::access_impl(Policy& pol, CoreId core, Addr addr,
 }
 
 // The one access entry: the policy x enforcement dispatch around access_impl.
-// Every shipped policy is `final`, so downcasting once per access (on the
-// construction-time kind, which the constructor checked against the policy)
-// devirtualizes and inlines the whole policy update into access_impl.
+// The visit switches on the held alternative, so each of the 15 access_impl
+// instantiations is a direct call with the policy update inlined.
 AccessOutcome SetAssocCache::access(CoreId core, Addr addr, bool write) {
-  const auto run = [&](auto& pol) {
-    switch (enforcement_) {
-      case EnforcementMode::kWayMasks:
-        return access_impl<EnforcementMode::kWayMasks>(pol, core, addr, write);
-      case EnforcementMode::kOwnerCounters:
-        return access_impl<EnforcementMode::kOwnerCounters>(pol, core, addr, write);
-      case EnforcementMode::kNone:
-        break;
-    }
-    return access_impl<EnforcementMode::kNone>(pol, core, addr, write);
-  };
-  switch (kind_) {
-    case ReplacementKind::kLru:
-      return run(static_cast<TrueLru&>(*policy_));
-    case ReplacementKind::kNru:
-      return run(static_cast<Nru&>(*policy_));
-    case ReplacementKind::kTreePlru:
-      return run(static_cast<TreePlru&>(*policy_));
-    case ReplacementKind::kRandom:
-      return run(static_cast<RandomRepl&>(*policy_));
-    case ReplacementKind::kSrrip:
-      break;
-  }
-  return run(static_cast<Srrip&>(*policy_));
+  return std::visit(
+      [&](auto& pol) {
+        switch (enforcement_) {
+          case EnforcementMode::kWayMasks:
+            return access_impl<EnforcementMode::kWayMasks>(pol, core, addr, write);
+          case EnforcementMode::kOwnerCounters:
+            return access_impl<EnforcementMode::kOwnerCounters>(pol, core, addr, write);
+          case EnforcementMode::kNone:
+            break;
+        }
+        return access_impl<EnforcementMode::kNone>(pol, core, addr, write);
+      },
+      policy_);
 }
 
 AccessOutcome SetAssocCache::probe(Addr addr) const {

@@ -2,7 +2,7 @@
 
 namespace plrupart::cache {
 
-TrueLru::TrueLru(const Geometry& geo) : ReplacementPolicy(geo) {
+TrueLru::TrueLru(const Geometry& geo) : PolicyShape(geo) {
   pos_.resize(sets_ * ways_ + 8);
   reset();
 }

@@ -2,7 +2,7 @@
 
 namespace plrupart::cache {
 
-Nru::Nru(const Geometry& geo) : ReplacementPolicy(geo) {
+Nru::Nru(const Geometry& geo) : PolicyShape(geo) {
   used_.resize(sets_, 0);
 }
 

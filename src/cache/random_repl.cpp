@@ -3,7 +3,7 @@
 namespace plrupart::cache {
 
 RandomRepl::RandomRepl(const Geometry& geo, std::uint64_t seed)
-    : ReplacementPolicy(geo), rng_(seed), seed_(seed) {}
+    : PolicyShape(geo), rng_(seed), seed_(seed) {}
 
 void RandomRepl::reset() { rng_ = Rng(seed_); }
 

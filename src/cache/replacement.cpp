@@ -1,11 +1,5 @@
 #include "plrupart/cache/replacement.hpp"
 
-#include "plrupart/cache/lru.hpp"
-#include "plrupart/cache/nru.hpp"
-#include "plrupart/cache/random_repl.hpp"
-#include "plrupart/cache/srrip.hpp"
-#include "plrupart/cache/tree_plru.hpp"
-
 namespace plrupart::cache {
 
 std::string to_string(ReplacementKind k) {
@@ -22,25 +16,6 @@ std::string to_string(ReplacementKind k) {
       return "SRRIP";
   }
   return "?";
-}
-
-std::unique_ptr<ReplacementPolicy> make_policy(ReplacementKind kind, const Geometry& geo,
-                                               std::uint64_t seed) {
-  geo.validate();
-  switch (kind) {
-    case ReplacementKind::kLru:
-      return std::make_unique<TrueLru>(geo);
-    case ReplacementKind::kNru:
-      return std::make_unique<Nru>(geo);
-    case ReplacementKind::kTreePlru:
-      return std::make_unique<TreePlru>(geo);
-    case ReplacementKind::kRandom:
-      return std::make_unique<RandomRepl>(geo, seed);
-    case ReplacementKind::kSrrip:
-      return std::make_unique<Srrip>(geo);
-  }
-  PLRUPART_ASSERT_MSG(false, "unknown replacement kind");
-  return nullptr;
 }
 
 }  // namespace plrupart::cache

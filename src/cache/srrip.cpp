@@ -2,7 +2,7 @@
 
 namespace plrupart::cache {
 
-Srrip::Srrip(const Geometry& geo) : ReplacementPolicy(geo) {
+Srrip::Srrip(const Geometry& geo) : PolicyShape(geo) {
   // Cold lines look distant.
   rrpv_.resize(sets_ * ways_ + 8, kMaxRrpv);
 }

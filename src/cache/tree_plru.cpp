@@ -3,7 +3,7 @@
 namespace plrupart::cache {
 
 TreePlru::TreePlru(const Geometry& geo)
-    : ReplacementPolicy(geo), levels_(ilog2_exact(geo.associativity)) {
+    : PolicyShape(geo), levels_(ilog2_exact(geo.associativity)) {
   PLRUPART_ASSERT_MSG(ways_ >= 2, "tree PLRU needs associativity >= 2");
   tree_.resize(sets_, 0);
   path_node_mask_.resize(ways_, 0);

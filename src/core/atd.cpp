@@ -1,5 +1,7 @@
 #include "plrupart/core/atd.hpp"
 
+#include <variant>
+
 #include "plrupart/common/bits.hpp"
 #include "plrupart/power/complexity.hpp"
 
@@ -31,8 +33,11 @@ std::optional<AtdObservation> Atd::access(cache::Addr line_addr) {
   const cache::Addr atd_line = line_addr >> sample_shift_;
   const cache::Addr addr = atd_line << line_shift_;
   cache::StackEstimate estimate{};
-  if (const auto pre = cache_.probe(addr); pre.hit)
-    estimate = cache_.policy().estimate_position(atd_line & set_mask_, pre.way);
+  if (const auto pre = cache_.probe(addr); pre.hit) {
+    estimate = std::visit(
+        [&](const auto& pol) { return pol.estimate_position(atd_line & set_mask_, pre.way); },
+        cache_.policy());
+  }
   const cache::AccessOutcome out = cache_.access(0, addr);
   return AtdObservation{.hit = out.hit, .way = out.way, .estimate = estimate};
 }

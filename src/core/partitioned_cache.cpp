@@ -1,6 +1,7 @@
 #include "plrupart/core/partitioned_cache.hpp"
 
 #include <sstream>
+#include <variant>
 
 #include "plrupart/cache/tree_plru.hpp"
 #include "plrupart/common/rng.hpp"
@@ -180,7 +181,7 @@ void PartitionedCacheSystem::apply_partition(const Partition& p) {
           config_.bt_strict_pow2) {
         // Strict hardware mode: snap to power-of-two blocks a force-vector
         // pair can express.
-        auto& tree = dynamic_cast<cache::TreePlru&>(l2_->policy());
+        const auto& tree = std::get<cache::TreePlru>(l2_->policy());
         const Partition rounded =
             round_to_pow2_partition(p, config_.geometry.associativity);
         const TreeEnforcement enf =

@@ -1,6 +1,7 @@
 // Reference implementation of SetAssocCache, frozen at the pre-SoA /
 // virtual-dispatch design: an array-of-structs line store, per-access virtual
-// policy calls through the ReplacementPolicy seam, owner *counters* instead
+// policy calls (through the test-local VirtualPolicy seam of virtual_policy.hpp,
+// since the library now holds its policies by value), owner *counters* instead
 // of ownership bitmasks, and an O(A) per-miss rebuild of the owner-counter
 // eviction mask.
 //
@@ -28,6 +29,7 @@
 #include "plrupart/cache/cache_stats.hpp"
 #include "plrupart/cache/geometry.hpp"
 #include "plrupart/cache/replacement.hpp"
+#include "virtual_policy.hpp"
 
 namespace plrupart::testing {
 
@@ -39,7 +41,7 @@ class ReferenceCache {
       : geo_(geo),
         num_cores_(num_cores),
         enforcement_(enforcement),
-        policy_(cache::make_policy(repl, geo, seed)),
+        policy_(make_virtual_policy(repl, geo, seed)),
         lines_(geo.sets() * geo.associativity),
         masks_(num_cores, full_way_mask(geo.associativity)),
         quotas_(num_cores, geo.associativity),
@@ -237,7 +239,7 @@ class ReferenceCache {
   cache::Geometry geo_;
   std::uint32_t num_cores_;
   cache::EnforcementMode enforcement_;
-  std::unique_ptr<cache::ReplacementPolicy> policy_;
+  std::unique_ptr<VirtualPolicy> policy_;
   std::vector<Line> lines_;
   std::vector<WayMask> masks_;
   std::vector<std::uint32_t> quotas_;
