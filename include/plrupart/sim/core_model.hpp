@@ -9,6 +9,7 @@
 
 #include "plrupart/export.hpp"
 
+#include <array>
 #include <cstdint>
 
 #include "plrupart/common/assert.hpp"
@@ -33,17 +34,23 @@ struct PLRUPART_EXPORT CoreParams {
 
 class PLRUPART_EXPORT CoreModel {
  public:
+  /// Gaps below this are charged from a table; larger ones divide.
+  static constexpr std::uint32_t kGapTableSize = 32;
+
   explicit CoreModel(const CoreParams& params)
       : params_(params),
         op_cycles_(1.0 / params.base_ipc),
         l2_stall_cycles_(params.l2_hit_penalty * params.stall_fraction),
         mem_stall_cycles_(params.mem_penalty * params.stall_fraction) {
     params.validate();
+    for (std::uint32_t g = 0; g < kGapTableSize; ++g)
+      gap_cycles_[g] = static_cast<double>(g) / params.base_ipc;
   }
 
   /// Commit `n` non-memory instructions.
   void commit_gap(std::uint32_t n) noexcept {
-    cycles_ += static_cast<double>(n) / params_.base_ipc;
+    cycles_ += n < kGapTableSize ? gap_cycles_[n]
+                                 : static_cast<double>(n) / params_.base_ipc;
     instructions_ += n;
   }
 
@@ -77,13 +84,14 @@ class PLRUPART_EXPORT CoreModel {
 
  private:
   CoreParams params_;
-  // commit_mem's charges, computed once from params_: the same doubles as
-  // computing them per op, without a division on every op.
+  // commit_mem's and commit_gap's charges, computed once from params_: the
+  // same doubles as computing them per op, without a division on every op.
   double op_cycles_;         ///< 1 / base_ipc
   double l2_stall_cycles_;   ///< l2_hit_penalty * stall_fraction
   double mem_stall_cycles_;  ///< mem_penalty * stall_fraction
   double cycles_ = 0.0;
   std::uint64_t instructions_ = 0;
+  std::array<double, kGapTableSize> gap_cycles_{};  ///< [g] = g / base_ipc
 };
 
 }  // namespace plrupart::sim

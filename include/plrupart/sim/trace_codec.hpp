@@ -8,6 +8,14 @@
 // open-time header check followed by a rewind, and every lap of a file no
 // larger than the window, read the file from disk once.
 //
+// Decoders read the window two ways. get()/peek() go byte by byte and refill
+// when the window runs out; window()/skip() expose the unread bytes for a
+// decode in place and never refill. The v2 reader decodes a record in place
+// when at least 2 * kMaxVarintBytes bytes remain in the window (a record
+// that fits in them) and byte-wise otherwise, so a window refills exactly
+// where a byte-wise decode would refill it, and every fault opportunity and
+// error offset is the byte-wise one.
+//
 // Native trace formats (both start with a one-line text header):
 //   v1 (text):    "# plrupart-trace v1\n" then one "<gap> <addr-hex> <R|W>"
 //                 record per line; blank lines and '#' comments are ignored.
@@ -25,6 +33,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -74,7 +83,9 @@ inline constexpr std::size_t kMaxVarintBytes = 10;
 
 /// Windowed file reader: memory stays O(window) however large the file is.
 /// The window size is honored exactly (down to 1 byte) so decoders must not
-/// assume a whole record is ever contiguous in memory.
+/// assume a whole record is ever contiguous in memory: an in-place decode
+/// checks window() first and falls back to get() when the record may run
+/// past it.
 class PLRUPART_EXPORT ByteReader {
  public:
   static constexpr int kEof = -1;
@@ -102,6 +113,15 @@ class PLRUPART_EXPORT ByteReader {
     if (pos_ == len_ && !fill()) return kEof;
     return static_cast<unsigned char>(buf_[pos_]);
   }
+
+  /// The unread bytes of the current window, for decoders that parse in
+  /// place. Never refills: an empty span means the next get() would.
+  [[nodiscard]] std::span<const unsigned char> window() const noexcept {
+    return {reinterpret_cast<const unsigned char*>(buf_.data()) + pos_, len_ - pos_};
+  }
+
+  /// Consume `n` bytes of window(); `n` must not exceed its size.
+  void skip(std::size_t n) noexcept { pos_ += n; }
 
   /// Reposition to an absolute file offset. An offset inside the current
   /// window only moves the cursor; any other drops the window and seeks the

@@ -15,7 +15,11 @@
 // 64 KiB by default. rewind() into the current window is free, so opening a
 // FileTraceSource (header and first-record check, then rewind) fills the
 // window once, and a trace no larger than the window loops without further
-// reads.
+// reads. A v2 record is decoded in place when 2 * kMaxVarintBytes (20) bytes
+// remain in the window, and byte-wise otherwise (near the window's end, and
+// for the rare record with a 10-byte varint or an out-of-range gap), so the
+// window refills at the same records, and every TraceError names the same
+// offset, as with a byte-wise decode of every record.
 #pragma once
 
 #include "plrupart/export.hpp"
@@ -72,6 +76,13 @@ class PLRUPART_EXPORT TraceReader {
   }
 
  private:
+  friend class FileTraceSource;
+
+  /// v2 only: decode the record at the cursor in place when the window holds
+  /// at least 2 * kMaxVarintBytes unread bytes, its varints are at most
+  /// kMaxVarintBytes - 1 bytes each and its gap fits 32 bits. Otherwise
+  /// return false with the cursor unmoved, for the byte-wise decoders.
+  [[nodiscard]] bool next_in_window(MemOp& op) noexcept;
   [[nodiscard]] std::optional<MemOp> next_text();
   [[nodiscard]] std::optional<MemOp> next_binary();
   [[noreturn]] void fail_line(const std::string& what) const;
@@ -122,6 +133,10 @@ class PLRUPART_EXPORT FileTraceSource final : public TraceSource {
   }
 
  private:
+  /// next() for every record next_in_window() declines: the byte-wise
+  /// decode, plus the rewind at end of file.
+  [[nodiscard]] MemOp next_bytewise();
+
   TraceReader reader_;
   std::string name_;
   std::uint64_t delivered_ = 0;

@@ -14,6 +14,27 @@ namespace {
 constexpr std::size_t kWriterFlushBytes = 64 * 1024;
 constexpr std::uint64_t kMaxGap = std::numeric_limits<std::uint32_t>::max();
 constexpr std::size_t kMaxAddrHexDigits = 16;
+/// Window bytes a v2 record decoded in place may span: two varints of any
+/// length, so the decode needs no bounds check inside the record.
+constexpr std::size_t kInPlaceBytes = 2 * kMaxVarintBytes;
+
+/// Decode the LEB128 varint at `p` into `v` if it is at most
+/// kMaxVarintBytes - 1 bytes long (at most 63 bits, so it cannot overflow);
+/// returns its length, or 0 for a longer varint, which is left to the
+/// byte-wise read_varint and its overflow checks.
+[[nodiscard]] std::size_t decode_short_varint(const unsigned char* p,
+                                              std::uint64_t& v) noexcept {
+  std::uint64_t result = 0;
+  for (std::size_t i = 0; i < kMaxVarintBytes - 1; ++i) {
+    const std::uint64_t byte = p[i];
+    result |= (byte & 0x7f) << (7 * i);
+    if (byte < 0x80) {
+      v = result;
+      return i + 1;
+    }
+  }
+  return 0;
+}
 
 [[nodiscard]] constexpr bool is_blank(int c) noexcept { return c == ' ' || c == '\t'; }
 
@@ -71,7 +92,25 @@ void TraceReader::rewind() {
   ops_ = 0;
 }
 
+bool TraceReader::next_in_window(MemOp& op) noexcept {
+  const auto window = in_.window();
+  if (format_ != TraceFormat::kBinaryV2 || window.size() < kInPlaceBytes) return false;
+  std::uint64_t meta = 0;
+  std::uint64_t delta = 0;
+  const std::size_t meta_len = decode_short_varint(window.data(), meta);
+  if (meta_len == 0 || (meta >> 1) > kMaxGap) return false;
+  const std::size_t delta_len = decode_short_varint(window.data() + meta_len, delta);
+  if (delta_len == 0) return false;
+  in_.skip(meta_len + delta_len);
+  prev_addr_ += static_cast<cache::Addr>(zigzag_decode(delta));
+  op = MemOp{.addr = prev_addr_, .write = (meta & 1) != 0,
+             .gap_instrs = static_cast<std::uint32_t>(meta >> 1)};
+  ++ops_;
+  return true;
+}
+
 std::optional<MemOp> TraceReader::next() {
+  if (MemOp op; next_in_window(op)) return op;
   auto op = format_ == TraceFormat::kTextV1 ? next_text() : next_binary();
   if (op) ++ops_;
   return op;
@@ -191,6 +230,14 @@ FileTraceSource::FileTraceSource(const std::string& path, std::size_t buffer_byt
 }
 
 MemOp FileTraceSource::next() {
+  if (MemOp op; reader_.next_in_window(op)) {
+    ++delivered_;
+    return op;
+  }
+  return next_bytewise();
+}
+
+MemOp FileTraceSource::next_bytewise() {
   auto op = reader_.next();
   if (!op) {
     ++loops_;

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
+#include "plrupart/workloads/catalog.hpp"
+#include "plrupart/workloads/trace_workload.hpp"
+
 namespace plrupart::sim {
 namespace {
 
@@ -11,6 +18,31 @@ TEST(CoreModel, GapInstructionsAtBaseIpc) {
   EXPECT_DOUBLE_EQ(m.cycles(), 50.0);
   EXPECT_EQ(m.instructions(), 100ULL);
   EXPECT_DOUBLE_EQ(m.ipc(), 2.0);
+}
+
+TEST(CoreModel, TableDrivenGapChargeIsBitEqualToTheDivision) {
+  std::vector<double> ipcs = {workloads::trace_core_params().base_ipc};
+  for (const auto& profile : workloads::catalog()) ipcs.push_back(profile.core.base_ipc);
+  std::vector<std::uint32_t> gaps;
+  for (std::uint32_t g = 0; g <= CoreModel::kGapTableSize + 4; ++g) gaps.push_back(g);
+  gaps.push_back(0xffff'ffff);
+  for (const double ipc : ipcs) {
+    CoreModel m(CoreParams{.base_ipc = ipc});
+    double cycles = 0.0;
+    std::uint64_t instructions = 0;
+    // Twice over, so the second pass adds each charge to a non-zero clock.
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const std::uint32_t g : gaps) {
+        m.commit_gap(g);
+        cycles += static_cast<double>(g) / ipc;
+        instructions += g;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(m.cycles()),
+                  std::bit_cast<std::uint64_t>(cycles))
+            << "base_ipc " << ipc << " gap " << g << " pass " << pass;
+        ASSERT_EQ(m.instructions(), instructions);
+      }
+    }
+  }
 }
 
 TEST(CoreModel, L1HitCostsOnlyIssueSlot) {

@@ -187,29 +187,81 @@ std::string mutate(std::string bytes, Rng& rng) {
   return bytes;
 }
 
+/// v2 bytes of 200 ordinary records, raw `edge` bytes, then 200 more: a
+/// window holding the whole file meets `edge` mid-window, where records are
+/// decoded in place.
+std::string v2_bytes_around(const std::string& edge) {
+  std::string bytes(kTraceHeaderV2);
+  bytes.push_back('\n');
+  cache::Addr prev = 0;
+  const auto put = [&](const std::vector<MemOp>& ops) {
+    for (const auto& op : ops) {
+      append_varint(bytes, (std::uint64_t{op.gap_instrs} << 1) | (op.write ? 1u : 0u));
+      append_varint(bytes, zigzag_encode(static_cast<std::int64_t>(op.addr - prev)));
+      prev = op.addr;
+    }
+  };
+  put(mixed_ops(200, 6));
+  bytes += edge;
+  put(mixed_ops(200, 7));
+  return bytes;
+}
+
 TEST_F(TraceWindowTest, MutatedTracesDecodeIdenticallyAtEveryWindowSize) {
   // Fixtures: the checked-in v1 conversion golden plus generated v1 and v2
   // traces larger than a 4 KiB window, so every window size below refills
-  // at a different set of offsets.
+  // at a different set of offsets; then hand-built v2 traces whose edge
+  // records sit mid-window: address deltas of 9 and 10 varint bytes and a
+  // gap of 2^32-1 (all well-formed), a gap of 2^32, and a varint whose 10th
+  // byte overflows 64 bits.
   const auto gen_v1 = path("fixture.v1.trace");
   const auto gen_v2 = path("fixture.v2.trace");
   write_trace_file(gen_v1, mixed_ops(300, 4), TraceFormat::kTextV1);
   write_trace_file(gen_v2, mixed_ops(1000, 5), TraceFormat::kBinaryV2);
-  const std::vector<std::string> fixtures = {
-      read_bytes(PLRUPART_TEST_SUPPORT_DIR "/champsim_small.golden.v1.trace"),
-      read_bytes(gen_v1), read_bytes(gen_v2)};
-  ASSERT_GT(fixtures[1].size(), 4096u);
-  ASSERT_GT(fixtures[2].size(), 4096u);
+  // Edge ops: address deltas of 2^62-1, 2^62 and -2^62-1 (9-, 10- and
+  // 10-byte varints) and gaps of 2^32-1 (5-byte varints).
+  auto edge_ops = mixed_ops(200, 6);
+  constexpr cache::Addr kTwo62 = cache::Addr{1} << 62;
+  const cache::Addr a = edge_ops.back().addr;
+  edge_ops.push_back({.addr = a + kTwo62 - 1, .write = true, .gap_instrs = 0xffff'ffff});
+  edge_ops.push_back({.addr = a + 2 * kTwo62 - 1, .write = false, .gap_instrs = 3});
+  edge_ops.push_back({.addr = a + kTwo62 - 2, .write = false, .gap_instrs = 0xffff'ffff});
+  for (const auto& op : mixed_ops(200, 7)) edge_ops.push_back(op);
+  const auto edge_v2 = path("edges.v2.trace");
+  write_trace_file(edge_v2, edge_ops, TraceFormat::kBinaryV2);
+
+  std::string gap_2_32;  // meta varint of a gap of 2^32, then a delta
+  append_varint(gap_2_32, std::uint64_t{1} << 33);
+  gap_2_32.push_back('\x02');
+  const std::string overflow_10th = std::string(9, '\xff') + '\x02';
+  struct Fixture {
+    std::string bytes;
+    const char* error;  ///< what the unmutated fixture fails with, or nullptr
+  };
+  const std::vector<Fixture> fixtures = {
+      {read_bytes(PLRUPART_TEST_SUPPORT_DIR "/champsim_small.golden.v1.trace"), nullptr},
+      {read_bytes(gen_v1), nullptr},
+      {read_bytes(gen_v2), nullptr},
+      {read_bytes(edge_v2), nullptr},
+      {v2_bytes_around(gap_2_32), "gap out of range (exceeds 2^32-1) at byte "},
+      {v2_bytes_around(overflow_10th + '\x02'), "varint overflow at byte "},
+      {v2_bytes_around(std::string("\x04") + overflow_10th), "varint overflow at byte "}};
+  ASSERT_GT(fixtures[1].bytes.size(), 4096u);
+  ASSERT_GT(fixtures[2].bytes.size(), 4096u);
+  for (const auto& f : fixtures)
+    ASSERT_LT(f.bytes.size(), FileTraceSource::kDefaultBufferBytes);
 
   constexpr std::size_t kMutantsPerFixture = 150;
-  const std::size_t windows[] = {1, 7, 4096, FileTraceSource::kDefaultBufferBytes};
+  // 19-21 bytes straddle the in-place decode's 2 * kMaxVarintBytes threshold.
+  const std::size_t windows[] = {
+      1, 7, 19, 20, 21, 4096, FileTraceSource::kDefaultBufferBytes};
   const auto p = path("mutant.trace");
   Rng rng(20'101);
   std::size_t decoded = 0;
   std::size_t rejected = 0;
   for (std::size_t f = 0; f < fixtures.size(); ++f) {
     for (std::size_t m = 0; m < kMutantsPerFixture; ++m) {
-      const auto bytes = m == 0 ? fixtures[f] : mutate(fixtures[f], rng);
+      const auto bytes = m == 0 ? fixtures[f].bytes : mutate(fixtures[f].bytes, rng);
       write_bytes(p, bytes);
       const std::size_t max_ops = kLaps * (bytes.size() + 1);
       const auto reference = replay(p, windows[0], max_ops);
@@ -227,10 +279,24 @@ TEST_F(TraceWindowTest, MutatedTracesDecodeIdenticallyAtEveryWindowSize) {
       } else {
         ++rejected;
       }
-      if (m == 0) {
+      if (m == 0 && fixtures[f].error == nullptr) {
         EXPECT_TRUE(reference.error.empty()) << reference.error;
+      } else if (m == 0) {
+        EXPECT_NE(reference.error.find(fixtures[f].error), std::string::npos)
+            << reference.error;
+        EXPECT_EQ(reference.ops.size(), 200u) << "the edge record follows 200 others";
       }
     }
+  }
+  // The edge records decode to exactly what was written.
+  write_bytes(p, fixtures[3].bytes);
+  const auto edges =
+      replay(p, FileTraceSource::kDefaultBufferBytes, kLaps * edge_ops.size());
+  ASSERT_EQ(edges.ops.size(), kLaps * edge_ops.size()) << edges.error;
+  for (std::size_t i = 0; i < edge_ops.size(); ++i) {
+    EXPECT_EQ(edges.ops[i], std::make_tuple(edge_ops[i].addr, edge_ops[i].write,
+                                            edge_ops[i].gap_instrs))
+        << "record " << i;
   }
   // Both outcomes must be common, or the mutator is not exercising anything.
   EXPECT_GT(decoded, fixtures.size() * 10);
