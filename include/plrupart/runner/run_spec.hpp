@@ -3,11 +3,9 @@
 // A RunMatrix is the cartesian product of three axes — configuration acronyms,
 // workloads, and L2 sizes — over one set of shared simulation parameters.
 // expand() flattens it into RunSpecs in *canonical order* (workload-major,
-// then config, then L2 size), and shard(i, n) carves the same flat list into
-// n disjoint slices whose union is exactly the full matrix. Every RunSpec
-// carries its canonical position (`job_index`) and a seed derived from the
-// matrix position, so a job simulates identically whether it runs alone, in a
-// thread pool, or on shard 7 of 32.
+// then config, then L2 size). Every RunSpec carries its canonical position
+// (`job_index`) and a seed derived from the matrix position, so a job
+// simulates identically whether it runs alone or in a thread pool.
 #pragma once
 
 #include "plrupart/export.hpp"
@@ -22,8 +20,8 @@
 
 namespace plrupart::runner {
 
-/// One fully-resolved simulation job. Value type: cheap to copy into shard
-/// slices and across thread boundaries.
+/// One fully-resolved simulation job. Value type: cheap to copy across
+/// thread boundaries.
 struct PLRUPART_EXPORT RunSpec {
   std::uint64_t job_index = 0;   ///< canonical position in the FULL matrix
   std::string config;            ///< L2 configuration acronym (CpaConfig)
@@ -114,18 +112,12 @@ struct PLRUPART_EXPORT RunMatrix {
   /// participates: all configs and L2 sizes of one workload replay identical
   /// trace streams, so the config and size axes stay paired comparisons,
   /// while distinct workloads get decorrelated streams. Independent of thread
-  /// count and of any shard split by construction.
+  /// count by construction.
   [[nodiscard]] std::uint64_t job_seed(std::size_t wi) const noexcept;
 
   /// Flatten into jobs in canonical order; result[k].job_index == k.
   /// Calls validate() first.
   [[nodiscard]] std::vector<RunSpec> expand() const;
-
-  /// Shard i of n: every n-th job of the canonical expansion starting at i
-  /// (striped, so shards stay balanced even when one axis dominates runtime).
-  /// The n shards are pairwise disjoint and their union is exactly expand();
-  /// job_index and seed are preserved from the full matrix.
-  [[nodiscard]] std::vector<RunSpec> shard(std::size_t i, std::size_t n) const;
 
   /// Fail loudly on an unrunnable matrix: empty axes, bad geometry, unknown
   /// acronyms, or a workload with more threads than the L2 has ways.

@@ -1,17 +1,15 @@
 // SweepExecutor: fans RunSpecs out over the process thread pool and puts the
-// results back in canonical job order, plus the CSV side of large-scale runs
-// (canonical emission, shard-output merge/validation) and the resilience
-// layer: per-job retry/timeout supervision, deterministic fault injection,
-// and the crash-safe journal behind --journal/--resume.
+// results back in canonical job order, plus canonical CSV emission and the
+// resilience layer: per-job retry/timeout supervision, deterministic fault
+// injection, and the crash-safe journal behind --journal/--resume.
 //
 // Determinism contract: each job is a single-threaded deterministic
 // simulation and every result lands at its own index, so the CSV written for
-// a job list is byte-identical at any --threads value, and the merge of a
-// full set of shard CSVs is byte-identical to the unsharded run. The
-// resilience layer preserves it: a journaled sweep killed at any instant and
-// resumed produces a final CSV byte-identical to an uninterrupted run, and a
-// retried job re-executes from scratch (same spec, same seed), so recovery
-// never changes a number.
+// a job list is byte-identical at any --threads value. The resilience layer
+// preserves it: a journaled sweep killed at any instant and resumed produces a
+// final CSV byte-identical to an uninterrupted run, and a retried job
+// re-executes from scratch (same spec, same seed), so recovery never changes a
+// number.
 #pragma once
 
 #include "plrupart/export.hpp"
@@ -66,7 +64,7 @@ class PLRUPART_EXPORT SweepExecutor {
   explicit SweepExecutor(SweepOptions opts = {}) : opts_(opts) {}
 
   /// Run every job; results come back in the order of `jobs` (canonical order
-  /// when the list came from RunMatrix::expand()/shard()), regardless of which
+  /// when the list came from RunMatrix::expand()), regardless of which
   /// worker finished when. Supervision (retries, timeout, fault plans)
   /// applies; the journal does not (use run_csv for journaled sweeps — a
   /// resumed job has durable CSV bytes but no in-memory SimResult).
@@ -93,7 +91,7 @@ class PLRUPART_EXPORT SweepExecutor {
 };
 
 /// Column names of the sweep CSV. Leading "job" column carries the canonical
-/// full-matrix index — the job key the merge step sorts and dedups on.
+/// full-matrix index.
 [[nodiscard]] PLRUPART_EXPORT const std::vector<std::string>& sweep_csv_header();
 
 /// Mode-aware schema: functional mode is the exact classic header above
@@ -111,15 +109,5 @@ PLRUPART_EXPORT void write_csv(std::ostream& os, const std::vector<JobResult>& r
 /// final CSV of a resumed sweep is header + these fragments concatenated, so
 /// sharing the formatting path IS the byte-identity argument.
 [[nodiscard]] PLRUPART_EXPORT std::string sweep_csv_rows(const JobResult& result);
-
-/// Merge shard CSVs (written by write_csv) into `os`: headers must match the
-/// sweep schema exactly, job keys must not repeat across inputs, and rows are
-/// re-sorted to canonical job order. Throws InvariantError on any violation.
-PLRUPART_EXPORT void merge_csv(const std::vector<std::string>& shard_paths, std::ostream& os);
-
-/// Stream-level core of merge_csv, separated for tests. `names` labels each
-/// stream in error messages (parallel to `shards`).
-PLRUPART_EXPORT void merge_csv_streams(const std::vector<std::istream*>& shards,
-                       const std::vector<std::string>& names, std::ostream& os);
 
 }  // namespace plrupart::runner

@@ -144,17 +144,6 @@ std::vector<RunSpec> RunMatrix::expand() const {
   return jobs;
 }
 
-std::vector<RunSpec> RunMatrix::shard(std::size_t i, std::size_t n) const {
-  PLRUPART_ASSERT_MSG(n >= 1, "shard count must be >= 1");
-  PLRUPART_ASSERT_MSG(i < n, "shard index " + std::to_string(i) +
-                                 " out of range for " + std::to_string(n) + " shards");
-  auto all = expand();
-  std::vector<RunSpec> slice;
-  slice.reserve(all.size() / n + 1);
-  for (std::size_t k = i; k < all.size(); k += n) slice.push_back(std::move(all[k]));
-  return slice;
-}
-
 void RunMatrix::validate() const {
   PLRUPART_ASSERT_MSG(!configs.empty(), "run matrix has no configurations");
   PLRUPART_ASSERT_MSG(!workloads.empty(), "run matrix has no workloads");

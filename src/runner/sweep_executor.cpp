@@ -2,23 +2,18 @@
 
 #include <algorithm>
 #include <atomic>
-#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
-#include <istream>
 #include <memory>
 #include <numeric>
 #include <ostream>
 #include <sstream>
-#include <string_view>
 #include <thread>
 #include <utility>
 
 #include "plrupart/common/assert.hpp"
 #include "plrupart/common/rng.hpp"
 #include "plrupart/runner/journal.hpp"
-#include "common/cli.hpp"
 #include "common/csv.hpp"
 #include "common/parallel.hpp"
 
@@ -236,124 +231,6 @@ std::string sweep_csv_rows(const JobResult& result) {
   CsvWriter csv(ss, sweep_csv_header(result.result.timing).size(), CsvWriter::NoHeader{});
   append_job_rows(csv, result);
   return ss.str();
-}
-
-namespace {
-
-/// CSV header line of the sweep schema ("job,workload,...").
-std::string header_line(sim::TimingMode mode = sim::TimingMode::kFunctional) {
-  std::string line;
-  for (const auto& col : sweep_csv_header(mode)) {
-    if (!line.empty()) line += ',';
-    line += col;
-  }
-  return line;
-}
-
-/// Leading "job" field of a data row, or the field at `index` (0-based).
-/// Sweep rows never quote these fields, so a plain comma walk suffices.
-std::string_view field_at(std::string_view row, std::size_t index) {
-  std::size_t begin = 0;
-  for (std::size_t f = 0; f < index; ++f) {
-    const auto comma = row.find(',', begin);
-    PLRUPART_ASSERT_MSG(comma != std::string_view::npos, "malformed CSV row: " +
-                                                             std::string(row));
-    begin = comma + 1;
-  }
-  const auto end = row.find(',', begin);
-  return row.substr(begin, end == std::string_view::npos ? end : end - begin);
-}
-
-struct ParsedRow {
-  std::uint64_t job = 0;
-  std::uint64_t core = 0;
-  std::size_t shard = 0;  ///< which input stream the row came from
-  std::string text;       ///< verbatim row, re-emitted untouched
-};
-
-}  // namespace
-
-void merge_csv_streams(const std::vector<std::istream*>& shards,
-                       const std::vector<std::string>& names, std::ostream& os) {
-  PLRUPART_ASSERT_MSG(!shards.empty(), "merge needs at least one shard CSV");
-  PLRUPART_ASSERT(shards.size() == names.size());
-  // Either schema merges — functional or timed — but never a mix: the first
-  // shard's header picks the schema and every other shard must match it.
-  std::string expected_header;
-
-  std::vector<ParsedRow> rows;
-  for (std::size_t si = 0; si < shards.size(); ++si) {
-    std::istream& in = *shards[si];
-    std::string line;
-    PLRUPART_ASSERT_MSG(static_cast<bool>(std::getline(in, line)),
-                        "shard '" + names[si] + "' is empty");
-    if (si == 0) {
-      PLRUPART_ASSERT_MSG(line == header_line() ||
-                              line == header_line(sim::TimingMode::kTimed),
-                          "shard '" + names[si] + "' header does not match the sweep "
-                          "schema: got '" + line + "'");
-      expected_header = line;
-    }
-    PLRUPART_ASSERT_MSG(line == expected_header,
-                        "shard '" + names[si] + "' header does not match the sweep "
-                        "schema: got '" + line + "'");
-    while (std::getline(in, line)) {
-      if (line.empty()) continue;
-      ParsedRow row;
-      row.job = parse_u64(field_at(line, 0), "job index in CSV row");
-      row.core = parse_u64(field_at(line, 5), "core index in CSV row");
-      row.shard = si;
-      row.text = std::move(line);
-      rows.push_back(std::move(row));
-    }
-  }
-
-  // Canonical order: ascending job index; a job's per-core rows keep their
-  // in-file order (cores are already ascending within a job).
-  std::stable_sort(rows.begin(), rows.end(),
-                   [](const ParsedRow& a, const ParsedRow& b) { return a.job < b.job; });
-
-  // Validate: a job key must come from exactly one shard, its per-core rows
-  // must be strictly ascending (write_csv emits cores 0..n-1, so anything
-  // else means duplicated or reordered rows — e.g. a rerun appended with
-  // `>>`), and the merged key set must be gapless from 0 — a gap means a
-  // shard is missing or truncated.
-  std::uint64_t next_expected = 0;
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& r = rows[i];
-    if (i > 0 && rows[i - 1].job == r.job) {
-      const auto& prev = rows[i - 1];
-      PLRUPART_ASSERT_MSG(prev.shard == r.shard,
-                          "duplicate job key " + std::to_string(r.job) + " in shards '" +
-                              names[prev.shard] + "' and '" + names[r.shard] + "'");
-      PLRUPART_ASSERT_MSG(prev.core < r.core,
-                          "rows for job " + std::to_string(r.job) + " in shard '" +
-                              names[r.shard] +
-                              "' are duplicated or out of core order");
-    }
-    if (i == 0 || rows[i - 1].job != r.job) {
-      PLRUPART_ASSERT_MSG(r.job == next_expected,
-                          "merged shards are missing job " +
-                              std::to_string(next_expected) +
-                              " (incomplete shard set?)");
-      ++next_expected;
-    }
-  }
-
-  os << expected_header << '\n';
-  for (const auto& r : rows) os << r.text << '\n';
-}
-
-void merge_csv(const std::vector<std::string>& shard_paths, std::ostream& os) {
-  std::vector<std::ifstream> files;
-  files.reserve(shard_paths.size());
-  std::vector<std::istream*> streams;
-  for (const auto& path : shard_paths) {
-    auto& f = files.emplace_back(path);
-    PLRUPART_ASSERT_MSG(static_cast<bool>(f), "cannot open shard CSV '" + path + "'");
-    streams.push_back(&f);
-  }
-  merge_csv_streams(streams, shard_paths, os);
 }
 
 }  // namespace plrupart::runner

@@ -78,14 +78,28 @@ std::size_t TimedMemory::dirty_index(cache::Addr line, std::uint32_t way) const 
   return static_cast<std::size_t>(geo_.set_index(line)) * geo_.associativity + way;
 }
 
-std::size_t TimedMemory::find_pending(cache::Addr line) const noexcept {
-  std::size_t i = 0;
-  for (; i < mshrs_.size(); ++i) {
-    const Mshr& m = mshrs_[i];
-    // Non-short-circuit: one compare chain, no data-dependent branches.
-    if ((m.line == line) & (m.refs > 0) & !m.done) break;
+namespace {
+
+/// Lowest index of `slots` whose entry satisfies `pred`, or slots.size().
+/// Every slot is visited, downwards, and a match is kept by a mask select
+/// rather than an early exit, so the scan has no data-dependent branch.
+template <class Slot, class Pred>
+inline std::size_t lowest_match(const std::vector<Slot>& slots, Pred pred) noexcept {
+  std::size_t found = slots.size();
+  for (std::size_t i = slots.size(); i-- > 0;) {
+    const std::size_t keep = std::size_t{0} - static_cast<std::size_t>(pred(slots[i]));
+    found ^= (found ^ i) & keep;
   }
-  return i;
+  return found;
+}
+
+}  // namespace
+
+std::size_t TimedMemory::find_pending(cache::Addr line) const noexcept {
+  // At most one unfilled MSHR holds a line, so the lowest match is the match.
+  return lowest_match(mshrs_, [line](const Mshr& m) {
+    return (m.line == line) & (m.refs > 0) & !m.done;  // non-short-circuit
+  });
 }
 
 namespace {
@@ -233,11 +247,9 @@ std::uint32_t TimedMemory::alloc_mshr(std::uint64_t& t) {
     }
     t = std::max(t, now_);
   }
-  for (std::size_t i = 0; i < mshrs_.size(); ++i) {
-    if (mshrs_[i].refs == 0) return static_cast<std::uint32_t>(i);
-  }
-  mshrs_.push_back(Mshr{});
-  return static_cast<std::uint32_t>(mshrs_.size() - 1);
+  const std::size_t slot = lowest_match(mshrs_, [](const Mshr& m) { return m.refs == 0; });
+  if (slot == mshrs_.size()) mshrs_.push_back(Mshr{});
+  return static_cast<std::uint32_t>(slot);
 }
 
 TimedMemory::Ticket TimedMemory::miss(std::uint64_t t_issue, cache::Addr line,

@@ -7,9 +7,13 @@
 namespace plrupart::sim {
 
 ByteReader::ByteReader(std::string path, std::size_t buffer_bytes)
-    : path_(std::move(path)),
-      in_(std::fopen(path_.c_str(), "rb")),
-      buf_(buffer_bytes > 0 ? buffer_bytes : 1) {
+    : path_(std::move(path)), buf_(buffer_bytes > 0 ? buffer_bytes : 1) {
+  // Opening a FIFO blocks until a writer arrives, and a signal meanwhile
+  // fails the open with EINTR: retry it, as fill() retries an EINTR read.
+  do {
+    errno = 0;
+    in_.reset(std::fopen(path_.c_str(), "rb"));
+  } while (in_ == nullptr && errno == EINTR);
   if (in_ == nullptr) throw TraceError("cannot open trace file '" + path_ + "'");
 }
 

@@ -2,15 +2,14 @@
 //
 // The one entry point for running named policy/partitioning configurations
 // over the paper's workloads and getting machine-readable results out. The
-// driver only parses flags into a runner::RunMatrix; expansion, sharding,
-// parallel execution, and CSV emission all live in src/runner/.
+// driver only parses flags into a runner::RunMatrix; expansion, parallel
+// execution, and CSV emission all live in src/runner/.
 //
 //   plrupart --list-workloads            enumerate catalog benchmarks + Table II mixes
 //   plrupart --list-configs              enumerate the paper's configuration acronyms
 //   plrupart --workload 2T_04 [...]      run one or more Table II workloads
 //   plrupart --benchmarks twolf,art [..] run an ad-hoc benchmark mix
 //   plrupart --trace a.trace,b.trace     run captured trace files (one per core)
-//   plrupart --merge-csv a.csv,b.csv     merge + validate shard outputs
 //
 // Matrix axes (cartesian product, canonical order = workload > config > size):
 //   --configs A,B,...  L2 configuration acronyms      [M-0.75N]
@@ -29,7 +28,6 @@
 //
 // Scale-out flags:
 //   --threads N        worker threads; 0 = one per hardware thread  [0]
-//   --shard i/n        run slice i of an n-way split of the matrix
 //   --sim-threads K    intra-run front-end producers per job; 0 = hardware  [1]
 //   --progress         per-job completion lines on stderr
 //
@@ -50,15 +48,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
-#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -106,14 +101,13 @@ void print_usage() {
       "  plrupart --trace FILE[,FILE...]       run captured traces, one file per core\n"
       "                                        (v1/v2 auto-detected; see\n"
       "                                        plrupart-trace-convert for ChampSim/PIN)\n"
-      "  plrupart --merge-csv A.csv,B.csv,...  merge + validate shard CSVs\n"
       "\n"
       "matrix axes: --configs ACRO[,ACRO...] [M-0.75N]   --l2-kb-sweep KB[,KB...] [1024]\n"
       "             (--config / --l2-kb are the single-value spellings)\n"
       "run flags:   --instr N [1000000]  --warmup N [instr/2]  --assoc N [16]\n"
       "             --line N [128]  --interval N [1000000]  --sampling N [32]\n"
       "             --seed N [1]  --csv PATH (default: stdout)\n"
-      "scale-out:   --threads N [0 = all hardware threads]  --shard i/n  --progress\n"
+      "scale-out:   --threads N [0 = all hardware threads]  --progress\n"
       "             --sim-threads K [1]  intra-run front-end producers per job:\n"
       "                                  K > 1 generates traces and runs the L1s\n"
       "                                  on min(K, cores) threads ahead of the L2\n"
@@ -160,19 +154,6 @@ std::uint64_t get_count(const Cli& cli, std::string_view name, std::uint64_t def
                       "flag " + std::string(name) + " must be in [" + std::to_string(min) +
                           ", " + std::to_string(max) + "], got " + std::to_string(v));
   return static_cast<std::uint64_t>(v);
-}
-
-/// "i/n" -> (i, n) with i < n. Anything else fails loudly.
-std::pair<std::size_t, std::size_t> parse_shard(const std::string& text) {
-  const auto slash = text.find('/');
-  PLRUPART_ASSERT_MSG(slash != std::string::npos && slash > 0 && slash + 1 < text.size(),
-                      "--shard expects i/n (e.g. 0/4), got '" + text + "'");
-  const auto i = static_cast<std::size_t>(
-      parse_u64(std::string_view(text).substr(0, slash), "value for --shard"));
-  const auto n = static_cast<std::size_t>(
-      parse_u64(std::string_view(text).substr(slash + 1), "value for --shard"));
-  PLRUPART_ASSERT_MSG(n >= 1 && i < n, "--shard index must satisfy i < n, got '" + text + "'");
-  return {i, n};
 }
 
 /// Parse all matrix-shaping flags. The workload axis is filled by run().
@@ -239,30 +220,6 @@ class CsvOutput {
   std::ostringstream buf_;
 };
 
-int merge(const Cli& cli) {
-  const auto paths = split_list(cli.get_string("--merge-csv", ""));
-  PLRUPART_ASSERT_MSG(!paths.empty(), "--merge-csv needs at least one input CSV");
-  // Opening the output truncates it — make sure that never destroys an input
-  // shard. Compare resolved paths so `./shard0.csv` vs `shard0.csv` is caught.
-  const auto out_path = cli.get_string("--csv", "-");
-  if (out_path != "-") {
-    std::error_code ec;
-    const auto out_canon = std::filesystem::weakly_canonical(out_path, ec);
-    for (const auto& in : paths) {
-      std::error_code in_ec;
-      const auto in_canon = std::filesystem::weakly_canonical(in, in_ec);
-      PLRUPART_ASSERT_MSG(in != out_path && (ec || in_ec || in_canon != out_canon),
-                          "--csv output '" + out_path +
-                              "' is also a --merge-csv input; refusing to overwrite "
-                              "shard data");
-    }
-  }
-  CsvOutput out(cli);
-  runner::merge_csv(paths, out.stream());
-  out.finish();
-  return 0;
-}
-
 /// Fault spec from --fault-inject or the PLRUPART_FAULT_INJECT environment
 /// variable (the flag wins); all-zero when neither is set.
 FaultSpec parse_faults(const Cli& cli) {
@@ -275,13 +232,6 @@ FaultSpec parse_faults(const Cli& cli) {
 }
 
 int run(const Cli& cli) {
-  if (cli.has("--merge-csv")) {
-    PLRUPART_ASSERT_MSG(!cli.has("--workload") && !cli.has("--benchmarks") &&
-                            !cli.has("--trace"),
-                        "--merge-csv cannot be combined with a simulation run");
-    return merge(cli);
-  }
-
   runner::RunMatrix matrix = parse_matrix(cli);
 
   // Resolve the workload axis: named Table II workloads, one ad-hoc mix, or
@@ -343,16 +293,9 @@ int run(const Cli& cli) {
   // rows of the sweep) has been emitted.
   matrix.validate();
 
-  // Expand, optionally slice, and fan out. Jobs land in canonical order, so
-  // the CSV is byte-identical at any --threads value, and shard outputs merge
-  // back (via --merge-csv) into exactly the unsharded file.
-  std::vector<runner::RunSpec> jobs;
-  if (const auto shard = cli.value("--shard")) {
-    const auto [i, n] = parse_shard(*shard);
-    jobs = matrix.shard(i, n);
-  } else {
-    jobs = matrix.expand();
-  }
+  // Expand and fan out. Jobs land in canonical order, so the CSV is
+  // byte-identical at any --threads value.
+  std::vector<runner::RunSpec> jobs = matrix.expand();
 
   constexpr auto kU32Max = std::numeric_limits<std::uint32_t>::max();
   runner::SweepOptions opts;
@@ -385,9 +328,8 @@ bool check_args(int argc, char** argv) {
       "--workload", "--benchmarks", "--config",   "--configs",  "--instr",
       "--warmup",   "--l2-kb",      "--l2-kb-sweep", "--assoc", "--line",
       "--interval", "--sampling",   "--seed",     "--csv",      "--threads",
-      "--shard",    "--merge-csv",  "--trace",    "--sim-threads", "--timing",
-      "--journal",  "--job-retries", "--retry-backoff-ms", "--job-timeout",
-      "--fault-inject"};
+      "--trace",    "--sim-threads", "--timing",  "--journal",  "--job-retries",
+      "--retry-backoff-ms", "--job-timeout",      "--fault-inject"};
   static constexpr std::string_view kBoolFlags[] = {"--help",         "-h",
                                                     "--version",      "--list-workloads",
                                                     "--list-configs", "--progress",

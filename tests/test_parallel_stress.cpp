@@ -230,31 +230,6 @@ TEST(SweepExecutorStress, ProgressLinesStayWholeUnderOversubscription) {
   EXPECT_EQ(counters, expected) << "stderr was:\n" << err;
 }
 
-TEST(SweepExecutorStress, ShardRunsMergeToUnshardedBytesAtAnyThreadCount) {
-  const auto m = stress_matrix();
-  const runner::SweepExecutor serial({.threads = 1});
-  const std::string full = csv_of(serial.run(m.expand()));
-
-  for (const std::size_t n_shards : {2u, 3u}) {
-    // Each shard simulated with its own contended pool, as a fleet would.
-    std::vector<std::string> shard_csvs(n_shards);
-    for (std::size_t s = 0; s < n_shards; ++s) {
-      const runner::SweepExecutor ex({.threads = 8});
-      shard_csvs[s] = csv_of(ex.run(m.shard(s, n_shards)));
-    }
-    std::vector<std::istringstream> streams(shard_csvs.begin(), shard_csvs.end());
-    std::vector<std::istream*> ptrs;
-    std::vector<std::string> names;
-    for (std::size_t s = 0; s < n_shards; ++s) {
-      ptrs.push_back(&streams[s]);
-      names.push_back("shard" + std::to_string(s));
-    }
-    std::ostringstream merged;
-    runner::merge_csv_streams(ptrs, names, merged);
-    EXPECT_EQ(merged.str(), full) << "n_shards=" << n_shards;
-  }
-}
-
 TEST(SweepExecutorStress, EmptyJobListIsANoop) {
   const runner::SweepExecutor ex({.threads = 8, .progress = true});
   EXPECT_TRUE(ex.run({}).empty());

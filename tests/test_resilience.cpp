@@ -281,10 +281,14 @@ TEST_F(ByteReaderResilienceTest, SurvivesEintrAndShortReadsOnAFifo) {
 
   const pthread_t reader_thread = ::pthread_self();
   std::atomic<bool> done{false};
+  const int signals_before = g_eintr_signals.load();
 
   // Writer: dribble the payload through the FIFO in odd-sized chunks with
-  // pauses, so the reader sees short reads and blocks mid-stream.
+  // pauses, so the reader sees short reads and blocks mid-stream. It opens
+  // its end only after several signals, so the reader's open of the FIFO
+  // blocks first and is interrupted too.
   std::thread writer([&] {
+    while (g_eintr_signals.load() < signals_before + 8) std::this_thread::yield();
     const int fd = ::open(fifo.c_str(), O_WRONLY);  // rendezvous with the reader
     if (fd < 0) return;
     const char* p = payload.data();

@@ -1,13 +1,11 @@
 // The sweep engine's contracts: canonical expansion order, position-derived
-// per-job seeds, sharding invariants (disjoint, exhaustive, split-independent),
-// thread-count-independent CSV output, shard-merge validation, and the same
+// per-job seeds, thread-count-independent CSV output, and the same
 // determinism guarantees for trace-backed (file-driven) workloads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <set>
 #include <sstream>
 #include <string>
 #include <unistd.h>
@@ -77,42 +75,6 @@ TEST(RunMatrix, JobKeyNamesWorkloadConfigAndSize) {
   EXPECT_EQ(jobs[0].key(), jobs[0].workload.id + "|NOPART-L|128");
 }
 
-TEST(RunMatrix, ShardsArePairwiseDisjointAndExhaustive) {
-  const auto m = small_matrix();
-  const auto full = m.expand();
-  for (const std::size_t n : {1u, 2u, 3u, 5u, 12u, 17u}) {
-    std::set<std::uint64_t> seen;
-    std::size_t total = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto slice = m.shard(i, n);
-      total += slice.size();
-      for (std::size_t k = 0; k < slice.size(); ++k) {
-        const auto& job = slice[k];
-        EXPECT_TRUE(seen.insert(job.job_index).second)
-            << "job " << job.job_index << " appears in two shards of split n=" << n;
-        if (k > 0) {
-          EXPECT_LT(slice[k - 1].job_index, job.job_index);
-        }
-        // The spec — including its seed — is identical to the full matrix's:
-        // seeds are independent of the shard split.
-        const auto& ref = full[job.job_index];
-        EXPECT_EQ(job.seed, ref.seed);
-        EXPECT_EQ(job.config, ref.config);
-        EXPECT_EQ(job.workload.id, ref.workload.id);
-        EXPECT_EQ(job.l2.size_bytes, ref.l2.size_bytes);
-      }
-    }
-    EXPECT_EQ(total, full.size()) << "shard union != full matrix for n=" << n;
-    EXPECT_EQ(seen.size(), full.size());
-  }
-}
-
-TEST(RunMatrix, ShardRejectsBadSplit) {
-  const auto m = small_matrix();
-  EXPECT_THROW((void)m.shard(2, 2), InvariantError);
-  EXPECT_THROW((void)m.shard(0, 0), InvariantError);
-}
-
 TEST(RunMatrix, ValidateRejectsBadInput) {
   auto m = small_matrix();
   m.configs = {"NOT-A-CONFIG"};
@@ -143,24 +105,6 @@ TEST(SweepExecutor, CsvIsByteIdenticalAtAnyThreadCount) {
   EXPECT_NE(serial.find("\n0,"), std::string::npos) << "expected job-0 rows";
 }
 
-TEST(SweepExecutor, MergedShardCsvsEqualTheUnshardedRun) {
-  const auto m = small_matrix();
-  const auto unsharded = csv_at_threads(m, 1);
-
-  std::vector<std::string> shard_csvs;
-  for (std::size_t i = 0; i < 2; ++i) {
-    const auto results = runner::SweepExecutor({.threads = 2}).run(m.shard(i, 2));
-    std::ostringstream os;
-    runner::write_csv(os, results);
-    shard_csvs.push_back(os.str());
-  }
-
-  std::istringstream s0(shard_csvs[0]), s1(shard_csvs[1]);
-  std::ostringstream merged;
-  runner::merge_csv_streams({&s1, &s0}, {"s1", "s0"}, merged);  // order-insensitive
-  EXPECT_EQ(merged.str(), unsharded);
-}
-
 TEST(SweepExecutor, SyntheticCoresKeepTheirProfileNames) {
   // Table II writes "perl" where the catalog profile is "perlbmk"; the CSV
   // has always printed the profile's name.
@@ -176,33 +120,6 @@ TEST(SweepExecutor, SyntheticCoresKeepTheirProfileNames) {
   const auto csv = csv_at_threads(m, 1);
   EXPECT_NE(csv.find(",1,perlbmk,"), std::string::npos) << csv;
   EXPECT_EQ(csv.find(",perl,"), std::string::npos) << csv;
-}
-
-TEST(MergeCsv, RejectsDuplicateJobKeys) {
-  const auto m = small_matrix();
-  const auto results = runner::SweepExecutor({.threads = 2}).run(m.shard(0, 2));
-  std::ostringstream os;
-  runner::write_csv(os, results);
-  std::istringstream a(os.str()), b(os.str());
-  std::ostringstream merged;
-  EXPECT_THROW(runner::merge_csv_streams({&a, &b}, {"a", "b"}, merged), InvariantError);
-}
-
-TEST(MergeCsv, RejectsDuplicatedPerCoreBlockWithinOneShard) {
-  // A rerun appended to the same file (`plrupart ... >> shard.csv`) repeats a
-  // job's whole core block; adjacent-pair checks alone would miss it because
-  // consecutive cores still differ (0,1,0,1).
-  const auto m = small_matrix();
-  const auto results = runner::SweepExecutor({.threads = 1}).run(m.expand());
-  std::ostringstream os;
-  runner::write_csv(os, results);
-  const auto csv = os.str();
-  const auto header_end = csv.find('\n');
-  const auto body = csv.substr(header_end + 1);
-  std::istringstream doubled(csv + body);  // every job's block appears twice
-  std::ostringstream merged;
-  EXPECT_THROW(runner::merge_csv_streams({&doubled}, {"doubled"}, merged),
-               InvariantError);
 }
 
 // ---------------------------------------------------------------------------
@@ -250,7 +167,7 @@ class TraceBackedMatrixTest : public ::testing::Test {
   std::filesystem::path dir_;
 };
 
-TEST_F(TraceBackedMatrixTest, CsvIsByteIdenticalAcrossThreadCountsAndShardMerges) {
+TEST_F(TraceBackedMatrixTest, CsvIsByteIdenticalAcrossThreadCounts) {
   const auto m = trace_matrix();
   const auto serial = csv_at_threads(m, 1);
   EXPECT_EQ(serial, csv_at_threads(m, 4))
@@ -259,19 +176,6 @@ TEST_F(TraceBackedMatrixTest, CsvIsByteIdenticalAcrossThreadCountsAndShardMerges
       << "workload id should name the trace files";
   EXPECT_NE(serial.find("a.trace"), std::string::npos)
       << "per-core benchmark column should carry the trace basename";
-
-  std::vector<std::string> shard_csvs;
-  for (std::size_t i = 0; i < 2; ++i) {
-    const auto results = runner::SweepExecutor({.threads = 2}).run(m.shard(i, 2));
-    std::ostringstream os;
-    runner::write_csv(os, results);
-    shard_csvs.push_back(os.str());
-  }
-  std::istringstream s0(shard_csvs[0]), s1(shard_csvs[1]);
-  std::ostringstream merged;
-  runner::merge_csv_streams({&s1, &s0}, {"s1", "s0"}, merged);
-  EXPECT_EQ(merged.str(), serial)
-      << "sharded trace-backed sweep must merge back to the unsharded CSV";
 }
 
 TEST_F(TraceBackedMatrixTest, TraceWorkloadsComposeWithCatalogWorkloadsInOneMatrix) {
@@ -329,21 +233,6 @@ TEST_F(TraceBackedMatrixTest, ValidateFailsFastOnBadTraceFiles) {
   w.benchmarks.push_back("phantom");
   m.workloads = {w};
   EXPECT_THROW(m.validate(), InvariantError);
-}
-
-TEST(MergeCsv, RejectsHeaderMismatchAndMissingShards) {
-  std::istringstream bad_header("not,the,schema\n");
-  std::ostringstream out;
-  EXPECT_THROW(runner::merge_csv_streams({&bad_header}, {"bad"}, out), InvariantError);
-
-  // A lone shard 1/2 is missing job 0 -> incomplete shard set.
-  const auto m = small_matrix();
-  const auto results = runner::SweepExecutor({.threads = 2}).run(m.shard(1, 2));
-  std::ostringstream os;
-  runner::write_csv(os, results);
-  std::istringstream lonely(os.str());
-  std::ostringstream merged;
-  EXPECT_THROW(runner::merge_csv_streams({&lonely}, {"s1"}, merged), InvariantError);
 }
 
 }  // namespace

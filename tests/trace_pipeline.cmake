@@ -1,12 +1,11 @@
 # Tier-1 trace-ingestion pipeline check, run as a CTest test (see src/tools/).
-# The trace-backed sibling of shard_roundtrip.cmake.
+# The trace-backed sibling of threads_roundtrip.cmake.
 #
 # Converts the checked-in ChampSim fixture to native v2 AND v1 (same basename,
 # different directories), then runs the same --trace + --l2-kb-sweep matrix
-# four ways — v2 single-threaded, v2 all-threads, v2 as --shard 0/2 + 1/2
-# merged via --merge-csv, and v1 all-threads — and requires every CSV to be
-# byte-identical: thread counts, shard splits, and the on-disk trace encoding
-# must all be invisible in the results.
+# three ways — v2 single-threaded, v2 all-threads, and v1 all-threads — and
+# requires every CSV to be byte-identical: thread counts and the on-disk trace
+# encoding must both be invisible in the results.
 #
 # Usage: cmake -DPLRUPART_CLI=<plrupart> -DPLRUPART_CONVERT=<plrupart-trace-convert>
 #              -DFIXTURE=<champsim_small.champsim> -DWORK_DIR=<scratch>
@@ -56,15 +55,6 @@ run(_ ${PLRUPART_CLI} --trace ${WORK_DIR}/v2/fix.trace ${MATRIX_FLAGS}
 require_identical(${WORK_DIR}/full.csv ${WORK_DIR}/threads.csv
   "trace-backed sweep CSV depends on the thread count")
 
-run(_ ${PLRUPART_CLI} --trace ${WORK_DIR}/v2/fix.trace ${MATRIX_FLAGS}
-    --threads 0 --shard 0/2 --csv ${WORK_DIR}/shard0.csv)
-run(_ ${PLRUPART_CLI} --trace ${WORK_DIR}/v2/fix.trace ${MATRIX_FLAGS}
-    --threads 0 --shard 1/2 --csv ${WORK_DIR}/shard1.csv)
-run(_ ${PLRUPART_CLI} --merge-csv ${WORK_DIR}/shard1.csv,${WORK_DIR}/shard0.csv
-    --csv ${WORK_DIR}/merged.csv)
-require_identical(${WORK_DIR}/full.csv ${WORK_DIR}/merged.csv
-  "sharded+merged trace-backed sweep differs from the unsharded run")
-
 # 3. Encoding-invariance: the v1 conversion of the same capture (same
 #    basename, so workload ids match) must reproduce the v2 CSV exactly.
 run(_ ${PLRUPART_CLI} --trace ${WORK_DIR}/v1/fix.trace ${MATRIX_FLAGS}
@@ -83,4 +73,4 @@ if(bad_rc EQUAL 0)
 endif()
 
 message(STATUS "trace pipeline OK: convert -> --trace sweep is byte-stable across "
-               "threads, shards, and encodings")
+               "threads and encodings")
