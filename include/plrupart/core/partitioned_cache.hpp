@@ -1,8 +1,8 @@
 // PartitionedCacheSystem: the library's main entry point.
 //
-// Bundles the shared L2, per-core profiling logic (ATD + (e)SDH), the interval
-// controller and the enforcement wiring into one object the simulator (or an
-// application) drives with time-stamped accesses.
+// Bundles the shared L2 and the interval controller (which owns the per-core
+// ATD + (e)SDH profilers and enforces on that L2) into one copyable value the
+// simulator (or an application) drives with time-stamped accesses.
 //
 // Configurations are named with the paper's acronym scheme:
 //   <enforcement>-<esdh scale><replacement>
@@ -20,7 +20,6 @@
 #include "plrupart/export.hpp"
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -88,6 +87,10 @@ struct PLRUPART_EXPORT CpaConfig {
 class PLRUPART_EXPORT PartitionedCacheSystem {
  public:
   explicit PartitionedCacheSystem(CpaConfig config);
+  // Copies and moves re-seat the controller on the new object's L2.
+  PartitionedCacheSystem(const PartitionedCacheSystem& other);
+  PartitionedCacheSystem(PartitionedCacheSystem&& other) noexcept;
+  PartitionedCacheSystem& operator=(PartitionedCacheSystem other) noexcept;
 
   /// One L2 access by `core` at byte address `addr`, at time `now_cycles`.
   /// Probes the core's ATD, fires the interval controller when a boundary
@@ -96,17 +99,17 @@ class PLRUPART_EXPORT PartitionedCacheSystem {
                               std::uint64_t now_cycles);
 
   [[nodiscard]] const CpaConfig& config() const noexcept { return config_; }
-  [[nodiscard]] cache::SetAssocCache& l2() noexcept { return *l2_; }
-  [[nodiscard]] const cache::SetAssocCache& l2() const noexcept { return *l2_; }
+  [[nodiscard]] cache::SetAssocCache& l2() noexcept { return l2_; }
+  [[nodiscard]] const cache::SetAssocCache& l2() const noexcept { return l2_; }
   [[nodiscard]] const Profiler& profiler(cache::CoreId core) const;
   [[nodiscard]] const IntervalController* controller() const noexcept {
-    return controller_.get();
+    return controller_ ? &*controller_ : nullptr;
   }
   /// Mutable profiler/controller access, for harnesses that drive the L2's
   /// layers one by one (bench/e2e's per-layer run).
   [[nodiscard]] Profiler& profiler_mut(cache::CoreId core);
   [[nodiscard]] IntervalController* controller_mut() noexcept {
-    return controller_.get();
+    return controller_ ? &*controller_ : nullptr;
   }
   [[nodiscard]] Partition current_partition() const;
 
@@ -114,16 +117,12 @@ class PLRUPART_EXPORT PartitionedCacheSystem {
   /// power/complexity.hpp for the event costs).
   [[nodiscard]] std::uint64_t profiling_storage_bits(std::uint32_t tag_bits) const;
 
-  void reset();
-
  private:
-  void apply_partition(const Partition& p);
   [[nodiscard]] IntervalController::DecideFn make_partition_policy() const;
 
   CpaConfig config_;
-  std::unique_ptr<cache::SetAssocCache> l2_;
-  std::vector<std::unique_ptr<Profiler>> profilers_;
-  std::unique_ptr<IntervalController> controller_;
+  cache::SetAssocCache l2_;
+  std::optional<IntervalController> controller_;  ///< empty when unpartitioned
 };
 
 }  // namespace plrupart::core

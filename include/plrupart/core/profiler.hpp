@@ -58,9 +58,6 @@ class PLRUPART_EXPORT Profiler {
            std::uint32_t sampling_ratio, std::uint64_t seed, double esdh_scale = 1.0,
            NruUpdateMode nru_mode = NruUpdateMode::kRange);
 
-  Profiler(const Profiler&) = delete;
-  Profiler& operator=(const Profiler&) = delete;
-
   /// Feed one L2 access (line-granular address) from the owner thread.
   void record_access(cache::Addr line_addr) {
     const auto obs = atd_.access(line_addr);
@@ -85,8 +82,6 @@ class PLRUPART_EXPORT Profiler {
   [[nodiscard]] const Atd& atd() const noexcept { return atd_; }
   /// "SDH-LRU", "eSDH-NRU(S=<scale>)", "eSDH-BT" or "eSDH-SRRIP".
   [[nodiscard]] std::string name() const;
-
-  void reset();
 
  private:
   /// Paper §III-A: the used bit bounds the distance to [1, U] or [U+1, A].

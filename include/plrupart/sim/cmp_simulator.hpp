@@ -125,12 +125,12 @@ class PLRUPART_EXPORT CmpSimulator {
   /// and controller, and every result field match it.
   [[nodiscard]] SimResult run();
 
-  [[nodiscard]] const MemoryHierarchy& hierarchy() const noexcept { return *hierarchy_; }
+  [[nodiscard]] const MemoryHierarchy& hierarchy() const noexcept { return hierarchy_; }
 
  private:
   SimConfig config_;
   std::vector<std::unique_ptr<TraceSource>> traces_;
-  std::unique_ptr<MemoryHierarchy> hierarchy_;
+  MemoryHierarchy hierarchy_;
   bool ran_ = false;
 };
 

@@ -11,7 +11,6 @@
 #include "plrupart/export.hpp"
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "plrupart/cache/lru_filter.hpp"
@@ -23,11 +22,6 @@ namespace plrupart::sim {
 struct PLRUPART_EXPORT HierarchyConfig {
   cache::Geometry l1d{.size_bytes = 32 * 1024, .associativity = 2, .line_bytes = 128};
   core::CpaConfig l2;  // num_cores inside governs the hierarchy width
-
-  void validate() const {
-    l1d.validate();
-    l2.geometry.validate();
-  }
 };
 
 struct PLRUPART_EXPORT HierarchyCounters {
@@ -82,13 +76,11 @@ class PLRUPART_EXPORT MemoryHierarchy {
   }
 
   [[nodiscard]] const HierarchyConfig& config() const noexcept { return config_; }
-  [[nodiscard]] core::PartitionedCacheSystem& l2() noexcept { return *l2_; }
-  [[nodiscard]] const core::PartitionedCacheSystem& l2() const noexcept { return *l2_; }
+  [[nodiscard]] core::PartitionedCacheSystem& l2() noexcept { return l2_; }
+  [[nodiscard]] const core::PartitionedCacheSystem& l2() const noexcept { return l2_; }
   [[nodiscard]] const cache::LruFilter& l1d(cache::CoreId core) const;
   [[nodiscard]] const HierarchyCounters& counters(cache::CoreId core) const;
   [[nodiscard]] std::uint32_t num_cores() const noexcept { return config_.l2.num_cores; }
-
-  void reset();
 
  private:
   /// An L1 miss: count it and access the shared L2, filling `echo`.
@@ -97,7 +89,7 @@ class PLRUPART_EXPORT MemoryHierarchy {
 
   HierarchyConfig config_;
   std::vector<cache::LruFilter> l1d_;
-  std::unique_ptr<core::PartitionedCacheSystem> l2_;
+  core::PartitionedCacheSystem l2_;
   std::vector<HierarchyCounters> counters_;
 };
 

@@ -50,7 +50,10 @@ enum class TimingMode : std::uint8_t { kFunctional, kTimed };
 struct PLRUPART_EXPORT TimedParams {
   std::uint32_t l2_hit_cycles = 11;  ///< L1-miss-L2-hit service latency
   std::uint32_t l2_miss_to_dram_cycles = 30;  ///< L2 miss -> DRAM controller traversal
-  std::uint32_t mshrs = 16;            ///< max outstanding L2 misses
+  /// Max outstanding L2 misses. CmpSimulator settles a core's one demand
+  /// transaction before that core issues again, so at mshrs >= cores the file
+  /// never fills (mshr_full_stalls 0) and coalescing needs two cores on a line.
+  std::uint32_t mshrs = 16;
   std::uint32_t writeback_queue = 8;   ///< max in-flight victim writebacks
   std::uint32_t dram_banks = 8;        ///< independent DRAM banks
   std::uint32_t row_bytes = 2048;      ///< row-buffer span per bank

@@ -1,9 +1,7 @@
 #include "plrupart/core/partitioned_cache.hpp"
 
 #include <sstream>
-#include <variant>
 
-#include "plrupart/cache/tree_plru.hpp"
 #include "plrupart/common/rng.hpp"
 #include "plrupart/core/fair.hpp"
 #include "plrupart/core/static_policy.hpp"
@@ -103,31 +101,23 @@ std::string CpaConfig::acronym() const {
 }
 
 PartitionedCacheSystem::PartitionedCacheSystem(CpaConfig config)
-    : config_(std::move(config)) {
-  config_.geometry.validate();
-  PLRUPART_ASSERT(config_.num_cores >= 1);
+    : config_(std::move(config)),
+      // The geometry is validated before the L2 derives its shape from it.
+      l2_((config_.geometry.validate(), config_.geometry), config_.replacement,
+          config_.num_cores, config_.enforcement, config_.seed) {
   PLRUPART_ASSERT_MSG(config_.num_cores <= config_.geometry.associativity,
                       "cannot give every core a way");
-
-  l2_ = std::make_unique<cache::SetAssocCache>(config_.geometry, config_.replacement,
-                                               config_.num_cores, config_.enforcement,
-                                               config_.seed);
-
   if (!config_.partitioned()) return;
-
-  profilers_.reserve(config_.num_cores);
-  std::vector<Profiler*> raw;
+  std::vector<Profiler> profilers;
+  profilers.reserve(config_.num_cores);
   for (std::uint32_t i = 0; i < config_.num_cores; ++i) {
-    profilers_.push_back(std::make_unique<Profiler>(
-        config_.geometry, profiler_atd_kind(config_.replacement), config_.sampling_ratio,
-        derive_seed(config_.seed, i), config_.esdh_scale, config_.nru_update));
-    raw.push_back(profilers_.back().get());
+    profilers.emplace_back(config_.geometry, profiler_atd_kind(config_.replacement),
+                           config_.sampling_ratio, derive_seed(config_.seed, i),
+                           config_.esdh_scale, config_.nru_update);
   }
-
-  controller_ = std::make_unique<IntervalController>(
-      config_.interval_cycles, config_.geometry.associativity, make_partition_policy(),
-      std::move(raw), [this](const Partition& p) { apply_partition(p); },
-      config_.repartition_hysteresis);
+  controller_.emplace(config_.interval_cycles, make_partition_policy(),
+                      std::move(profilers), l2_, config_.repartition_hysteresis,
+                      config_.bt_strict_pow2);
 }
 
 IntervalController::DecideFn PartitionedCacheSystem::make_partition_policy() const {
@@ -168,56 +158,46 @@ IntervalController::DecideFn PartitionedCacheSystem::make_partition_policy() con
   return nullptr;
 }
 
-void PartitionedCacheSystem::apply_partition(const Partition& p) {
-  switch (config_.enforcement) {
-    case cache::EnforcementMode::kNone:
-      return;
-    case cache::EnforcementMode::kOwnerCounters:
-      for (std::uint32_t i = 0; i < config_.num_cores; ++i)
-        l2_->set_way_quota(i, p[i]);
-      return;
-    case cache::EnforcementMode::kWayMasks: {
-      if (config_.replacement == cache::ReplacementKind::kTreePlru &&
-          config_.bt_strict_pow2) {
-        // Strict hardware mode: snap to power-of-two blocks a force-vector
-        // pair can express.
-        const auto& tree = std::get<cache::TreePlru>(l2_->policy());
-        const Partition rounded =
-            round_to_pow2_partition(p, config_.geometry.associativity);
-        const TreeEnforcement enf =
-            make_tree_enforcement(tree, rounded, config_.geometry.associativity);
-        for (std::uint32_t i = 0; i < config_.num_cores; ++i)
-          l2_->set_way_mask(i, enf.masks[i]);
-        return;
-      }
-      const auto masks = contiguous_masks(p);
-      for (std::uint32_t i = 0; i < config_.num_cores; ++i)
-        l2_->set_way_mask(i, masks[i]);
-      return;
-    }
-  }
+PartitionedCacheSystem::PartitionedCacheSystem(const PartitionedCacheSystem& other)
+    : config_(other.config_), l2_(other.l2_), controller_(other.controller_) {
+  if (controller_) controller_->l2_ = &l2_;
+}
+
+PartitionedCacheSystem::PartitionedCacheSystem(PartitionedCacheSystem&& other) noexcept
+    : config_(std::move(other.config_)),
+      l2_(std::move(other.l2_)),
+      controller_(std::move(other.controller_)) {
+  if (controller_) controller_->l2_ = &l2_;
+}
+
+PartitionedCacheSystem& PartitionedCacheSystem::operator=(
+    PartitionedCacheSystem other) noexcept {
+  config_ = std::move(other.config_);
+  l2_ = std::move(other.l2_);
+  controller_ = std::move(other.controller_);
+  if (controller_) controller_->l2_ = &l2_;
+  return *this;
 }
 
 cache::AccessOutcome PartitionedCacheSystem::access(cache::CoreId core, cache::Addr addr,
                                                     bool write, std::uint64_t now_cycles) {
   PLRUPART_ASSERT(core < config_.num_cores);
-  if (config_.partitioned()) {
-    profilers_[core]->record_access(config_.geometry.line_addr(addr));
+  if (controller_) {
+    controller_->profiler_mut(core).record_access(config_.geometry.line_addr(addr));
     controller_->tick(now_cycles);
   }
-  return l2_->access(core, addr, write);
+  return l2_.access(core, addr, write);
 }
 
 const Profiler& PartitionedCacheSystem::profiler(cache::CoreId core) const {
-  PLRUPART_ASSERT(config_.partitioned());
-  PLRUPART_ASSERT(core < profilers_.size());
-  return *profilers_[core];
+  PLRUPART_ASSERT(controller_.has_value());
+  PLRUPART_ASSERT(core < config_.num_cores);
+  return controller_->profilers()[core];
 }
 
 Profiler& PartitionedCacheSystem::profiler_mut(cache::CoreId core) {
-  PLRUPART_ASSERT(config_.partitioned());
-  PLRUPART_ASSERT(core < profilers_.size());
-  return *profilers_[core];
+  PLRUPART_ASSERT(controller_.has_value());
+  return controller_->profiler_mut(core);
 }
 
 Partition PartitionedCacheSystem::current_partition() const {
@@ -228,17 +208,13 @@ Partition PartitionedCacheSystem::current_partition() const {
 
 std::uint64_t PartitionedCacheSystem::profiling_storage_bits(std::uint32_t tag_bits) const {
   std::uint64_t bits = 0;
-  for (const auto& p : profilers_) {
-    bits += p->atd().storage_bits(tag_bits);
+  if (!controller_) return bits;
+  for (const Profiler& p : controller_->profilers()) {
+    bits += p.atd().storage_bits(tag_bits);
     // SDH registers: A+1 counters; 32 bits each is the sizing used in [22].
     bits += static_cast<std::uint64_t>(config_.geometry.associativity + 1) * 32;
   }
   return bits;
-}
-
-void PartitionedCacheSystem::reset() {
-  l2_->reset();
-  for (auto& p : profilers_) p->reset();
 }
 
 }  // namespace plrupart::core

@@ -101,10 +101,4 @@ void Profiler::decay() {
   for (auto& v : smear_) v *= 0.5;
 }
 
-void Profiler::reset() {
-  atd_.reset();
-  sdh_.clear();
-  for (auto& v : smear_) v = 0.0;
-}
-
 }  // namespace plrupart::core

@@ -215,7 +215,7 @@ class TimedClocks {
 }  // namespace
 
 CmpSimulator::CmpSimulator(SimConfig config, std::vector<std::unique_ptr<TraceSource>> traces)
-    : config_(std::move(config)), traces_(std::move(traces)) {
+    : config_(std::move(config)), traces_(std::move(traces)), hierarchy_(config_.hierarchy) {
   const std::uint32_t cores = config_.hierarchy.l2.num_cores;
   PLRUPART_ASSERT_MSG(traces_.size() == cores, "one trace per core required");
   PLRUPART_ASSERT(config_.instr_limit > 0);
@@ -223,7 +223,6 @@ CmpSimulator::CmpSimulator(SimConfig config, std::vector<std::unique_ptr<TraceSo
     config_.cores.assign(cores, config_.cores.front());
   }
   PLRUPART_ASSERT_MSG(config_.cores.size() == cores, "one CoreParams per core required");
-  hierarchy_ = std::make_unique<MemoryHierarchy>(config_.hierarchy);
 }
 
 SimResult CmpSimulator::run() {
@@ -244,24 +243,24 @@ SimResult CmpSimulator::run() {
   auto run_with = [&](auto& port) {
     if (timed) {
       TimedClocks clocks(config_);
-      return internal::replay(config_, names, hierarchy_->l2(), port, clocks);
+      return internal::replay(config_, names, hierarchy_.l2(), port, clocks);
     }
     internal::FunctionalClocks clocks;
-    return internal::replay(config_, names, hierarchy_->l2(), port, clocks);
+    return internal::replay(config_, names, hierarchy_.l2(), port, clocks);
   };
 
   const std::size_t want =
       config_.sim_threads == 0 ? default_parallelism() : config_.sim_threads;
   if (want <= 1) {
-    DirectPort port(traces_, *hierarchy_,
+    DirectPort port(traces_, hierarchy_,
                     Watchdog(config_.timeout_s, timed ? "timed run" : "serial run"));
     return run_with(port);
   }
   const auto producers = static_cast<std::uint32_t>(std::min(want, traces_.size()));
-  internal::FrontEnd front(traces_, *hierarchy_, producers, config_.faults.get());
+  internal::FrontEnd front(traces_, hierarchy_, producers, config_.faults.get());
   const std::string mode = std::string(timed ? "timed " : "") + "pipelined run, " +
                            std::to_string(producers) + " producers";
-  PipelinePort port(front, *hierarchy_, Watchdog(config_.timeout_s, mode));
+  PipelinePort port(front, hierarchy_, Watchdog(config_.timeout_s, mode));
   SimResult out = run_with(port);
   out.sim_shards = producers;
   return out;

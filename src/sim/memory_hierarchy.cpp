@@ -2,14 +2,12 @@
 
 namespace plrupart::sim {
 
-MemoryHierarchy::MemoryHierarchy(HierarchyConfig config) : config_(std::move(config)) {
-  config_.validate();
-  const std::uint32_t cores = config_.l2.num_cores;
-  PLRUPART_ASSERT(cores >= 1);
-  l1d_.assign(cores, cache::LruFilter(config_.l1d));
-  l2_ = std::make_unique<core::PartitionedCacheSystem>(config_.l2);
-  counters_.resize(cores);
-}
+// Each member validates its part of the configuration as it is built.
+MemoryHierarchy::MemoryHierarchy(HierarchyConfig config)
+    : config_(std::move(config)),
+      l1d_(config_.l2.num_cores, cache::LruFilter(config_.l1d)),
+      l2_(config_.l2),
+      counters_(config_.l2.num_cores) {}
 
 AccessLevel MemoryHierarchy::access(cache::CoreId core, cache::Addr addr, bool write,
                                     std::uint64_t now_cycles) {
@@ -27,7 +25,7 @@ AccessLevel MemoryHierarchy::access_l2(cache::CoreId core, cache::Addr addr, boo
   HierarchyCounters& ctr = counters_[core];
   ++ctr.l1_misses;
   ++ctr.l2_accesses;
-  const auto l2 = l2_->access(core, addr, write, now_cycles);
+  const auto l2 = l2_.access(core, addr, write, now_cycles);
   echo.reached_l2 = true;
   echo.hit = l2.hit;
   echo.way = l2.way;
@@ -47,12 +45,6 @@ const cache::LruFilter& MemoryHierarchy::l1d(cache::CoreId core) const {
 const HierarchyCounters& MemoryHierarchy::counters(cache::CoreId core) const {
   PLRUPART_ASSERT(core < counters_.size());
   return counters_[core];
-}
-
-void MemoryHierarchy::reset() {
-  for (auto& l1 : l1d_) l1.reset();
-  l2_->reset();
-  for (auto& c : counters_) c = HierarchyCounters{};
 }
 
 }  // namespace plrupart::sim

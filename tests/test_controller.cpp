@@ -1,4 +1,4 @@
-// IntervalController: boundary firing, decay, history, partition application.
+// IntervalController: boundary firing, decay, history, partition enforcement.
 #include "plrupart/core/controller.hpp"
 
 #include <gtest/gtest.h>
@@ -12,84 +12,124 @@ cache::Geometry small_l2() {
   return cache::Geometry{.size_bytes = 8192, .associativity = 4, .line_bytes = 64};
 }
 
-std::unique_ptr<Profiler> lru_profiler() {
-  return std::make_unique<Profiler>(small_l2(), cache::ReplacementKind::kLru, 1, 0x5eed);
+Profiler lru_profiler() {
+  return Profiler(small_l2(), cache::ReplacementKind::kLru, 1, 0x5eed);
 }
 
+/// A two-core controller enforcing on a way-masked L2; applied() reads the
+/// partition back from the L2's masks.
 struct ControllerRig {
-  explicit ControllerRig(std::uint64_t interval = 1000, double hysteresis = 0.0) {
-    profilers.push_back(lru_profiler());
-    profilers.push_back(lru_profiler());
-    std::vector<Profiler*> raw{profilers[0].get(), profilers[1].get()};
-    controller = std::make_unique<IntervalController>(
-        interval, 4, min_misses_optimal, std::move(raw),
-        [this](const Partition& p) {
-          applied.push_back(p);
-        },
-        hysteresis);
+  explicit ControllerRig(std::uint64_t interval = 1000, double hysteresis = 0.0)
+      : l2(small_l2(), cache::ReplacementKind::kLru, 2, cache::EnforcementMode::kWayMasks),
+        controller(interval, min_misses_optimal, {lru_profiler(), lru_profiler()}, l2,
+                   hysteresis) {}
+
+  [[nodiscard]] Partition applied() const {
+    return {mask_count(l2.way_mask(0)), mask_count(l2.way_mask(1))};
+  }
+  [[nodiscard]] Profiler& profiler(cache::CoreId core) {
+    return controller.profiler_mut(core);
   }
 
-  std::vector<std::unique_ptr<Profiler>> profilers;
-  std::unique_ptr<IntervalController> controller;
-  std::vector<Partition> applied;
+  cache::SetAssocCache l2;
+  IntervalController controller;
 };
 
 TEST(Controller, StartsWithEvenSplitApplied) {
   ControllerRig rig;
-  ASSERT_EQ(rig.applied.size(), 1U);
-  EXPECT_EQ(rig.applied[0], (Partition{2, 2}));
-  EXPECT_EQ(rig.controller->current(), (Partition{2, 2}));
-  EXPECT_TRUE(rig.controller->history().empty()) << "initial split is not an interval";
+  EXPECT_EQ(rig.l2.way_mask(0), way_range_mask(0, 2));
+  EXPECT_EQ(rig.l2.way_mask(1), way_range_mask(2, 2));
+  EXPECT_EQ(rig.controller.current(), (Partition{2, 2}));
+  EXPECT_TRUE(rig.controller.history().empty()) << "initial split is not an interval";
 }
 
 TEST(Controller, NoFiringBeforeBoundary) {
   ControllerRig rig(1000);
-  EXPECT_FALSE(rig.controller->tick(0));
-  EXPECT_FALSE(rig.controller->tick(999));
-  EXPECT_EQ(rig.applied.size(), 1U);
+  EXPECT_FALSE(rig.controller.tick(0));
+  EXPECT_FALSE(rig.controller.tick(999));
+  EXPECT_TRUE(rig.controller.history().empty());
+  EXPECT_EQ(rig.applied(), (Partition{2, 2}));
 }
 
 TEST(Controller, FiresAtEachBoundaryOnce) {
   ControllerRig rig(1000);
-  EXPECT_TRUE(rig.controller->tick(1000));
-  EXPECT_FALSE(rig.controller->tick(1500));
-  EXPECT_TRUE(rig.controller->tick(2100));
-  EXPECT_EQ(rig.controller->history().size(), 2U);
-  EXPECT_EQ(rig.applied.size(), 3U);  // initial + two intervals
+  EXPECT_TRUE(rig.controller.tick(1000));
+  EXPECT_FALSE(rig.controller.tick(1500));
+  EXPECT_TRUE(rig.controller.tick(2100));
+  EXPECT_EQ(rig.controller.history().size(), 2U);
+}
+
+TEST(Controller, EnforcesEveryDecisionOnTheL2) {
+  const auto g = small_l2();
+  const auto line = [&](std::uint64_t tag) { return tag << ilog2_exact(g.sets()); };
+  // Owner-counter enforcement receives the partition as quotas.
+  cache::SetAssocCache quotas(g, cache::ReplacementKind::kLru, 2,
+                              cache::EnforcementMode::kOwnerCounters);
+  IntervalController counted(1000, min_misses_optimal, {lru_profiler(), lru_profiler()},
+                             quotas);
+  EXPECT_EQ(quotas.way_quota(0), 2U);
+  EXPECT_EQ(quotas.way_quota(1), 2U);
+  // Core 0 reuses 3 lines, core 1 streams: the decision moves to {3, 1}, and
+  // later, with core 1 reusing 3 lines and core 0 idle, to {1, 3}.
+  ControllerRig rig(1000);
+  for (int round = 0; round < 50; ++round) {
+    for (std::uint64_t t = 0; t < 3; ++t) {
+      rig.profiler(0).record_access(line(t));
+      counted.profiler_mut(0).record_access(line(t));
+    }
+  }
+  for (std::uint64_t t = 0; t < 100; ++t) {
+    rig.profiler(1).record_access(line(t + 100));
+    counted.profiler_mut(1).record_access(line(t + 100));
+  }
+  ASSERT_TRUE(rig.controller.tick(1000));
+  ASSERT_TRUE(counted.tick(1000));
+  EXPECT_EQ(rig.controller.current(), (Partition{3, 1}));
+  EXPECT_EQ(rig.applied(), (Partition{3, 1}));
+  EXPECT_EQ(rig.l2.way_mask(0), way_range_mask(0, 3));
+  EXPECT_EQ(quotas.way_quota(0), 3U);
+  EXPECT_EQ(quotas.way_quota(1), 1U);
+  for (int interval = 2; interval < 8; ++interval) {
+    for (int round = 0; round < 200; ++round)
+      for (std::uint64_t t = 0; t < 3; ++t) rig.profiler(1).record_access(line(t + 300));
+    ASSERT_TRUE(rig.controller.tick(static_cast<std::uint64_t>(interval) * 1000));
+    EXPECT_EQ(rig.applied(), rig.controller.current());
+  }
+  EXPECT_EQ(rig.controller.current(), (Partition{1, 3}));
 }
 
 TEST(Controller, SkippedBoundariesCollapseToOneFiring) {
   ControllerRig rig(1000);
-  EXPECT_TRUE(rig.controller->tick(5500));  // jumped 5 boundaries
-  EXPECT_EQ(rig.controller->history().size(), 1U);
+  EXPECT_TRUE(rig.controller.tick(5500));  // jumped 5 boundaries
+  EXPECT_EQ(rig.controller.history().size(), 1U);
   // Next boundary re-arms after the jump.
-  EXPECT_FALSE(rig.controller->tick(5900));
-  EXPECT_TRUE(rig.controller->tick(6001));
+  EXPECT_FALSE(rig.controller.tick(5900));
+  EXPECT_TRUE(rig.controller.tick(6001));
 }
 
 TEST(Controller, DueTracksTheBoundaryGrid) {
   ControllerRig rig(1000);
-  EXPECT_FALSE(rig.controller->due(999));
-  EXPECT_TRUE(rig.controller->due(1000));
+  EXPECT_FALSE(rig.controller.due(999));
+  EXPECT_TRUE(rig.controller.due(1000));
   // A single tick re-arms one interval ahead.
-  EXPECT_TRUE(rig.controller->tick(1000));
-  EXPECT_FALSE(rig.controller->due(1999));
-  EXPECT_TRUE(rig.controller->due(2000));
+  EXPECT_TRUE(rig.controller.tick(1000));
+  EXPECT_FALSE(rig.controller.due(1999));
+  EXPECT_TRUE(rig.controller.due(2000));
   // A stall that jumps several boundaries re-arms on the grid past it.
-  EXPECT_TRUE(rig.controller->tick(5500));
-  EXPECT_FALSE(rig.controller->due(5999));
-  EXPECT_TRUE(rig.controller->due(6000));
+  EXPECT_TRUE(rig.controller.tick(5500));
+  EXPECT_FALSE(rig.controller.due(5999));
+  EXPECT_TRUE(rig.controller.due(6000));
   // due() is a pure query: asking never fires or re-arms.
-  EXPECT_TRUE(rig.controller->due(6000));
-  EXPECT_EQ(rig.controller->history().size(), 2U);
+  EXPECT_TRUE(rig.controller.due(6000));
+  EXPECT_EQ(rig.controller.history().size(), 2U);
 }
 
 TEST(Controller, DecaysProfilersOnRepartition) {
   ControllerRig rig(1000);
-  for (int i = 0; i < 8; ++i) rig.profilers[0]->record_access(0);
-  EXPECT_EQ(rig.profilers[0]->sdh().reg(1), 7ULL);
-  rig.controller->tick(1000);
-  EXPECT_EQ(rig.profilers[0]->sdh().reg(1), 3ULL) << "SDH halved at the boundary";
+  for (int i = 0; i < 8; ++i) rig.profiler(0).record_access(0);
+  EXPECT_EQ(rig.profiler(0).sdh().reg(1), 7ULL);
+  rig.controller.tick(1000);
+  EXPECT_EQ(rig.profiler(0).sdh().reg(1), 3ULL) << "SDH halved at the boundary";
 }
 
 TEST(Controller, PartitionFollowsTheProfiles) {
@@ -99,23 +139,23 @@ TEST(Controller, PartitionFollowsTheProfiles) {
   const auto g = small_l2();
   for (int round = 0; round < 50; ++round) {
     for (std::uint64_t t = 0; t < 3; ++t)
-      rig.profilers[0]->record_access((t << ilog2_exact(g.sets())) | 0);
+      rig.profiler(0).record_access((t << ilog2_exact(g.sets())) | 0);
   }
   for (std::uint64_t t = 0; t < 100; ++t)
-    rig.profilers[1]->record_access(((t + 100) << ilog2_exact(g.sets())) | 0);
-  rig.controller->tick(1000);
-  const auto& p = rig.controller->current();
+    rig.profiler(1).record_access(((t + 100) << ilog2_exact(g.sets())) | 0);
+  rig.controller.tick(1000);
+  const auto& p = rig.controller.current();
   EXPECT_EQ(p[0], 3U);
   EXPECT_EQ(p[1], 1U);
 }
 
 TEST(Controller, HistoryRecordsCycleStamps) {
   ControllerRig rig(500);
-  rig.controller->tick(700);
-  rig.controller->tick(1200);
-  ASSERT_EQ(rig.controller->history().size(), 2U);
-  EXPECT_EQ(rig.controller->history()[0].cycle, 700ULL);
-  EXPECT_EQ(rig.controller->history()[1].cycle, 1200ULL);
+  rig.controller.tick(700);
+  rig.controller.tick(1200);
+  ASSERT_EQ(rig.controller.history().size(), 2U);
+  EXPECT_EQ(rig.controller.history()[0].cycle, 700ULL);
+  EXPECT_EQ(rig.controller.history()[1].cycle, 1200ULL);
 }
 
 TEST(Controller, HysteresisKeepsStandingPartitionOnMarginalGains) {
@@ -125,12 +165,12 @@ TEST(Controller, HysteresisKeepsStandingPartitionOnMarginalGains) {
   const auto g = small_l2();
   for (int round = 0; round < 30; ++round) {
     for (std::uint64_t t = 0; t < 3; ++t)
-      rig.profilers[0]->record_access((t << ilog2_exact(g.sets())) | 0);
+      rig.profiler(0).record_access((t << ilog2_exact(g.sets())) | 0);
   }
   for (std::uint64_t t = 0; t < 30; ++t)
-    rig.profilers[1]->record_access(((t + 100) << ilog2_exact(g.sets())) | 0);
-  rig.controller->tick(1000);
-  EXPECT_EQ(rig.controller->current(), (Partition{2, 2}))
+    rig.profiler(1).record_access(((t + 100) << ilog2_exact(g.sets())) | 0);
+  rig.controller.tick(1000);
+  EXPECT_EQ(rig.controller.current(), (Partition{2, 2}))
       << "marginal improvement must not flip the partition under damping";
 }
 
@@ -141,46 +181,41 @@ TEST(Controller, HysteresisYieldsToDecisiveGains) {
   // would forfeit almost everything.
   for (int round = 0; round < 500; ++round) {
     for (std::uint64_t t = 0; t < 3; ++t)
-      rig.profilers[0]->record_access((t << ilog2_exact(g.sets())) | 0);
+      rig.profiler(0).record_access((t << ilog2_exact(g.sets())) | 0);
   }
   for (std::uint64_t t = 0; t < 20; ++t)
-    rig.profilers[1]->record_access(((t + 100) << ilog2_exact(g.sets())) | 0);
-  rig.controller->tick(1000);
-  EXPECT_EQ(rig.controller->current(), (Partition{3, 1}));
+    rig.profiler(1).record_access(((t + 100) << ilog2_exact(g.sets())) | 0);
+  rig.controller.tick(1000);
+  EXPECT_EQ(rig.controller.current(), (Partition{3, 1}));
 }
 
 TEST(Controller, HysteresisStillRecordsHistory) {
   ControllerRig rig(1000, /*hysteresis=*/0.9);
-  rig.controller->tick(1000);
-  rig.controller->tick(2000);
-  EXPECT_EQ(rig.controller->history().size(), 2U);
+  rig.controller.tick(1000);
+  rig.controller.tick(2000);
+  EXPECT_EQ(rig.controller.history().size(), 2U);
 }
 
 TEST(Controller, RejectsBadHysteresis) {
-  std::vector<std::unique_ptr<Profiler>> profs;
-  profs.push_back(lru_profiler());
-  std::vector<Profiler*> raw{profs[0].get()};
-  EXPECT_THROW(IntervalController(100, 4, min_misses_optimal, raw,
-                                  [](const Partition&) {}, 1.0),
+  cache::SetAssocCache l2(small_l2(), cache::ReplacementKind::kLru, 1,
+                          cache::EnforcementMode::kWayMasks);
+  EXPECT_THROW(IntervalController(100, min_misses_optimal, {lru_profiler()}, l2, 1.0),
                InvariantError);
-  EXPECT_THROW(IntervalController(100, 4, min_misses_optimal, raw,
-                                  [](const Partition&) {}, -0.1),
+  EXPECT_THROW(IntervalController(100, min_misses_optimal, {lru_profiler()}, l2, -0.1),
                InvariantError);
 }
 
 TEST(Controller, RejectsDegenerateConstruction) {
-  std::vector<std::unique_ptr<Profiler>> profs;
-  profs.push_back(lru_profiler());
-  std::vector<Profiler*> raw{profs[0].get()};
-  EXPECT_THROW(IntervalController(0, 4, min_misses_optimal, raw,
-                                  [](const Partition&) {}),
+  cache::SetAssocCache l2(small_l2(), cache::ReplacementKind::kLru, 1,
+                          cache::EnforcementMode::kWayMasks);
+  EXPECT_THROW(IntervalController(0, min_misses_optimal, {lru_profiler()}, l2),
                InvariantError);
+  EXPECT_THROW(IntervalController(100, nullptr, {lru_profiler()}, l2), InvariantError);
+  EXPECT_THROW(IntervalController(100, min_misses_optimal, {}, l2), InvariantError);
   EXPECT_THROW(
-      IntervalController(100, 4, nullptr, raw, [](const Partition&) {}),
-      InvariantError);
-  EXPECT_THROW(IntervalController(100, 4, min_misses_optimal,
-                                  std::vector<Profiler*>{}, [](const Partition&) {}),
-               InvariantError);
+      IntervalController(100, min_misses_optimal, {lru_profiler(), lru_profiler()}, l2),
+      InvariantError)
+      << "one profiler per L2 core";
 }
 
 }  // namespace

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 namespace plrupart::sim {
 namespace {
+
+static_assert(std::is_copy_constructible_v<MemoryHierarchy>);
+static_assert(std::is_move_constructible_v<MemoryHierarchy>);
 
 HierarchyConfig small_config(std::uint32_t cores, const char* acronym = "NOPART-L") {
   HierarchyConfig cfg;
@@ -61,12 +66,14 @@ TEST(MemoryHierarchy, PartitionedL2Wired) {
       << "L2 accesses must feed the profiling logic";
 }
 
-TEST(MemoryHierarchy, ResetClearsCountersAndContents) {
-  MemoryHierarchy mh(small_config(1));
+TEST(MemoryHierarchy, CopyIsAnIndependentFork) {
+  MemoryHierarchy mh(small_config(2, "M-L"));
   mh.access(0, 0x40, false, 0);
-  mh.reset();
-  EXPECT_EQ(mh.counters(0).l1_accesses, 0ULL);
-  EXPECT_EQ(mh.access(0, 0x40, false, 0), AccessLevel::kMemory) << "cold again";
+  MemoryHierarchy fork = mh;
+  EXPECT_EQ(fork.access(0, 0x40, false, 0), AccessLevel::kL1) << "the fork keeps the L1";
+  EXPECT_EQ(fork.access(1, 0x40, false, 0), AccessLevel::kL2) << "and the shared L2";
+  EXPECT_EQ(mh.counters(0).l1_accesses, 1ULL) << "the original is untouched";
+  EXPECT_EQ(mh.l2().l2().stats().per_core[1].accesses, 0ULL);
 }
 
 }  // namespace

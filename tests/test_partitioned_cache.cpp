@@ -1,10 +1,14 @@
 // PartitionedCacheSystem facade: configuration acronyms, wiring, partition
-// application across enforcement modes.
+// application across enforcement modes, and value semantics (copies fork the
+// whole state, moves keep enforcing).
 #include "plrupart/core/partitioned_cache.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
+#include <string>
+#include <type_traits>
 
 #include "plrupart/common/rng.hpp"
 #include "plrupart/core/fair.hpp"
@@ -18,6 +22,9 @@ cache::Geometry small_l2() {
   // 64 sets x 8 ways x 64B = 32KB.
   return cache::Geometry{.size_bytes = 32768, .associativity = 8, .line_bytes = 64};
 }
+
+static_assert(std::is_copy_constructible_v<PartitionedCacheSystem>);
+static_assert(std::is_move_constructible_v<PartitionedCacheSystem>);
 
 TEST(CpaConfig, AcronymRoundTrip) {
   // Iterating known_acronyms() (rather than a literal list) keeps the
@@ -210,6 +217,133 @@ TEST(PartitionedCache, ProfilingStorageAccounted) {
   // Two LRU ATDs at 3.25KB plus two SDHs (17 x 32-bit registers).
   const auto bits = sys.profiling_storage_bits(47);
   EXPECT_EQ(bits, 2ULL * 26624 + 2ULL * 17 * 32);
+}
+
+struct TimedAccess {
+  cache::CoreId core;
+  cache::Addr addr;
+  std::uint64_t now;
+};
+
+/// `n` accesses from 3 cores starting at cycle `t0`, one cycle apart. Core c
+/// draws lines from a footprint of `footprints[c]` lines, so the profiles
+/// (and the partitions chosen from them) differ by core.
+std::vector<TimedAccess> make_stream(std::uint64_t seed, std::size_t n, std::uint64_t t0,
+                                     const std::array<std::uint64_t, 3>& footprints) {
+  Rng rng(seed);
+  std::vector<TimedAccess> stream;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto core = static_cast<cache::CoreId>(rng.next_below(3));
+    const std::uint64_t line = rng.next_below(footprints[core]) + (std::uint64_t{core} << 20);
+    stream.push_back({core, line * small_l2().line_bytes, t0 + i});
+  }
+  return stream;
+}
+
+std::vector<cache::AccessOutcome> drive(PartitionedCacheSystem& sys,
+                                        const std::vector<TimedAccess>& stream) {
+  std::vector<cache::AccessOutcome> out;
+  for (const auto& a : stream) out.push_back(sys.access(a.core, a.addr, false, a.now));
+  return out;
+}
+
+void expect_same_outcomes(const std::vector<cache::AccessOutcome>& a,
+                          const std::vector<cache::AccessOutcome>& b, const std::string& ctx) {
+  ASSERT_EQ(a.size(), b.size()) << ctx;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_TRUE(a[i].hit == b[i].hit && a[i].way == b[i].way &&
+                a[i].evicted_valid == b[i].evicted_valid &&
+                a[i].evicted_line == b[i].evicted_line &&
+                a[i].evicted_owner == b[i].evicted_owner)
+        << ctx << ": access " << i;
+  }
+}
+
+void expect_same_state(const PartitionedCacheSystem& a, const PartitionedCacheSystem& b,
+                       const std::string& ctx) {
+  EXPECT_EQ(a.current_partition(), b.current_partition()) << ctx;
+  const auto& ha = a.controller()->history();
+  const auto& hb = b.controller()->history();
+  ASSERT_EQ(ha.size(), hb.size()) << ctx;
+  for (std::size_t i = 0; i < ha.size(); ++i) {
+    EXPECT_EQ(ha[i].cycle, hb[i].cycle) << ctx << ": repartition " << i;
+    EXPECT_EQ(ha[i].partition, hb[i].partition) << ctx << ": repartition " << i;
+  }
+}
+
+CpaConfig fork_config(const std::string& acronym, bool strict = false) {
+  auto cfg = CpaConfig::from_acronym(acronym, 3, small_l2());
+  cfg.interval_cycles = 1000;
+  cfg.sampling_ratio = 2;
+  cfg.repartition_hysteresis = 0.0;
+  cfg.bt_strict_pow2 = strict;
+  return cfg;
+}
+
+TEST(PartitionedCache, MovedSystemKeepsEnforcing) {
+  const CpaConfig cfg = fork_config("M-L");
+  const auto head = make_stream(3, 1500, 0, {24, 400, 64});
+  const auto body = make_stream(4, 4000, 1500, {400, 24, 64});
+  PartitionedCacheSystem reference(cfg);
+  drive(reference, head);
+  const auto expected = drive(reference, body);
+
+  PartitionedCacheSystem original(cfg);
+  drive(original, head);
+  PartitionedCacheSystem moved(std::move(original));
+  PartitionedCacheSystem assigned(cfg);
+  const std::vector<TimedAccess> first(body.begin(), body.begin() + 2000);
+  const std::vector<TimedAccess> second(body.begin() + 2000, body.end());
+  auto got = drive(moved, first);
+  assigned = std::move(moved);
+  const auto rest = drive(assigned, second);
+  got.insert(got.end(), rest.begin(), rest.end());
+
+  expect_same_outcomes(got, expected, "moved");
+  expect_same_state(assigned, reference, "moved");
+  ASSERT_GE(assigned.controller()->history().size(), 5U) << "crossed the boundaries";
+  const auto masks = contiguous_masks(assigned.current_partition());
+  for (cache::CoreId c = 0; c < 3; ++c) EXPECT_EQ(assigned.l2().way_mask(c), masks[c]);
+}
+
+// The fork gate: a copy taken mid-stream continues exactly like the original,
+// and driving the copy elsewhere leaves the original on its un-forked course.
+TEST(PartitionedCache, CopyForksTheWholeState) {
+  const std::vector<std::pair<std::string, bool>> configs{
+      {"M-L", false}, {"M-0.75N", false}, {"M-BT", false}, {"M-BT", true}, {"C-L", false}};
+  const auto head = make_stream(11, 4000, 0, {128, 320, 64});
+  const auto same = make_stream(12, 3000, 4000, {448, 1, 64});
+  const auto tail = make_stream(13, 3000, 7000, {1, 64, 448});
+  const auto other = make_stream(14, 3000, 7000, {64, 448, 1});
+  for (const auto& [acronym, strict] : configs) {
+    const CpaConfig cfg = fork_config(acronym, strict);
+    const std::string ctx = acronym + (strict ? " strict" : "");
+    PartitionedCacheSystem unforked(cfg);
+    drive(unforked, head);
+    drive(unforked, same);
+    const auto unforked_tail = drive(unforked, tail);
+
+    PartitionedCacheSystem original(cfg);
+    drive(original, head);
+    ASSERT_GE(original.controller()->history().size(), 3U) << ctx;
+    PartitionedCacheSystem fork(original);
+    expect_same_outcomes(drive(fork, same), drive(original, same), ctx + " shared stream");
+    expect_same_state(fork, original, ctx + " shared stream");
+
+    drive(fork, other);
+    expect_same_outcomes(drive(original, tail), unforked_tail, ctx + " after the fork");
+    expect_same_state(original, unforked, ctx + " after the fork");
+    EXPECT_NE(fork.l2().stats().per_core[2].hits, original.l2().stats().per_core[2].hits)
+        << ctx << ": the fork ran a different stream";
+    const Partition p = original.current_partition();
+    for (cache::CoreId c = 0; c < 3; ++c) {
+      if (cfg.enforcement == cache::EnforcementMode::kOwnerCounters) {
+        EXPECT_EQ(original.l2().way_quota(c), p[c]) << ctx;
+      } else if (!strict) {
+        EXPECT_EQ(original.l2().way_mask(c), contiguous_masks(p)[c]) << ctx;
+      }
+    }
+  }
 }
 
 }  // namespace

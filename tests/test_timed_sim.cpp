@@ -228,12 +228,16 @@ std::string hex(std::uint64_t v) {
   return buf;
 }
 
+std::vector<std::string> workload_names(const std::string& workload_id) {
+  for (const auto& w : workloads::all_workloads())
+    if (w.id == workload_id) return w.benchmarks;
+  return {};
+}
+
 /// `expected` holds one digest per acronym, in known_acronyms() order.
 void expect_timed_digests(const std::string& workload_id, std::uint64_t l2_kb,
                           const std::vector<std::uint64_t>& expected) {
-  std::vector<std::string> names;
-  for (const auto& w : workloads::all_workloads())
-    if (w.id == workload_id) names = w.benchmarks;
+  const std::vector<std::string> names = workload_names(workload_id);
   ASSERT_FALSE(names.empty()) << workload_id;
   const auto& acronyms = core::CpaConfig::known_acronyms();
   ASSERT_EQ(acronyms.size(), expected.size());
@@ -277,6 +281,31 @@ TEST(TimedDigest, FourThreads2048KB) {
       0x9a2de7eb08baf592ULL, 0xe075a4b1173035a1ULL, 0xab6c58aaecfad9a6ULL,
       0x39970b2498d42660ULL, 0xfaf41a468bcab9b8ULL, 0x847d375b7152fe75ULL,
       0xecb989af1c5640efULL, 0xc1e1ae34c284a9b2ULL, 0xbec86e2ccbfe17e4ULL});
+}
+
+// A core settles its one demand transaction before it issues the next, so a
+// run never has more misses pending than it has cores: an MSHR file at least
+// that large never fills, and shrinking the default 16 to the core count
+// changes no cycle and no counter.
+TEST(TimedSim, PendingMshrsNeverExceedTheCoreCount) {
+  for (const char* id : {"4T_10", "8T_02"}) {
+    const std::vector<std::string> names = workload_names(id);
+    ASSERT_FALSE(names.empty()) << id;
+    const auto cores = static_cast<std::uint32_t>(names.size());
+    for (const char* acronym : {"M-0.75N", "C-L", "M-BT"}) {
+      const SimConfig cfg = small_config(names, acronym, TimingMode::kTimed);
+      SimConfig tight = cfg;
+      tight.timed.mshrs = cores;
+      const SimResult r = CmpSimulator(cfg, traces_for(names)).run();
+      const SimResult t = CmpSimulator(tight, traces_for(names)).run();
+      const std::string ctx = std::string(id) + " " + acronym;
+      EXPECT_GE(r.timed.mshr_peak, 1U) << ctx;
+      EXPECT_LE(r.timed.mshr_peak, cores) << ctx;
+      EXPECT_EQ(r.timed.mshr_full_stalls, 0U) << ctx;
+      EXPECT_EQ(t.timed.mshr_full_stalls, 0U) << ctx;
+      EXPECT_EQ(hex(timed_digest(t)), hex(timed_digest(r))) << ctx;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
