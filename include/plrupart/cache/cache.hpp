@@ -112,7 +112,6 @@ class PLRUPART_EXPORT SetAssocCache {
   }
   [[nodiscard]] const PolicyVariant& policy() const noexcept { return policy_; }
   [[nodiscard]] const CacheStatsBundle& stats() const noexcept { return stats_; }
-  void reset_stats() { stats_.reset(); }
 
   /// Clear all contents, replacement state and statistics.
   void reset();

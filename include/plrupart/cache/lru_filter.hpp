@@ -67,9 +67,6 @@ class PLRUPART_EXPORT LruFilter {
     }
   }
 
-  /// Empty every set.
-  void reset() { tags_.assign(tags_.size(), kEmpty); }
-
  private:
   static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
 

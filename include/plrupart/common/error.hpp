@@ -1,13 +1,9 @@
-// Error taxonomy for the resilience layer.
+// TimeoutError: a run that blew its watchdog deadline.
 //
-// InvariantError (common/assert.hpp) marks bugs and permanently-bad input.
-// This header carves out the failures a supervisor is ALLOWED to handle
-// differently: TransientError for conditions that may succeed on a retry
-// (mid-stream I/O failures, injected faults), and TimeoutError for a run
-// that blew its watchdog deadline. SweepExecutor's --job-retries budget
-// re-runs jobs that fail with a TransientError and nothing else; a
-// TimeoutError is deliberately NOT transient — a wedged job is wedged for a
-// reason, and silently re-running it would hide that from the fleet.
+// InvariantError (common/assert.hpp) marks bugs and bad input, and every
+// other failure of a job (I/O errors, injected faults) is one too. A
+// deadline is the one failure callers name separately: the watchdog throws
+// this type, and tests of it catch it by name.
 #pragma once
 
 #include "plrupart/export.hpp"
@@ -16,18 +12,8 @@
 
 namespace plrupart {
 
-/// A failure that may succeed if the operation is retried: interrupted or
-/// failed I/O mid-stream, injected faults. Derives from InvariantError so
-/// existing catch sites keep working; supervisors catch this type to decide
-/// retry eligibility.
-class PLRUPART_EXPORT TransientError : public InvariantError {
- public:
-  using InvariantError::InvariantError;
-};
-
 /// A run exceeded its watchdog deadline (SimConfig::timeout_s, CLI
-/// --job-timeout). Not transient: a wedged job will wedge again, so the
-/// supervisor surfaces it instead of burning the retry budget on it.
+/// --job-timeout).
 class PLRUPART_EXPORT TimeoutError : public InvariantError {
  public:
   using InvariantError::InvariantError;

@@ -5,8 +5,8 @@
 // --fault-inject grammar or the PLRUPART_FAULT_INJECT environment variable);
 // a FaultPlan binds a spec to a seed and answers, statelessly, whether the
 // counter-th opportunity at a site fails. Decisions are pure functions of
-// (seed, site, lane, counter), so a given (root seed, job, attempt) replays
-// the exact same fault sequence on any machine and at any thread count —
+// (seed, site, lane, counter), so a given (root seed, job) replays the exact
+// same fault sequence on any machine and at any thread count —
 // failures found in the field reproduce under a debugger, and CI can assert
 // recovery behavior byte-for-byte.
 //
@@ -18,10 +18,9 @@
 //           the same at every K, and the fault surfaces when the replay
 //           reaches that op
 //
-// Injected faults throw InjectedFault, a TransientError: the SweepExecutor
-// retry budget (--job-retries) treats them exactly like real I/O failures.
-// Retries are salted with the attempt number (see SweepExecutor), so a retry
-// replays a DIFFERENT fault sequence and recovery can be proven to converge.
+// Injected faults throw InjectedFault, which fails the job exactly like a
+// real I/O failure: the sweep stops with the job and the site named, and a
+// journaled sweep recovers by re-running with --resume and without the fault.
 #pragma once
 
 #include "plrupart/export.hpp"
@@ -30,16 +29,15 @@
 #include <cstdint>
 #include <string>
 
-#include "plrupart/common/error.hpp"
+#include "plrupart/common/assert.hpp"
 #include "plrupart/common/rng.hpp"
 
 namespace plrupart {
 
-/// Thrown at an injected fault site. Transient by construction: the whole
-/// point of injecting is to exercise the retry/resume machinery.
-class PLRUPART_EXPORT InjectedFault : public TransientError {
+/// Thrown at an injected fault site, to exercise the journal/resume path.
+class PLRUPART_EXPORT InjectedFault : public InvariantError {
  public:
-  using TransientError::TransientError;
+  using InvariantError::InvariantError;
 };
 
 enum class FaultSite : std::uint8_t { kRead = 0, kWrite = 1, kWorker = 2 };

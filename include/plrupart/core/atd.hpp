@@ -59,8 +59,6 @@ class PLRUPART_EXPORT Atd {
   /// replacement metadata share (power::atd_storage_bits).
   [[nodiscard]] std::uint64_t storage_bits(std::uint32_t tag_bits) const;
 
-  void reset() { cache_.reset(); }
-
  private:
   // Sampled line L lives at ATD line L >> sample_shift_: its low bits select
   // the ATD set ((L & l2_set_mask) >> sample_shift_) and the rest is the L2

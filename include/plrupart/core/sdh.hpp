@@ -63,10 +63,6 @@ class PLRUPART_EXPORT Sdh {
     for (auto& r : regs_) r >>= 1;
   }
 
-  void clear() noexcept {
-    for (auto& r : regs_) r = 0;
-  }
-
  private:
   std::uint32_t assoc_;
   std::vector<std::uint64_t> regs_;  // r_1..r_{A+1} at indices 0..A

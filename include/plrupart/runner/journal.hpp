@@ -53,7 +53,7 @@ class PLRUPART_EXPORT RunJournal {
   /// sweep_csv_rows). Thread-safe: jobs may record concurrently from sweep
   /// workers. `write_faults`, if non-null, may fail the commit
   /// (FaultSite::kWrite, counter = the job's canonical index); the record is
-  /// then absent and the caller's retry/resume machinery takes over.
+  /// then absent and a --resume re-runs it.
   void record(std::size_t pos, const std::string& rows,
               const FaultPlan* write_faults = nullptr);
 

@@ -1,15 +1,16 @@
 // SweepExecutor: fans RunSpecs out over the process thread pool and puts the
 // results back in canonical job order, plus canonical CSV emission and the
-// resilience layer: per-job retry/timeout supervision, deterministic fault
-// injection, and the crash-safe journal behind --journal/--resume.
+// resilience layer: the per-job watchdog, deterministic fault injection, and
+// the crash-safe journal behind --journal/--resume.
 //
 // Determinism contract: each job is a single-threaded deterministic
 // simulation and every result lands at its own index, so the CSV written for
 // a job list is byte-identical at any --threads value. The resilience layer
 // preserves it: a journaled sweep killed at any instant and resumed produces a
-// final CSV byte-identical to an uninterrupted run, and a retried job
-// re-executes from scratch (same spec, same seed), so recovery never changes a
-// number.
+// final CSV byte-identical to an uninterrupted run. The journal is the one
+// recovery path: a job that fails (a fault, an I/O error, its deadline) stops
+// the sweep with an error naming the job, and --resume re-runs it from
+// scratch (same spec, same seed), so recovery never changes a number.
 #pragma once
 
 #include "plrupart/export.hpp"
@@ -30,16 +31,8 @@ class RunJournal;
 struct PLRUPART_EXPORT SweepOptions {
   std::size_t threads = 0;  ///< worker threads; 0 = one per hardware thread
   bool progress = false;    ///< per-job completion lines on stderr
-  /// Extra attempts for jobs failing with TransientError (I/O failures,
-  /// injected faults). 0 = fail on first error. Attempts beyond the budget
-  /// surface the last error, annotated with the attempt count.
-  std::uint32_t job_retries = 0;
-  /// Base of the capped exponential backoff between attempts: attempt k
-  /// sleeps base << min(k, 5) milliseconds. 0 disables sleeping (tests).
-  std::uint32_t retry_backoff_ms = 100;
   /// Per-job watchdog (--job-timeout): a job exceeding this many wall seconds
-  /// aborts with TimeoutError — which is NOT transient, so it is surfaced
-  /// immediately rather than burning the retry budget. 0 = no deadline.
+  /// aborts with TimeoutError. 0 = no deadline.
   double job_timeout_s = 0.0;
   /// Journal directory (--journal); empty = no journal. See RunJournal.
   std::string journal_dir{};
@@ -47,10 +40,8 @@ struct PLRUPART_EXPORT SweepOptions {
   bool resume = false;
   /// Fault-injection probabilities (--fault-inject); all-zero = none.
   FaultSpec faults{};
-  /// Root seed for fault plans. Each (job, attempt) derives its own plan
-  /// seed, so fault sequences are replayable AND a retry sees different
-  /// faults than the attempt it is recovering from (otherwise an injected
-  /// fault would recur forever and no retry could ever succeed).
+  /// Root seed for fault plans. Each job derives its own plan seed from it
+  /// and its canonical index, so fault sequences are replayable.
   std::uint64_t fault_seed = 1;
 };
 
@@ -65,9 +56,10 @@ class PLRUPART_EXPORT SweepExecutor {
 
   /// Run every job; results come back in the order of `jobs` (canonical order
   /// when the list came from RunMatrix::expand()), regardless of which
-  /// worker finished when. Supervision (retries, timeout, fault plans)
-  /// applies; the journal does not (use run_csv for journaled sweeps — a
-  /// resumed job has durable CSV bytes but no in-memory SimResult).
+  /// worker finished when. The watchdog and fault plans apply; the journal
+  /// does not (use run_csv for journaled sweeps — a resumed job has durable
+  /// CSV bytes but no in-memory SimResult). A failed job throws
+  /// InvariantError("job <key>: <what>").
   [[nodiscard]] std::vector<JobResult> run(std::vector<RunSpec> jobs) const;
 
   /// Run the sweep and write the final CSV to `os`. Without a journal_dir
@@ -78,6 +70,8 @@ class PLRUPART_EXPORT SweepExecutor {
   void run_csv(std::vector<RunSpec> jobs, std::ostream& os) const;
 
  private:
+  /// Run one job under its watchdog and fault plan and journal its rows;
+  /// any failure leaves as InvariantError("job <key>: <what>").
   [[nodiscard]] sim::SimResult run_supervised(const RunSpec& spec, RunJournal* journal,
                                               std::size_t pos) const;
   /// The one fan-out behind run() and run_csv(): run (and consume) jobs[i]

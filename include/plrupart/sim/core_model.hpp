@@ -77,11 +77,6 @@ class PLRUPART_EXPORT CoreModel {
   }
   [[nodiscard]] const CoreParams& params() const noexcept { return params_; }
 
-  void reset() noexcept {
-    cycles_ = 0.0;
-    instructions_ = 0;
-  }
-
  private:
   CoreParams params_;
   // commit_mem's and commit_gap's charges, computed once from params_: the

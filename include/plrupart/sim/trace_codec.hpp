@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "plrupart/common/assert.hpp"
-#include "plrupart/common/error.hpp"
 #include "plrupart/common/fault_inject.hpp"
 
 namespace plrupart::sim {
@@ -52,13 +51,12 @@ class PLRUPART_EXPORT TraceError : public InvariantError {
   using InvariantError::InvariantError;
 };
 
-/// A trace read failed mid-stream (fread error that is not EINTR, or an
-/// injected read fault). Unlike TraceError — malformed data stays malformed —
-/// a failed read may well succeed on a retry, so this is TransientError and
-/// eligible for the --job-retries budget.
-class PLRUPART_EXPORT TraceIoError : public TransientError {
+/// A trace read failed mid-stream (an fread error that is not EINTR). Unlike
+/// TraceError, the file's bytes may be fine: a journaled sweep that dies of
+/// it can be resumed once the read succeeds again.
+class PLRUPART_EXPORT TraceIoError : public InvariantError {
  public:
-  using TransientError::TransientError;
+  using InvariantError::InvariantError;
 };
 
 namespace detail {

@@ -6,13 +6,13 @@
 #include <cerrno>
 #include <cstring>
 
-#include "plrupart/common/error.hpp"
+#include "plrupart/common/assert.hpp"
 
 namespace plrupart {
 namespace {
 
 [[noreturn]] void io_error(const std::string& what, const std::filesystem::path& path, int err) {
-  throw TransientError(what + " " + path.string() + ": " + std::strerror(err));
+  throw InvariantError(what + " " + path.string() + ": " + std::strerror(err));
 }
 
 /// open(2) with EINTR retry.
@@ -111,7 +111,7 @@ void AtomicFile::probe_writable(const std::filesystem::path& target) {
   tmp += ".tmp." + std::to_string(::getpid());
   const int fd = open_retry(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (fd < 0) {
-    throw TransientError("cannot open '" + target.string() +
+    throw InvariantError("cannot open '" + target.string() +
                          "' for writing: " + std::strerror(errno));
   }
   close_quiet(fd);

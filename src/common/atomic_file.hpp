@@ -10,9 +10,9 @@
 // Nothing touches the filesystem before commit(), so an AtomicFile destroyed
 // uncommitted publishes nothing.
 //
-// All I/O failures throw TransientError (they are exactly what --job-retries
-// exists for), and arm_fault() lets a FaultPlan fail the commit on demand so
-// tests can prove the recovery story.
+// All I/O failures throw InvariantError with errno detail, and arm_fault()
+// lets a FaultPlan fail the commit on demand so tests can prove the recovery
+// story (a failed journal record leaves its job to --resume).
 //
 // The determinism lint (tools/lint/check_determinism.py, rule "atomic-file")
 // bans raw std::rename/std::remove/fopen-for-write everywhere else, which is
@@ -52,7 +52,7 @@ class PLRUPART_EXPORT AtomicFile {
   }
 
   /// Durably publish the buffered bytes at the target path. Throws
-  /// TransientError (with errno detail) on any I/O failure, InjectedFault if
+  /// InvariantError (with errno detail) on any I/O failure, InjectedFault if
   /// the armed plan fires; either way the target is untouched.
   void commit();
 
@@ -65,7 +65,7 @@ class PLRUPART_EXPORT AtomicFile {
                          std::uint64_t lane = 0);
 
   /// Remove a file if present (e.g. a stale journal record or partial
-  /// output), ignoring "does not exist". Throws TransientError on other
+  /// output), ignoring "does not exist". Throws InvariantError on other
   /// failures. Kept here so deletion stays inside the blessed utility.
   static void remove_file(const std::filesystem::path& path);
 

@@ -5,20 +5,16 @@
 // Scheduling is a dynamic work queue — workers pull the next unclaimed index
 // off an atomic ticket counter — so the assignment of indices to threads (and
 // the completion order) is nondeterministic. Callers that need deterministic
-// output must key results by index, never by completion order; parallel_map
-// and the sweep executor do exactly that.
+// output must key results by index, never by completion order; the sweep
+// executor does exactly that.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <exception>
-#include <functional>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <vector>
-
-#include "plrupart/common/assert.hpp"
 
 namespace plrupart {
 
@@ -34,7 +30,7 @@ namespace plrupart {
 ///
 /// Templated on the callable so the per-index dispatch on the hot fan-out
 /// path is a direct (inlinable) call, not a std::function indirection.
-template <typename F, typename = std::enable_if_t<std::is_invocable_v<F&, std::size_t>>>
+template <typename F>
 inline void parallel_for(std::size_t n, F&& body, std::size_t threads = 0) {
   if (n == 0) return;
   if (threads == 0) threads = default_parallelism();
@@ -72,24 +68,6 @@ inline void parallel_for(std::size_t n, F&& body, std::size_t threads = 0) {
   for (std::size_t t = 0; t < threads; ++t) pool.emplace_back(worker);
   for (auto& th : pool) th.join();
   if (first_error) std::rethrow_exception(first_error);
-}
-
-/// Type-erased overload for callers that already hold a std::function (the
-/// template above is preferred for lambdas — overload resolution picks it
-/// automatically because no conversion is needed).
-inline void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
-                         std::size_t threads = 0) {
-  parallel_for(
-      n, [&body](std::size_t i) { body(i); }, threads);
-}
-
-/// Map f over [0, n) into a pre-sized result vector, in parallel.
-template <typename T, typename F>
-[[nodiscard]] std::vector<T> parallel_map(std::size_t n, F&& f, std::size_t threads = 0) {
-  std::vector<T> out(n);
-  parallel_for(
-      n, [&](std::size_t i) { out[i] = f(i); }, threads);
-  return out;
 }
 
 }  // namespace plrupart

@@ -1,6 +1,5 @@
 #include "plrupart/runner/sweep_executor.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -8,7 +7,6 @@
 #include <numeric>
 #include <ostream>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 #include "plrupart/common/assert.hpp"
@@ -50,48 +48,26 @@ void log_progress(const JobResult& jr, std::size_t n, std::size_t total, double 
 
 sim::SimResult SweepExecutor::run_supervised(const RunSpec& spec, RunJournal* journal,
                                              std::size_t pos) const {
-  const std::uint32_t attempts = opts_.job_retries + 1;
-  for (std::uint32_t attempt = 0;; ++attempt) {
-    try {
-      ExecuteControls controls;
-      controls.timeout_s = opts_.job_timeout_s;
-      std::shared_ptr<const FaultPlan> plan;
-      if (opts_.faults.any()) {
-        // One plan per (job, attempt): replayable — the same root seed
-        // reproduces the same faults — yet salted by attempt, so a retry is
-        // not doomed to replay the exact failure it is recovering from.
-        plan = std::make_shared<FaultPlan>(
-            opts_.faults, derive_seed(derive_seed(opts_.fault_seed, spec.job_index),
-                                      attempt));
-        controls.faults = plan;
-      }
-      sim::SimResult result = execute(spec, controls);
-      if (journal != nullptr) {
-        JobResult jr;
-        jr.spec = spec;
-        jr.result = result;
-        journal->record(pos, sweep_csv_rows(jr), plan.get());
-      }
-      return result;
-    } catch (const TransientError& e) {
-      if (attempt + 1 >= attempts) {
-        throw TransientError("job " + spec.key() + " failed after " +
-                             std::to_string(attempts) + " attempt(s); last error: " +
-                             e.what());
-      }
-      if (opts_.progress) {
-        std::fprintf(stderr, "plrupart: job %s attempt %u/%u failed (%s); retrying\n",
-                     spec.key().c_str(), attempt + 1, attempts, e.what());
-      }
-      if (opts_.retry_backoff_ms > 0) {
-        // Capped exponential backoff: transient conditions (shared-FS blips,
-        // overloaded hosts) need breathing room, but a cap keeps the worst
-        // case bounded at 32x the base.
-        const std::uint32_t shift = std::min<std::uint32_t>(attempt, 5);
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(std::uint64_t{opts_.retry_backoff_ms} << shift));
-      }
+  try {
+    ExecuteControls controls;
+    controls.timeout_s = opts_.job_timeout_s;
+    std::shared_ptr<const FaultPlan> plan;
+    if (opts_.faults.any()) {
+      // One plan per job: the same root seed replays the same faults.
+      plan = std::make_shared<FaultPlan>(opts_.faults,
+                                         derive_seed(opts_.fault_seed, spec.job_index));
+      controls.faults = plan;
     }
+    sim::SimResult result = execute(spec, controls);
+    if (journal != nullptr) {
+      JobResult jr;
+      jr.spec = spec;
+      jr.result = result;
+      journal->record(pos, sweep_csv_rows(jr), plan.get());
+    }
+    return result;
+  } catch (const std::exception& e) {
+    throw InvariantError("job " + spec.key() + ": " + e.what());
   }
 }
 

@@ -39,8 +39,6 @@
 // Resilience flags:
 //   --journal DIR      durable per-job journal; crash-safe atomic records
 //   --resume           skip jobs already journaled in --journal DIR
-//   --job-retries N    extra attempts for transient per-job failures  [0]
-//   --retry-backoff-ms B  base of the capped exponential backoff      [100]
 //   --job-timeout S    per-job watchdog deadline in seconds; 0 = none [0]
 //   --fault-inject SPEC  deterministic fault injection, e.g. read:0.01
 //                      (also via the PLRUPART_FAULT_INJECT environment
@@ -118,8 +116,6 @@ void print_usage() {
       "                             partition decisions, extra CSV columns)\n"
       "resilience:  --journal DIR   crash-safe per-job journal (atomic records)\n"
       "             --resume        continue a journaled sweep, skipping done jobs\n"
-      "             --job-retries N [0]  extra attempts for transient failures\n"
-      "             --retry-backoff-ms B [100]  backoff base between attempts\n"
       "             --job-timeout S [0 = none]  per-job watchdog in seconds\n"
       "             --fault-inject SITE:P[,SITE:P...]  deterministic fault\n"
       "                             injection; sites read, write, worker (also\n"
@@ -301,10 +297,6 @@ int run(const Cli& cli) {
   runner::SweepOptions opts;
   opts.threads = static_cast<std::size_t>(get_count(cli, "--threads", 0, 0, kU32Max));
   opts.progress = cli.has("--progress");
-  opts.job_retries =
-      static_cast<std::uint32_t>(get_count(cli, "--job-retries", 0, 0, 1000));
-  opts.retry_backoff_ms =
-      static_cast<std::uint32_t>(get_count(cli, "--retry-backoff-ms", 100, 0, kU32Max));
   opts.job_timeout_s = cli.get_double("--job-timeout", 0.0);
   PLRUPART_ASSERT_MSG(opts.job_timeout_s >= 0.0, "--job-timeout must be >= 0");
   opts.journal_dir = cli.get_string("--journal", "");
@@ -320,39 +312,45 @@ int run(const Cli& cli) {
   return 0;
 }
 
-/// Reject misspelled flags and stray positionals: a silently ignored
-/// `--asoc 99` would otherwise produce normal-looking CSV for the wrong
-/// configuration. Returns false (after printing the offender) on error.
+/// Reject misspelled flags, stray positionals and repeated flags: a silently
+/// ignored `--asoc 99` (or the second of two `--instr`s) would otherwise
+/// produce normal-looking CSV for the wrong configuration. Returns false
+/// (after printing the offender) on error.
 bool check_args(int argc, char** argv) {
   static constexpr std::string_view kValueFlags[] = {
       "--workload", "--benchmarks", "--config",   "--configs",  "--instr",
       "--warmup",   "--l2-kb",      "--l2-kb-sweep", "--assoc", "--line",
       "--interval", "--sampling",   "--seed",     "--csv",      "--threads",
-      "--trace",    "--sim-threads", "--timing",  "--journal",  "--job-retries",
-      "--retry-backoff-ms", "--job-timeout",      "--fault-inject"};
+      "--trace",    "--sim-threads", "--timing",  "--journal",  "--job-timeout",
+      "--fault-inject"};
   static constexpr std::string_view kBoolFlags[] = {"--help",         "-h",
                                                     "--version",      "--list-workloads",
                                                     "--list-configs", "--progress",
                                                     "--resume"};
+  std::vector<std::string_view> seen;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     const auto name = arg.substr(0, arg.find('='));
-    if (std::find(std::begin(kBoolFlags), std::end(kBoolFlags), name) !=
-        std::end(kBoolFlags))
-      continue;
-    if (std::find(std::begin(kValueFlags), std::end(kValueFlags), name) !=
-        std::end(kValueFlags)) {
-      if (arg.find('=') == std::string_view::npos) {
-        if (i + 1 >= argc) {
-          std::fprintf(stderr, "plrupart: flag '%s' requires a value\n", argv[i]);
-          return false;
-        }
-        ++i;  // consume the value token
-      }
-      continue;
+    const bool takes_value = std::find(std::begin(kValueFlags), std::end(kValueFlags),
+                                       name) != std::end(kValueFlags);
+    if (!takes_value && std::find(std::begin(kBoolFlags), std::end(kBoolFlags), name) ==
+                            std::end(kBoolFlags)) {
+      std::fprintf(stderr, "plrupart: unknown argument '%s' (see --help)\n", argv[i]);
+      return false;
     }
-    std::fprintf(stderr, "plrupart: unknown argument '%s' (see --help)\n", argv[i]);
-    return false;
+    if (std::find(seen.begin(), seen.end(), name) != seen.end()) {
+      std::fprintf(stderr, "plrupart: flag '%.*s' given more than once\n",
+                   static_cast<int>(name.size()), name.data());
+      return false;
+    }
+    seen.push_back(name);
+    if (takes_value && arg.find('=') == std::string_view::npos) {
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "plrupart: flag '%s' requires a value\n", argv[i]);
+        return false;
+      }
+      ++i;  // consume the value token
+    }
   }
   return true;
 }

@@ -9,12 +9,13 @@
 #      final CSV byte-identical to an uninterrupted run.
 #   2. Journal misuse fails loudly: fresh run over an existing journal,
 #      resume with a different matrix.
-#   3. Injected faults (read/write/worker sites, --fault-inject) plus
-#      --job-retries recover to byte-identical CSVs; an exhausted retry
-#      budget surfaces the last error; PLRUPART_FAULT_INJECT is honored and
-#      the flag overrides it.
-#   5. Read faults reach a trace-backed sweep (the `read` site fires only in
-#      trace readers) and retries recover to the fault-free bytes.
+#   3. An injected fault (write and worker sites, --fault-inject) fails a
+#      journaled sweep with the job and the site named and no CSV published,
+#      and --resume without the fault completes it to byte-identical CSV; a
+#      p=1 write fault fails the same way; PLRUPART_FAULT_INJECT is honored
+#      and the flag overrides it.
+#   4. The same for read faults on a trace-backed sweep (the `read` site
+#      fires only in trace readers).
 #
 # Usage: kill_resume.sh <plrupart-cli> <work-dir> <plrupart-trace-convert>
 #                       <champsim-fixture>
@@ -89,35 +90,45 @@ grep -q -- "--resume" fresh.err || die "journal-reuse error does not mention --r
     --csv nope.csv 2>stale.err && die "resume with a different matrix must be refused"
 grep -q "fingerprint" stale.err || die "matrix-mismatch error does not name fingerprints"
 
-# --- 3. Fault injection + retries: byte-identical recovery ---------------
+# --- 3. Fault injection, then --resume: byte-identical recovery -----------
+
+# fault_then_resume NAME SPEC SITE BASE ARGS...: the journaled sweep ARGS under
+# --fault-inject SPEC must fail, name the failed job (workload|config|KB) and
+# the SITE fault on stderr, and publish no CSV; re-running it with --resume and
+# without the fault must skip the jobs journaled before the fault and produce
+# BASE byte for byte. Each SPEC's rate is chosen so that the fault fires after
+# the first job is journaled (the plans are seeded, so that is fixed).
+fault_then_resume() {
+  local name=$1 spec=$2 site=$3 base=$4
+  shift 4
+  "$CLI" "$@" --fault-inject "$spec" --journal "j_$name" --csv "$name.csv" \
+      2>"$name.err" && die "$name: the $spec sweep succeeded, so no fault fired"
+  grep -qE "job [^ |]+\|[^ |]+\|[0-9]+: .*injected $site fault" "$name.err" ||
+    { cat "$name.err" >&2; die "$name: the error does not name the job and the $site fault"; }
+  [ -e "$name.csv" ] && die "$name: a failed sweep published a CSV"
+  "$CLI" "$@" --journal "j_$name" --resume --progress --csv "$name.csv" \
+      2>"$name.resume.err" || { cat "$name.resume.err" >&2; die "$name: --resume failed"; }
+  grep -q "resuming:" "$name.resume.err" ||
+    die "$name: no job was journaled before the fault; the resume skipped nothing"
+  cmp -s "$base" "$name.csv" || die "$name: the resumed CSV differs from the fault-free run"
+}
 
 "$CLI" "${QUICK[@]}" --csv base_quick.csv || die "baseline (quick) run failed"
 
-for spec in read:0.05 write:0.5 read:0.02,write:0.3; do
-  out="fault_$(echo "$spec" | tr ':,' '__').csv"
-  "$CLI" "${QUICK[@]}" --fault-inject "$spec" --job-retries 12 --retry-backoff-ms 0 \
-      --journal "j_$out" --csv "$out" || die "fault run '$spec' did not recover"
-  cmp -s base_quick.csv "$out" || die "fault run '$spec' changed the CSV"
-done
+fault_then_resume write_fault write:0.5 write base_quick.csv "${QUICK[@]}"
 
 # Worker faults fire in the front-end producers of a pipelined run, keyed by
-# (core, the core's op index). At this rate a few first attempts fail (the
-# plans are seeded, so the count is fixed) and every job recovers.
-"$CLI" "${QUICK[@]}" --sim-threads 2 --fault-inject worker:0.000001 --job-retries 12 \
-    --retry-backoff-ms 0 --progress --csv worker_fault.csv 2>worker_fault.err ||
-  die "worker-fault run did not recover"
-grep -q "injected worker fault" worker_fault.err || die "no worker fault fired"
-cmp -s base_quick.csv worker_fault.csv || die "worker-fault run changed the CSV"
+# (core, the core's op index).
+fault_then_resume worker_fault worker:0.000001 worker base_quick.csv \
+    "${QUICK[@]}" --sim-threads 2
 
-# Write faults hit the supervised (retryable) journal-record commits, so the
-# exhaustion and env legs run journaled.
-"$CLI" "${QUICK[@]}" --fault-inject write:1 --job-retries 2 --retry-backoff-ms 0 \
-    --journal j_exhaust --csv never.csv 2>exhaust.err &&
-  die "p=1 write faults must exhaust the retry budget"
-grep -q "failed after 3 attempt(s)" exhaust.err ||
-  die "retry exhaustion does not surface the attempt count"
-grep -q "injected write fault" exhaust.err ||
-  die "retry exhaustion does not surface the last error"
+# A p=1 write fault fails the first job's record: the sweep names that job
+# and publishes nothing. Write faults fire only on journal-record commits, so
+# this leg and the env legs run journaled.
+"$CLI" "${QUICK[@]}" --fault-inject write:1 --journal j_exhaust --csv never.csv \
+    2>exhaust.err && die "p=1 write faults must fail the sweep"
+grep -qE "job [^ |]+\|[^ |]+\|[0-9]+: injected write fault" exhaust.err ||
+  { cat exhaust.err >&2; die "a p=1 write fault does not name the job and the fault"; }
 [ -e never.csv ] && die "a failed sweep published a CSV"
 
 PLRUPART_FAULT_INJECT=write:1 "$CLI" "${QUICK[@]}" --journal j_env --csv env.csv \
@@ -126,43 +137,17 @@ PLRUPART_FAULT_INJECT=write:1 "$CLI" "${QUICK[@]}" --fault-inject read:0 \
     --csv flag_wins.csv || die "--fault-inject must override PLRUPART_FAULT_INJECT"
 cmp -s base_quick.csv flag_wins.csv || die "flag-override run changed the CSV"
 
-# --- 4. --progress under --job-retries: no double-counted reporting -------
-# Write faults force several failed attempts per job; the [n/total] done
-# counter must still tick exactly once per job (run() increments it outside
-# the retry loop, and the throughput numerator is the final attempt's access
-# count only), and the CSV must stay byte-identical to the clean baseline.
-"$CLI" "${QUICK[@]}" --progress --fault-inject write:0.5 --job-retries 12 \
-    --retry-backoff-ms 0 --journal j_prog --csv prog.csv 2>prog.err ||
-  { cat prog.err >&2; die "progress fault run did not recover"; }
-cmp -s base_quick.csv prog.csv || die "progress fault run changed the CSV"
-grep -q "failed (injected write fault" prog.err ||
-  die "no retry lines under --progress: the fault leg exercised nothing"
-done_lines=$(grep -c " done (" prog.err)
-[ "$done_lines" -eq "$NJOBS" ] ||
-  die "expected $NJOBS done lines under retries, saw $done_lines (double-counted?)"
-for n in $(seq 1 "$NJOBS"); do
-  c=$(grep -c "\[$n/$NJOBS\]" prog.err)
-  [ "$c" -eq 1 ] || die "done counter [$n/$NJOBS] reported $c times"
-done
-grep -q "\[$((NJOBS + 1))/$NJOBS\]" prog.err &&
-  die "done counter overran the job total (retries double-counted)"
-
-# --- 5. Read faults on a trace-backed sweep -------------------------------
-# The synthetic legs above never open a trace file, so their `read` specs
-# cannot fire. A read opportunity is one window refill, the opening fill
+# --- 4. Read faults on a trace-backed sweep -------------------------------
+# The synthetic legs above open no trace file, so a `read` fault cannot fire
+# there. A read opportunity is one window refill, the opening fill
 # included; this small trace fits one window, so each core's reader gets one.
 "$CONVERT" --in "$FIXTURE" --from champsim --to v2 --out small.trace ||
   die "converting the ChampSim fixture failed"
 TRACE=(--trace small.trace,small.trace --configs NOPART-L,M-BT --l2-kb-sweep 128,256,512
        --interval 40000 --threads 1 --seed 7 --instr 200000)
 "$CLI" "${TRACE[@]}" --csv base_trace.csv || die "trace baseline run failed"
-"$CLI" "${TRACE[@]}" --progress --fault-inject read:0.05 --job-retries 12 \
-    --retry-backoff-ms 0 --csv trace_fault.csv 2>trace_fault.err ||
-  { cat trace_fault.err >&2; die "trace read-fault run did not recover"; }
-cmp -s base_trace.csv trace_fault.csv || die "trace read-fault run changed the CSV"
-grep -q "failed (injected read fault" trace_fault.err ||
-  die "no read fault fired on the trace-backed sweep: the leg exercised nothing"
-"$CLI" "${TRACE[@]}" --fault-inject read:1 --job-retries 0 --csv never_trace.csv \
+fault_then_resume trace_fault read:0.1 read base_trace.csv "${TRACE[@]}"
+"$CLI" "${TRACE[@]}" --fault-inject read:1 --csv never_trace.csv \
     2>trace_exhaust.err && die "p=1 read faults must fail a trace-backed sweep"
 grep -q "injected read fault" trace_exhaust.err ||
   die "a trace-backed sweep under p=1 read faults does not surface the fault"

@@ -118,15 +118,5 @@ TEST(Atd, PaperStorageFigure) {
   EXPECT_DOUBLE_EQ(static_cast<double>(bits) / 8.0 / 1024.0, 3.25);
 }
 
-TEST(Atd, ResetForgetsContents) {
-  const auto g = l2_16sets();
-  Atd atd(g, cache::ReplacementKind::kLru, 4);
-  atd.access(line_in_set(g, 0, 1));
-  atd.reset();
-  const auto obs = atd.access(line_in_set(g, 0, 1));
-  ASSERT_TRUE(obs.has_value());
-  EXPECT_FALSE(obs->hit);
-}
-
 }  // namespace
 }  // namespace plrupart::core

@@ -82,15 +82,6 @@ TEST(CoreModel, IpcDegradesWithMemoryBoundStreams) {
   EXPECT_GT(fast.ipc(), 5.0 * slow.ipc()) << "250-cycle stalls dominate";
 }
 
-TEST(CoreModel, ResetZeroesState) {
-  CoreModel m(CoreParams{});
-  m.commit_gap(10);
-  m.reset();
-  EXPECT_DOUBLE_EQ(m.cycles(), 0.0);
-  EXPECT_EQ(m.instructions(), 0ULL);
-  EXPECT_DOUBLE_EQ(m.ipc(), 0.0);
-}
-
 TEST(CoreParams, ValidationRejectsNonsense) {
   EXPECT_THROW(CoreParams{.base_ipc = 0.0}.validate(), InvariantError);
   EXPECT_THROW(CoreParams{.stall_fraction = 1.5}.validate(), InvariantError);

@@ -33,10 +33,6 @@ TEST(LruFilter, MatchesSetAssocLruHitForHit) {
         const Addr top = ~Addr{0} - region * line + 1;
         int hits = 0;
         for (int i = 0; i < kOps; ++i) {
-          if (i == kOps / 2) {
-            filter.reset();
-            ref.reset();
-          }
           const Addr base = rng.next_bool(0.5) ? 0 : top;
           const Addr a = base + rng.next_below(region) * line + rng.next_below(line);
           const bool hit = filter.access(a);
@@ -58,14 +54,6 @@ TEST(LruFilter, EvictsTheLeastRecentlyUsedLine) {
   EXPECT_FALSE(f.access(0x200));  // evicts 0x100
   EXPECT_TRUE(f.access(0x07f)) << "same line as 0x000";
   EXPECT_FALSE(f.access(0x100));
-}
-
-TEST(LruFilter, ResetEmptiesEverySet) {
-  LruFilter f(Geometry{.size_bytes = 1024, .associativity = 2, .line_bytes = 64});
-  for (Addr a = 0; a < 1024; a += 64) f.access(a);
-  for (Addr a = 0; a < 1024; a += 64) EXPECT_TRUE(f.access(a));
-  f.reset();
-  for (Addr a = 0; a < 1024; a += 64) EXPECT_FALSE(f.access(a)) << a;
 }
 
 TEST(LruFilter, RejectsTheSentinelGeometry) {

@@ -3,9 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <functional>
 #include <memory>
-#include <numeric>
 #include <stdexcept>
 #include <vector>
 
@@ -53,33 +51,14 @@ TEST(ParallelFor, ZeroItemsIgnoresExplicitThreadCount) {
 }
 
 TEST(ParallelFor, TemplatedOverloadAcceptsMoveOnlyCallable) {
-  // A move-only closure cannot convert to std::function, so this exercises
-  // exactly the templated (non-type-erased) overload.
+  // parallel_for takes the callable by forwarding reference and never copies
+  // it, so a move-only closure is accepted.
   std::atomic<int> sum{0};
   auto step = std::make_unique<int>(1);
   parallel_for(
       100, [&sum, owned = std::move(step)](std::size_t) { sum.fetch_add(*owned); },
       /*threads=*/4);
   EXPECT_EQ(sum.load(), 100);
-}
-
-TEST(ParallelFor, TypeErasedOverloadCoversEveryIndex) {
-  // An lvalue std::function selects the non-template overload (exact match
-  // beats the template); the wrapper must forward every index exactly once.
-  constexpr std::size_t n = 200;
-  std::vector<std::atomic<int>> hits(n);
-  const std::function<void(std::size_t)> body = [&](std::size_t i) {
-    hits[i].fetch_add(1);
-  };
-  parallel_for(n, body);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
-}
-
-TEST(ParallelFor, TypeErasedOverloadPropagatesExceptions) {
-  const std::function<void(std::size_t)> body = [](std::size_t i) {
-    if (i == 11) throw std::out_of_range("type-erased boom");
-  };
-  EXPECT_THROW(parallel_for(64, body, /*threads=*/4), std::out_of_range);
 }
 
 TEST(ParallelFor, MoreThreadsThanItemsRunsEachItemOnce) {
@@ -107,28 +86,6 @@ TEST(ParallelFor, WorkerExceptionDoesNotLoseCompletedWork) {
   } catch (const std::runtime_error&) {
   }
   EXPECT_LE(completed.load(), n - 1);
-}
-
-TEST(ParallelMap, ProducesOrderedResults) {
-  const auto squares =
-      parallel_map<std::size_t>(100, [](std::size_t i) { return i * i; });
-  for (std::size_t i = 0; i < 100; ++i) EXPECT_EQ(squares[i], i * i);
-}
-
-TEST(ParallelMap, PropagatesWorkerException) {
-  EXPECT_THROW(static_cast<void>(parallel_map<int>(
-                   50,
-                   [](std::size_t i) -> int {
-                     if (i == 7) throw std::runtime_error("map boom");
-                     return static_cast<int>(i);
-                   },
-                   /*threads=*/4)),
-               std::runtime_error);
-}
-
-TEST(ParallelMap, ZeroItemsYieldsEmptyVector) {
-  const auto out = parallel_map<int>(0, [](std::size_t) { return 1; });
-  EXPECT_TRUE(out.empty());
 }
 
 TEST(DefaultParallelism, AtLeastOne) { EXPECT_GE(default_parallelism(), 1U); }

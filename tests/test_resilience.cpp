@@ -1,8 +1,9 @@
 // The resilience layer's contracts: deterministic fault injection (spec
 // grammar, pure-function plans, site instrumentation), crash-safe file
 // publication (AtomicFile), the run journal behind --journal/--resume
-// (validation, corruption rejection, byte-identical reassembly), per-job
-// retry/timeout supervision, and the ByteReader EINTR/short-read regression.
+// (validation, corruption rejection, byte-identical reassembly), the per-job
+// watchdog, fault-then-resume recovery, and the ByteReader EINTR/short-read
+// regression.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -157,8 +158,6 @@ TEST(FaultPlan, MaybeThrowNamesSiteContextAndCoordinates) {
     EXPECT_NE(msg.find("opportunity 5"), std::string::npos) << msg;
     EXPECT_NE(msg.find("lane 2"), std::string::npos) << msg;
   }
-  // InjectedFault must be retryable by construction.
-  EXPECT_THROW(plan.maybe_throw(FaultSite::kWorker, 0, 0, "x"), TransientError);
 }
 
 // ---------------------------------------------------------------------------
@@ -208,7 +207,7 @@ TEST_F(AtomicFileTest, ProbeWritableFailsFastAndLeavesNoResidue) {
   try {
     AtomicFile::probe_writable(dir_ / "no_such_subdir" / "out.csv");
     FAIL() << "unwritable target must throw";
-  } catch (const TransientError& e) {
+  } catch (const InvariantError& e) {
     EXPECT_NE(std::string(e.what()).find("cannot open"), std::string::npos) << e.what();
   }
 }
@@ -246,7 +245,7 @@ TEST_F(ByteReaderResilienceTest, InjectedReadFaultThrowsWithLaneAndContext) {
 
 TEST_F(ByteReaderResilienceTest, MidStreamIoErrorThrowsTraceIoError) {
   // fopen(dir, "rb") succeeds on Linux; the first fread fails with EISDIR --
-  // exactly the mid-stream failure shape the TransientError taxonomy is for.
+  // a mid-stream read failure, not malformed data.
   sim::ByteReader in(dir_.string(), 64);
   try {
     (void)in.get();
@@ -255,8 +254,6 @@ TEST_F(ByteReaderResilienceTest, MidStreamIoErrorThrowsTraceIoError) {
     EXPECT_NE(std::string(e.what()).find("I/O error reading"), std::string::npos)
         << e.what();
   }
-  // TraceIoError is transient: --job-retries treats it like an injected fault.
-  EXPECT_TRUE((std::is_base_of_v<TransientError, sim::TraceIoError>));
 }
 
 std::atomic<int> g_eintr_signals{0};
@@ -447,41 +444,54 @@ TEST(JobsFingerprint, CoversIdentityButNotPerformanceKnobs) {
 }
 
 // ---------------------------------------------------------------------------
-// Supervision: retries, timeouts, and end-to-end byte identity under faults
+// Supervision: the watchdog, and fault-then-resume byte identity
 // ---------------------------------------------------------------------------
+
+/// Run `m` journaled in `journal` under `faults`: the sweep must fail with the
+/// `site` fault named. Then --resume without faults must reproduce the
+/// fault-free CSV byte for byte.
+void expect_fault_then_resume_is_byte_identical(const runner::RunMatrix& m,
+                                                const std::string& faults,
+                                                const std::string& site,
+                                                const fs::path& journal) {
+  const std::string baseline = run_csv(m, serial_opts());
+  runner::SweepOptions opts = serial_opts();
+  opts.journal_dir = journal.string();
+  opts.faults = FaultSpec::parse(faults);
+  opts.fault_seed = m.seed;
+  try {
+    (void)run_csv(m, opts);
+    FAIL() << "'" << faults << "' fired no fault: the resume below would prove nothing";
+  } catch (const InvariantError& e) {
+    EXPECT_NE(std::string(e.what()).find("injected " + site + " fault"), std::string::npos)
+        << e.what();
+  }
+  opts.faults = FaultSpec{};
+  opts.resume = true;
+  EXPECT_EQ(run_csv(m, opts), baseline)
+      << "a resumed sweep must not change a single output byte";
+}
 
 class SupervisionTest : public ScratchDirTest {};
 
-TEST_F(SupervisionTest, InjectedWriteFaultsPlusRetriesYieldByteIdenticalCsv) {
-  const auto m = tiny_matrix();
-  const std::string baseline = run_csv(m, serial_opts());
-
-  runner::SweepOptions opts;
-  opts.threads = 1;
-  opts.job_retries = 8;
-  opts.retry_backoff_ms = 0;
-  opts.journal_dir = (dir_ / "journal").string();
-  opts.faults = FaultSpec::parse("write:0.5");
-  opts.fault_seed = m.seed;
-  EXPECT_EQ(run_csv(m, opts), baseline)
-      << "recovered runs must not change a single output byte";
+TEST_F(SupervisionTest, InjectedWriteFaultThenResumeYieldsByteIdenticalCsv) {
+  expect_fault_then_resume_is_byte_identical(tiny_matrix(), "write:0.5", "write",
+                                             dir_ / "journal");
 }
 
-TEST_F(SupervisionTest, ExhaustedRetryBudgetSurfacesTheLastError) {
+TEST_F(SupervisionTest, FailedJobErrorNamesTheJobAndTheFault) {
   const auto m = tiny_matrix();
   runner::SweepOptions opts;
   opts.threads = 1;
-  opts.job_retries = 2;
-  opts.retry_backoff_ms = 0;
   opts.journal_dir = (dir_ / "journal").string();
-  opts.faults = FaultSpec::parse("write:1");  // every attempt's commit fails
+  opts.faults = FaultSpec::parse("write:1");  // the first job's record fails
   std::ostringstream os;
   try {
     runner::SweepExecutor(opts).run_csv(m.expand(), os);
-    FAIL() << "a p=1 write fault must exhaust the budget";
-  } catch (const TransientError& e) {
+    FAIL() << "a p=1 write fault must fail the sweep";
+  } catch (const InvariantError& e) {
     const std::string msg = e.what();
-    EXPECT_NE(msg.find("failed after 3 attempt(s)"), std::string::npos) << msg;
+    EXPECT_EQ(msg.rfind("job " + m.expand()[0].key() + ": ", 0), 0u) << msg;
     EXPECT_NE(msg.find("injected write fault"), std::string::npos) << msg;
   }
 }
@@ -567,16 +577,6 @@ TEST_F(SupervisionTest, UnrepresentableDeadlinesNeverFirePipelined) {
   expect_unrepresentable_deadlines_never_fire(2);
 }
 
-TEST_F(SupervisionTest, TimeoutsAreNotRetried) {
-  const auto m = tiny_matrix();
-  runner::SweepOptions opts;
-  opts.threads = 1;
-  opts.job_retries = 5;  // must NOT be spent on a deliberate deadline
-  opts.retry_backoff_ms = 0;
-  opts.job_timeout_s = 1e-6;
-  EXPECT_THROW((void)runner::SweepExecutor(opts).run(m.expand()), TimeoutError);
-}
-
 TEST_F(SupervisionTest, WorkerFaultsFireInsideShardedRuns) {
   auto jobs = tiny_matrix().expand();
   jobs[0].sim_threads = 2;
@@ -623,16 +623,9 @@ TEST_F(TraceFaultTest, ReadFaultsReachTheTraceStream) {
   EXPECT_THROW((void)runner::execute(jobs[0], controls), InjectedFault);
 }
 
-TEST_F(TraceFaultTest, ReadFaultsPlusRetriesYieldByteIdenticalCsv) {
-  const auto m = trace_matrix();
-  const std::string baseline = run_csv(m, serial_opts());
-  runner::SweepOptions opts;
-  opts.threads = 1;
-  opts.job_retries = 15;
-  opts.retry_backoff_ms = 0;
-  opts.faults = FaultSpec::parse("read:0.05");
-  opts.fault_seed = m.seed;
-  EXPECT_EQ(run_csv(m, opts), baseline);
+TEST_F(TraceFaultTest, ReadFaultThenResumeYieldsByteIdenticalCsv) {
+  expect_fault_then_resume_is_byte_identical(trace_matrix(), "read:0.5", "read",
+                                             dir_ / "journal");
 }
 
 }  // namespace

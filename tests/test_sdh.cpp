@@ -62,16 +62,8 @@ TEST(Sdh, MissCurveIsMonotoneNonIncreasing) {
   }
 }
 
-TEST(Sdh, ClearZeroesEverything) {
-  Sdh sdh(4);
-  sdh.record_hit(2);
-  sdh.record_miss();
-  sdh.clear();
-  EXPECT_EQ(sdh.total(), 0ULL);
-}
-
 // The SDH's register file as a plain histogram over stack distances 1..A+1:
-// record/count, bounds, tail sums, integer-halving decay and clear.
+// record/count, bounds, tail sums, integer-halving decay.
 
 TEST(Histogram, RecordAndCount) {
   Sdh sdh(4);
@@ -115,14 +107,6 @@ TEST(Histogram, DecayHalvesEveryCounter) {
   EXPECT_EQ(sdh.reg(1), 3ULL);  // integer shift, like the hardware registers
   EXPECT_EQ(sdh.reg(2), 0ULL);
   EXPECT_EQ(sdh.reg(3), 4ULL);
-}
-
-TEST(Histogram, Clear) {
-  Sdh sdh(2);
-  for (int i = 0; i < 5; ++i) sdh.record_hit(2);
-  sdh.clear();
-  EXPECT_EQ(sdh.total(), 0ULL);
-  EXPECT_EQ(sdh.reg(2), 0ULL);
 }
 
 }  // namespace
