@@ -2,9 +2,8 @@
 // replayable scenario.
 //
 // A FaultSpec names per-site failure probabilities (parsed from the CLI
-// --fault-inject grammar or the PLRUPART_FAULT_INJECT environment variable);
-// a FaultPlan binds a spec to a seed and answers, statelessly, whether the
-// counter-th opportunity at a site fails. Decisions are pure functions of
+// --fault-inject grammar); a FaultPlan binds a spec to a seed and answers,
+// statelessly, whether the counter-th opportunity at a site fails. Decisions are pure functions of
 // (seed, site, lane, counter), so a given (root seed, job) replays the exact
 // same fault sequence on any machine and at any thread count —
 // failures found in the field reproduce under a debugger, and CI can assert

@@ -11,6 +11,7 @@
 #include "plrupart/export.hpp"
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -52,23 +53,12 @@ struct PLRUPART_EXPORT RunSpec {
 
 /// Run one job to completion. Deterministic: identical RunSpecs produce
 /// bit-identical SimResults on any machine, serial or pipelined
-/// (sim_threads).
-[[nodiscard]] PLRUPART_EXPORT sim::SimResult execute(const RunSpec& spec);
-
-/// Supervision knobs threaded into a single job's execution. Like
-/// RunSpec::sim_threads these are NOT part of the job's identity: they decide
-/// whether a run survives, never what it computes, so key()/fingerprints
-/// ignore them.
-struct PLRUPART_EXPORT ExecuteControls {
-  double timeout_s = 0.0;  ///< watchdog deadline (0 = none); see SimConfig
-  /// Fault plan armed on this job's trace readers (FaultSite::kRead, lane =
-  /// core) and front-end producers (FaultSite::kWorker, lane = core).
-  std::shared_ptr<const FaultPlan> faults;
-};
-
-/// execute() with a watchdog and/or fault plan attached.
-[[nodiscard]] PLRUPART_EXPORT sim::SimResult execute(const RunSpec& spec,
-                                                     const ExecuteControls& controls);
+/// (sim_threads). `faults` (may be null) is armed on the job's trace readers
+/// (FaultSite::kRead, lane = core) and front-end producers
+/// (FaultSite::kWorker, lane = core); like sim_threads it is not part of the
+/// job's identity, so key() and fingerprints ignore it.
+[[nodiscard]] PLRUPART_EXPORT sim::SimResult execute(
+    const RunSpec& spec, std::shared_ptr<const FaultPlan> faults = {});
 
 /// Content fingerprint of a job list: folds every identity field of every
 /// job (position, config, workload, geometries, quotas, seed — but NOT

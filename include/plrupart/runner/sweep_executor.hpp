@@ -1,16 +1,16 @@
 // SweepExecutor: fans RunSpecs out over the process thread pool and puts the
 // results back in canonical job order, plus canonical CSV emission and the
-// resilience layer: the per-job watchdog, deterministic fault injection, and
-// the crash-safe journal behind --journal/--resume.
+// resilience layer: deterministic fault injection and the crash-safe journal
+// behind --journal/--resume.
 //
 // Determinism contract: each job is a single-threaded deterministic
 // simulation and every result lands at its own index, so the CSV written for
 // a job list is byte-identical at any --threads value. The resilience layer
 // preserves it: a journaled sweep killed at any instant and resumed produces a
 // final CSV byte-identical to an uninterrupted run. The journal is the one
-// recovery path: a job that fails (a fault, an I/O error, its deadline) stops
-// the sweep with an error naming the job, and --resume re-runs it from
-// scratch (same spec, same seed), so recovery never changes a number.
+// recovery path: a job that fails (a fault, an I/O error) stops the sweep
+// with an error naming the job, and --resume re-runs it from scratch (same
+// spec, same seed), so recovery never changes a number.
 #pragma once
 
 #include "plrupart/export.hpp"
@@ -31,9 +31,6 @@ class RunJournal;
 struct PLRUPART_EXPORT SweepOptions {
   std::size_t threads = 0;  ///< worker threads; 0 = one per hardware thread
   bool progress = false;    ///< per-job completion lines on stderr
-  /// Per-job watchdog (--job-timeout): a job exceeding this many wall seconds
-  /// aborts with TimeoutError. 0 = no deadline.
-  double job_timeout_s = 0.0;
   /// Journal directory (--journal); empty = no journal. See RunJournal.
   std::string journal_dir{};
   /// Resume an existing journal (--resume): skip jobs already recorded.
@@ -56,9 +53,9 @@ class PLRUPART_EXPORT SweepExecutor {
 
   /// Run every job; results come back in the order of `jobs` (canonical order
   /// when the list came from RunMatrix::expand()), regardless of which
-  /// worker finished when. The watchdog and fault plans apply; the journal
-  /// does not (use run_csv for journaled sweeps — a resumed job has durable
-  /// CSV bytes but no in-memory SimResult). A failed job throws
+  /// worker finished when. Fault plans apply; the journal does not (use
+  /// run_csv for journaled sweeps — a resumed job has durable CSV bytes but
+  /// no in-memory SimResult). A failed job throws
   /// InvariantError("job <key>: <what>").
   [[nodiscard]] std::vector<JobResult> run(std::vector<RunSpec> jobs) const;
 
@@ -70,8 +67,8 @@ class PLRUPART_EXPORT SweepExecutor {
   void run_csv(std::vector<RunSpec> jobs, std::ostream& os) const;
 
  private:
-  /// Run one job under its watchdog and fault plan and journal its rows;
-  /// any failure leaves as InvariantError("job <key>: <what>").
+  /// Run one job under its fault plan and journal its rows; any failure
+  /// leaves as InvariantError("job <key>: <what>").
   [[nodiscard]] sim::SimResult run_supervised(const RunSpec& spec, RunJournal* journal,
                                               std::size_t pos) const;
   /// The one fan-out behind run() and run_csv(): run (and consume) jobs[i]

@@ -46,13 +46,6 @@ struct PLRUPART_EXPORT SimConfig {
   /// SimPoint windows make warmup negligible; at this repo's trace lengths an
   /// explicit warmup is required.
   std::uint64_t warmup_instr = 0;
-  /// Watchdog: abort with TimeoutError once the run has consumed this many
-  /// wall-clock seconds (0 disables it). The replay reads the clock every
-  /// few thousand ops fetched, and keeps polling while it waits on a
-  /// front-end producer, so a wedged producer aborts the run (and is joined)
-  /// instead of hanging the fleet. Wall time never feeds simulation state —
-  /// a timeout kills the run, it cannot skew its numbers.
-  double timeout_s = 0.0;
   /// Deterministic fault plan for instrumented sites inside the simulator
   /// (FaultSite::kWorker in the front-end producers of a pipelined run, keyed
   /// by core and the core's op index, so the schedule is the same at every

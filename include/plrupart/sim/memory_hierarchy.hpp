@@ -47,21 +47,14 @@ class PLRUPART_EXPORT MemoryHierarchy {
  public:
   explicit MemoryHierarchy(HierarchyConfig config);
 
-  /// One data access by `core`; returns the level that satisfied it.
-  AccessLevel access(cache::CoreId core, cache::Addr addr, bool write,
-                     std::uint64_t now_cycles);
-
-  /// Same access, echoing the L2 outcome for the timed overlay. The
-  /// functional side effects are identical to the plain overload (this IS the
-  /// plain overload plus an out-parameter).
-  AccessLevel access(cache::CoreId core, cache::Addr addr, bool write,
-                     std::uint64_t now_cycles, L2Echo& echo);
-
-  /// The two halves `access` composes. The L1 half touches only `core`'s
-  /// private filter, so the simulator resolves it when it fetches the op (on
-  /// the core's front-end producer in a pipelined run); the after-L1 half
-  /// (counters, the L2 and its profilers, the echo) runs in the replay order.
-  /// An L1 hit's after-L1 half is one counter increment, inline.
+  /// One data access by `core` is two halves: access_l1, then
+  /// access_after_l1 with its outcome, which returns the level that satisfied
+  /// the access and fills `echo` with the L2 outcome for the timed overlay.
+  /// The L1 half touches only `core`'s private filter, so the simulator
+  /// resolves it when it fetches the op (on the core's front-end producer in
+  /// a pipelined run); the after-L1 half (counters, the L2 and its profilers,
+  /// the echo) runs in the replay order. An L1 hit's after-L1 half is one
+  /// counter increment, inline.
   bool access_l1(cache::CoreId core, cache::Addr addr) {
     PLRUPART_ASSERT(core < l1d_.size());
     return l1d_[core].access(addr);

@@ -1,6 +1,7 @@
 #include "common/atomic_file.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -43,6 +44,16 @@ void close_quiet(int fd) noexcept {
   ::close(fd);
 }
 
+/// Refuse a target that exists and is not a regular file (a FIFO, a device):
+/// the rename would swap its directory entry for a regular file, and a probe
+/// that opened it could block. stat(2) follows symlinks.
+void require_regular_or_absent(const std::filesystem::path& target) {
+  struct stat st {};
+  if (::stat(target.c_str(), &st) == 0 && !S_ISREG(st.st_mode)) {
+    throw InvariantError("cannot write '" + target.string() + "': not a regular file");
+  }
+}
+
 /// fsync the directory containing `path` so the rename itself is durable.
 void sync_parent_dir(const std::filesystem::path& path) {
   std::filesystem::path dir = path.parent_path();
@@ -62,6 +73,7 @@ AtomicFile::~AtomicFile() = default;  // nothing on disk until commit()
 
 void AtomicFile::commit() {
   PLRUPART_ASSERT_MSG(!committed_, "AtomicFile::commit called twice");
+  require_regular_or_absent(target_);
   if (fault_plan_ != nullptr) {
     fault_plan_->maybe_throw(FaultSite::kWrite, fault_counter_, fault_lane_,
                              "atomic write of " + target_.string());
@@ -107,6 +119,7 @@ void AtomicFile::write_file(const std::filesystem::path& target, std::string_vie
 }
 
 void AtomicFile::probe_writable(const std::filesystem::path& target) {
+  require_regular_or_absent(target);
   std::filesystem::path tmp = target;
   tmp += ".tmp." + std::to_string(::getpid());
   const int fd = open_retry(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);

@@ -52,8 +52,9 @@ class PLRUPART_EXPORT AtomicFile {
   }
 
   /// Durably publish the buffered bytes at the target path. Throws
-  /// InvariantError (with errno detail) on any I/O failure, InjectedFault if
-  /// the armed plan fires; either way the target is untouched.
+  /// InvariantError (with errno detail) on any I/O failure or when the
+  /// target exists and is not a regular file, InjectedFault if the armed
+  /// plan fires; either way the target is untouched.
   void commit();
 
   [[nodiscard]] bool committed() const noexcept { return committed_; }
@@ -70,9 +71,10 @@ class PLRUPART_EXPORT AtomicFile {
   static void remove_file(const std::filesystem::path& path);
 
   /// Fail-fast probe: prove `target` is writable (create + unlink its tmp
-  /// sibling) without touching the target itself. Run before long work whose
-  /// output lands at `target`, so an unwritable path fails in milliseconds
-  /// instead of after hours.
+  /// sibling) without touching the target itself, and refuse a target that
+  /// exists and is not a regular file. Run before long work whose output
+  /// lands at `target`, so an unwritable path fails in milliseconds instead
+  /// of after hours.
   static void probe_writable(const std::filesystem::path& target);
 
  private:

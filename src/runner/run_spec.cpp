@@ -19,9 +19,7 @@ std::string RunSpec::key() const {
   return workload.id + "|" + config + "|" + std::to_string(l2.size_bytes / 1024);
 }
 
-sim::SimResult execute(const RunSpec& spec) { return execute(spec, ExecuteControls{}); }
-
-sim::SimResult execute(const RunSpec& spec, const ExecuteControls& controls) {
+sim::SimResult execute(const RunSpec& spec, std::shared_ptr<const FaultPlan> faults) {
   sim::SimConfig cfg;
   cfg.hierarchy.l1d = spec.l1d;
   cfg.hierarchy.l2 =
@@ -33,8 +31,7 @@ sim::SimResult execute(const RunSpec& spec, const ExecuteControls& controls) {
   cfg.warmup_instr = spec.warmup;
   cfg.sim_threads = spec.sim_threads;
   cfg.timing_mode = spec.timing;
-  cfg.timeout_s = controls.timeout_s;
-  cfg.faults = controls.faults;
+  cfg.faults = faults;
 
   // Trace-backed workloads stream their recorded file per core (the seed
   // still feeds the L2's RNG); synthetic ones generate seeded streams.
@@ -44,12 +41,11 @@ sim::SimResult execute(const RunSpec& spec, const ExecuteControls& controls) {
       cfg.cores.push_back(workloads::trace_core_params());
       // Arm read faults before the opening fill: with a trace that fits its
       // window, that fill is the only read the job makes.
-      auto faults = controls.faults != nullptr && controls.faults->armed(FaultSite::kRead)
-                        ? controls.faults
-                        : nullptr;
+      auto read_faults =
+          faults != nullptr && faults->armed(FaultSite::kRead) ? faults : nullptr;
       traces.push_back(std::make_unique<sim::FileTraceSource>(
           spec.workload.traces[core], sim::FileTraceSource::kDefaultBufferBytes,
-          std::move(faults), core));
+          std::move(read_faults), core));
     } else {
       const auto& profile = workloads::benchmark(spec.workload.benchmarks[core]);
       cfg.cores.push_back(profile.core);

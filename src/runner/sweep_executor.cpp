@@ -49,16 +49,13 @@ void log_progress(const JobResult& jr, std::size_t n, std::size_t total, double 
 sim::SimResult SweepExecutor::run_supervised(const RunSpec& spec, RunJournal* journal,
                                              std::size_t pos) const {
   try {
-    ExecuteControls controls;
-    controls.timeout_s = opts_.job_timeout_s;
     std::shared_ptr<const FaultPlan> plan;
     if (opts_.faults.any()) {
       // One plan per job: the same root seed replays the same faults.
       plan = std::make_shared<FaultPlan>(opts_.faults,
                                          derive_seed(opts_.fault_seed, spec.job_index));
-      controls.faults = plan;
     }
-    sim::SimResult result = execute(spec, controls);
+    sim::SimResult result = execute(spec, plan);
     if (journal != nullptr) {
       JobResult jr;
       jr.spec = spec;

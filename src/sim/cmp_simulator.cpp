@@ -1,12 +1,10 @@
 #include "plrupart/sim/cmp_simulator.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <exception>
 #include <string>
 #include <utility>
 
-#include "plrupart/common/error.hpp"
 #include "common/parallel.hpp"
 #include "sim/front_end.hpp"
 #include "sim/replay_loop.hpp"
@@ -15,45 +13,6 @@ namespace plrupart::sim {
 
 namespace {
 
-/// The run's wall-clock watchdog. Wall time is only ever compared against the
-/// deadline — it decides whether the run dies, never what the run computes.
-class Watchdog {
- public:
-  /// A timeout of 0 (or less), or one that lands past the clock's range
-  /// (~292 years of nanoseconds, `inf` included), means no deadline.
-  Watchdog(double timeout_s, std::string mode)
-      : timeout_s_(timeout_s), mode_(std::move(mode)) {
-    using Clock = std::chrono::steady_clock;
-    const Clock::time_point now = Clock::now();
-    const std::chrono::duration<double, Clock::period> ticks =
-        std::chrono::duration<double>(timeout_s);
-    // 2^63 is exact in a double, and every double below it fits the int64
-    // rep, so the cast below is defined; the integer compare then keeps
-    // `now + timeout` from overflowing.
-    if (!(timeout_s > 0.0 && ticks.count() < 0x1p63)) return;
-    const Clock::duration timeout(static_cast<Clock::rep>(ticks.count()));
-    if (timeout >= Clock::time_point::max() - now) return;
-    has_deadline_ = true;
-    deadline_ = now + timeout;
-  }
-
-  /// Reads the clock on every 4096th call.
-  void poll() {
-    if (has_deadline_ && (++polls_ & 0xfffU) == 0 &&
-        std::chrono::steady_clock::now() >= deadline_) {
-      throw TimeoutError("simulation exceeded watchdog deadline of " +
-                         std::to_string(timeout_s_) + " s (" + mode_ + ")");
-    }
-  }
-
- private:
-  bool has_deadline_ = false;
-  std::chrono::steady_clock::time_point deadline_;
-  double timeout_s_;
-  std::string mode_;
-  std::uint64_t polls_ = 0;
-};
-
 /// The direct L2 port: ops come straight from the trace sources, their L1
 /// resolved on the way, and the after-L1 half runs through the real
 /// MemoryHierarchy. A source error is kept with its op, so it surfaces only if
@@ -61,14 +20,10 @@ class Watchdog {
 class DirectPort {
  public:
   DirectPort(const std::vector<std::unique_ptr<TraceSource>>& traces,
-             MemoryHierarchy& hierarchy, Watchdog watchdog)
-      : traces_(traces),
-        hierarchy_(hierarchy),
-        watchdog_(std::move(watchdog)),
-        errors_(traces.size()) {}
+             MemoryHierarchy& hierarchy)
+      : traces_(traces), hierarchy_(hierarchy), errors_(traces.size()) {}
 
   internal::OpRecord next(std::uint32_t core) {
-    watchdog_.poll();
     try {
       const MemOp op = traces_[core]->next();
       return {.addr = op.addr,
@@ -94,22 +49,17 @@ class DirectPort {
  private:
   const std::vector<std::unique_ptr<TraceSource>>& traces_;
   MemoryHierarchy& hierarchy_;
-  Watchdog watchdog_;
   std::vector<std::exception_ptr> errors_;  ///< per core: why its last fetch failed
 };
 
 /// The pipelined L2 port: ops arrive from the front-end producers with their
 /// L1 outcome attached, and only the after-L1 half of each access runs here.
-/// Waits on an empty ring keep polling the watchdog.
 class PipelinePort {
  public:
-  PipelinePort(internal::FrontEnd& front, MemoryHierarchy& hierarchy, Watchdog watchdog)
-      : front_(front), hierarchy_(hierarchy), watchdog_(std::move(watchdog)) {}
+  PipelinePort(internal::FrontEnd& front, MemoryHierarchy& hierarchy)
+      : front_(front), hierarchy_(hierarchy) {}
 
-  internal::OpRecord next(std::uint32_t core) {
-    watchdog_.poll();
-    return front_.pop(core, [this] { watchdog_.poll(); });
-  }
+  internal::OpRecord next(std::uint32_t core) { return front_.pop(core); }
   [[noreturn]] void rethrow(std::uint32_t core) const { front_.rethrow(core); }
   AccessLevel access(std::uint32_t core, const internal::OpRecord& op, std::uint64_t now,
                      L2Echo& echo) {
@@ -122,7 +72,6 @@ class PipelinePort {
  private:
   internal::FrontEnd& front_;
   MemoryHierarchy& hierarchy_;
-  Watchdog watchdog_;
 };
 
 /// The timed overlay: a second per-core clock charges memory latency from the
@@ -252,15 +201,12 @@ SimResult CmpSimulator::run() {
   const std::size_t want =
       config_.sim_threads == 0 ? default_parallelism() : config_.sim_threads;
   if (want <= 1) {
-    DirectPort port(traces_, hierarchy_,
-                    Watchdog(config_.timeout_s, timed ? "timed run" : "serial run"));
+    DirectPort port(traces_, hierarchy_);
     return run_with(port);
   }
   const auto producers = static_cast<std::uint32_t>(std::min(want, traces_.size()));
   internal::FrontEnd front(traces_, hierarchy_, producers, config_.faults.get());
-  const std::string mode = std::string(timed ? "timed " : "") + "pipelined run, " +
-                           std::to_string(producers) + " producers";
-  PipelinePort port(front, hierarchy_, Watchdog(config_.timeout_s, mode));
+  PipelinePort port(front, hierarchy_);
   SimResult out = run_with(port);
   out.sim_shards = producers;
   return out;

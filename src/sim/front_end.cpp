@@ -23,13 +23,7 @@ FrontEnd::FrontEnd(const std::vector<std::unique_ptr<TraceSource>>& traces,
   threads_.reserve(producers);
   try {
     for (std::uint32_t p = 0; p < producers; ++p) {
-      threads_.emplace_back([this, p] {
-        try {
-          produce(p);
-        } catch (...) {
-          abort_.raise(std::current_exception());
-        }
-      });
+      threads_.emplace_back([this, p] { produce(p); });
     }
   } catch (...) {
     stop_and_join();
@@ -44,53 +38,41 @@ void FrontEnd::stop_and_join() noexcept {
   for (auto& t : threads_) t.join();
 }
 
-void FrontEnd::produce(std::uint32_t producer) {
-  struct Lane {
-    std::uint32_t core;
-    std::uint64_t head = 0;       ///< records produced
-    std::uint64_t tail_seen = 0;  ///< last tail loaded
-    bool failed = false;
-  };
-  std::vector<Lane> lanes;
-  for (auto c = producer; c < traces_.size(); c += producers_) {
-    lanes.push_back({.core = c});
-  }
-
+void FrontEnd::produce(std::uint32_t producer) noexcept {
   while (!stop_.load(std::memory_order_acquire)) {
     bool produced = false;
-    for (Lane& lane : lanes) {
-      if (lane.failed) continue;
-      Ring& ring = *rings_[lane.core];
-      if (lane.head - lane.tail_seen > kSlots - kBatch) {
-        lane.tail_seen = ring.tail.load(std::memory_order_acquire);
-        if (lane.head - lane.tail_seen > kSlots - kBatch) continue;
+    for (auto core = producer; core < traces_.size(); core += producers_) {
+      Ring& ring = *rings_[core];
+      if (ring.failed) continue;
+      if (ring.produced - ring.tail_seen > kSlots - kBatch) {
+        ring.tail_seen = ring.tail.load(std::memory_order_acquire);
+        if (ring.produced - ring.tail_seen > kSlots - kBatch) continue;
       }
-      TraceSource& trace = *traces_[lane.core];
+      TraceSource& trace = *traces_[core];
+      const std::uint64_t head = ring.produced;
       std::uint64_t n = 0;
       try {
         for (; n < kBatch; ++n) {
-          const std::uint64_t index = lane.head + n;
-          if (faults_ != nullptr &&
-              faults_->should_fire(FaultSite::kWorker, index, lane.core)) {
-            faults_->maybe_throw(FaultSite::kWorker, index, lane.core,
-                                 "front-end producer of core " +
-                                     std::to_string(lane.core));
+          const std::uint64_t index = head + n;
+          if (faults_ != nullptr && faults_->should_fire(FaultSite::kWorker, index, core)) {
+            faults_->maybe_throw(FaultSite::kWorker, index, core,
+                                 "front-end producer of core " + std::to_string(core));
           }
           const MemOp op = trace.next();
           ring.slots[index & (kSlots - 1)] =
               OpRecord{.addr = op.addr,
                        .gap_instrs = op.gap_instrs,
                        .write = op.write,
-                       .l1_hit = hierarchy_.access_l1(lane.core, op.addr)};
+                       .l1_hit = hierarchy_.access_l1(core, op.addr)};
         }
       } catch (...) {
         ring.error = std::current_exception();
-        ring.slots[(lane.head + n) & (kSlots - 1)] = OpRecord{.failed = true};
+        ring.slots[(head + n) & (kSlots - 1)] = OpRecord{.failed = true};
         ++n;
-        lane.failed = true;
+        ring.failed = true;
       }
-      lane.head += n;
-      ring.head.store(lane.head, std::memory_order_release);
+      ring.produced = head + n;
+      ring.head.store(ring.produced, std::memory_order_release);
       produced = true;
     }
     // Every owned ring is full (or failed): sleep rather than spin. A full

@@ -17,7 +17,9 @@
 // fails on a core's op records the exception at that op's ring position and
 // stops producing for the core; pop() hands the failed record back like any
 // other, and the replay rethrows the error only when it executes that op. A
-// failure past the last op the replay executes is never seen.
+// failure past the last op the replay executes is never seen. Every producer
+// call that can throw sits inside that per-batch catch, so a producer never
+// fails anywhere else.
 //
 // No deadlock: a producer sleeps only while every ring it owns is full, and
 // the consumer waits only on an empty ring, so the two never wait on the same
@@ -29,7 +31,6 @@
 #include <cstdint>
 #include <exception>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -49,31 +50,6 @@ inline void shard_relax(std::uint32_t& spins) noexcept {
   }
 }
 
-/// First-error latch for failures a producer cannot pin to an op. The
-/// consumer polls it in every ring wait and rethrows the latched error.
-class AbortFlag {
- public:
-  void raise(std::exception_ptr error) {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      if (!first_error_) first_error_ = std::move(error);
-    }
-    aborted_.store(true, std::memory_order_release);
-  }
-
-  /// Rethrow the latched error, if any.
-  void check() {
-    if (!aborted_.load(std::memory_order_acquire)) return;
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (first_error_) std::rethrow_exception(first_error_);
-  }
-
- private:
-  std::atomic<bool> aborted_{false};
-  std::mutex mutex_;
-  std::exception_ptr first_error_;
-};
-
 /// One front-end record: a trace op plus its private-L1 outcome.
 struct OpRecord {
   cache::Addr addr = 0;
@@ -84,7 +60,11 @@ struct OpRecord {
 };
 static_assert(sizeof(OpRecord) == 16);
 
-class FrontEnd {
+/// Cache-line aligned (and so padded): the producers read its members on
+/// every op, and it lives on the consumer's stack next to locals the replay
+/// writes all the time. Sharing a line with those made `--sim-threads 2`
+/// runs about a third slower on a 4-vCPU x86 host.
+class alignas(64) FrontEnd {
  public:
   static constexpr std::uint64_t kSlots = 4096;  ///< records per core's ring
   static constexpr std::uint64_t kBatch = 64;    ///< records per publication
@@ -99,19 +79,15 @@ class FrontEnd {
   FrontEnd(const FrontEnd&) = delete;
   FrontEnd& operator=(const FrontEnd&) = delete;
 
-  /// Consumer: `core`'s next record. While the ring is empty, calls `poll()`
-  /// (the watchdog) and rethrows any latched producer error. A record the
-  /// producer failed on comes back with `failed` set; rethrow(core) raises
-  /// its exception. Pop no further on that core.
-  template <class Poll>
-  OpRecord pop(std::uint32_t core, Poll&& poll) {
+  /// Consumer: `core`'s next record, waiting while the ring is empty. A
+  /// record the producer failed on comes back with `failed` set;
+  /// rethrow(core) raises its exception. Pop no further on that core.
+  OpRecord pop(std::uint32_t core) {
     Cursor& cur = cursors_[core];
     Ring& ring = *rings_[core];
     if (cur.pos == cur.head_seen) {
       std::uint32_t spins = 0;
       while ((cur.head_seen = ring.head.load(std::memory_order_acquire)) == cur.pos) {
-        poll();
-        abort_.check();
         shard_relax(spins);
       }
     }
@@ -130,6 +106,10 @@ class FrontEnd {
  private:
   struct Ring {
     alignas(64) std::atomic<std::uint64_t> head{0};  ///< records published
+    // The owning producer's private state: only it reads or writes these.
+    std::uint64_t produced = 0;   ///< records produced (head's next value)
+    std::uint64_t tail_seen = 0;  ///< last tail loaded
+    bool failed = false;          ///< stopped at its failed record
     alignas(64) std::atomic<std::uint64_t> tail{0};  ///< records consumed
     std::unique_ptr<OpRecord[]> slots = std::make_unique<OpRecord[]>(kSlots);
     std::exception_ptr error;  ///< set before the failed record is published
@@ -140,7 +120,7 @@ class FrontEnd {
     std::uint64_t head_seen = 0;  ///< last head loaded
   };
 
-  void produce(std::uint32_t producer);
+  void produce(std::uint32_t producer) noexcept;
   void stop_and_join() noexcept;
 
   const std::vector<std::unique_ptr<TraceSource>>& traces_;
@@ -149,7 +129,6 @@ class FrontEnd {
   const FaultPlan* faults_;  ///< non-null when FaultSite::kWorker is armed
   std::vector<std::unique_ptr<Ring>> rings_;  ///< per core
   std::vector<Cursor> cursors_;               ///< per core, consumer-only
-  AbortFlag abort_;
   std::atomic<bool> stop_{false};
   std::vector<std::thread> threads_;
 };

@@ -9,17 +9,6 @@ MemoryHierarchy::MemoryHierarchy(HierarchyConfig config)
       l2_(config_.l2),
       counters_(config_.l2.num_cores) {}
 
-AccessLevel MemoryHierarchy::access(cache::CoreId core, cache::Addr addr, bool write,
-                                    std::uint64_t now_cycles) {
-  L2Echo echo;
-  return access(core, addr, write, now_cycles, echo);
-}
-
-AccessLevel MemoryHierarchy::access(cache::CoreId core, cache::Addr addr, bool write,
-                                    std::uint64_t now_cycles, L2Echo& echo) {
-  return access_after_l1(core, addr, write, access_l1(core, addr), now_cycles, echo);
-}
-
 AccessLevel MemoryHierarchy::access_l2(cache::CoreId core, cache::Addr addr, bool write,
                                        std::uint64_t now_cycles, L2Echo& echo) {
   HierarchyCounters& ctr = counters_[core];

@@ -9,15 +9,15 @@
 //
 //  * The L2 port supplies each core's ops and their outcomes. `next(core)`
 //    fetches the core's next op with its private-L1 outcome already
-//    resolved (`l1_hit`), polling the watchdog; a fetch that fails comes
-//    back with `failed` set, and `rethrow(core)` raises its error. The loop
-//    calls it only when it executes that op, so an error on an op the serial
-//    order never reaches is never seen. `access(core, op, now, echo)` does
-//    the after-L1 half stamped at the core's functional clock and returns
-//    the satisfying level, filling `echo`; `counters(core)` reports the
-//    core's running HierarchyCounters. Every port must return the same
-//    levels for the same op stream — that is what keeps the interleave, and
-//    with it every partition decision, identical across modes.
+//    resolved (`l1_hit`); a fetch that fails comes back with `failed` set,
+//    and `rethrow(core)` raises its error. The loop calls it only when it
+//    executes that op, so an error on an op the serial order never reaches
+//    is never seen. `access(core, op, now, echo)` does the after-L1 half
+//    stamped at the core's functional clock and returns the satisfying
+//    level, filling `echo`; `counters(core)` reports the core's running
+//    HierarchyCounters. Every port must return the same levels for the same
+//    op stream — that is what keeps the interleave, and with it every
+//    partition decision, identical across modes.
 //  * The clocks overlay decides which cycle count the run reports:
 //    `on_access(core, op, echo)` sees every access after the functional
 //    commit (an L1 hit gets a default echo), `clock(core, model)` is the

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "plrupart/common/assert.hpp"
-#include "plrupart/common/error.hpp"
 
 namespace plrupart::sim {
 

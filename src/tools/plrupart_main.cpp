@@ -14,7 +14,6 @@
 // Matrix axes (cartesian product, canonical order = workload > config > size):
 //   --configs A,B,...  L2 configuration acronyms      [M-0.75N]
 //   --l2-kb-sweep LIST shared L2 sizes in KB          [1024]
-// (--config and --l2-kb remain as single-value spellings of the same axes.)
 //
 // Common run flags:
 //   --instr N          per-thread measured instructions   [1000000]
@@ -39,13 +38,9 @@
 // Resilience flags:
 //   --journal DIR      durable per-job journal; crash-safe atomic records
 //   --resume           skip jobs already journaled in --journal DIR
-//   --job-timeout S    per-job watchdog deadline in seconds; 0 = none [0]
 //   --fault-inject SPEC  deterministic fault injection, e.g. read:0.01
-//                      (also via the PLRUPART_FAULT_INJECT environment
-//                      variable; the flag wins)
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <limits>
 #include <optional>
@@ -101,7 +96,6 @@ void print_usage() {
       "                                        plrupart-trace-convert for ChampSim/PIN)\n"
       "\n"
       "matrix axes: --configs ACRO[,ACRO...] [M-0.75N]   --l2-kb-sweep KB[,KB...] [1024]\n"
-      "             (--config / --l2-kb are the single-value spellings)\n"
       "run flags:   --instr N [1000000]  --warmup N [instr/2]  --assoc N [16]\n"
       "             --line N [128]  --interval N [1000000]  --sampling N [32]\n"
       "             --seed N [1]  --csv PATH (default: stdout)\n"
@@ -116,10 +110,8 @@ void print_usage() {
       "                             partition decisions, extra CSV columns)\n"
       "resilience:  --journal DIR   crash-safe per-job journal (atomic records)\n"
       "             --resume        continue a journaled sweep, skipping done jobs\n"
-      "             --job-timeout S [0 = none]  per-job watchdog in seconds\n"
       "             --fault-inject SITE:P[,SITE:P...]  deterministic fault\n"
-      "                             injection; sites read, write, worker (also\n"
-      "                             via PLRUPART_FAULT_INJECT; the flag wins)\n"
+      "                             injection; sites read, write, worker\n"
       "other:       --version  print packaged version + git describe\n");
 }
 
@@ -156,22 +148,14 @@ std::uint64_t get_count(const Cli& cli, std::string_view name, std::uint64_t def
 runner::RunMatrix parse_matrix(const Cli& cli) {
   runner::RunMatrix m;
 
-  PLRUPART_ASSERT_MSG(!(cli.has("--config") && cli.has("--configs")),
-                      "--config and --configs are mutually exclusive");
-  m.configs = cli.has("--configs") ? split_list(cli.get_string("--configs", ""))
-                                   : std::vector<std::string>{cli.get_string(
-                                         "--config", "M-0.75N")};
+  m.configs = split_list(cli.get_string("--configs", "M-0.75N"));
   PLRUPART_ASSERT_MSG(!m.configs.empty(), "--configs needs at least one acronym");
 
-  PLRUPART_ASSERT_MSG(!(cli.has("--l2-kb") && cli.has("--l2-kb-sweep")),
-                      "--l2-kb and --l2-kb-sweep are mutually exclusive");
   if (cli.has("--l2-kb-sweep")) {
     m.l2_kb.clear();
     for (const auto& kb : split_list(cli.get_string("--l2-kb-sweep", "")))
       m.l2_kb.push_back(parse_u64(kb, "value for --l2-kb-sweep"));
     PLRUPART_ASSERT_MSG(!m.l2_kb.empty(), "--l2-kb-sweep needs at least one size");
-  } else {
-    m.l2_kb = {get_count(cli, "--l2-kb", 1024, 1)};
   }
 
   constexpr auto kU32Max = std::numeric_limits<std::uint32_t>::max();
@@ -216,13 +200,9 @@ class CsvOutput {
   std::ostringstream buf_;
 };
 
-/// Fault spec from --fault-inject or the PLRUPART_FAULT_INJECT environment
-/// variable (the flag wins); all-zero when neither is set.
+/// Fault spec from --fault-inject; all-zero when it is not set.
 FaultSpec parse_faults(const Cli& cli) {
-  std::string text = cli.get_string("--fault-inject", "");
-  if (text.empty()) {
-    if (const char* env = std::getenv("PLRUPART_FAULT_INJECT")) text = env;
-  }
+  const std::string text = cli.get_string("--fault-inject", "");
   if (text.empty()) return FaultSpec{};
   return FaultSpec::parse(text);
 }
@@ -284,7 +264,7 @@ int run(const Cli& cli) {
     matrix.workloads.push_back(w);
   }
 
-  // Validate the whole matrix before any output, so a bad --config/geometry/
+  // Validate the whole matrix before any output, so a bad --configs/geometry/
   // thread-count fails cleanly instead of after the CSV header (or earlier
   // rows of the sweep) has been emitted.
   matrix.validate();
@@ -297,8 +277,6 @@ int run(const Cli& cli) {
   runner::SweepOptions opts;
   opts.threads = static_cast<std::size_t>(get_count(cli, "--threads", 0, 0, kU32Max));
   opts.progress = cli.has("--progress");
-  opts.job_timeout_s = cli.get_double("--job-timeout", 0.0);
-  PLRUPART_ASSERT_MSG(opts.job_timeout_s >= 0.0, "--job-timeout must be >= 0");
   opts.journal_dir = cli.get_string("--journal", "");
   opts.resume = cli.has("--resume");
   PLRUPART_ASSERT_MSG(!opts.resume || !opts.journal_dir.empty(),
@@ -318,11 +296,10 @@ int run(const Cli& cli) {
 /// (after printing the offender) on error.
 bool check_args(int argc, char** argv) {
   static constexpr std::string_view kValueFlags[] = {
-      "--workload", "--benchmarks", "--config",   "--configs",  "--instr",
-      "--warmup",   "--l2-kb",      "--l2-kb-sweep", "--assoc", "--line",
-      "--interval", "--sampling",   "--seed",     "--csv",      "--threads",
-      "--trace",    "--sim-threads", "--timing",  "--journal",  "--job-timeout",
-      "--fault-inject"};
+      "--workload", "--benchmarks",  "--configs", "--instr",   "--warmup",
+      "--l2-kb-sweep", "--assoc",    "--line",    "--interval", "--sampling",
+      "--seed",     "--csv",         "--threads", "--trace",   "--sim-threads",
+      "--timing",   "--journal",     "--fault-inject"};
   static constexpr std::string_view kBoolFlags[] = {"--help",         "-h",
                                                     "--version",      "--list-workloads",
                                                     "--list-configs", "--progress",

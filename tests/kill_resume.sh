@@ -12,8 +12,7 @@
 #   3. An injected fault (write and worker sites, --fault-inject) fails a
 #      journaled sweep with the job and the site named and no CSV published,
 #      and --resume without the fault completes it to byte-identical CSV; a
-#      p=1 write fault fails the same way; PLRUPART_FAULT_INJECT is honored
-#      and the flag overrides it.
+#      p=1 write fault fails the same way.
 #   4. The same for read faults on a trace-backed sweep (the `read` site
 #      fires only in trace readers).
 #
@@ -124,18 +123,12 @@ fault_then_resume worker_fault worker:0.000001 worker base_quick.csv \
 
 # A p=1 write fault fails the first job's record: the sweep names that job
 # and publishes nothing. Write faults fire only on journal-record commits, so
-# this leg and the env legs run journaled.
+# this leg runs journaled.
 "$CLI" "${QUICK[@]}" --fault-inject write:1 --journal j_exhaust --csv never.csv \
     2>exhaust.err && die "p=1 write faults must fail the sweep"
 grep -qE "job [^ |]+\|[^ |]+\|[0-9]+: injected write fault" exhaust.err ||
   { cat exhaust.err >&2; die "a p=1 write fault does not name the job and the fault"; }
 [ -e never.csv ] && die "a failed sweep published a CSV"
-
-PLRUPART_FAULT_INJECT=write:1 "$CLI" "${QUICK[@]}" --journal j_env --csv env.csv \
-    2>/dev/null && die "PLRUPART_FAULT_INJECT was ignored"
-PLRUPART_FAULT_INJECT=write:1 "$CLI" "${QUICK[@]}" --fault-inject read:0 \
-    --csv flag_wins.csv || die "--fault-inject must override PLRUPART_FAULT_INJECT"
-cmp -s base_quick.csv flag_wins.csv || die "flag-override run changed the CSV"
 
 # --- 4. Read faults on a trace-backed sweep -------------------------------
 # The synthetic legs above open no trace file, so a `read` fault cannot fire

@@ -1,9 +1,8 @@
 // A TraceSource wrapper for the pipelined-simulator tests: it counts the ops
-// it hands out, can fail at a chosen op or stall from one on, and remembers
+// it hands out, can fail at a chosen op, and remembers
 // every thread that called next().
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -28,11 +27,10 @@ class ProbeTrace final : public sim::TraceSource {
  public:
   static constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
 
-  /// Throws ProbeTraceError instead of returning op `throw_at` (0-based), and
-  /// sleeps 2 ms before every op from `stall_from` on.
+  /// Throws ProbeTraceError instead of returning op `throw_at` (0-based).
   explicit ProbeTrace(std::unique_ptr<sim::TraceSource> inner,
-                      std::uint64_t throw_at = kNever, std::uint64_t stall_from = kNever)
-      : inner_(std::move(inner)), throw_at_(throw_at), stall_from_(stall_from) {}
+                      std::uint64_t throw_at = kNever)
+      : inner_(std::move(inner)), throw_at_(throw_at) {}
 
   sim::MemOp next() override {
     {
@@ -43,7 +41,6 @@ class ProbeTrace final : public sim::TraceSource {
     if (i == throw_at_) {
       throw ProbeTraceError(name() + " failed at op " + std::to_string(i));
     }
-    if (i >= stall_from_) std::this_thread::sleep_for(std::chrono::milliseconds(2));
     return inner_->next();
   }
   void reset() override {
@@ -62,7 +59,6 @@ class ProbeTrace final : public sim::TraceSource {
  private:
   std::unique_ptr<sim::TraceSource> inner_;
   std::uint64_t throw_at_;
-  std::uint64_t stall_from_;
   std::uint64_t calls_ = 0;
   mutable std::mutex mutex_;
   std::set<std::thread::id> threads_;

@@ -1,7 +1,7 @@
 // Reference implementation of CmpSimulator's replay, frozen at the per-op
 // loop: every step runs the argmin over all cores' functional clocks and
 // executes exactly one op of the winner, fetched from its trace at that step
-// and sent through the whole MemoryHierarchy::access (L1, then L2). The timed
+// and sent through the whole hierarchy access (L1, then L2). The timed
 // clocks are the same loop's TimedClocks arithmetic, written out over the
 // public TimedMemory calls, and the functional clocks are CoreModel's
 // arithmetic as it was, recomputing each charge from CoreParams on every op.
@@ -104,7 +104,8 @@ inline ReferenceReplay reference_replay(
     c.instructions += op.gap_instrs;
     sim::L2Echo echo;
     const auto now = static_cast<std::uint64_t>(c.cycles);
-    const sim::AccessLevel level = hierarchy.access(core, op.addr, op.write, now, echo);
+    const sim::AccessLevel level = hierarchy.access_after_l1(
+        core, op.addr, op.write, hierarchy.access_l1(core, op.addr), now, echo);
     c.cycles += 1.0 / cp.base_ipc;
     if (level == sim::AccessLevel::kL2) c.cycles += cp.l2_hit_penalty * cp.stall_fraction;
     if (level == sim::AccessLevel::kMemory) {

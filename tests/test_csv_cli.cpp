@@ -66,12 +66,12 @@ TEST(Cli, BadIntegerThrows) {
 
 TEST(Cli, BadDoubleThrows) {
   for (const char* text : {"5x", "abc", "", "1e400"}) {
-    const auto cli = make_cli({"--job-timeout", text});
+    const auto cli = make_cli({"--scale", text});
     try {
-      (void)cli.get_double("--job-timeout", 0.0);
+      (void)cli.get_double("--scale", 0.0);
       ADD_FAILURE() << "accepted '" << text << "'";
     } catch (const InvariantError& e) {
-      EXPECT_NE(std::string(e.what()).find("bad number for flag --job-timeout: '" +
+      EXPECT_NE(std::string(e.what()).find("bad number for flag --scale: '" +
                                            std::string(text) + "'"),
                 std::string::npos)
           << e.what();

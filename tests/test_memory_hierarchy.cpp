@@ -19,10 +19,18 @@ HierarchyConfig small_config(std::uint32_t cores, const char* acronym = "NOPART-
   return cfg;
 }
 
+/// One read by `core` at cycle 0, composed from the two halves the
+/// simulator calls: the private-L1 probe, then the after-L1 access.
+AccessLevel access(MemoryHierarchy& mh, cache::CoreId core, cache::Addr addr) {
+  L2Echo echo;
+  return mh.access_after_l1(core, addr, /*write=*/false, mh.access_l1(core, addr),
+                            /*now_cycles=*/0, echo);
+}
+
 TEST(MemoryHierarchy, L1HitNeverReachesL2) {
   MemoryHierarchy mh(small_config(1));
-  EXPECT_EQ(mh.access(0, 0x40, false, 0), AccessLevel::kMemory);  // cold
-  EXPECT_EQ(mh.access(0, 0x40, false, 0), AccessLevel::kL1);
+  EXPECT_EQ(access(mh, 0, 0x40), AccessLevel::kMemory);  // cold
+  EXPECT_EQ(access(mh, 0, 0x40), AccessLevel::kL1);
   EXPECT_EQ(mh.counters(0).l1_accesses, 2ULL);
   EXPECT_EQ(mh.counters(0).l1_misses, 1ULL);
   EXPECT_EQ(mh.counters(0).l2_accesses, 1ULL);
@@ -35,25 +43,25 @@ TEST(MemoryHierarchy, L1EvictionFallsBackToL2) {
   const cache::Addr a = 0x0;
   const cache::Addr b = 0x400;   // 1KB apart: same L1 set (8 sets x 64B)
   const cache::Addr c = 0x800;
-  mh.access(0, a, false, 0);
-  mh.access(0, b, false, 0);
-  mh.access(0, c, false, 0);  // evicts a from L1
-  EXPECT_EQ(mh.access(0, a, false, 0), AccessLevel::kL2) << "L1 miss, L2 hit";
+  access(mh, 0, a);
+  access(mh, 0, b);
+  access(mh, 0, c);  // evicts a from L1
+  EXPECT_EQ(access(mh, 0, a), AccessLevel::kL2) << "L1 miss, L2 hit";
 }
 
 TEST(MemoryHierarchy, PrivateL1sDoNotInterfere) {
   MemoryHierarchy mh(small_config(2));
-  mh.access(0, 0x40, false, 0);
+  access(mh, 0, 0x40);
   // Core 1 misses its own L1 even though core 0 has the line in L1 —
   // but hits the shared L2.
-  EXPECT_EQ(mh.access(1, 0x40, false, 0), AccessLevel::kL2);
+  EXPECT_EQ(access(mh, 1, 0x40), AccessLevel::kL2);
   EXPECT_EQ(mh.counters(1).l1_misses, 1ULL);
 }
 
 TEST(MemoryHierarchy, SharedL2SeesAllCores) {
   MemoryHierarchy mh(small_config(2));
-  mh.access(0, 0x1000, false, 0);
-  mh.access(1, 0x2000, false, 0);
+  access(mh, 0, 0x1000);
+  access(mh, 1, 0x2000);
   EXPECT_EQ(mh.l2().l2().stats().per_core[0].accesses, 1ULL);
   EXPECT_EQ(mh.l2().l2().stats().per_core[1].accesses, 1ULL);
 }
@@ -61,17 +69,17 @@ TEST(MemoryHierarchy, SharedL2SeesAllCores) {
 TEST(MemoryHierarchy, PartitionedL2Wired) {
   MemoryHierarchy mh(small_config(2, "M-L"));
   for (int i = 0; i < 100; ++i)
-    mh.access(0, static_cast<cache::Addr>(0x40000 + i * 0x1000), false, 0);
+    access(mh, 0, static_cast<cache::Addr>(0x40000 + i * 0x1000));
   EXPECT_GT(mh.l2().profiler(0).sdh().total(), 0ULL)
       << "L2 accesses must feed the profiling logic";
 }
 
 TEST(MemoryHierarchy, CopyIsAnIndependentFork) {
   MemoryHierarchy mh(small_config(2, "M-L"));
-  mh.access(0, 0x40, false, 0);
+  access(mh, 0, 0x40);
   MemoryHierarchy fork = mh;
-  EXPECT_EQ(fork.access(0, 0x40, false, 0), AccessLevel::kL1) << "the fork keeps the L1";
-  EXPECT_EQ(fork.access(1, 0x40, false, 0), AccessLevel::kL2) << "and the shared L2";
+  EXPECT_EQ(access(fork, 0, 0x40), AccessLevel::kL1) << "the fork keeps the L1";
+  EXPECT_EQ(access(fork, 1, 0x40), AccessLevel::kL2) << "and the shared L2";
   EXPECT_EQ(mh.counters(0).l1_accesses, 1ULL) << "the original is untouched";
   EXPECT_EQ(mh.l2().l2().stats().per_core[1].accesses, 0ULL);
 }

@@ -25,7 +25,6 @@
 
 #include "common/parallel.hpp"
 #include "plrupart/cache/geometry.hpp"
-#include "plrupart/common/error.hpp"
 #include "plrupart/runner/run_spec.hpp"
 #include "plrupart/runner/sweep_executor.hpp"
 #include "plrupart/sim/cmp_simulator.hpp"
@@ -340,12 +339,10 @@ struct ProbedRun {
   std::vector<const testing::ProbeTrace*> probes;
 };
 
-/// The run at `sim_threads`; the cores in `probed` throw at op `throw_at` and
-/// stall from op `stall_from` on.
+/// The run at `sim_threads`; the cores in `probed` throw at op `throw_at`.
 ProbedRun make_probed_run(std::uint32_t sim_threads,
                           const std::set<std::uint32_t>& probed = {},
-                          std::uint64_t throw_at = testing::ProbeTrace::kNever,
-                          std::uint64_t stall_from = testing::ProbeTrace::kNever) {
+                          std::uint64_t throw_at = testing::ProbeTrace::kNever) {
   ProbedRun r;
   r.config.hierarchy.l1d =
       cache::Geometry{.size_bytes = 4096, .associativity = 2, .line_bytes = 128};
@@ -361,10 +358,9 @@ ProbedRun make_probed_run(std::uint32_t sim_threads,
   for (std::uint32_t i = 0; i < 4; ++i) {
     const auto& prof = workloads::benchmark(names[i]);
     r.config.cores.push_back(prof.core);
-    constexpr auto kNever = testing::ProbeTrace::kNever;
     auto probe = std::make_unique<testing::ProbeTrace>(
-        workloads::make_trace(prof, i, 55), probed.contains(i) ? throw_at : kNever,
-        probed.contains(i) ? stall_from : kNever);
+        workloads::make_trace(prof, i, 55),
+        probed.contains(i) ? throw_at : testing::ProbeTrace::kNever);
     r.probes.push_back(probe.get());
     r.traces.push_back(std::move(probe));
   }
@@ -411,24 +407,6 @@ TEST(ShardedSimStress, EachCoreIsProducedByOneThreadOwningCoresModuloK) {
   EXPECT_EQ(owner[0], owner[2]);
   EXPECT_EQ(owner[1], owner[3]);
   EXPECT_NE(owner[0], owner[1]);
-}
-
-TEST(ShardedSimStress, WedgedProducerTripsTheWatchdogAndJoins) {
-  // Core 3's trace stalls 2 ms per op from op 500 on, so its ring runs dry
-  // and the replay waits on it: the wait must keep polling the watchdog,
-  // which throws once, after which the producers join.
-  for (int round = 0; round < 3; ++round) {
-    ProbedRun r = make_probed_run(2, {3}, testing::ProbeTrace::kNever, 500);
-    r.config.timeout_s = 0.05;
-    sim::CmpSimulator sim(std::move(r.config), std::move(r.traces));
-    try {
-      (void)sim.run();
-      FAIL() << "round " << round << ": the watchdog did not trip";
-    } catch (const TimeoutError& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find("pipelined run, 2 producers"), std::string::npos) << what;
-    }
-  }
 }
 
 }  // namespace

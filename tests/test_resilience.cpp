@@ -1,9 +1,9 @@
 // The resilience layer's contracts: deterministic fault injection (spec
 // grammar, pure-function plans, site instrumentation), crash-safe file
 // publication (AtomicFile), the run journal behind --journal/--resume
-// (validation, corruption rejection, byte-identical reassembly), the per-job
-// watchdog, fault-then-resume recovery, and the ByteReader EINTR/short-read
-// regression.
+// (validation, corruption rejection, byte-identical reassembly), failed jobs
+// that stop the sweep, fault-then-resume recovery, and the ByteReader
+// EINTR/short-read regression.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -13,11 +13,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <cerrno>
 #include <csignal>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -25,7 +26,6 @@
 #include <vector>
 
 #include "common/atomic_file.hpp"
-#include "plrupart/common/error.hpp"
 #include "plrupart/common/fault_inject.hpp"
 #include "plrupart/runner/journal.hpp"
 #include "plrupart/runner/run_spec.hpp"
@@ -210,6 +210,30 @@ TEST_F(AtomicFileTest, ProbeWritableFailsFastAndLeavesNoResidue) {
   } catch (const InvariantError& e) {
     EXPECT_NE(std::string(e.what()).find("cannot open"), std::string::npos) << e.what();
   }
+}
+
+TEST_F(AtomicFileTest, RefusesToReplaceAFifo) {
+  // Renaming over a FIFO would swap its directory entry for a regular file.
+  // Both entry points must refuse without opening it (an open could block)
+  // and without leaving a tmp sibling.
+  const fs::path fifo = dir_ / "out.csv";
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0) << std::strerror(errno);
+  const auto expect_refused = [&](const char* entry, const auto& call) {
+    try {
+      call();
+      ADD_FAILURE() << entry << " accepted a FIFO target";
+    } catch (const InvariantError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(fifo.string()), std::string::npos) << entry << ": " << what;
+      EXPECT_NE(what.find("not a regular file"), std::string::npos) << entry << ": " << what;
+    }
+  };
+  expect_refused("probe_writable", [&] { AtomicFile::probe_writable(fifo); });
+  expect_refused("write_file", [&] { AtomicFile::write_file(fifo, "x\n"); });
+  EXPECT_TRUE(fs::is_fifo(fifo));
+  std::vector<fs::path> entries;
+  for (const auto& e : fs::directory_iterator(dir_)) entries.push_back(e.path());
+  EXPECT_EQ(entries, std::vector<fs::path>{fifo}) << "no .tmp. sibling may remain";
 }
 
 TEST_F(AtomicFileTest, RemoveFileIgnoresMissingTargets) {
@@ -518,74 +542,13 @@ TEST_F(SupervisionTest, ResumeAfterLostRecordsIsByteIdentical) {
       << "a resumed sweep must reproduce the uninterrupted CSV byte-for-byte";
 }
 
-TEST_F(SupervisionTest, SerialWatchdogThrowsTimeoutError) {
-  const auto jobs = tiny_matrix().expand();
-  runner::ExecuteControls controls;
-  controls.timeout_s = 1e-6;
-  try {
-    (void)runner::execute(jobs[0], controls);
-    FAIL() << "a microsecond deadline must trip on a 25k-op job";
-  } catch (const TimeoutError& e) {
-    EXPECT_NE(std::string(e.what()).find("serial"), std::string::npos) << e.what();
-  }
-}
-
-TEST_F(SupervisionTest, TimedWatchdogThrowsTimeoutError) {
-  auto jobs = tiny_matrix().expand();
-  jobs[0].timing = sim::TimingMode::kTimed;
-  runner::ExecuteControls controls;
-  controls.timeout_s = 1e-6;
-  try {
-    (void)runner::execute(jobs[0], controls);
-    FAIL() << "a microsecond deadline must trip on a timed 25k-op job";
-  } catch (const TimeoutError& e) {
-    EXPECT_NE(std::string(e.what()).find("timed"), std::string::npos) << e.what();
-  }
-}
-
-TEST_F(SupervisionTest, ShardedWatchdogAbortsAndJoinsWorkersCleanly) {
-  auto jobs = tiny_matrix().expand();
-  jobs[0].sim_threads = 3;  // under TSan this also proves a race-free abort path
-  runner::ExecuteControls controls;
-  controls.timeout_s = 1e-6;
-  try {
-    (void)runner::execute(jobs[0], controls);
-    FAIL() << "the pipelined run's watchdog must trip";
-  } catch (const TimeoutError& e) {
-    EXPECT_NE(std::string(e.what()).find("pipelined run"), std::string::npos) << e.what();
-  }
-}
-
-// A deadline the steady clock cannot represent (>= ~9.2e9 s of nanoseconds,
-// or inf) is no deadline, not one that wrapped into the past.
-void expect_unrepresentable_deadlines_never_fire(std::uint32_t sim_threads) {
-  auto m = tiny_matrix();
-  m.sim_threads = sim_threads;
-  const std::string baseline = run_csv(m, serial_opts());
-  for (const double timeout_s : {1e10, std::numeric_limits<double>::infinity()}) {
-    runner::SweepOptions opts = serial_opts();
-    opts.job_timeout_s = timeout_s;
-    EXPECT_EQ(run_csv(m, opts), baseline) << "timeout " << timeout_s << " s";
-  }
-}
-
-TEST_F(SupervisionTest, UnrepresentableDeadlinesNeverFireSerial) {
-  expect_unrepresentable_deadlines_never_fire(1);
-}
-
-TEST_F(SupervisionTest, UnrepresentableDeadlinesNeverFirePipelined) {
-  expect_unrepresentable_deadlines_never_fire(2);
-}
-
 TEST_F(SupervisionTest, WorkerFaultsFireInsideShardedRuns) {
   auto jobs = tiny_matrix().expand();
   jobs[0].sim_threads = 2;
   FaultSpec spec;
   spec.probability[static_cast<std::size_t>(FaultSite::kWorker)] = 1.0;
-  runner::ExecuteControls controls;
-  controls.faults = std::make_shared<FaultPlan>(spec, 17);
   try {
-    (void)runner::execute(jobs[0], controls);
+    (void)runner::execute(jobs[0], std::make_shared<FaultPlan>(spec, 17));
     FAIL() << "a p=1 worker plan must fail the first op the replay reads";
   } catch (const InjectedFault& e) {
     EXPECT_NE(std::string(e.what()).find("injected worker fault"), std::string::npos)
@@ -618,9 +581,8 @@ TEST_F(TraceFaultTest, ReadFaultsReachTheTraceStream) {
   const auto jobs = trace_matrix().expand();
   FaultSpec spec;
   spec.probability[static_cast<std::size_t>(FaultSite::kRead)] = 1.0;
-  runner::ExecuteControls controls;
-  controls.faults = std::make_shared<FaultPlan>(spec, 23);
-  EXPECT_THROW((void)runner::execute(jobs[0], controls), InjectedFault);
+  EXPECT_THROW((void)runner::execute(jobs[0], std::make_shared<FaultPlan>(spec, 23)),
+               InjectedFault);
 }
 
 TEST_F(TraceFaultTest, ReadFaultThenResumeYieldsByteIdenticalCsv) {

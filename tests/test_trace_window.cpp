@@ -15,7 +15,7 @@
 #include <unistd.h>
 #include <vector>
 
-#include "plrupart/common/error.hpp"
+#include "plrupart/common/assert.hpp"
 #include "plrupart/common/fault_inject.hpp"
 #include "plrupart/common/rng.hpp"
 #include "plrupart/sim/trace_codec.hpp"
