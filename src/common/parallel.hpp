@@ -7,7 +7,15 @@
 // the completion order) is nondeterministic. Callers that need deterministic
 // output must key results by index, never by completion order; the sweep
 // executor does exactly that.
+//
+// BusyThreads counts the simulation threads busy in this process: replay
+// loops, front-end producers and timed-overlay helpers. A helper is the one
+// optional thread, and it starts only while the count is below
+// default_parallelism(), so a sweep that already fills the host runs its
+// overlays inline instead of oversubscribing it.
 #pragma once
+
+#include "plrupart/export.hpp"
 
 #include <atomic>
 #include <cstddef>
@@ -23,6 +31,29 @@ namespace plrupart {
   const unsigned hc = std::thread::hardware_concurrency();
   return hc == 0 ? 1 : static_cast<std::size_t>(hc);
 }
+
+/// One reservation on the process-wide count of busy simulation threads,
+/// held for the guard's lifetime.
+class PLRUPART_EXPORT BusyThreads {
+ public:
+  /// Count `n` threads busy, whatever the count already is.
+  explicit BusyThreads(std::size_t n) noexcept;
+  /// Count one more thread only if fewer than default_parallelism() are busy;
+  /// otherwise return an empty guard.
+  [[nodiscard]] static BusyThreads try_one() noexcept;
+  BusyThreads(BusyThreads&& other) noexcept;
+  BusyThreads& operator=(BusyThreads&&) = delete;
+  ~BusyThreads();
+
+  /// Threads this guard holds (0 for an empty try_one()).
+  [[nodiscard]] std::size_t held() const noexcept { return held_; }
+
+ private:
+  struct Adopt {};
+  BusyThreads(Adopt /*counted*/, std::size_t n) noexcept : held_(n) {}
+
+  std::size_t held_;
+};
 
 /// Run body(i) for i in [0, n) across up to `threads` workers. The first
 /// exception thrown by any body is rethrown on the calling thread after all

@@ -8,6 +8,7 @@
 #include "common/parallel.hpp"
 #include "sim/front_end.hpp"
 #include "sim/replay_loop.hpp"
+#include "sim/timed_overlay.hpp"
 
 namespace plrupart::sim {
 
@@ -74,93 +75,6 @@ class PipelinePort {
   MemoryHierarchy& hierarchy_;
 };
 
-/// The timed overlay: a second per-core clock charges memory latency from the
-/// event-driven MSHR/writeback/banked-DRAM model (TimedMemory) instead of the
-/// fixed penalties, and those clocks are what the SimResult reports.
-///
-/// A core keeps at most one L2 transaction in flight (its `outstanding`
-/// ticket). L1 hits retire under it — hit-under-miss — and the fill is awaited
-/// lazily at the core's next L2-reaching access, charging only the exposed
-/// fraction of whatever latency is still uncovered at that point. Cross-core
-/// concurrency is real: many cores' fills occupy MSHRs and DRAM banks at once,
-/// which is where queueing, coalescing, and bank conflicts come from.
-class TimedClocks {
- public:
-  explicit TimedClocks(const SimConfig& config)
-      : config_(config),
-        memory_(config.timed, config.hierarchy.l2.geometry),
-        cores_(config.cores.size()) {}
-
-  [[nodiscard]] double clock(std::uint32_t core, const CoreModel& /*model*/) const {
-    return cores_[core].cycles;
-  }
-
-  /// Same committed instructions as the functional clock, latency from the model.
-  template <class Op>
-  void on_access(std::uint32_t core, const Op& op, const L2Echo& echo) {
-    TimedCore& tc = cores_[core];
-    const CoreParams& cp = config_.cores[core];
-    tc.cycles += (static_cast<double>(op.gap_instrs) + 1.0) / cp.base_ipc;
-    if (!echo.reached_l2) return;
-    // One demand transaction in flight per core: the previous one must
-    // retire before the next issues (L1 hits in between already proceeded).
-    settle(core);
-    const auto t_issue = static_cast<std::uint64_t>(tc.cycles);
-    const cache::Addr line = config_.hierarchy.l2.geometry.line_addr(op.addr);
-    if (echo.hit) {
-      const auto tk = memory_.hit(t_issue, line, echo.way, op.write);
-      if (tk.valid) {
-        // Fill still in flight: this "hit" waits on the fill, not the array.
-        tc.outstanding = tk;
-        tc.has_outstanding = true;
-      } else {
-        tc.cycles += static_cast<double>(config_.timed.l2_hit_cycles) * cp.stall_fraction;
-      }
-    } else {
-      tc.outstanding = memory_.miss(t_issue, line, echo.way, op.write, echo.evicted_valid,
-                                    echo.evicted_line);
-      tc.has_outstanding = true;
-    }
-  }
-
-  /// Settle every in-flight transaction so the measured window starts from a
-  /// clean overlay, then restart peak tracking.
-  void open_window() {
-    for (std::uint32_t i = 0; i < cores_.size(); ++i) settle(i);
-    memory_.mark();
-    stats_base_ = memory_.stats();
-  }
-
-  /// Await core's in-flight L2 transaction and charge the exposed remainder
-  /// (at a freeze: the quota's last miss belongs to the window).
-  void settle(std::uint32_t core) {
-    TimedCore& tc = cores_[core];
-    if (!tc.has_outstanding) return;
-    const auto done = static_cast<double>(memory_.retire(tc.outstanding));
-    tc.has_outstanding = false;
-    if (done > tc.cycles) {
-      tc.cycles += (done - tc.cycles) * config_.cores[core].stall_fraction;
-    }
-  }
-
-  void finish(SimResult& out) const {
-    out.timing = TimingMode::kTimed;
-    out.timed = memory_.stats().delta_since(stats_base_);
-  }
-
- private:
-  struct TimedCore {
-    double cycles = 0.0;  ///< the timed clock (what this mode reports)
-    TimedMemory::Ticket outstanding{};
-    bool has_outstanding = false;
-  };
-
-  const SimConfig& config_;
-  TimedMemory memory_;
-  std::vector<TimedCore> cores_;
-  TimedStats stats_base_;  ///< snapshot of the overlay counters at window open
-};
-
 }  // namespace
 
 CmpSimulator::CmpSimulator(SimConfig config, std::vector<std::unique_ptr<TraceSource>> traces)
@@ -184,6 +98,7 @@ SimResult CmpSimulator::run() {
         "for another run");
   }
   ran_ = true;
+  const BusyThreads replay_loop(1);
 
   std::vector<std::string> names;
   names.reserve(traces_.size());
@@ -191,7 +106,7 @@ SimResult CmpSimulator::run() {
   const bool timed = config_.timing_mode == TimingMode::kTimed;
   auto run_with = [&](auto& port) {
     if (timed) {
-      TimedClocks clocks(config_);
+      internal::TimedOverlay clocks(config_);
       return internal::replay(config_, names, hierarchy_.l2(), port, clocks);
     }
     internal::FunctionalClocks clocks;

@@ -14,7 +14,8 @@ FrontEnd::FrontEnd(const std::vector<std::unique_ptr<TraceSource>>& traces,
       hierarchy_(hierarchy),
       producers_(producers),
       faults_(faults != nullptr && faults->armed(FaultSite::kWorker) ? faults : nullptr),
-      cursors_(traces.size()) {
+      cursors_(traces.size()),
+      busy_(producers) {
   PLRUPART_ASSERT(producers >= 1 && producers <= traces.size());
   rings_.reserve(traces.size());
   for (std::size_t c = 0; c < traces.size(); ++c) {

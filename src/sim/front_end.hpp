@@ -34,6 +34,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "plrupart/common/fault_inject.hpp"
 #include "plrupart/sim/memory_hierarchy.hpp"
 #include "plrupart/sim/mem_op.hpp"
@@ -130,6 +131,7 @@ class alignas(64) FrontEnd {
   std::vector<std::unique_ptr<Ring>> rings_;  ///< per core
   std::vector<Cursor> cursors_;               ///< per core, consumer-only
   std::atomic<bool> stop_{false};
+  BusyThreads busy_;  ///< the producers, counted against the thread budget
   std::vector<std::thread> threads_;
 };
 

@@ -24,7 +24,8 @@
 //    reported clock, `open_window()` and `settle(core)` run at window open
 //    and at a core's freeze, and `finish(out)` adds mode-specific fields to
 //    the result. An overlay only ever reads the functional stream; it never
-//    feeds back into it.
+//    feeds back into it, so the timed one (sim/timed_overlay.hpp) may apply
+//    its inputs on a helper thread and catch up only where a clock is read.
 //
 // The argmin orders only the ops with effects outside their own core. An L1
 // hit changes only its core (its L1, counters and two clocks), so it commutes

@@ -47,6 +47,9 @@ TimedMemory::TimedMemory(const TimedParams& params, const cache::Geometry& l2_ge
   PLRUPART_ASSERT_MSG(params_.row_bytes >= geo_.line_bytes,
                       "DRAM row must span at least one cache line");
   banks_.resize(params_.dram_banks);
+  // A bank queues at most every pending fill and in-flight writeback, so the
+  // model allocates nothing once built (a helper thread may be applying it).
+  for (Bank& bank : banks_) bank.pending.reserve(params_.mshrs + params_.writeback_queue);
   // Each bank has at most one service in flight, and its completion effect
   // applies before the bank's next completion can: one slot per bank in both.
   heap_.resize(params_.dram_banks);

@@ -28,12 +28,17 @@
 // Scale-out flags:
 //   --threads N        worker threads; 0 = one per hardware thread  [0]
 //   --sim-threads K    intra-run front-end producers per job; 0 = hardware  [1]
+//                      (producers, like jobs, occupy hardware threads that a
+//                      timed job's overlay helper can no longer borrow)
 //   --progress         per-job completion lines on stderr
 //
 // Timing flags:
 //   --timing MODE      functional (default) or timed: the event-driven
 //                      MSHR/banked-DRAM overlay; partition decisions are
-//                      identical in both modes, timed adds CSV columns
+//                      identical in both modes, timed adds CSV columns. A
+//                      long timed job borrows one free hardware thread for
+//                      its overlay and runs the overlay inline when no
+//                      thread is free; the bytes are the same either way
 //
 // Resilience flags:
 //   --journal DIR      durable per-job journal; crash-safe atomic records
@@ -104,10 +109,15 @@ void print_usage() {
       "                                  K > 1 generates traces and runs the L1s\n"
       "                                  on min(K, cores) threads ahead of the L2\n"
       "                                  (0 = all hardware threads; results are\n"
-      "                                  byte-identical to serial at any K)\n"
+      "                                  byte-identical to serial at any K);\n"
+      "                                  producers occupy hardware threads that\n"
+      "                                  a timed overlay can then not borrow\n"
       "timing:      --timing MODE [functional]  functional | timed; timed runs the\n"
       "                             event-driven MSHR/banked-DRAM overlay (same\n"
-      "                             partition decisions, extra CSV columns)\n"
+      "                             partition decisions, extra CSV columns); a\n"
+      "                             long timed job borrows one free hardware\n"
+      "                             thread for the overlay, and runs it inline\n"
+      "                             when none is free (same bytes either way)\n"
       "resilience:  --journal DIR   crash-safe per-job journal (atomic records)\n"
       "             --resume        continue a journaled sweep, skipping done jobs\n"
       "             --fault-inject SITE:P[,SITE:P...]  deterministic fault\n"

@@ -12,15 +12,20 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include <unistd.h>
+
+#include "common/parallel.hpp"
 #include "plrupart/common/assert.hpp"
 #include "plrupart/common/bits.hpp"
 #include "plrupart/sim/cmp_simulator.hpp"
 #include "plrupart/sim/timed_memory.hpp"
+#include "plrupart/sim/trace_file.hpp"
 #include "plrupart/workloads/catalog.hpp"
 #include "plrupart/workloads/generators.hpp"
 #include "plrupart/workloads/workload_table.hpp"
@@ -306,6 +311,79 @@ TEST(TimedSim, PendingMshrsNeverExceedTheCoreCount) {
       EXPECT_EQ(hex(timed_digest(t)), hex(timed_digest(r))) << ctx;
     }
   }
+}
+
+// A long timed job applies its overlay on a helper thread when the process
+// has a hardware thread to spare, and on the replay thread when it does not.
+// Both must give the same bits. Reserving every hardware thread forces the
+// direct path; with nothing reserved, a sim_threads 1 job takes the helper on
+// any host with two or more hardware threads (sim_threads 3 takes it only
+// where the producers leave one free).
+TEST(TimedSim, HelperAndDirectOverlaysAgree) {
+  for (const char* id : {"4T_10", "8T_02"}) {
+    const std::vector<std::string> names = workload_names(id);
+    ASSERT_FALSE(names.empty()) << id;
+    for (const char* acronym : {"M-0.75N", "C-L", "M-BT"}) {
+      for (const std::uint32_t k : {1U, 3U}) {
+        SimConfig cfg = small_config(names, acronym, TimingMode::kTimed);
+        cfg.sim_threads = k;
+        const SimResult helper = CmpSimulator(cfg, traces_for(names)).run();
+        const SimResult direct = [&] {
+          const BusyThreads every_thread(default_parallelism());
+          return CmpSimulator(cfg, traces_for(names)).run();
+        }();
+        const std::string ctx = std::string(id) + " " + acronym + " K=" + std::to_string(k);
+        ASSERT_EQ(helper.threads.size(), direct.threads.size()) << ctx;
+        for (std::size_t i = 0; i < helper.threads.size(); ++i) {
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(helper.threads[i].cycles),
+                    std::bit_cast<std::uint64_t>(direct.threads[i].cycles))
+              << ctx << " core " << i;
+        }
+        // The digest folds every thread's cycles and ipc bits and every
+        // TimedStats field.
+        EXPECT_EQ(hex(timed_digest(helper)), hex(timed_digest(direct))) << ctx;
+      }
+    }
+  }
+}
+
+// A v2 trace cut inside its last record fails the run at that record. The
+// cut lies thousands of records past the overlay ring's first fill, so a
+// timed run fails with its helper thread running: the error must be the
+// functional run's, text and offset, and the run must return (helper joined)
+// rather than hang or terminate.
+TEST(TimedSim, TruncatedTraceFailsAsInFunctionalModeWithTheHelperRunning) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("plrupart_timed_trunc_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "cut.v2.trace").string();
+  {
+    const auto source = make_trace(benchmark("mcf"), 0, 7);
+    write_trace_file(path, record_trace(*source, 20'000), TraceFormat::kBinaryV2);
+  }
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) - 1);
+
+  const std::vector<std::string> names{"mcf", "mcf"};
+  const auto error_of = [&](TimingMode mode, std::uint32_t k) -> std::string {
+    SimConfig cfg = small_config(names, "M-BT", mode, 10'000'000, 0);
+    cfg.sim_threads = k;
+    std::vector<std::unique_ptr<TraceSource>> traces;
+    for (int c = 0; c < 2; ++c) traces.push_back(std::make_unique<FileTraceSource>(path));
+    try {
+      (void)CmpSimulator(std::move(cfg), std::move(traces)).run();
+    } catch (const TraceError& e) {
+      return e.what();
+    }
+    return "no TraceError";
+  };
+  const std::string functional = error_of(TimingMode::kFunctional, 1);
+  const std::string timed_serial = error_of(TimingMode::kTimed, 1);
+  const std::string timed_piped = error_of(TimingMode::kTimed, 3);
+  std::filesystem::remove_all(dir);
+  EXPECT_NE(functional.find("truncated record at byte"), std::string::npos) << functional;
+  EXPECT_EQ(timed_serial, functional);
+  EXPECT_EQ(timed_piped, functional);
 }
 
 // ---------------------------------------------------------------------------
