@@ -29,7 +29,6 @@
 #include <string>
 #include <vector>
 
-#include "plrupart/common/fault_inject.hpp"
 #include "plrupart/runner/run_spec.hpp"
 
 namespace plrupart::runner {
@@ -51,11 +50,9 @@ class PLRUPART_EXPORT RunJournal {
 
   /// Durably record job `pos`'s CSV row bytes (as produced by
   /// sweep_csv_rows). Thread-safe: jobs may record concurrently from sweep
-  /// workers. `write_faults`, if non-null, may fail the commit
-  /// (FaultSite::kWrite, counter = the job's canonical index); the record is
-  /// then absent and a --resume re-runs it.
-  void record(std::size_t pos, const std::string& rows,
-              const FaultPlan* write_faults = nullptr);
+  /// workers. A failed commit leaves the record absent, and a --resume
+  /// re-runs the job.
+  void record(std::size_t pos, const std::string& rows);
 
   /// Read back and re-validate job `pos`'s recorded row bytes.
   [[nodiscard]] std::string rows(std::size_t pos) const;

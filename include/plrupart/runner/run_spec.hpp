@@ -11,7 +11,6 @@
 #include "plrupart/export.hpp"
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -37,8 +36,9 @@ struct PLRUPART_EXPORT RunSpec {
   /// Derived from the matrix position — see RunMatrix::job_seed().
   std::uint64_t seed = 1;
   /// Intra-run front-end producers (SimConfig::sim_threads): 1 = serial,
-  /// 0 = hardware concurrency. Results are identical at any value, so this is
-  /// a performance knob, not part of the job's identity (key() ignores it).
+  /// 0 = one per CPU the process may use. Results are identical at any
+  /// value, so this is a performance knob, not part of the job's identity
+  /// (key() ignores it).
   std::uint32_t sim_threads = 1;
   /// Timing mode (SimConfig::timing_mode). Unlike sim_threads this IS part of
   /// the job's identity — timed results carry extra columns and different
@@ -53,12 +53,8 @@ struct PLRUPART_EXPORT RunSpec {
 
 /// Run one job to completion. Deterministic: identical RunSpecs produce
 /// bit-identical SimResults on any machine, serial or pipelined
-/// (sim_threads). `faults` (may be null) is armed on the job's trace readers
-/// (FaultSite::kRead, lane = core) and front-end producers
-/// (FaultSite::kWorker, lane = core); like sim_threads it is not part of the
-/// job's identity, so key() and fingerprints ignore it.
-[[nodiscard]] PLRUPART_EXPORT sim::SimResult execute(
-    const RunSpec& spec, std::shared_ptr<const FaultPlan> faults = {});
+/// (sim_threads).
+[[nodiscard]] PLRUPART_EXPORT sim::SimResult execute(const RunSpec& spec);
 
 /// Content fingerprint of a job list: folds every identity field of every
 /// job (position, config, workload, geometries, quotas, seed — but NOT

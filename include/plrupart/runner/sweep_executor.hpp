@@ -1,14 +1,13 @@
 // SweepExecutor: fans RunSpecs out over the process thread pool and puts the
 // results back in canonical job order, plus canonical CSV emission and the
-// resilience layer: deterministic fault injection and the crash-safe journal
-// behind --journal/--resume.
+// crash-safe journal behind --journal/--resume.
 //
 // Determinism contract: each job is a single-threaded deterministic
 // simulation and every result lands at its own index, so the CSV written for
 // a job list is byte-identical at any --threads value. The resilience layer
 // preserves it: a journaled sweep killed at any instant and resumed produces a
 // final CSV byte-identical to an uninterrupted run. The journal is the one
-// recovery path: a job that fails (a fault, an I/O error) stops the sweep
+// recovery path: a job that fails (a bad trace, an I/O error) stops the sweep
 // with an error naming the job, and --resume re-runs it from scratch (same
 // spec, same seed), so recovery never changes a number.
 #pragma once
@@ -16,12 +15,10 @@
 #include "plrupart/export.hpp"
 
 #include <cstddef>
-#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
 
-#include "plrupart/common/fault_inject.hpp"
 #include "plrupart/runner/run_spec.hpp"
 
 namespace plrupart::runner {
@@ -29,17 +26,12 @@ namespace plrupart::runner {
 class RunJournal;
 
 struct PLRUPART_EXPORT SweepOptions {
-  std::size_t threads = 0;  ///< worker threads; 0 = one per hardware thread
+  std::size_t threads = 0;  ///< worker threads; 0 = one per CPU the process may use
   bool progress = false;    ///< per-job completion lines on stderr
   /// Journal directory (--journal); empty = no journal. See RunJournal.
   std::string journal_dir{};
   /// Resume an existing journal (--resume): skip jobs already recorded.
   bool resume = false;
-  /// Fault-injection probabilities (--fault-inject); all-zero = none.
-  FaultSpec faults{};
-  /// Root seed for fault plans. Each job derives its own plan seed from it
-  /// and its canonical index, so fault sequences are replayable.
-  std::uint64_t fault_seed = 1;
 };
 
 struct PLRUPART_EXPORT JobResult {
@@ -53,10 +45,9 @@ class PLRUPART_EXPORT SweepExecutor {
 
   /// Run every job; results come back in the order of `jobs` (canonical order
   /// when the list came from RunMatrix::expand()), regardless of which
-  /// worker finished when. Fault plans apply; the journal does not (use
-  /// run_csv for journaled sweeps — a resumed job has durable CSV bytes but
-  /// no in-memory SimResult). A failed job throws
-  /// InvariantError("job <key>: <what>").
+  /// worker finished when. The journal does not apply (use run_csv for
+  /// journaled sweeps — a resumed job has durable CSV bytes but no in-memory
+  /// SimResult). A failed job throws InvariantError("job <key>: <what>").
   [[nodiscard]] std::vector<JobResult> run(std::vector<RunSpec> jobs) const;
 
   /// Run the sweep and write the final CSV to `os`. Without a journal_dir
@@ -67,7 +58,7 @@ class PLRUPART_EXPORT SweepExecutor {
   void run_csv(std::vector<RunSpec> jobs, std::ostream& os) const;
 
  private:
-  /// Run one job under its fault plan and journal its rows; any failure
+  /// Run one job and journal its rows; any failure
   /// leaves as InvariantError("job <key>: <what>").
   [[nodiscard]] sim::SimResult run_supervised(const RunSpec& spec, RunJournal* journal,
                                               std::size_t pos) const;

@@ -18,7 +18,6 @@
 #include <memory>
 #include <vector>
 
-#include "plrupart/common/fault_inject.hpp"
 #include "plrupart/sim/memory_hierarchy.hpp"
 #include "plrupart/sim/mem_op.hpp"
 #include "plrupart/sim/timed_memory.hpp"
@@ -30,9 +29,9 @@ struct PLRUPART_EXPORT SimConfig {
   std::vector<CoreParams> cores;          ///< one per core (benchmark-specific)
   std::uint64_t instr_limit = 2'000'000;  ///< per-thread MEASURED instructions
   /// Intra-run parallelism: front-end producer threads for this run. 1 (the
-  /// default) runs the serial loop; 0 means hardware concurrency; K > 1
-  /// starts min(K, cores) producers, each generating its cores' traces and
-  /// running their private L1s ahead of the replay, which stays on the
+  /// default) runs the serial loop; 0 means one per CPU the process may use;
+  /// K > 1 starts min(K, cores) producers, each generating its cores' traces
+  /// and running their private L1s ahead of the replay, which stays on the
   /// calling thread and does the L2 work. Every configuration and both timing
   /// modes run this way, with results byte-identical to the serial loop at
   /// any value. SimResult::sim_shards reports the producers used.
@@ -46,13 +45,6 @@ struct PLRUPART_EXPORT SimConfig {
   /// SimPoint windows make warmup negligible; at this repo's trace lengths an
   /// explicit warmup is required.
   std::uint64_t warmup_instr = 0;
-  /// Deterministic fault plan for instrumented sites inside the simulator
-  /// (FaultSite::kWorker in the front-end producers of a pipelined run, keyed
-  /// by core and the core's op index, so the schedule is the same at every
-  /// K > 1; a fault surfaces when the replay reaches that op). Trace-read
-  /// faults are armed by the caller on each TraceSource; see
-  /// FileTraceSource's constructor.
-  std::shared_ptr<const FaultPlan> faults;
   /// Timed mode (opt-in): overlay the functional replay with the event-driven
   /// MSHR/writeback/banked-DRAM model. The L2 access stream — and with it
   /// every per-interval partition decision — is identical to functional mode

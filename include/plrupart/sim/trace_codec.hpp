@@ -13,8 +13,8 @@
 // decode in place and never refill. The v2 reader decodes a record in place
 // when at least 2 * kMaxVarintBytes bytes remain in the window (a record
 // that fits in them) and byte-wise otherwise, so a window refills exactly
-// where a byte-wise decode would refill it, and every fault opportunity and
-// error offset is the byte-wise one.
+// where a byte-wise decode would refill it, and every error offset is the
+// byte-wise one.
 //
 // Native trace formats (both start with a one-line text header):
 //   v1 (text):    "# plrupart-trace v1\n" then one "<gap> <addr-hex> <R|W>"
@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "plrupart/common/assert.hpp"
-#include "plrupart/common/fault_inject.hpp"
 
 namespace plrupart::sim {
 
@@ -90,15 +89,6 @@ class PLRUPART_EXPORT ByteReader {
 
   ByteReader(std::string path, std::size_t buffer_bytes);
 
-  /// Consult `plan` at every window refill (FaultSite::kRead), the first
-  /// fill included; `lane` distinguishes concurrent readers (e.g. per-core
-  /// trace streams). The opportunity counter is this reader's refill count,
-  /// so a given plan fails the same refill on every replay.
-  void set_fault_plan(std::shared_ptr<const FaultPlan> plan, std::uint64_t lane = 0) noexcept {
-    faults_ = std::move(plan);
-    fault_lane_ = lane;
-  }
-
   /// Next byte as 0..255, or kEof at end of file. Throws TraceIoError on an
   /// I/O error (distinct from EOF); interrupted reads (EINTR) are retried.
   int get() {
@@ -144,9 +134,6 @@ class PLRUPART_EXPORT ByteReader {
   std::size_t len_ = 0;   ///< valid bytes in buf_
   std::uint64_t base_ = 0;  ///< file offset of buf_[0]
   bool eof_ = false;        ///< the window ends at end of file
-  std::shared_ptr<const FaultPlan> faults_;
-  std::uint64_t fault_lane_ = 0;
-  std::uint64_t fills_ = 0;  ///< refill count == fault opportunity counter
 };
 
 /// Append `v` to `out` as an LEB128 varint (1-10 bytes).

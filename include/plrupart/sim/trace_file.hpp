@@ -44,12 +44,8 @@ class PLRUPART_EXPORT TraceReader {
   /// About 18k v2 records per refill.
   static constexpr std::size_t kDefaultBufferBytes = std::size_t{64} << 10;
 
-  /// A non-null `faults` is armed on `lane` (see set_fault_plan) before the
-  /// header is read, so the opening fill is the plan's first read opportunity.
   explicit TraceReader(const std::string& path,
-                       std::size_t buffer_bytes = kDefaultBufferBytes,
-                       std::shared_ptr<const FaultPlan> faults = nullptr,
-                       std::uint64_t lane = 0);
+                       std::size_t buffer_bytes = kDefaultBufferBytes);
 
   /// Decode the next record; nullopt at (clean) end of file. EOF inside a
   /// record is an error, not an end.
@@ -58,13 +54,6 @@ class PLRUPART_EXPORT TraceReader {
   /// Rewind to the first record (same stream again, like a fresh reader).
   /// Free while the first record is still in the window.
   void rewind();
-
-  /// Forward a fault plan to the underlying ByteReader (FaultSite::kRead at
-  /// every window refill); `lane` distinguishes concurrent readers. Refills
-  /// before this call are not counted.
-  void set_fault_plan(std::shared_ptr<const FaultPlan> plan, std::uint64_t lane = 0) noexcept {
-    in_.set_fault_plan(std::move(plan), lane);
-  }
 
   [[nodiscard]] TraceFormat format() const noexcept { return format_; }
   [[nodiscard]] const std::string& path() const noexcept { return in_.path(); }
@@ -107,21 +96,12 @@ class PLRUPART_EXPORT FileTraceSource final : public TraceSource {
  public:
   static constexpr std::size_t kDefaultBufferBytes = TraceReader::kDefaultBufferBytes;
 
-  /// `faults` and `lane` as for TraceReader: armed before the opening fill.
   explicit FileTraceSource(const std::string& path,
-                           std::size_t buffer_bytes = kDefaultBufferBytes,
-                           std::shared_ptr<const FaultPlan> faults = nullptr,
-                           std::uint64_t lane = 0);
+                           std::size_t buffer_bytes = kDefaultBufferBytes);
 
   MemOp next() override;
   void reset() override;
   [[nodiscard]] std::string name() const override { return name_; }
-
-  /// See TraceReader::set_fault_plan; refills before this call (at least the
-  /// opening one) are not counted.
-  void set_fault_plan(std::shared_ptr<const FaultPlan> plan, std::uint64_t lane = 0) noexcept {
-    reader_.set_fault_plan(std::move(plan), lane);
-  }
 
   [[nodiscard]] TraceFormat format() const noexcept { return reader_.format(); }
   /// Operations handed out since construction (across loops and resets).

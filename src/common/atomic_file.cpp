@@ -74,10 +74,6 @@ AtomicFile::~AtomicFile() = default;  // nothing on disk until commit()
 void AtomicFile::commit() {
   PLRUPART_ASSERT_MSG(!committed_, "AtomicFile::commit called twice");
   require_regular_or_absent(target_);
-  if (fault_plan_ != nullptr) {
-    fault_plan_->maybe_throw(FaultSite::kWrite, fault_counter_, fault_lane_,
-                             "atomic write of " + target_.string());
-  }
   const std::string bytes = buf_.str();
   std::filesystem::path tmp = target_;
   tmp += ".tmp." + std::to_string(::getpid());
@@ -110,10 +106,8 @@ void AtomicFile::commit() {
   committed_ = true;
 }
 
-void AtomicFile::write_file(const std::filesystem::path& target, std::string_view bytes,
-                            const FaultPlan* plan, std::uint64_t counter, std::uint64_t lane) {
+void AtomicFile::write_file(const std::filesystem::path& target, std::string_view bytes) {
   AtomicFile f(target);
-  f.arm_fault(plan, counter, lane);
   f.stream().write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   f.commit();
 }

@@ -10,9 +10,8 @@
 // Nothing touches the filesystem before commit(), so an AtomicFile destroyed
 // uncommitted publishes nothing.
 //
-// All I/O failures throw InvariantError with errno detail, and arm_fault()
-// lets a FaultPlan fail the commit on demand so tests can prove the recovery
-// story (a failed journal record leaves its job to --resume).
+// All I/O failures throw InvariantError with errno detail; a failed journal
+// record leaves its job to --resume.
 //
 // The determinism lint (tools/lint/check_determinism.py, rule "atomic-file")
 // bans raw std::rename/std::remove/fopen-for-write everywhere else, which is
@@ -21,13 +20,10 @@
 
 #include "plrupart/export.hpp"
 
-#include <cstdint>
 #include <filesystem>
 #include <sstream>
 #include <string>
 #include <string_view>
-
-#include "plrupart/common/fault_inject.hpp"
 
 namespace plrupart {
 
@@ -43,27 +39,17 @@ class PLRUPART_EXPORT AtomicFile {
   /// Buffered output stream; bytes only reach disk on commit().
   [[nodiscard]] std::ostream& stream() noexcept { return buf_; }
 
-  /// Route this file's commit through a fault plan: the FaultSite::kWrite
-  /// decision for (counter, lane) is consulted right before the tmp write.
-  void arm_fault(const FaultPlan* plan, std::uint64_t counter, std::uint64_t lane = 0) noexcept {
-    fault_plan_ = plan;
-    fault_counter_ = counter;
-    fault_lane_ = lane;
-  }
-
   /// Durably publish the buffered bytes at the target path. Throws
   /// InvariantError (with errno detail) on any I/O failure or when the
-  /// target exists and is not a regular file, InjectedFault if the armed
-  /// plan fires; either way the target is untouched.
+  /// target exists and is not a regular file (then before any tmp file is
+  /// created); either way the target is untouched.
   void commit();
 
   [[nodiscard]] bool committed() const noexcept { return committed_; }
   [[nodiscard]] const std::filesystem::path& target() const noexcept { return target_; }
 
   /// One-shot convenience: buffer `bytes` and commit.
-  static void write_file(const std::filesystem::path& target, std::string_view bytes,
-                         const FaultPlan* plan = nullptr, std::uint64_t counter = 0,
-                         std::uint64_t lane = 0);
+  static void write_file(const std::filesystem::path& target, std::string_view bytes);
 
   /// Remove a file if present (e.g. a stale journal record or partial
   /// output), ignoring "does not exist". Throws InvariantError on other
@@ -80,9 +66,6 @@ class PLRUPART_EXPORT AtomicFile {
  private:
   std::filesystem::path target_;
   std::ostringstream buf_;
-  const FaultPlan* fault_plan_ = nullptr;
-  std::uint64_t fault_counter_ = 0;
-  std::uint64_t fault_lane_ = 0;
   bool committed_ = false;
 };
 

@@ -1,6 +1,23 @@
 #include "common/parallel.hpp"
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 namespace plrupart {
+
+std::size_t default_parallelism() noexcept {
+#ifdef __linux__
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (::sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    const int n = CPU_COUNT(&mask);
+    if (n > 0) return static_cast<std::size_t>(n);
+  }
+#endif
+  const unsigned hc = std::thread::hardware_concurrency();
+  return hc == 0 ? 1 : static_cast<std::size_t>(hc);
+}
 
 namespace {
 

@@ -26,11 +26,10 @@
 
 namespace plrupart {
 
-/// Number of worker threads to use by default (hardware concurrency, >= 1).
-[[nodiscard]] inline std::size_t default_parallelism() noexcept {
-  const unsigned hc = std::thread::hardware_concurrency();
-  return hc == 0 ? 1 : static_cast<std::size_t>(hc);
-}
+/// Number of worker threads to use by default (>= 1): the CPUs this process
+/// may run on (its sched_getaffinity mask), or hardware concurrency where the
+/// mask cannot be read. A cgroup CPU quota is not consulted.
+[[nodiscard]] PLRUPART_EXPORT std::size_t default_parallelism() noexcept;
 
 /// One reservation on the process-wide count of busy simulation threads,
 /// held for the guard's lifetime.

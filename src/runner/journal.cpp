@@ -138,7 +138,7 @@ void RunJournal::load_manifest_or_fail(std::size_t num_jobs) const {
   const std::uint64_t fp = parse_hex(expect_field(in, "fingerprint", path), path);
   if (fp != fingerprint_) {
     throw InvariantError(
-        "--resume: the journal at " + dir_.string() + " was recorded for a different "
+        "--resume: the journal manifest " + path.string() + " was recorded for a different "
         "sweep (its fingerprint " + to_hex(fp) + " != this run's " + to_hex(fingerprint_) +
         "). The run matrix — configs, workloads, L2 sizes, quotas, and seed — must match "
         "the original run exactly; fix the flags, or remove the directory to start over");
@@ -151,10 +151,8 @@ void RunJournal::load_manifest_or_fail(std::size_t num_jobs) const {
   }
 }
 
-void RunJournal::record(std::size_t pos, const std::string& rows,
-                        const FaultPlan* write_faults) {
+void RunJournal::record(std::size_t pos, const std::string& rows) {
   AtomicFile f(record_path(pos));
-  if (write_faults != nullptr) f.arm_fault(write_faults, job_indices_.at(pos));
   f.stream() << kRecordMagic << '\n'
              << "fingerprint " << to_hex(fingerprint_) << '\n'
              << "job " << job_indices_.at(pos) << '\n'
@@ -169,6 +167,10 @@ void RunJournal::record(std::size_t pos, const std::string& rows,
 
 std::string RunJournal::read_record_or_fail(std::size_t pos) const {
   const std::filesystem::path path = record_path(pos);
+  if (!std::filesystem::is_regular_file(path)) {
+    throw InvariantError("journal record " + path.string() + " is not a regular file; "
+                         "remove it to re-run that job");
+  }
   std::ifstream in(path, std::ios::binary);
   PLRUPART_ASSERT_MSG(static_cast<bool>(in), "cannot open journal record " + path.string());
   std::string line;

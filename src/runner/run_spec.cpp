@@ -19,7 +19,7 @@ std::string RunSpec::key() const {
   return workload.id + "|" + config + "|" + std::to_string(l2.size_bytes / 1024);
 }
 
-sim::SimResult execute(const RunSpec& spec, std::shared_ptr<const FaultPlan> faults) {
+sim::SimResult execute(const RunSpec& spec) {
   sim::SimConfig cfg;
   cfg.hierarchy.l1d = spec.l1d;
   cfg.hierarchy.l2 =
@@ -31,7 +31,6 @@ sim::SimResult execute(const RunSpec& spec, std::shared_ptr<const FaultPlan> fau
   cfg.warmup_instr = spec.warmup;
   cfg.sim_threads = spec.sim_threads;
   cfg.timing_mode = spec.timing;
-  cfg.faults = faults;
 
   // Trace-backed workloads stream their recorded file per core (the seed
   // still feeds the L2's RNG); synthetic ones generate seeded streams.
@@ -39,13 +38,7 @@ sim::SimResult execute(const RunSpec& spec, std::shared_ptr<const FaultPlan> fau
   for (std::uint32_t core = 0; core < spec.workload.threads(); ++core) {
     if (spec.workload.trace_backed()) {
       cfg.cores.push_back(workloads::trace_core_params());
-      // Arm read faults before the opening fill: with a trace that fits its
-      // window, that fill is the only read the job makes.
-      auto read_faults =
-          faults != nullptr && faults->armed(FaultSite::kRead) ? faults : nullptr;
-      traces.push_back(std::make_unique<sim::FileTraceSource>(
-          spec.workload.traces[core], sim::FileTraceSource::kDefaultBufferBytes,
-          std::move(read_faults), core));
+      traces.push_back(std::make_unique<sim::FileTraceSource>(spec.workload.traces[core]));
     } else {
       const auto& profile = workloads::benchmark(spec.workload.benchmarks[core]);
       cfg.cores.push_back(profile.core);

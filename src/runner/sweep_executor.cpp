@@ -3,14 +3,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <memory>
 #include <numeric>
 #include <ostream>
 #include <sstream>
 #include <utility>
 
 #include "plrupart/common/assert.hpp"
-#include "plrupart/common/rng.hpp"
 #include "plrupart/runner/journal.hpp"
 #include "common/csv.hpp"
 #include "common/parallel.hpp"
@@ -49,18 +47,12 @@ void log_progress(const JobResult& jr, std::size_t n, std::size_t total, double 
 sim::SimResult SweepExecutor::run_supervised(const RunSpec& spec, RunJournal* journal,
                                              std::size_t pos) const {
   try {
-    std::shared_ptr<const FaultPlan> plan;
-    if (opts_.faults.any()) {
-      // One plan per job: the same root seed replays the same faults.
-      plan = std::make_shared<FaultPlan>(opts_.faults,
-                                         derive_seed(opts_.fault_seed, spec.job_index));
-    }
-    sim::SimResult result = execute(spec, plan);
+    sim::SimResult result = execute(spec);
     if (journal != nullptr) {
       JobResult jr;
       jr.spec = spec;
       jr.result = result;
-      journal->record(pos, sweep_csv_rows(jr), plan.get());
+      journal->record(pos, sweep_csv_rows(jr));
     }
     return result;
   } catch (const std::exception& e) {

@@ -120,7 +120,7 @@ SimResult CmpSimulator::run() {
     return run_with(port);
   }
   const auto producers = static_cast<std::uint32_t>(std::min(want, traces_.size()));
-  internal::FrontEnd front(traces_, hierarchy_, producers, config_.faults.get());
+  internal::FrontEnd front(traces_, hierarchy_, producers);
   PipelinePort port(front, hierarchy_);
   SimResult out = run_with(port);
   out.sim_shards = producers;

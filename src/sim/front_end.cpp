@@ -1,19 +1,16 @@
 #include "sim/front_end.hpp"
 
 #include <chrono>
-#include <string>
 
 #include "plrupart/common/assert.hpp"
 
 namespace plrupart::sim::internal {
 
 FrontEnd::FrontEnd(const std::vector<std::unique_ptr<TraceSource>>& traces,
-                   MemoryHierarchy& hierarchy, std::uint32_t producers,
-                   const FaultPlan* faults)
+                   MemoryHierarchy& hierarchy, std::uint32_t producers)
     : traces_(traces),
       hierarchy_(hierarchy),
       producers_(producers),
-      faults_(faults != nullptr && faults->armed(FaultSite::kWorker) ? faults : nullptr),
       cursors_(traces.size()),
       busy_(producers) {
   PLRUPART_ASSERT(producers >= 1 && producers <= traces.size());
@@ -54,13 +51,8 @@ void FrontEnd::produce(std::uint32_t producer) noexcept {
       std::uint64_t n = 0;
       try {
         for (; n < kBatch; ++n) {
-          const std::uint64_t index = head + n;
-          if (faults_ != nullptr && faults_->should_fire(FaultSite::kWorker, index, core)) {
-            faults_->maybe_throw(FaultSite::kWorker, index, core,
-                                 "front-end producer of core " + std::to_string(core));
-          }
           const MemOp op = trace.next();
-          ring.slots[index & (kSlots - 1)] =
+          ring.slots[(head + n) & (kSlots - 1)] =
               OpRecord{.addr = op.addr,
                        .gap_instrs = op.gap_instrs,
                        .write = op.write,

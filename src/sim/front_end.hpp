@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "common/parallel.hpp"
-#include "plrupart/common/fault_inject.hpp"
 #include "plrupart/sim/memory_hierarchy.hpp"
 #include "plrupart/sim/mem_op.hpp"
 
@@ -71,10 +70,8 @@ class alignas(64) FrontEnd {
   static constexpr std::uint64_t kBatch = 64;    ///< records per publication
 
   /// Start `producers` threads over `traces` and the L1s of `hierarchy`.
-  /// `faults` (may be null) arms FaultSite::kWorker in the producers, keyed
-  /// by (lane = core, counter = the core's op index).
   FrontEnd(const std::vector<std::unique_ptr<TraceSource>>& traces,
-           MemoryHierarchy& hierarchy, std::uint32_t producers, const FaultPlan* faults);
+           MemoryHierarchy& hierarchy, std::uint32_t producers);
   /// Stops and joins every producer.
   ~FrontEnd();
   FrontEnd(const FrontEnd&) = delete;
@@ -127,7 +124,6 @@ class alignas(64) FrontEnd {
   const std::vector<std::unique_ptr<TraceSource>>& traces_;
   MemoryHierarchy& hierarchy_;
   const std::uint32_t producers_;
-  const FaultPlan* faults_;  ///< non-null when FaultSite::kWorker is armed
   std::vector<std::unique_ptr<Ring>> rings_;  ///< per core
   std::vector<Cursor> cursors_;               ///< per core, consumer-only
   std::atomic<bool> stop_{false};

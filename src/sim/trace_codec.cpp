@@ -23,10 +23,6 @@ bool ByteReader::fill() {
   if (eof_) return false;
   const std::uint64_t next_base = base_ + static_cast<std::uint64_t>(len_);
   for (;;) {
-    if (faults_ != nullptr) {
-      faults_->maybe_throw(FaultSite::kRead, fills_++, fault_lane_,
-                           "trace file '" + path_ + "' near byte " + std::to_string(next_base));
-    }
     errno = 0;
     const std::size_t n = std::fread(buf_.data(), 1, buf_.size(), in_.get());
     if (n > 0) {

@@ -51,10 +51,8 @@ constexpr std::size_t kInPlaceBytes = 2 * kMaxVarintBytes;
 // TraceReader
 // ---------------------------------------------------------------------------
 
-TraceReader::TraceReader(const std::string& path, std::size_t buffer_bytes,
-                         std::shared_ptr<const FaultPlan> faults, std::uint64_t lane)
+TraceReader::TraceReader(const std::string& path, std::size_t buffer_bytes)
     : in_(path, buffer_bytes) {
-  in_.set_fault_plan(std::move(faults), lane);
   // Header line: exactly "# plrupart-trace v1" or "... v2" plus '\n'. Parsed
   // byte-wise so a CRLF or truncated header is reported as such instead of
   // surfacing later as a confusing record error.
@@ -219,9 +217,8 @@ std::optional<MemOp> TraceReader::next_binary() {
 // FileTraceSource
 // ---------------------------------------------------------------------------
 
-FileTraceSource::FileTraceSource(const std::string& path, std::size_t buffer_bytes,
-                                 std::shared_ptr<const FaultPlan> faults, std::uint64_t lane)
-    : reader_(path, buffer_bytes, std::move(faults), lane), name_(path_basename(path)) {
+FileTraceSource::FileTraceSource(const std::string& path, std::size_t buffer_bytes)
+    : reader_(path, buffer_bytes), name_(path_basename(path)) {
   // Validate up front that there is at least one record, preserving the
   // historical "empty trace file" construction-time failure.
   if (!reader_.next())

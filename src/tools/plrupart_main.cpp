@@ -26,7 +26,7 @@
 //   --csv PATH         write CSV to PATH instead of stdout
 //
 // Scale-out flags:
-//   --threads N        worker threads; 0 = one per hardware thread  [0]
+//   --threads N        worker threads; 0 = one per CPU this process may use  [0]
 //   --sim-threads K    intra-run front-end producers per job; 0 = hardware  [1]
 //                      (producers, like jobs, occupy hardware threads that a
 //                      timed job's overlay helper can no longer borrow)
@@ -43,7 +43,6 @@
 // Resilience flags:
 //   --journal DIR      durable per-job journal; crash-safe atomic records
 //   --resume           skip jobs already journaled in --journal DIR
-//   --fault-inject SPEC  deterministic fault injection, e.g. read:0.01
 #include <algorithm>
 #include <cstdio>
 #include <iostream>
@@ -104,11 +103,11 @@ void print_usage() {
       "run flags:   --instr N [1000000]  --warmup N [instr/2]  --assoc N [16]\n"
       "             --line N [128]  --interval N [1000000]  --sampling N [32]\n"
       "             --seed N [1]  --csv PATH (default: stdout)\n"
-      "scale-out:   --threads N [0 = all hardware threads]  --progress\n"
+      "scale-out:   --threads N [0 = every CPU this process may use]  --progress\n"
       "             --sim-threads K [1]  intra-run front-end producers per job:\n"
       "                                  K > 1 generates traces and runs the L1s\n"
       "                                  on min(K, cores) threads ahead of the L2\n"
-      "                                  (0 = all hardware threads; results are\n"
+      "                                  (0 = every usable CPU; results are\n"
       "                                  byte-identical to serial at any K);\n"
       "                                  producers occupy hardware threads that\n"
       "                                  a timed overlay can then not borrow\n"
@@ -120,8 +119,6 @@ void print_usage() {
       "                             when none is free (same bytes either way)\n"
       "resilience:  --journal DIR   crash-safe per-job journal (atomic records)\n"
       "             --resume        continue a journaled sweep, skipping done jobs\n"
-      "             --fault-inject SITE:P[,SITE:P...]  deterministic fault\n"
-      "                             injection; sites read, write, worker\n"
       "other:       --version  print packaged version + git describe\n");
 }
 
@@ -210,13 +207,6 @@ class CsvOutput {
   std::ostringstream buf_;
 };
 
-/// Fault spec from --fault-inject; all-zero when it is not set.
-FaultSpec parse_faults(const Cli& cli) {
-  const std::string text = cli.get_string("--fault-inject", "");
-  if (text.empty()) return FaultSpec{};
-  return FaultSpec::parse(text);
-}
-
 int run(const Cli& cli) {
   runner::RunMatrix matrix = parse_matrix(cli);
 
@@ -291,8 +281,6 @@ int run(const Cli& cli) {
   opts.resume = cli.has("--resume");
   PLRUPART_ASSERT_MSG(!opts.resume || !opts.journal_dir.empty(),
                       "--resume requires --journal <dir>");
-  opts.faults = parse_faults(cli);
-  opts.fault_seed = matrix.seed;  // fault plans replay from the root seed
 
   CsvOutput out(cli);  // fail on a bad --csv path before simulating
   runner::SweepExecutor(opts).run_csv(std::move(jobs), out.stream());
@@ -309,7 +297,7 @@ bool check_args(int argc, char** argv) {
       "--workload", "--benchmarks",  "--configs", "--instr",   "--warmup",
       "--l2-kb-sweep", "--assoc",    "--line",    "--interval", "--sampling",
       "--seed",     "--csv",         "--threads", "--trace",   "--sim-threads",
-      "--timing",   "--journal",     "--fault-inject"};
+      "--timing",   "--journal"};
   static constexpr std::string_view kBoolFlags[] = {"--help",         "-h",
                                                     "--version",      "--list-workloads",
                                                     "--list-configs", "--progress",

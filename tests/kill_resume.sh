@@ -9,12 +9,12 @@
 #      final CSV byte-identical to an uninterrupted run.
 #   2. Journal misuse fails loudly: fresh run over an existing journal,
 #      resume with a different matrix.
-#   3. An injected fault (write and worker sites, --fault-inject) fails a
-#      journaled sweep with the job and the site named and no CSV published,
-#      and --resume without the fault completes it to byte-identical CSV; a
-#      p=1 write fault fails the same way.
-#   4. The same for read faults on a trace-backed sweep (the `read` site
-#      fires only in trace readers).
+#   3. A real failure on each path a job can die on fails a journaled sweep
+#      with the job and the error named and no CSV published, and once the
+#      fault is repaired --resume completes it to byte-identical CSV:
+#        write   a journal record path pre-created as a directory
+#        read    a converted fixture trace with its last byte dropped
+#        worker  the same torn trace read by --sim-threads 2 producers
 #
 # Usage: kill_resume.sh <plrupart-cli> <work-dir> <plrupart-trace-convert>
 #                       <champsim-fixture>
@@ -32,7 +32,7 @@ mkdir -p "$WORK"
 cd "$WORK" || die "cannot enter $WORK"
 
 # Two sweeps over the same matrix axes: a slow one (jobs take long enough for
-# a SIGKILL to land mid-flight) and a quick one for the fault-injection legs.
+# a SIGKILL to land mid-flight) and a quick one for the real-failure legs.
 # Three L2 sizes make 12 jobs: the kill poll below triggers after the second
 # durable record, leaving ten-plus jobs of runway, so the SIGKILL landing
 # mid-flight is deterministic on any host fast or slow (a 2-of-12 prefix
@@ -89,61 +89,71 @@ grep -q -- "--resume" fresh.err || die "journal-reuse error does not mention --r
     --csv nope.csv 2>stale.err && die "resume with a different matrix must be refused"
 grep -q "fingerprint" stale.err || die "matrix-mismatch error does not name fingerprints"
 
-# --- 3. Fault injection, then --resume: byte-identical recovery -----------
+# --- 3. Real failures, then --resume: byte-identical recovery ------------
 
-# fault_then_resume NAME SPEC SITE BASE ARGS...: the journaled sweep ARGS under
-# --fault-inject SPEC must fail, name the failed job (workload|config|KB) and
-# the SITE fault on stderr, and publish no CSV; re-running it with --resume and
-# without the fault must skip the jobs journaled before the fault and produce
-# BASE byte for byte. Each SPEC's rate is chosen so that the fault fires after
-# the first job is journaled (the plans are seeded, so that is fixed).
-fault_then_resume() {
-  local name=$1 spec=$2 site=$3 base=$4
-  shift 4
-  "$CLI" "$@" --fault-inject "$spec" --journal "j_$name" --csv "$name.csv" \
-      2>"$name.err" && die "$name: the $spec sweep succeeded, so no fault fired"
-  grep -qE "job [^ |]+\|[^ |]+\|[0-9]+: .*injected $site fault" "$name.err" ||
-    { cat "$name.err" >&2; die "$name: the error does not name the job and the $site fault"; }
+# failure_then_resume NAME BASE EXPECTED BREAK REPAIR ARGS...: after the
+# command BREAK, the journaled sweep ARGS must fail with EXPECTED ("job
+# <workload>|<config>|<KB>: " and the real error text) on stderr and publish
+# no CSV; after the command REPAIR, re-running it with --resume must produce
+# BASE byte for byte. The resume's stderr is left in NAME.resume.err.
+failure_then_resume() {
+  local name=$1 base=$2 expected=$3 break_it=$4 repair=$5
+  shift 5
+  "$break_it"
+  "$CLI" "$@" --journal "j_$name" --csv "$name.csv" 2>"$name.err" &&
+    die "$name: the sweep succeeded, so the fault was never met"
+  grep -qF "plrupart: $expected" "$name.err" ||
+    { cat "$name.err" >&2; die "$name: the error is not '$expected'"; }
   [ -e "$name.csv" ] && die "$name: a failed sweep published a CSV"
+  "$repair"
   "$CLI" "$@" --journal "j_$name" --resume --progress --csv "$name.csv" \
       2>"$name.resume.err" || { cat "$name.resume.err" >&2; die "$name: --resume failed"; }
-  grep -q "resuming:" "$name.resume.err" ||
-    die "$name: no job was journaled before the fault; the resume skipped nothing"
   cmp -s "$base" "$name.csv" || die "$name: the resumed CSV differs from the fault-free run"
 }
 
 "$CLI" "${QUICK[@]}" --csv base_quick.csv || die "baseline (quick) run failed"
 
-fault_then_resume write_fault write:0.5 write base_quick.csv "${QUICK[@]}"
+# Write: job 5's record path is a directory. A fresh sweep accepts a journal
+# directory without a MANIFEST, journals jobs 0-4, and fails at job 5's
+# commit; a --resume that still finds the directory refuses it by name.
+RECORD=j_write/job-5.rec
+take_record_path() { mkdir -p "$RECORD"; }
+free_record_path() {
+  "$CLI" "${QUICK[@]}" --journal j_write --resume --csv never.csv 2>still.err &&
+    die "write: --resume accepted a record path that is a directory"
+  grep -qF "$RECORD" still.err || { cat still.err >&2; die "write: --resume does not name $RECORD"; }
+  rmdir "$RECORD"
+}
+failure_then_resume write base_quick.csv \
+    "job 2T_01|M-BT|512: cannot write '$RECORD': not a regular file" \
+    take_record_path free_record_path "${QUICK[@]}"
+grep -q "resuming: 5/$NJOBS jobs already journaled" write.resume.err ||
+  die "write: the resume did not skip the five jobs journaled before the fault"
 
-# Worker faults fire in the front-end producers of a pipelined run, keyed by
-# (core, the core's op index).
-fault_then_resume worker_fault worker:0.000001 worker base_quick.csv \
-    "${QUICK[@]}" --sim-threads 2
-
-# A p=1 write fault fails the first job's record: the sweep names that job
-# and publishes nothing. Write faults fire only on journal-record commits, so
-# this leg runs journaled.
-"$CLI" "${QUICK[@]}" --fault-inject write:1 --journal j_exhaust --csv never.csv \
-    2>exhaust.err && die "p=1 write faults must fail the sweep"
-grep -qE "job [^ |]+\|[^ |]+\|[0-9]+: injected write fault" exhaust.err ||
-  { cat exhaust.err >&2; die "a p=1 write fault does not name the job and the fault"; }
-[ -e never.csv ] && die "a failed sweep published a CSV"
-
-# --- 4. Read faults on a trace-backed sweep -------------------------------
-# The synthetic legs above open no trace file, so a `read` fault cannot fire
-# there. A read opportunity is one window refill, the opening fill
-# included; this small trace fits one window, so each core's reader gets one.
+# --- 4. A torn trace, read serially and by front-end producers ------------
+# The synthetic legs above open no trace file. Dropping the last byte of a
+# converted fixture trace tears its last record, which each job meets at the
+# end of its first lap (the fixture holds 15 records).
 "$CONVERT" --in "$FIXTURE" --from champsim --to v2 --out small.trace ||
   die "converting the ChampSim fixture failed"
-TRACE=(--trace small.trace,small.trace --configs NOPART-L,M-BT --l2-kb-sweep 128,256,512
+cp small.trace torn.trace
+TRACE=(--trace torn.trace,torn.trace --configs NOPART-L,M-BT --l2-kb-sweep 128,256,512
        --interval 40000 --threads 1 --seed 7 --instr 200000)
 "$CLI" "${TRACE[@]}" --csv base_trace.csv || die "trace baseline run failed"
-fault_then_resume trace_fault read:0.1 read base_trace.csv "${TRACE[@]}"
-"$CLI" "${TRACE[@]}" --fault-inject read:1 --csv never_trace.csv \
-    2>trace_exhaust.err && die "p=1 read faults must fail a trace-backed sweep"
-grep -q "injected read fault" trace_exhaust.err ||
-  die "a trace-backed sweep under p=1 read faults does not surface the fault"
+SIZE=$(wc -c <small.trace)
+tear() { head -c $((SIZE - 1)) small.trace >torn.trace; }
+mend() { cp small.trace torn.trace; }
+TORN="job trace:torn.trace+torn.trace|NOPART-L|128: trace file 'torn.trace': \
+truncated record at byte $((SIZE - 1)) (EOF inside a varint)"
+failure_then_resume read base_trace.csv "$TORN" tear mend "${TRACE[@]}"
+failure_then_resume worker base_trace.csv "$TORN" tear mend "${TRACE[@]}" --sim-threads 2
+
+# Without a journal the same failure publishes nothing either.
+tear
+"$CLI" "${TRACE[@]}" --csv never_trace.csv 2>trace_plain.err &&
+  die "a sweep over a torn trace succeeded"
+grep -qF "plrupart: $TORN" trace_plain.err ||
+  { cat trace_plain.err >&2; die "an unjournaled sweep does not name the torn trace"; }
 [ -e never_trace.csv ] && die "a failed trace-backed sweep published a CSV"
 
 echo "kill_resume: all resilience gates passed"

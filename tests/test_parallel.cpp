@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sched.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <memory>
 #include <stdexcept>
@@ -89,6 +93,39 @@ TEST(ParallelFor, WorkerExceptionDoesNotLoseCompletedWork) {
 }
 
 TEST(DefaultParallelism, AtLeastOne) { EXPECT_GE(default_parallelism(), 1U); }
+
+TEST(DefaultParallelism, FollowsTheCpuAffinityOfAForkedChild) {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  ASSERT_EQ(::sched_getaffinity(0, sizeof(mask), &mask), 0);
+  EXPECT_EQ(default_parallelism(), static_cast<std::size_t>(CPU_COUNT(&mask)));
+  int first_cpu = 0;
+  while (!CPU_ISSET(first_cpu, &mask)) ++first_cpu;
+
+  // The child narrows only its own affinity, to one CPU: the budget is then
+  // one thread, held by a replay loop, so a timed job would start no helper.
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(first_cpu, &one);
+    if (::sched_setaffinity(0, sizeof(one), &one) != 0) ::_exit(1);
+    if (default_parallelism() != 1) ::_exit(2);
+    if (BusyThreads::try_one().held() != 1) ::_exit(3);
+    const BusyThreads replay(1);
+    if (BusyThreads::try_one().held() != 0) ::_exit(4);
+    ::_exit(0);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0)
+      << "1: setaffinity failed, 2: default_parallelism() != 1, 3: no free slot "
+         "with nothing busy, 4: a helper slot with the one CPU busy";
+  EXPECT_EQ(default_parallelism(), static_cast<std::size_t>(CPU_COUNT(&mask)))
+      << "the parent's affinity must be untouched";
+}
 
 }  // namespace
 }  // namespace plrupart

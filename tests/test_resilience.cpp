@@ -1,9 +1,10 @@
-// The resilience layer's contracts: deterministic fault injection (spec
-// grammar, pure-function plans, site instrumentation), crash-safe file
-// publication (AtomicFile), the run journal behind --journal/--resume
-// (validation, corruption rejection, byte-identical reassembly), failed jobs
-// that stop the sweep, fault-then-resume recovery, and the ByteReader
-// EINTR/short-read regression.
+// The resilience layer's contracts: crash-safe file publication
+// (AtomicFile), the run journal behind --journal/--resume (validation,
+// corruption and mutation rejection, byte-identical reassembly), failed jobs
+// that stop the sweep, failure-then-resume recovery from real faults (a
+// journal record path taken by a directory, a torn trace read serially or by
+// front-end producers), and the ByteReader I/O-error and EINTR/short-read
+// regressions.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -19,14 +20,13 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/atomic_file.hpp"
-#include "plrupart/common/fault_inject.hpp"
+#include "plrupart/common/rng.hpp"
 #include "plrupart/runner/journal.hpp"
 #include "plrupart/runner/run_spec.hpp"
 #include "plrupart/runner/sweep_executor.hpp"
@@ -36,6 +36,7 @@
 #include "plrupart/workloads/generators.hpp"
 #include "plrupart/workloads/trace_workload.hpp"
 #include "plrupart/workloads/workload_table.hpp"
+#include "support/byte_mutator.hpp"
 
 namespace plrupart {
 namespace {
@@ -92,72 +93,23 @@ std::string slurp(const fs::path& p) {
   return os.str();
 }
 
-// ---------------------------------------------------------------------------
-// FaultSpec / FaultPlan
-// ---------------------------------------------------------------------------
-
-TEST(FaultSpec, ParsesSitesAndProbabilities) {
-  const auto s = FaultSpec::parse("read:0.25,worker:1");
-  EXPECT_DOUBLE_EQ(s.of(FaultSite::kRead), 0.25);
-  EXPECT_DOUBLE_EQ(s.of(FaultSite::kWrite), 0.0);
-  EXPECT_DOUBLE_EQ(s.of(FaultSite::kWorker), 1.0);
-  EXPECT_TRUE(s.any());
-  EXPECT_FALSE(FaultSpec{}.any());
+/// A 2-job matrix over a two-core workload that runs one v2 trace of 2,000
+/// gzip records on both cores; the jobs lap the trace several times.
+runner::RunMatrix trace_matrix(const fs::path& trace) {
+  const auto source = workloads::make_trace(workloads::benchmark("gzip"), 0, 5);
+  sim::write_trace_file(trace.string(), sim::record_trace(*source, 2'000),
+                        sim::TraceFormat::kBinaryV2);
+  runner::RunMatrix m = tiny_matrix();
+  m.workloads = {workloads::workload_from_traces({trace.string(), trace.string()})};
+  return m;
 }
 
-TEST(FaultSpec, RejectsMalformedSpecs) {
-  for (const char* bad : {"", "read", "read:", "read:abc", "read:1.5", "read:-0.1",
-                          "frobnicate:0.5", "read:0.1,read:0.2", "read:0.1,,write:0.1"}) {
-    EXPECT_THROW((void)FaultSpec::parse(bad), InvariantError) << "spec: '" << bad << "'";
-  }
-}
-
-TEST(FaultPlan, DecisionsArePureFunctionsOfSeedSiteLaneCounter) {
-  FaultSpec spec;
-  spec.probability[static_cast<std::size_t>(FaultSite::kRead)] = 0.5;
-  const FaultPlan plan(spec, 7);
-  std::vector<bool> first, second, other_seed, other_lane;
-  const FaultPlan plan8(spec, 8);
-  for (std::uint64_t c = 0; c < 512; ++c) {
-    first.push_back(plan.should_fire(FaultSite::kRead, c));
-    second.push_back(plan.should_fire(FaultSite::kRead, c));
-    other_seed.push_back(plan8.should_fire(FaultSite::kRead, c));
-    other_lane.push_back(plan.should_fire(FaultSite::kRead, c, 1));
-  }
-  EXPECT_EQ(first, second) << "replaying the same plan must give the same decisions";
-  EXPECT_NE(first, other_seed) << "a different seed must give a different sequence";
-  EXPECT_NE(first, other_lane) << "lanes must be decorrelated";
-}
-
-TEST(FaultPlan, ExtremeProbabilitiesAndApproximateRate) {
-  FaultSpec spec;
-  spec.probability[static_cast<std::size_t>(FaultSite::kWrite)] = 1.0;
-  spec.probability[static_cast<std::size_t>(FaultSite::kWorker)] = 0.25;
-  const FaultPlan plan(spec, 3);
-  std::size_t fires = 0;
-  for (std::uint64_t c = 0; c < 4096; ++c) {
-    EXPECT_TRUE(plan.should_fire(FaultSite::kWrite, c));
-    EXPECT_FALSE(plan.should_fire(FaultSite::kRead, c)) << "p=0 must never fire";
-    if (plan.should_fire(FaultSite::kWorker, c)) ++fires;
-  }
-  EXPECT_GT(fires, 4096 * 0.18);
-  EXPECT_LT(fires, 4096 * 0.32);
-}
-
-TEST(FaultPlan, MaybeThrowNamesSiteContextAndCoordinates) {
-  FaultSpec spec;
-  spec.probability[static_cast<std::size_t>(FaultSite::kWorker)] = 1.0;
-  const FaultPlan plan(spec, 11);
-  try {
-    plan.maybe_throw(FaultSite::kWorker, 5, 2, "shard worker 2/4");
-    FAIL() << "p=1 plan must fire";
-  } catch (const InjectedFault& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("injected worker fault"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("shard worker 2/4"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("opportunity 5"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("lane 2"), std::string::npos) << msg;
-  }
+/// Drop a trace's last byte, tearing its last record, and return what reading
+/// it fails with: the TraceError text the first lap ends in.
+std::string tear_last_record(const fs::path& trace) {
+  fs::resize_file(trace, fs::file_size(trace) - 1);
+  return "trace file '" + trace.string() + "': truncated record at byte " +
+         std::to_string(fs::file_size(trace));
 }
 
 // ---------------------------------------------------------------------------
@@ -177,21 +129,26 @@ TEST_F(AtomicFileTest, NothingOnDiskBeforeCommitEverythingAfter) {
   EXPECT_EQ(slurp(target), "a,b\n1,2\n");
 }
 
-TEST_F(AtomicFileTest, InjectedWriteFaultLeavesDirectoryUntouched) {
-  FaultSpec spec;
-  spec.probability[static_cast<std::size_t>(FaultSite::kWrite)] = 1.0;
-  const FaultPlan plan(spec, 1);
-  AtomicFile f(dir_ / "out.csv");
-  f.arm_fault(&plan, 0);
+TEST_F(AtomicFileTest, DirectoryTargetFailsTheCommitAndLeavesNoTmp) {
+  // What a journal record path taken by a directory meets: the commit is
+  // refused by name before any tmp file is created.
+  const fs::path target = dir_ / "out.csv";
+  fs::create_directory(target);
+  AtomicFile f(target);
   f.stream() << "doomed";
-  EXPECT_THROW(f.commit(), InjectedFault);
-  EXPECT_FALSE(f.committed());
-  std::size_t entries = 0;
-  for (const auto& e : fs::directory_iterator(dir_)) {
-    (void)e;
-    ++entries;
+  try {
+    f.commit();
+    FAIL() << "a directory target must fail the commit";
+  } catch (const InvariantError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "cannot write '" + target.string() + "': not a regular file");
   }
-  EXPECT_EQ(entries, 0u) << "a failed commit must publish nothing, not even a tmp";
+  EXPECT_FALSE(f.committed());
+  std::vector<fs::path> entries;
+  for (const auto& e : fs::directory_iterator(dir_)) entries.push_back(e.path());
+  EXPECT_EQ(entries, std::vector<fs::path>{target}) << "no .tmp. sibling may remain";
+  EXPECT_TRUE(fs::is_directory(target));
+  EXPECT_TRUE(fs::is_empty(target));
 }
 
 TEST_F(AtomicFileTest, OverwriteReplacesWholeContent) {
@@ -245,27 +202,10 @@ TEST_F(AtomicFileTest, RemoveFileIgnoresMissingTargets) {
 }
 
 // ---------------------------------------------------------------------------
-// ByteReader: injected read faults, real I/O errors, EINTR/short reads
+// ByteReader: real I/O errors, EINTR/short reads
 // ---------------------------------------------------------------------------
 
 class ByteReaderResilienceTest : public ScratchDirTest {};
-
-TEST_F(ByteReaderResilienceTest, InjectedReadFaultThrowsWithLaneAndContext) {
-  const fs::path file = dir_ / "bytes";
-  AtomicFile::write_file(file, std::string(256, 'x'));
-  FaultSpec spec;
-  spec.probability[static_cast<std::size_t>(FaultSite::kRead)] = 1.0;
-  sim::ByteReader in(file.string(), 64);
-  in.set_fault_plan(std::make_shared<FaultPlan>(spec, 5), 3);
-  try {
-    (void)in.get();
-    FAIL() << "p=1 read plan must fire on the first refill";
-  } catch (const InjectedFault& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("injected read fault"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("lane 3"), std::string::npos) << msg;
-  }
-}
 
 TEST_F(ByteReaderResilienceTest, MidStreamIoErrorThrowsTraceIoError) {
   // fopen(dir, "rb") succeeds on Linux; the first fread fails with EISDIR --
@@ -456,6 +396,43 @@ TEST_F(JournalTest, CorruptRecordsAreRejectedWithTheFileNamed) {
   }
 }
 
+TEST_F(JournalTest, MutatedRecordsLoadIdenticallyOrFailNamingTheFile) {
+  // A real journaled sweep, then seeded byte flips, truncations and
+  // extensions of its MANIFEST and of one record, one mutant at a time. A
+  // resume must either load every job and assemble the original CSV byte for
+  // byte, or refuse with an InvariantError that names the mutated file.
+  const fs::path journal = dir_ / "journal";
+  runner::SweepOptions opts = serial_opts();
+  opts.journal_dir = journal.string();
+  const std::string csv = run_csv(tiny_matrix(), opts);
+  Rng rng(32'017);
+  std::size_t loaded = 0;
+  std::size_t rejected = 0;
+  for (const fs::path& target : {journal / "MANIFEST", journal / "job-1.rec"}) {
+    const std::string original = slurp(target);
+    for (int m = 0; m < 1000; ++m) {
+      AtomicFile::write_file(target, testing::mutate_bytes(original, rng));
+      try {
+        const runner::RunJournal j(journal, jobs_, /*resume=*/true);
+        ASSERT_EQ(j.num_complete(), jobs_.size()) << target << " mutant " << m;
+        std::ostringstream os;
+        j.write_final_csv(os);
+        ASSERT_EQ(os.str(), csv) << target << " mutant " << m;
+        ++loaded;
+      } catch (const InvariantError& e) {
+        ASSERT_NE(std::string(e.what()).find(target.string()), std::string::npos)
+            << target << " mutant " << m << ": " << e.what();
+        ++rejected;
+      }
+    }
+    AtomicFile::write_file(target, original);
+  }
+  // Both outcomes must occur (an extended MANIFEST still loads), or the
+  // mutator is not exercising anything.
+  EXPECT_GT(loaded, 0u);
+  EXPECT_GT(rejected, 1000u);
+}
+
 TEST(JobsFingerprint, CoversIdentityButNotPerformanceKnobs) {
   const auto jobs = tiny_matrix().expand();
   auto resharded = jobs;
@@ -468,29 +445,30 @@ TEST(JobsFingerprint, CoversIdentityButNotPerformanceKnobs) {
 }
 
 // ---------------------------------------------------------------------------
-// Supervision: the watchdog, and fault-then-resume byte identity
+// Supervision: failed jobs stop the sweep; real failures, then --resume
 // ---------------------------------------------------------------------------
 
-/// Run `m` journaled in `journal` under `faults`: the sweep must fail with the
-/// `site` fault named. Then --resume without faults must reproduce the
-/// fault-free CSV byte for byte.
-void expect_fault_then_resume_is_byte_identical(const runner::RunMatrix& m,
-                                                const std::string& faults,
-                                                const std::string& site,
-                                                const fs::path& journal) {
+/// Run `m` journaled in `journal` after `fault` breaks it: the sweep must fail
+/// with `expected` (the failed job's key and the error) and publish no CSV.
+/// After `repair`, --resume must reproduce the fault-free CSV byte for byte.
+template <class Fault, class Repair>
+void expect_failure_then_resume_is_byte_identical(const runner::RunMatrix& m,
+                                                  const fs::path& journal, Fault&& fault,
+                                                  const std::string& expected,
+                                                  Repair&& repair) {
   const std::string baseline = run_csv(m, serial_opts());
+  fault();
   runner::SweepOptions opts = serial_opts();
   opts.journal_dir = journal.string();
-  opts.faults = FaultSpec::parse(faults);
-  opts.fault_seed = m.seed;
+  std::ostringstream os;
   try {
-    (void)run_csv(m, opts);
-    FAIL() << "'" << faults << "' fired no fault: the resume below would prove nothing";
+    runner::SweepExecutor(opts).run_csv(m.expand(), os);
+    FAIL() << "the sweep succeeded: the resume below would prove nothing";
   } catch (const InvariantError& e) {
-    EXPECT_NE(std::string(e.what()).find("injected " + site + " fault"), std::string::npos)
-        << e.what();
+    EXPECT_EQ(std::string(e.what()).rfind(expected, 0), 0u) << e.what();
   }
-  opts.faults = FaultSpec{};
+  EXPECT_EQ(os.str(), "") << "a failed sweep must publish nothing";
+  repair();
   opts.resume = true;
   EXPECT_EQ(run_csv(m, opts), baseline)
       << "a resumed sweep must not change a single output byte";
@@ -498,25 +476,46 @@ void expect_fault_then_resume_is_byte_identical(const runner::RunMatrix& m,
 
 class SupervisionTest : public ScratchDirTest {};
 
-TEST_F(SupervisionTest, InjectedWriteFaultThenResumeYieldsByteIdenticalCsv) {
-  expect_fault_then_resume_is_byte_identical(tiny_matrix(), "write:0.5", "write",
-                                             dir_ / "journal");
+TEST_F(SupervisionTest, RecordWriteFailureThenResumeYieldsByteIdenticalCsv) {
+  // Job 1's record path is taken by a directory: job 0 is journaled, job 1's
+  // commit is refused, and the resume re-runs job 1 only.
+  const auto m = tiny_matrix();
+  const auto jobs = m.expand();
+  const fs::path journal = dir_ / "journal";
+  const fs::path record1 = journal / "job-1.rec";
+  expect_failure_then_resume_is_byte_identical(
+      m, journal, [&] { fs::create_directories(record1); },
+      "job " + jobs[1].key() + ": cannot write '" + record1.string() +
+          "': not a regular file",
+      [&] {
+        EXPECT_TRUE(fs::is_regular_file(journal / "job-0.rec"));
+        fs::remove(record1);
+      });
 }
 
 TEST_F(SupervisionTest, FailedJobErrorNamesTheJobAndTheFault) {
+  // A fresh sweep accepts a journal directory without a MANIFEST; job 0's
+  // record path taken by a directory fails that job, and a --resume that
+  // still finds the directory there refuses it by name.
   const auto m = tiny_matrix();
-  runner::SweepOptions opts;
-  opts.threads = 1;
-  opts.journal_dir = (dir_ / "journal").string();
-  opts.faults = FaultSpec::parse("write:1");  // the first job's record fails
-  std::ostringstream os;
+  const fs::path journal = dir_ / "journal";
+  const fs::path record0 = journal / "job-0.rec";
+  fs::create_directories(record0);
+  runner::SweepOptions opts = serial_opts();
+  opts.journal_dir = journal.string();
   try {
-    runner::SweepExecutor(opts).run_csv(m.expand(), os);
-    FAIL() << "a p=1 write fault must fail the sweep";
+    (void)run_csv(m, opts);
+    FAIL() << "a record path taken by a directory must fail the sweep";
   } catch (const InvariantError& e) {
-    const std::string msg = e.what();
-    EXPECT_EQ(msg.rfind("job " + m.expand()[0].key() + ": ", 0), 0u) << msg;
-    EXPECT_NE(msg.find("injected write fault"), std::string::npos) << msg;
+    EXPECT_EQ(std::string(e.what()), "job " + m.expand()[0].key() + ": cannot write '" +
+                                         record0.string() + "': not a regular file");
+  }
+  opts.resume = true;
+  try {
+    (void)run_csv(m, opts);
+    FAIL() << "--resume must refuse a record path that is a directory";
+  } catch (const InvariantError& e) {
+    EXPECT_NE(std::string(e.what()).find(record0.string()), std::string::npos) << e.what();
   }
 }
 
@@ -543,51 +542,47 @@ TEST_F(SupervisionTest, ResumeAfterLostRecordsIsByteIdentical) {
 }
 
 TEST_F(SupervisionTest, WorkerFaultsFireInsideShardedRuns) {
-  auto jobs = tiny_matrix().expand();
-  jobs[0].sim_threads = 2;
-  FaultSpec spec;
-  spec.probability[static_cast<std::size_t>(FaultSite::kWorker)] = 1.0;
-  try {
-    (void)runner::execute(jobs[0], std::make_shared<FaultPlan>(spec, 17));
-    FAIL() << "a p=1 worker plan must fail the first op the replay reads";
-  } catch (const InjectedFault& e) {
-    EXPECT_NE(std::string(e.what()).find("injected worker fault"), std::string::npos)
-        << e.what();
+  // A torn trace read by the front-end producers of a pipelined job fails it
+  // with the serial run's TraceError, raised where the replay reaches the
+  // torn record.
+  auto jobs = trace_matrix(dir_ / "a.trace").expand();
+  const std::string expected = tear_last_record(dir_ / "a.trace");
+  for (const std::uint32_t k : {1u, 2u}) {
+    jobs[0].sim_threads = k;
+    try {
+      (void)runner::execute(jobs[0]);
+      FAIL() << "a torn trace must fail the job @" << k;
+    } catch (const sim::TraceError& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(expected, 0), 0u) << "@" << k << ": " << e.what();
+    }
   }
 }
 
-class TraceFaultTest : public ScratchDirTest {
- protected:
-  [[nodiscard]] runner::RunMatrix trace_matrix() const {
-    const auto trace_path = (dir_ / "a.trace").string();
-    const auto trace = workloads::make_trace(workloads::benchmark("gzip"), 0, 5);
-    sim::write_trace_file(trace_path, sim::record_trace(*trace, 30'000),
-                          sim::TraceFormat::kBinaryV2);
-    runner::RunMatrix m;
-    m.configs = {"NOPART-L"};
-    m.workloads = {workloads::workload_from_traces({trace_path})};
-    m.l2_kb = {128};
-    m.l1d = cache::Geometry{.size_bytes = 4096, .associativity = 2, .line_bytes = 128};
-    m.instr = 20'000;
-    m.warmup = 5'000;
-    m.interval_cycles = 40'000;
-    m.sampling_ratio = 8;
-    m.seed = 99;
-    return m;
-  }
-};
+class TraceFaultTest : public ScratchDirTest {};
 
-TEST_F(TraceFaultTest, ReadFaultsReachTheTraceStream) {
-  const auto jobs = trace_matrix().expand();
-  FaultSpec spec;
-  spec.probability[static_cast<std::size_t>(FaultSite::kRead)] = 1.0;
-  EXPECT_THROW((void)runner::execute(jobs[0], std::make_shared<FaultPlan>(spec, 23)),
-               InjectedFault);
+TEST_F(TraceFaultTest, TornTraceFailsTheJobWithANamedTraceError) {
+  const auto jobs = trace_matrix(dir_ / "a.trace").expand();
+  ASSERT_NO_THROW((void)runner::execute(jobs[0]));
+  const std::string expected = tear_last_record(dir_ / "a.trace");
+  try {
+    (void)runner::execute(jobs[0]);
+    FAIL() << "a torn trace must fail the job at the end of its first lap";
+  } catch (const sim::TraceError& e) {
+    EXPECT_EQ(std::string(e.what()), expected + " (EOF inside a varint)");
+  }
 }
 
 TEST_F(TraceFaultTest, ReadFaultThenResumeYieldsByteIdenticalCsv) {
-  expect_fault_then_resume_is_byte_identical(trace_matrix(), "read:0.5", "read",
-                                             dir_ / "journal");
+  // Tear the trace, fail the sweep at its first job, restore the file and
+  // resume.
+  const fs::path trace = dir_ / "a.trace";
+  const auto m = trace_matrix(trace);
+  const std::string intact = slurp(trace);
+  expect_failure_then_resume_is_byte_identical(
+      m, dir_ / "journal", [&] { (void)tear_last_record(trace); },
+      "job " + m.expand()[0].key() + ": trace file '" + trace.string() +
+          "': truncated record at byte " + std::to_string(intact.size() - 1),
+      [&] { AtomicFile::write_file(trace, intact); });
 }
 
 }  // namespace

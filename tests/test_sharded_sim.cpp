@@ -16,7 +16,6 @@
 
 #include "common/parallel.hpp"
 #include "plrupart/common/assert.hpp"
-#include "plrupart/common/fault_inject.hpp"
 #include "plrupart/sim/cmp_simulator.hpp"
 #include "plrupart/workloads/catalog.hpp"
 #include "plrupart/workloads/generators.hpp"
@@ -296,30 +295,6 @@ TEST(ShardedSim, ProducerErrorBeforeTheQuotaMatchesSerial) {
     for (const std::uint32_t k : {1u, 2u, 3u}) {
       EXPECT_EQ(run_probed(names, "M-BT", k, failing, throw_at).error, reference)
           << "core " << failing << " @" << k;
-    }
-  }
-}
-
-TEST(ShardedSim, WorkerFaultScheduleIsTheSameAtEveryK) {
-  // kWorker faults fire in the producers keyed by (core, the core's op
-  // index), and surface when the replay reaches that op: every K > 1 throws
-  // the same InjectedFault.
-  const std::vector<std::string> names{"twolf", "art", "mcf", "gzip"};
-  FaultSpec spec;
-  spec.probability[static_cast<std::size_t>(FaultSite::kWorker)] = 1e-4;
-  std::string first;
-  for (const std::uint32_t k : {2u, 3u, 4u}) {
-    SimConfig cfg = small_config(names, "M-BT", k);
-    cfg.faults = std::make_shared<FaultPlan>(spec, 3);
-    CmpSimulator sim(std::move(cfg), traces_for(names));
-    try {
-      (void)sim.run();
-      FAIL() << "no worker fault fired @" << k;
-    } catch (const InjectedFault& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find("front-end producer of core"), std::string::npos) << what;
-      if (first.empty()) first = what;
-      EXPECT_EQ(what, first) << "@" << k;
     }
   }
 }

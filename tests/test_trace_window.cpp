@@ -1,25 +1,25 @@
 // The trace reader's read window: a trace is read from disk once per window,
 // so the open-time check, rewinds into the window and every lap of a trace
-// shorter than the window cost no refill (pinned through the `read` fault
-// site, which fires once per refill); and the decoded stream never depends
-// on the window size, for well-formed and mutated inputs alike.
+// shorter than the window cost no refill (pinned by overwriting the file with
+// 0xFF bytes once it is open: a refill would read them and fail with a
+// varint overflow); and the decoded stream never depends on the window size,
+// for well-formed and mutated inputs alike.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
-#include <memory>
 #include <string>
 #include <tuple>
 #include <unistd.h>
 #include <vector>
 
 #include "plrupart/common/assert.hpp"
-#include "plrupart/common/fault_inject.hpp"
 #include "plrupart/common/rng.hpp"
 #include "plrupart/sim/trace_codec.hpp"
 #include "plrupart/sim/trace_file.hpp"
+#include "support/byte_mutator.hpp"
 
 namespace plrupart::sim {
 namespace {
@@ -45,15 +45,18 @@ class TraceWindowTest : public ::testing::Test {
     return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
   }
 
+  /// Overwrite an open trace in place (same inode, same length) with 0xFF
+  /// bytes: any later refill decodes an over-long varint (v2) or a bad digit
+  /// (v1) and throws TraceError.
+  static void poison_in_place(const std::string& p) {
+    const auto size = std::filesystem::file_size(p);
+    std::fstream out(p, std::ios::binary | std::ios::in | std::ios::out);
+    const std::string ff(size, '\xff');
+    out.write(ff.data(), static_cast<std::streamsize>(ff.size()));
+  }
+
   std::filesystem::path dir_;
 };
-
-/// A plan that fails every read opportunity.
-std::shared_ptr<const FaultPlan> always_fail_reads() {
-  FaultSpec spec;
-  spec.probability[static_cast<std::size_t>(FaultSite::kRead)] = 1.0;
-  return std::make_shared<FaultPlan>(spec, 5);
-}
 
 /// Strided runs with occasional 64-bit jumps, so v2 records vary from 2 to
 /// 15 bytes and straddle every small window.
@@ -73,12 +76,6 @@ std::vector<MemOp> mixed_ops(std::size_t n, std::uint64_t seed) {
 // ---------------------------------------------------------------------------
 // Read-once contract
 // ---------------------------------------------------------------------------
-
-TEST_F(TraceWindowTest, ArmedAtConstructionTheOpeningFillIsTheFirstReadOpportunity) {
-  const auto p = path("short.v2.trace");
-  write_trace_file(p, mixed_ops(50, 1), TraceFormat::kBinaryV2);
-  EXPECT_THROW(FileTraceSource(p, FileTraceSource::kDefaultBufferBytes, always_fail_reads(), 0), InjectedFault);
-}
 
 TEST_F(TraceWindowTest, LongTraceRefillsOnlyAfterTheFirstWindow) {
   const auto ops = mixed_ops(20'000, 2);
@@ -102,10 +99,10 @@ TEST_F(TraceWindowTest, LongTraceRefillsOnlyAfterTheFirstWindow) {
   ASSERT_GT(bytes.size(), kWindow) << "the trace must outgrow one window";
 
   FileTraceSource src(p);  // header check + rewind: all inside the opening fill
-  src.set_fault_plan(always_fail_reads(), 0);
+  poison_in_place(p);
   for (std::size_t i = 0; i < in_window; ++i)
     ASSERT_EQ(src.next().addr, ops[i].addr) << "record " << i << " is in the first window";
-  EXPECT_THROW((void)src.next(), InjectedFault) << "the next record needs a refill";
+  EXPECT_THROW((void)src.next(), TraceError) << "the next record needs a refill";
 }
 
 TEST_F(TraceWindowTest, ShortTraceLapsWithoutRefill) {
@@ -116,7 +113,7 @@ TEST_F(TraceWindowTest, ShortTraceLapsWithoutRefill) {
     ASSERT_LT(std::filesystem::file_size(p), FileTraceSource::kDefaultBufferBytes);
 
     FileTraceSource src(p);
-    src.set_fault_plan(always_fail_reads(), 0);
+    poison_in_place(p);
     for (int lap = 0; lap < 100; ++lap) {
       for (std::size_t i = 0; i < ops.size(); ++i)
         ASSERT_EQ(src.next().addr, ops[i].addr) << trace_format_name(format) << " lap "
@@ -158,33 +155,6 @@ Outcome replay(const std::string& p, std::size_t window, std::size_t max_ops) {
     out.error = e.what();
   }
   return out;
-}
-
-/// Seeded byte-flip / truncate / extend mutation of a whole file.
-std::string mutate(std::string bytes, Rng& rng) {
-  switch (rng.next_below(3)) {
-    case 0: {
-      const auto flips = 1 + rng.next_below(4);
-      for (std::uint64_t k = 0; k < flips; ++k)
-        bytes[rng.next_below(bytes.size())] ^= static_cast<char>(1 + rng.next_below(255));
-      break;
-    }
-    case 1:
-      bytes.resize(rng.next_below(bytes.size()));
-      break;
-    default: {
-      const auto n = 1 + rng.next_below(64);
-      if (rng.next_bool(0.5)) {
-        for (std::uint64_t k = 0; k < n; ++k)
-          bytes.push_back(static_cast<char>(rng.next_below(256)));
-      } else {  // a copy of a slice of itself: often well-formed records
-        const auto from = rng.next_below(bytes.size());
-        bytes.append(bytes.substr(from, n));
-      }
-      break;
-    }
-  }
-  return bytes;
 }
 
 /// v2 bytes of 200 ordinary records, raw `edge` bytes, then 200 more: a
@@ -261,7 +231,8 @@ TEST_F(TraceWindowTest, MutatedTracesDecodeIdenticallyAtEveryWindowSize) {
   std::size_t rejected = 0;
   for (std::size_t f = 0; f < fixtures.size(); ++f) {
     for (std::size_t m = 0; m < kMutantsPerFixture; ++m) {
-      const auto bytes = m == 0 ? fixtures[f].bytes : mutate(fixtures[f].bytes, rng);
+      const auto bytes =
+          m == 0 ? fixtures[f].bytes : testing::mutate_bytes(fixtures[f].bytes, rng);
       write_bytes(p, bytes);
       const std::size_t max_ops = kLaps * (bytes.size() + 1);
       const auto reference = replay(p, windows[0], max_ops);
