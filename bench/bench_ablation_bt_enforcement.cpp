@@ -13,6 +13,7 @@
 #include "bench_util.hpp"
 #include "common/csv.hpp"
 #include "common/stats.hpp"
+#include "plrupart/core/tree_rounding.hpp"
 
 using namespace plrupart;
 using namespace plrupart::bench;
@@ -25,12 +26,12 @@ int main(int argc, char** argv) {
   struct Mode {
     std::string name;
     bool strict;
-    core::PolicyKind policy;
+    core::IntervalController::DecideFn decide;
   };
   const std::vector<Mode> modes{
-      {"mask-guided", false, core::PolicyKind::kMinMissesOptimal},
-      {"strict+round", true, core::PolicyKind::kMinMissesOptimal},
-      {"strict+tree", true, core::PolicyKind::kMinMissesTree},
+      {"mask-guided", false, core::min_misses_optimal},
+      {"strict+round", true, core::min_misses_optimal},
+      {"strict+tree", true, core::min_misses_tree},
   };
 
   const std::vector<std::uint32_t> core_counts =
@@ -56,7 +57,7 @@ int main(int argc, char** argv) {
       const auto& mode = modes[idx % modes.size()];
       const auto r = run_workload(w, "M-BT", opt, [&](core::CpaConfig& cfg) {
         cfg.bt_strict_pow2 = mode.strict;
-        cfg.policy = mode.policy;
+        cfg.decide = mode.decide;
       });
       thr[idx] = r.throughput();
     });

@@ -8,9 +8,38 @@
 #include "bench_util.hpp"
 #include "common/csv.hpp"
 #include "common/stats.hpp"
+#include "plrupart/core/fair.hpp"
+#include "plrupart/core/ipc_policy.hpp"
+#include "plrupart/core/qos.hpp"
+#include "plrupart/core/static_policy.hpp"
 
 using namespace plrupart;
 using namespace plrupart::bench;
+
+namespace {
+
+/// The IPC-objective DP over one timing model per core of `w`.
+core::IntervalController::DecideFn ipc_decide(const workloads::Workload& w,
+                                              core::IpcObjective objective) {
+  std::vector<core::IpcModel> models;
+  for (const auto& bench_name : w.benchmarks) {
+    const auto& prof = workloads::benchmark(bench_name);
+    // Rough per-benchmark timing personality; the L1 filter passes
+    // ~20-50% of memory ops at these working sets, estimate 30%.
+    models.push_back(core::IpcModel{
+        .instr_per_l2_access = 1.0 / (prof.mem_fraction * 0.3),
+        .base_ipc = prof.core.base_ipc,
+        .l2_hit_penalty = prof.core.l2_hit_penalty,
+        .mem_penalty = prof.core.mem_penalty,
+        .stall_fraction = prof.core.stall_fraction});
+  }
+  return [models, objective](const std::vector<core::MissCurve>& curves,
+                             std::uint32_t ways) {
+    return core::ipc_partition(curves, ways, models, objective);
+  };
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   const Cli cli(argc, argv);
@@ -19,18 +48,24 @@ int main(int argc, char** argv) {
 
   struct PolicySpec {
     std::string name;
-    core::PolicyKind kind;
+    core::IntervalController::DecideFn decide;  ///< empty: the IPC DP
     core::IpcObjective objective = core::IpcObjective::kThroughput;
   };
   const std::vector<PolicySpec> policies{
-      {"optimal", core::PolicyKind::kMinMissesOptimal},
-      {"greedy", core::PolicyKind::kMinMissesGreedy},
-      {"lookahead", core::PolicyKind::kMinMissesLookahead},
-      {"fair", core::PolicyKind::kFair},
-      {"qos(core0,1.1x)", core::PolicyKind::kQos},
-      {"ipc-throughput", core::PolicyKind::kIpc, core::IpcObjective::kThroughput},
-      {"ipc-hmean", core::PolicyKind::kIpc, core::IpcObjective::kHarmonicMean},
-      {"static-even", core::PolicyKind::kStaticEven},
+      {"optimal", core::min_misses_optimal},
+      {"greedy", core::min_misses_greedy},
+      {"lookahead", core::min_misses_lookahead},
+      {"fair", core::fair_partition},
+      {"qos(core0,1.1x)",
+       [](const std::vector<core::MissCurve>& curves, std::uint32_t ways) {
+         return core::qos_partition(curves, ways, {.core = 0, .factor = 1.1});
+       }},
+      {"ipc-throughput", nullptr, core::IpcObjective::kThroughput},
+      {"ipc-hmean", nullptr, core::IpcObjective::kHarmonicMean},
+      {"static-even",
+       [](const std::vector<core::MissCurve>& curves, std::uint32_t ways) {
+         return core::even_split(static_cast<std::uint32_t>(curves.size()), ways);
+       }},
   };
   const std::vector<std::uint32_t> core_counts =
       quick ? std::vector<std::uint32_t>{2} : std::vector<std::uint32_t>{2, 4};
@@ -58,23 +93,7 @@ int main(int argc, char** argv) {
       const auto& w = ws[idx / policies.size()];
       const auto& pol = policies[idx % policies.size()];
       const auto r = run_workload(w, "M-L", opt, [&](core::CpaConfig& cfg) {
-        cfg.policy = pol.kind;
-        if (pol.kind == core::PolicyKind::kQos)
-          cfg.qos = core::QosTarget{.core = 0, .factor = 1.1};
-        if (pol.kind == core::PolicyKind::kIpc) {
-          cfg.ipc_objective = pol.objective;
-          for (const auto& bench_name : w.benchmarks) {
-            const auto& prof = workloads::benchmark(bench_name);
-            // Rough per-benchmark timing personality; the L1 filter passes
-            // ~20-50% of memory ops at these working sets, estimate 30%.
-            cfg.ipc_models.push_back(core::IpcModel{
-                .instr_per_l2_access = 1.0 / (prof.mem_fraction * 0.3),
-                .base_ipc = prof.core.base_ipc,
-                .l2_hit_penalty = prof.core.l2_hit_penalty,
-                .mem_penalty = prof.core.mem_penalty,
-                .stall_fraction = prof.core.stall_fraction});
-          }
-        }
+        cfg.decide = pol.decide ? pol.decide : ipc_decide(w, pol.objective);
       });
       results[idx] = workload_metrics(r, cache::ReplacementKind::kLru, iso);
     });

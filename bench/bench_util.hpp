@@ -123,7 +123,11 @@ class IsolationCache {
       if (it != cache_.end()) return it->second;
     }
     const workloads::Workload solo{"ISO_" + benchmark_name, {benchmark_name}};
-    const auto result = run_workload(solo, nopart_acronym(kind), opt_);
+    const auto result = run_workload(
+        solo,
+        core::CpaConfig{.replacement = kind, .enforcement = cache::EnforcementMode::kNone}
+            .acronym(),
+        opt_);
     const double value = result.threads[0].ipc;
     const std::lock_guard<std::mutex> lock(mutex_);
     cache_.emplace(key, value);
@@ -141,22 +145,6 @@ class IsolationCache {
     std::sort(todo.begin(), todo.end());
     todo.erase(std::unique(todo.begin(), todo.end()), todo.end());
     parallel_for(todo.size(), [&](std::size_t i) { (void)ipc(todo[i].first, todo[i].second); });
-  }
-
-  [[nodiscard]] static std::string nopart_acronym(cache::ReplacementKind kind) {
-    switch (kind) {
-      case cache::ReplacementKind::kLru:
-        return "NOPART-L";
-      case cache::ReplacementKind::kNru:
-        return "NOPART-N";
-      case cache::ReplacementKind::kTreePlru:
-        return "NOPART-BT";
-      case cache::ReplacementKind::kRandom:
-        return "NOPART-R";
-      case cache::ReplacementKind::kSrrip:
-        return "NOPART-RRIP";
-    }
-    return "NOPART-L";
   }
 
  private:

@@ -14,6 +14,7 @@
 #include <cstdio>
 
 #include "common/cli.hpp"
+#include "plrupart/core/qos.hpp"
 #include "plrupart/sim/cmp_simulator.hpp"
 #include "plrupart/workloads/catalog.hpp"
 #include "plrupart/workloads/generators.hpp"
@@ -29,8 +30,9 @@ struct Setup {
   double factor = 1.1;
 };
 
-sim::SimResult run_one(const Setup& s, const char* label, core::PolicyKind policy,
-                       bool partitioned) {
+sim::SimResult run_one(const Setup& s, const char* label, bool partitioned,
+                       core::IntervalController::DecideFn decide =
+                           core::min_misses_optimal) {
   sim::SimConfig cfg;
   cfg.hierarchy.l1d =
       cache::Geometry{.size_bytes = 32 * 1024, .associativity = 2, .line_bytes = 128};
@@ -38,9 +40,7 @@ sim::SimResult run_one(const Setup& s, const char* label, core::PolicyKind polic
                                                    static_cast<std::uint32_t>(
                                                        1 + s.batch.size()),
                                                    cache::paper_l2_geometry());
-  cfg.hierarchy.l2.policy = policy;
-  if (policy == core::PolicyKind::kQos)
-    cfg.hierarchy.l2.qos = core::QosTarget{.core = 0, .factor = s.factor};
+  cfg.hierarchy.l2.decide = std::move(decide);
   cfg.instr_limit = s.instr;
   cfg.warmup_instr = s.instr / 2;
 
@@ -82,13 +82,16 @@ int main(int argc, char** argv) {
   std::printf("%-24s %13s %16s %12s %12s\n", "policy", "service IPC",
               "service L2 miss", "batch IPC", "throughput");
 
-  const auto unprotected =
-      run_one(s, "unpartitioned", core::PolicyKind::kMinMissesOptimal, false);
-  const auto minmisses =
-      run_one(s, "MinMisses", core::PolicyKind::kMinMissesOptimal, true);
+  const auto unprotected = run_one(s, "unpartitioned", false);
+  const auto minmisses = run_one(s, "MinMisses", true);
   char qos_label[64];
   std::snprintf(qos_label, sizeof qos_label, "QoS(factor %.2f)", s.factor);
-  const auto qos = run_one(s, qos_label, core::PolicyKind::kQos, true);
+  const core::QosTarget target{.core = 0, .factor = s.factor};
+  const auto qos = run_one(s, qos_label, true,
+                           [target](const std::vector<core::MissCurve>& curves,
+                                    std::uint32_t ways) {
+                             return core::qos_partition(curves, ways, target);
+                           });
 
   std::printf("\nservice speedup vs unpartitioned: MinMisses %+.1f%%, QoS %+.1f%%\n",
               100.0 * (minmisses.threads[0].ipc / unprotected.threads[0].ipc - 1.0),

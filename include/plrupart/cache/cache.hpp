@@ -20,7 +20,7 @@
 //    N-1] — so the hit scan is a branch-light tag-compare loop, invalid-way
 //    search is a single count-trailing-zeros, and the owner-counter
 //    enforcement mask is two bitwise ops (the bitmasks are maintained
-//    incrementally on fill/evict/invalidate; owner *counts* are popcounts,
+//    incrementally on fill and evict; owner *counts* are popcounts,
 //    and a line's owner is recovered from the owner masks on eviction).
 //    Keeping valid and ownership in one block means all per-set mask state
 //    shares one cache line for up to 7 cores.
@@ -87,10 +87,6 @@ class PLRUPART_EXPORT SetAssocCache {
   /// Non-mutating lookup: would this access hit, and in which way?
   [[nodiscard]] AccessOutcome probe(Addr addr) const;
 
-  /// Drop a line if present (no replacement-state update; mirrors an external
-  /// invalidation message).
-  bool invalidate(Addr addr);
-
   // --- Partition control -------------------------------------------------
   /// kWayMasks: set the ways `core` may search for victims (non-empty).
   void set_way_mask(CoreId core, WayMask mask);
@@ -113,13 +109,10 @@ class PLRUPART_EXPORT SetAssocCache {
   [[nodiscard]] const PolicyVariant& policy() const noexcept { return policy_; }
   [[nodiscard]] const CacheStatsBundle& stats() const noexcept { return stats_; }
 
-  /// Clear all contents, replacement state and statistics.
-  void reset();
-
  private:
   static constexpr std::uint32_t kNoWay = ~std::uint32_t{0};
 
-  /// The one tag-scan everybody shares (access hit path, probe, invalidate).
+  /// The one tag-scan everybody shares (access hit path and probe).
   /// Two-phase, like a hardware way predictor: a SWAR compare
   /// (byte_match_mask) over the set's packed 1-byte partial tags (A bytes —
   /// one to eight words, a single cache line) nominates candidate ways, and

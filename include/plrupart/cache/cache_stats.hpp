@@ -22,8 +22,6 @@ struct PLRUPART_EXPORT CoreCacheStats {
   [[nodiscard]] double miss_rate() const noexcept {
     return accesses ? static_cast<double>(misses) / static_cast<double>(accesses) : 0.0;
   }
-
-  void reset() { *this = CoreCacheStats{}; }
 };
 
 struct PLRUPART_EXPORT CacheStatsBundle {
@@ -42,10 +40,6 @@ struct PLRUPART_EXPORT CacheStatsBundle {
       t.self_evictions += c.self_evictions;
     }
     return t;
-  }
-
-  void reset() {
-    for (auto& c : per_core) c.reset();
   }
 };
 

@@ -161,8 +161,8 @@ template <class T>
 /// Models the NRU replacement pointer scan. Requires m restricted to [0, ways)
 /// to be non-empty and start < ways; both preconditions are asserted in every
 /// build type (violations throw InvariantError — the scan cannot silently
-/// return a way outside the set, even after invalidate() storms empty a set;
-/// callers guarantee non-emptiness by construction, see Nru::choose_victim).
+/// return a way outside the set; callers guarantee non-emptiness by
+/// construction, see Nru::choose_victim).
 [[nodiscard]] constexpr std::uint32_t mask_next_circular(WayMask m, std::uint32_t start,
                                                          std::uint32_t ways) {
   const WayMask in_range = m & full_way_mask(ways);

@@ -1,7 +1,7 @@
 // Fairness-oriented partition selection (after Kim/Chandra/Solihin [11] and
 // FlexDCP [14], which the paper cites as alternative target metrics).
 //
-// fair_partition (PolicyKind::kFair) equalizes the predicted slowdown proxy
+// fair_partition (a CpaConfig::decide) equalizes the predicted slowdown proxy
 // of every thread: the ratio of misses with its assigned ways to misses with
 // the full cache. It greedily hands the next way to the currently worst-off
 // thread.

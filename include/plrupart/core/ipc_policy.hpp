@@ -5,8 +5,8 @@
 // worth the same cycles to every thread: a pointer chaser exposes the full
 // memory latency while a streaming thread hides most of it. This policy
 // converts each thread's miss curve into a predicted-IPC curve through a
-// small analytical model and optimizes a performance metric directly
-// (PolicyKind::kIpc):
+// small analytical model and optimizes a performance metric directly (a
+// CpaConfig::decide once bound to one IpcModel per core and an objective):
 //
 //   kThroughput      maximize  sum_i IPC_i(w_i)
 //   kWeightedSpeedup maximize  sum_i IPC_i(w_i) / IPC_i(A)

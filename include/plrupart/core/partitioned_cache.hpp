@@ -4,17 +4,10 @@
 // ATD + (e)SDH profilers and enforces on that L2) into one copyable value the
 // simulator (or an application) drives with time-stamped accesses.
 //
-// Configurations are named with the paper's acronym scheme:
-//   <enforcement>-<esdh scale><replacement>
-//   C-L     owner counters + LRU           (the paper's baseline)
-//   M-L     way masks + LRU
-//   M-1.0N  way masks + NRU, eSDH scale 1.0
-//   M-0.75N way masks + NRU, eSDH scale 0.75
-//   M-0.5N  way masks + NRU, eSDH scale 0.5
-//   M-BT    way masks + binary-tree pseudo-LRU
-//   M-RRIP  way masks + 2-bit SRRIP (extension beyond the paper)
-// plus NOPART-L / NOPART-N / NOPART-BT / NOPART-R / NOPART-RRIP for
-// unpartitioned caches.
+// Configurations are named with the paper's acronym scheme,
+// <enforcement>-<esdh scale><replacement> (C-L, M-0.75N, M-BT, ...), plus
+// NOPART-<replacement> for unpartitioned caches. One table in
+// partitioned_cache.cpp lists every name (`plrupart --list-configs`).
 #pragma once
 
 #include "plrupart/export.hpp"
@@ -26,23 +19,10 @@
 
 #include "plrupart/cache/cache.hpp"
 #include "plrupart/core/controller.hpp"
-#include "plrupart/core/ipc_policy.hpp"
 #include "plrupart/core/min_misses.hpp"
 #include "plrupart/core/profiler.hpp"
-#include "plrupart/core/qos.hpp"
 
 namespace plrupart::core {
-
-enum class PolicyKind : std::uint8_t {
-  kMinMissesOptimal,
-  kMinMissesGreedy,
-  kMinMissesLookahead,
-  kMinMissesTree,  ///< restricted to power-of-two allocations (strict BT)
-  kFair,
-  kQos,
-  kIpc,  ///< IPC-objective DP (extension; needs CpaConfig::ipc_models)
-  kStaticEven,
-};
 
 struct PLRUPART_EXPORT CpaConfig {
   cache::Geometry geometry = cache::paper_l2_geometry();
@@ -54,10 +34,10 @@ struct PLRUPART_EXPORT CpaConfig {
 
   double esdh_scale = 1.0;                       // NRU profiling only
   NruUpdateMode nru_update = NruUpdateMode::kRange;
-  PolicyKind policy = PolicyKind::kMinMissesOptimal;
-  std::optional<QosTarget> qos;                  // PolicyKind::kQos only
-  std::vector<IpcModel> ipc_models;              // PolicyKind::kIpc: one per core
-  IpcObjective ipc_objective = IpcObjective::kThroughput;
+  /// The partition function called at each interval boundary: the paper's
+  /// MinMisses, or any other (min_misses.hpp, fair.hpp, qos.hpp,
+  /// ipc_policy.hpp, static_policy.hpp), bound to its inputs by a lambda.
+  IntervalController::DecideFn decide = min_misses_optimal;
   std::uint64_t interval_cycles = 1'000'000;     // paper: 1M cycles
   std::uint32_t sampling_ratio = 32;             // paper: 1 in 32 sets
   /// Repartition damping (see IntervalController): a new partition is applied
@@ -72,8 +52,7 @@ struct PLRUPART_EXPORT CpaConfig {
     return enforcement != cache::EnforcementMode::kNone;
   }
 
-  /// Parse a paper acronym (see file header). Throws InvariantError on
-  /// unknown names.
+  /// Parse an acronym of the table. Throws InvariantError on unknown names.
   [[nodiscard]] static CpaConfig from_acronym(const std::string& name,
                                               std::uint32_t num_cores,
                                               cache::Geometry geometry);
@@ -81,6 +60,12 @@ struct PLRUPART_EXPORT CpaConfig {
   /// Every acronym from_acronym accepts, in the paper's order.
   [[nodiscard]] static const std::vector<std::string>& known_acronyms();
 
+  /// What the acronym `name` configures, in words. Throws InvariantError on
+  /// unknown names.
+  [[nodiscard]] static std::string describe(const std::string& name);
+
+  /// The table's name for this configuration; a partitioned NRU cache at a
+  /// scale no row names reads like M-0.375N.
   [[nodiscard]] std::string acronym() const;
 };
 
@@ -118,8 +103,6 @@ class PLRUPART_EXPORT PartitionedCacheSystem {
   [[nodiscard]] std::uint64_t profiling_storage_bits(std::uint32_t tag_bits) const;
 
  private:
-  [[nodiscard]] IntervalController::DecideFn make_partition_policy() const;
-
   CpaConfig config_;
   cache::SetAssocCache l2_;
   std::optional<IntervalController> controller_;  ///< empty when unpartitioned

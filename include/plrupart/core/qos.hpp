@@ -2,9 +2,10 @@
 // Iyer et al., Nesbit et al., FlexDCP).
 //
 // One thread is designated latency-critical with a miss budget expressed as a
-// multiple of its full-cache miss count. qos_partition (PolicyKind::kQos)
-// reserves the minimum number of ways meeting that budget, then distributes
-// the rest among the remaining threads with MinMisses.
+// multiple of its full-cache miss count. qos_partition (a CpaConfig::decide
+// once bound to its QosTarget) reserves the minimum number of ways meeting
+// that budget, then distributes the rest among the remaining threads with
+// MinMisses.
 #pragma once
 
 #include "plrupart/export.hpp"

@@ -8,8 +8,8 @@
 namespace plrupart::core {
 
 /// Even split of `total_ways` among n cores, remainder to the lowest ids
-/// (PolicyKind::kStaticEven, and every controller's split before the first
-/// interval).
+/// (a static CpaConfig::decide, and every controller's split before the
+/// first interval).
 [[nodiscard]] PLRUPART_EXPORT Partition even_split(std::uint32_t n,
                                                    std::uint32_t total_ways);
 

@@ -12,7 +12,7 @@
 //   * place_pow2_blocks       — buddy-style aligned placement of the blocks;
 //   * min_misses_tree         — MinMisses restricted to power-of-two
 //     allocations (min_cost_partition with pow2_only), the "native tree"
-//     alternative to rounding (PolicyKind::kMinMissesTree).
+//     alternative to rounding (a CpaConfig::decide).
 //
 // The default M-BT configuration instead uses contiguous masks with
 // mask-guided traversal (see cache::TreePlru), which needs none of this;

@@ -33,9 +33,6 @@ class PLRUPART_EXPORT TraceSource {
   /// loop); the simulator bounds execution by instruction count.
   virtual MemOp next() = 0;
 
-  /// Restart the stream from the beginning (same seed, same sequence).
-  virtual void reset() = 0;
-
   [[nodiscard]] virtual std::string name() const = 0;
 };
 

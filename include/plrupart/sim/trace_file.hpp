@@ -86,8 +86,8 @@ class PLRUPART_EXPORT TraceReader {
 
 /// TraceSource over a trace file: streams records with O(buffer) memory and
 /// loops back to the first record at end-of-file, so the simulator can run
-/// past the recorded length (matching SyntheticTrace semantics). reset()
-/// restarts the stream from the first record; replays are byte-identical.
+/// past the recorded length (matching SyntheticTrace semantics); every lap
+/// replays the same records.
 ///
 /// Construction validates the header and the first record, so an unreadable
 /// or empty trace fails fast, before any simulation starts. That check fills
@@ -100,11 +100,10 @@ class PLRUPART_EXPORT FileTraceSource final : public TraceSource {
                            std::size_t buffer_bytes = kDefaultBufferBytes);
 
   MemOp next() override;
-  void reset() override;
   [[nodiscard]] std::string name() const override { return name_; }
 
   [[nodiscard]] TraceFormat format() const noexcept { return reader_.format(); }
-  /// Operations handed out since construction (across loops and resets).
+  /// Operations handed out since construction (across loops).
   [[nodiscard]] std::uint64_t ops_delivered() const noexcept { return delivered_; }
   /// Times the source wrapped from end-of-file back to the first record.
   [[nodiscard]] std::uint64_t loops_completed() const noexcept { return loops_; }

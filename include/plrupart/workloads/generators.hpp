@@ -63,7 +63,6 @@ class PLRUPART_EXPORT SyntheticTrace final : public sim::TraceSource {
   SyntheticTrace(BenchmarkProfile profile, std::uint64_t base_addr, std::uint64_t seed);
 
   sim::MemOp next() override;
-  void reset() override;
   [[nodiscard]] std::string name() const override { return profile_.name; }
 
   [[nodiscard]] const BenchmarkProfile& profile() const noexcept { return profile_; }
@@ -86,7 +85,6 @@ class PLRUPART_EXPORT SyntheticTrace final : public sim::TraceSource {
 
   BenchmarkProfile profile_;
   std::uint64_t base_addr_;
-  std::uint64_t seed_;
   Rng rng_;
   std::vector<std::uint64_t> bases_;  // absolute base address per component
   std::vector<Cursor> cursors_;

@@ -1,6 +1,5 @@
 #include "plrupart/cache/cache.hpp"
 
-#include <algorithm>
 #include <cstddef>
 #include <type_traits>
 #include <utility>
@@ -71,13 +70,6 @@ SetAssocCache::SetAssocCache(const Geometry& geo, ReplacementKind repl,
   meta_stride_ = partial_off_ + (ways_ + 7) / 8;
   tags_.assign(geo_.sets() * ways_, 0);
   set_meta_.assign(geo_.sets() * meta_stride_, 0);
-}
-
-void SetAssocCache::reset() {
-  std::fill(tags_.begin(), tags_.end(), 0);
-  std::fill(set_meta_.begin(), set_meta_.end(), 0);
-  std::visit([](auto& pol) { pol.reset(); }, policy_);
-  stats_.reset();
 }
 
 WayMask SetAssocCache::eviction_mask(std::uint64_t set, CoreId core) const {
@@ -196,18 +188,6 @@ AccessOutcome SetAssocCache::probe(Addr addr) const {
     out.way = w;
   }
   return out;
-}
-
-bool SetAssocCache::invalidate(Addr addr) {
-  const Addr la = addr >> line_shift_;
-  const std::uint64_t set = la & set_mask_;
-  const std::uint64_t tag = la >> tag_shift_;
-  const std::uint32_t w = find_way(set, tag);
-  if (w == kNoWay) return false;
-  const WayMask bit = WayMask{1} << w;
-  owner_ways(set, owner_of(set, w)) &= ~bit;
-  valid_mask(set) &= ~bit;
-  return true;
 }
 
 void SetAssocCache::set_way_mask(CoreId core, WayMask mask) {

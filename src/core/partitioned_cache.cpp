@@ -1,101 +1,106 @@
 #include "plrupart/core/partitioned_cache.hpp"
 
 #include <sstream>
+#include <string_view>
 
 #include "plrupart/common/rng.hpp"
-#include "plrupart/core/fair.hpp"
-#include "plrupart/core/static_policy.hpp"
-#include "plrupart/core/tree_rounding.hpp"
 
 namespace plrupart::core {
 
+namespace {
+
+using cache::EnforcementMode;
+using cache::ReplacementKind;
+
+/// One named L2 configuration.
+struct ConfigRow {
+  const char* name;
+  ReplacementKind replacement;
+  EnforcementMode enforcement;
+  double esdh_scale;
+  const char* description;
+};
+
+// Every configuration, in the paper's order. The NOPART-* rows also give each
+// replacement's letters for names no row holds.
+constexpr ConfigRow kConfigs[] = {
+    {"C-L", ReplacementKind::kLru, EnforcementMode::kOwnerCounters, 1.0,
+     "owner counters + LRU (the paper's baseline CPA)"},
+    {"M-L", ReplacementKind::kLru, EnforcementMode::kWayMasks, 1.0, "way masks + LRU"},
+    {"M-1.0N", ReplacementKind::kNru, EnforcementMode::kWayMasks, 1.0,
+     "way masks + NRU, eSDH scale 1.0"},
+    {"M-0.75N", ReplacementKind::kNru, EnforcementMode::kWayMasks, 0.75,
+     "way masks + NRU, eSDH scale 0.75"},
+    {"M-0.5N", ReplacementKind::kNru, EnforcementMode::kWayMasks, 0.5,
+     "way masks + NRU, eSDH scale 0.5"},
+    {"M-BT", ReplacementKind::kTreePlru, EnforcementMode::kWayMasks, 1.0,
+     "way masks + binary-tree pseudo-LRU (ID-decoder profiling)"},
+    {"M-RRIP", ReplacementKind::kSrrip, EnforcementMode::kWayMasks, 1.0,
+     "way masks + SRRIP (extension)"},
+    {"NOPART-L", ReplacementKind::kLru, EnforcementMode::kNone, 1.0, "unpartitioned LRU"},
+    {"NOPART-N", ReplacementKind::kNru, EnforcementMode::kNone, 1.0, "unpartitioned NRU"},
+    {"NOPART-BT", ReplacementKind::kTreePlru, EnforcementMode::kNone, 1.0,
+     "unpartitioned binary-tree pseudo-LRU"},
+    {"NOPART-R", ReplacementKind::kRandom, EnforcementMode::kNone, 1.0,
+     "unpartitioned random replacement"},
+    {"NOPART-RRIP", ReplacementKind::kSrrip, EnforcementMode::kNone, 1.0,
+     "unpartitioned SRRIP (extension)"},
+};
+
+const ConfigRow& row_named(const std::string& name) {
+  for (const ConfigRow& r : kConfigs)
+    if (name == r.name) return r;
+  throw InvariantError("unknown configuration acronym: " + name);
+}
+
+}  // namespace
+
 CpaConfig CpaConfig::from_acronym(const std::string& name, std::uint32_t num_cores,
                                   cache::Geometry geometry) {
+  const ConfigRow& r = row_named(name);
   CpaConfig c;
   c.geometry = geometry;
   c.num_cores = num_cores;
-  if (name == "C-L") {
-    c.replacement = cache::ReplacementKind::kLru;
-    c.enforcement = cache::EnforcementMode::kOwnerCounters;
-  } else if (name == "M-L") {
-    c.replacement = cache::ReplacementKind::kLru;
-    c.enforcement = cache::EnforcementMode::kWayMasks;
-  } else if (name == "M-1.0N" || name == "M-0.75N" || name == "M-0.5N") {
-    c.replacement = cache::ReplacementKind::kNru;
-    c.enforcement = cache::EnforcementMode::kWayMasks;
-    c.esdh_scale = name == "M-1.0N" ? 1.0 : (name == "M-0.75N" ? 0.75 : 0.5);
-  } else if (name == "M-BT") {
-    c.replacement = cache::ReplacementKind::kTreePlru;
-    c.enforcement = cache::EnforcementMode::kWayMasks;
-  } else if (name == "M-RRIP") {
-    c.replacement = cache::ReplacementKind::kSrrip;
-    c.enforcement = cache::EnforcementMode::kWayMasks;
-  } else if (name == "NOPART-RRIP") {
-    c.replacement = cache::ReplacementKind::kSrrip;
-    c.enforcement = cache::EnforcementMode::kNone;
-  } else if (name == "NOPART-L") {
-    c.replacement = cache::ReplacementKind::kLru;
-    c.enforcement = cache::EnforcementMode::kNone;
-  } else if (name == "NOPART-N") {
-    c.replacement = cache::ReplacementKind::kNru;
-    c.enforcement = cache::EnforcementMode::kNone;
-  } else if (name == "NOPART-BT") {
-    c.replacement = cache::ReplacementKind::kTreePlru;
-    c.enforcement = cache::EnforcementMode::kNone;
-  } else if (name == "NOPART-R") {
-    c.replacement = cache::ReplacementKind::kRandom;
-    c.enforcement = cache::EnforcementMode::kNone;
-  } else {
-    PLRUPART_ASSERT_MSG(false, "unknown configuration acronym: " + name);
-  }
+  c.replacement = r.replacement;
+  c.enforcement = r.enforcement;
+  c.esdh_scale = r.esdh_scale;
   return c;
 }
 
 const std::vector<std::string>& CpaConfig::known_acronyms() {
-  static const std::vector<std::string> names = {
-      "C-L",      "M-L",      "M-1.0N",    "M-0.75N",  "M-0.5N",      "M-BT",
-      "M-RRIP",   "NOPART-L", "NOPART-N",  "NOPART-BT", "NOPART-R",   "NOPART-RRIP"};
+  static const std::vector<std::string> names = [] {
+    std::vector<std::string> v;
+    for (const ConfigRow& r : kConfigs) v.emplace_back(r.name);
+    return v;
+  }();
   return names;
 }
 
+std::string CpaConfig::describe(const std::string& name) {
+  return row_named(name).description;
+}
+
 std::string CpaConfig::acronym() const {
-  if (!partitioned()) {
-    switch (replacement) {
-      case cache::ReplacementKind::kLru:
-        return "NOPART-L";
-      case cache::ReplacementKind::kNru:
-        return "NOPART-N";
-      case cache::ReplacementKind::kTreePlru:
-        return "NOPART-BT";
-      case cache::ReplacementKind::kRandom:
-        return "NOPART-R";
-      case cache::ReplacementKind::kSrrip:
-        return "NOPART-RRIP";
-    }
+  // The eSDH scale names a configuration only where NRU profiles it.
+  const bool scaled = partitioned() && replacement == ReplacementKind::kNru;
+  for (const ConfigRow& r : kConfigs) {
+    if (r.replacement == replacement && r.enforcement == enforcement &&
+        (!scaled || r.esdh_scale == esdh_scale))
+      return r.name;
   }
+  // A combination no row names, such as the eSDH-scale ablation's M-0.375N.
   std::ostringstream os;
-  os << (enforcement == cache::EnforcementMode::kOwnerCounters ? 'C' : 'M') << '-';
-  switch (replacement) {
-    case cache::ReplacementKind::kLru:
-      os << 'L';
-      break;
-    case cache::ReplacementKind::kNru: {
-      std::ostringstream scale;
-      scale << esdh_scale;
-      std::string s = scale.str();
-      if (s.find('.') == std::string::npos) s += ".0";  // "1" -> "1.0"
-      os << s << 'N';
-      break;
-    }
-    case cache::ReplacementKind::kTreePlru:
-      os << "BT";
-      break;
-    case cache::ReplacementKind::kRandom:
-      os << 'R';
-      break;
-    case cache::ReplacementKind::kSrrip:
-      os << "RRIP";
-      break;
+  os << (enforcement == EnforcementMode::kOwnerCounters ? 'C' : 'M') << '-';
+  if (scaled) {
+    std::ostringstream scale;
+    scale << esdh_scale;
+    std::string s = scale.str();
+    if (s.find('.') == std::string::npos) s += ".0";  // "1" -> "1.0"
+    os << s;
+  }
+  for (const ConfigRow& r : kConfigs) {
+    if (r.replacement == replacement && r.enforcement == EnforcementMode::kNone)
+      os << std::string_view(r.name).substr(std::string_view("NOPART-").size());
   }
   return os.str();
 }
@@ -115,47 +120,9 @@ PartitionedCacheSystem::PartitionedCacheSystem(CpaConfig config)
                            config_.sampling_ratio, derive_seed(config_.seed, i),
                            config_.esdh_scale, config_.nru_update);
   }
-  controller_.emplace(config_.interval_cycles, make_partition_policy(),
+  controller_.emplace(config_.interval_cycles, config_.decide,
                       std::move(profilers), l2_, config_.repartition_hysteresis,
                       config_.bt_strict_pow2);
-}
-
-IntervalController::DecideFn PartitionedCacheSystem::make_partition_policy() const {
-  switch (config_.policy) {
-    case PolicyKind::kMinMissesOptimal:
-      return min_misses_optimal;
-    case PolicyKind::kMinMissesGreedy:
-      return min_misses_greedy;
-    case PolicyKind::kMinMissesLookahead:
-      return min_misses_lookahead;
-    case PolicyKind::kMinMissesTree:
-      return min_misses_tree;
-    case PolicyKind::kFair:
-      return fair_partition;
-    case PolicyKind::kQos: {
-      PLRUPART_ASSERT_MSG(config_.qos.has_value(), "QoS policy needs a QosTarget");
-      PLRUPART_ASSERT(config_.qos->factor >= 1.0);
-      return [target = *config_.qos](const std::vector<MissCurve>& curves,
-                                     std::uint32_t total_ways) {
-        return qos_partition(curves, total_ways, target);
-      };
-    }
-    case PolicyKind::kIpc: {
-      PLRUPART_ASSERT_MSG(config_.ipc_models.size() == config_.num_cores,
-                          "IPC policy needs one IpcModel per core");
-      for (const auto& m : config_.ipc_models) m.validate();
-      return [models = config_.ipc_models, objective = config_.ipc_objective](
-                 const std::vector<MissCurve>& curves, std::uint32_t total_ways) {
-        return ipc_partition(curves, total_ways, models, objective);
-      };
-    }
-    case PolicyKind::kStaticEven:
-      return [](const std::vector<MissCurve>& curves, std::uint32_t total_ways) {
-        return even_split(static_cast<std::uint32_t>(curves.size()), total_ways);
-      };
-  }
-  PLRUPART_ASSERT_MSG(false, "unknown policy kind");
-  return nullptr;
 }
 
 PartitionedCacheSystem::PartitionedCacheSystem(const PartitionedCacheSystem& other)

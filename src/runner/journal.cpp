@@ -149,6 +149,12 @@ void RunJournal::load_manifest_or_fail(std::size_t num_jobs) const {
                          jobs_text + " jobs but this run has " + std::to_string(num_jobs) +
                          "; the job list must match the original run exactly");
   }
+  // write_manifest ends the file with the jobs line's newline.
+  if (in.eof() || in.peek() != std::ifstream::traits_type::eof()) {
+    throw InvariantError("journal file " + path.string() + " is corrupt: it does not end "
+                         "at the 'jobs' line; remove the whole journal directory and "
+                         "re-run");
+  }
 }
 
 void RunJournal::record(std::size_t pos, const std::string& rows) {

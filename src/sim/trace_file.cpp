@@ -246,8 +246,6 @@ MemOp FileTraceSource::next_bytewise() {
   return *op;
 }
 
-void FileTraceSource::reset() { reader_.rewind(); }
-
 // ---------------------------------------------------------------------------
 // TraceWriter
 // ---------------------------------------------------------------------------

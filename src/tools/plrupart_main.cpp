@@ -69,24 +69,6 @@ using namespace plrupart;
 
 namespace {
 
-/// Human descriptions for --list-configs; the authoritative name list is
-/// core::CpaConfig::known_acronyms() so new acronyms can't silently drift.
-std::string describe_config(const std::string& acronym) {
-  if (acronym == "C-L") return "owner counters + LRU (the paper's baseline CPA)";
-  if (acronym == "M-L") return "way masks + LRU";
-  if (acronym == "M-1.0N") return "way masks + NRU, eSDH scale 1.0";
-  if (acronym == "M-0.75N") return "way masks + NRU, eSDH scale 0.75";
-  if (acronym == "M-0.5N") return "way masks + NRU, eSDH scale 0.5";
-  if (acronym == "M-BT") return "way masks + binary-tree pseudo-LRU (ID-decoder profiling)";
-  if (acronym == "M-RRIP") return "way masks + SRRIP (extension)";
-  if (acronym == "NOPART-L") return "unpartitioned LRU";
-  if (acronym == "NOPART-N") return "unpartitioned NRU";
-  if (acronym == "NOPART-BT") return "unpartitioned binary-tree pseudo-LRU";
-  if (acronym == "NOPART-R") return "unpartitioned random replacement";
-  if (acronym == "NOPART-RRIP") return "unpartitioned SRRIP (extension)";
-  return "";
-}
-
 void print_usage() {
   std::printf(
       "plrupart: cache-partitioning simulation driver\n"
@@ -136,7 +118,7 @@ void list_workloads() {
 
 void list_configs() {
   for (const auto& name : core::CpaConfig::known_acronyms())
-    std::printf("  %-12s %s\n", name.c_str(), describe_config(name).c_str());
+    std::printf("  %-12s %s\n", name.c_str(), core::CpaConfig::describe(name).c_str());
 }
 
 /// Integer flag with bounds, so typos like `--instr -1` (or an --assoc past

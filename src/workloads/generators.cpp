@@ -16,7 +16,7 @@ constexpr std::uint64_t kLineBytes = 128;  // matches the paper's line size
 
 SyntheticTrace::SyntheticTrace(BenchmarkProfile profile, std::uint64_t base_addr,
                                std::uint64_t seed)
-    : profile_(std::move(profile)), base_addr_(base_addr), seed_(seed), rng_(seed) {
+    : profile_(std::move(profile)), base_addr_(base_addr), rng_(seed) {
   PLRUPART_ASSERT_MSG(!profile_.components.empty(), "profile needs >= 1 component");
   PLRUPART_ASSERT(profile_.mem_fraction > 0.0 && profile_.mem_fraction <= 1.0);
   PLRUPART_ASSERT(profile_.write_fraction >= 0.0 && profile_.write_fraction <= 1.0);
@@ -50,15 +50,6 @@ SyntheticTrace::SyntheticTrace(BenchmarkProfile profile, std::uint64_t base_addr
     cur.step = stride_lines % cur.lines;
     cursors_.push_back(cur);
   }
-  phase_left_ = profile_.phase_period_ops;
-}
-
-void SyntheticTrace::reset() {
-  rng_ = Rng(seed_);
-  for (auto& c : cursors_) c.pos = 0;
-  ops_ = 0;
-  gap_carry_ = 0.0;
-  rot_ = 0;
   phase_left_ = profile_.phase_period_ops;
 }
 

@@ -43,10 +43,6 @@ class ProbeTrace final : public sim::TraceSource {
     }
     return inner_->next();
   }
-  void reset() override {
-    inner_->reset();
-    calls_ = 0;
-  }
   [[nodiscard]] std::string name() const override { return inner_->name(); }
 
   /// Ops handed out (read after the run has joined its threads).

@@ -138,23 +138,6 @@ class ReferenceCache {
     return out;
   }
 
-  bool invalidate(cache::Addr addr) {
-    const std::uint64_t sets = frozen_sets();
-    const cache::Addr la = addr / geo_.line_bytes;
-    const std::uint64_t set = la & (sets - 1);
-    const std::uint64_t tag = la >> ilog2_exact(sets);
-    for (std::uint32_t w = 0; w < geo_.associativity; ++w) {
-      Line& l = line(set, w);
-      if (l.valid && l.tag == tag) {
-        l.valid = false;
-        if (enforcement_ == cache::EnforcementMode::kOwnerCounters)
-          --owner_count(set, l.owner);
-        return true;
-      }
-    }
-    return false;
-  }
-
   void set_way_mask(cache::CoreId core, WayMask mask) {
     mask &= full_way_mask(geo_.associativity);
     masks_[core] = mask;
@@ -170,13 +153,6 @@ class ReferenceCache {
       if (l.valid && l.owner == core) ++n;
     }
     return n;
-  }
-
-  void reset() {
-    for (auto& l : lines_) l = Line{};
-    for (auto& c : owner_counts_) c = 0;
-    policy_->reset();
-    stats_.reset();
   }
 
   [[nodiscard]] const cache::CacheStatsBundle& stats() const noexcept { return stats_; }

@@ -1,13 +1,10 @@
 // End-to-end determinism across every shipped configuration: identical
 // (config, seed) pairs must produce bit-identical results — the property all
-// benchmark comparisons in this repo rest on. Also covers determinism of the
-// cache's SoA state machine across reset() and invalidate().
+// benchmark comparisons in this repo rest on.
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "plrupart/cache/cache.hpp"
-#include "plrupart/common/rng.hpp"
 #include "plrupart/sim/cmp_simulator.hpp"
 #include "plrupart/workloads/catalog.hpp"
 #include "plrupart/workloads/generators.hpp"
@@ -71,94 +68,6 @@ TEST_P(ConfigDeterminism, RunsProduceWork) {
     EXPECT_GT(t.mem.l2_accesses, 0ULL) << "workload must exercise the L2";
   }
 }
-
-// --- SoA cache-state determinism across reset()/invalidate() ---------------
-
-class CacheStateDeterminism
-    : public ::testing::TestWithParam<cache::ReplacementKind> {};
-
-std::vector<cache::AccessOutcome> replay(cache::SetAssocCache& c, std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<cache::AccessOutcome> outcomes;
-  outcomes.reserve(20'000);
-  for (int i = 0; i < 20'000; ++i) {
-    const auto core = static_cast<cache::CoreId>(rng.next_below(c.num_cores()));
-    const cache::Addr addr =
-        rng.next_below(8 * c.geometry().lines()) * c.geometry().line_bytes;
-    outcomes.push_back(c.access(core, addr, rng.next_below(4) == 0));
-  }
-  return outcomes;
-}
-
-void expect_same_outcomes(const std::vector<cache::AccessOutcome>& a,
-                          const std::vector<cache::AccessOutcome>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i].hit, b[i].hit) << "access " << i;
-    ASSERT_EQ(a[i].way, b[i].way) << "access " << i;
-    ASSERT_EQ(a[i].evicted_valid, b[i].evicted_valid) << "access " << i;
-    ASSERT_EQ(a[i].evicted_line, b[i].evicted_line) << "access " << i;
-    ASSERT_EQ(a[i].evicted_owner, b[i].evicted_owner) << "access " << i;
-  }
-}
-
-TEST_P(CacheStateDeterminism, ResetRestoresTheColdSoAState) {
-  const cache::Geometry geo{.size_bytes = 64 * 1024, .associativity = 16,
-                            .line_bytes = 128};
-  cache::SetAssocCache c(geo, GetParam(), 2, cache::EnforcementMode::kNone, 99);
-  const auto first = replay(c, 7);
-  c.reset();
-  // After reset every tag array, partial-tag filter word, valid bitmask and
-  // ownership bitmask must be back to the post-construction state: the same
-  // trace replays with identical hits, ways, and evictions.
-  const auto second = replay(c, 7);
-  expect_same_outcomes(first, second);
-  for (std::uint64_t set = 0; set < geo.sets(); ++set)
-    for (cache::CoreId core = 0; core < 2; ++core)
-      EXPECT_LE(c.owned_in_set(set, core), geo.associativity);
-}
-
-TEST_P(CacheStateDeterminism, InvalidateDropsExactlyTheLine) {
-  const cache::Geometry geo{.size_bytes = 64 * 1024, .associativity = 16,
-                            .line_bytes = 128};
-  cache::SetAssocCache c(geo, GetParam(), 2, cache::EnforcementMode::kNone, 99);
-  Rng rng(13);
-  std::vector<cache::Addr> resident;
-  for (int i = 0; i < 10'000; ++i) {
-    const cache::Addr addr = rng.next_below(4 * geo.lines()) * geo.line_bytes;
-    c.access(static_cast<cache::CoreId>(rng.next_below(2)), addr);
-    if (resident.size() < 64) resident.push_back(addr);
-  }
-  for (const auto addr : resident) {
-    const auto before = c.probe(addr);
-    if (!before.hit) {
-      EXPECT_FALSE(c.invalidate(addr));
-      continue;
-    }
-    const std::uint64_t set = geo.set_index(geo.line_addr(addr));
-    const std::uint32_t owned_before =
-        c.owned_in_set(set, 0) + c.owned_in_set(set, 1);
-    ASSERT_TRUE(c.invalidate(addr));
-    // The line is gone, exactly one ownership bit was released, and a repeated
-    // invalidate is a no-op.
-    EXPECT_FALSE(c.probe(addr).hit);
-    EXPECT_EQ(c.owned_in_set(set, 0) + c.owned_in_set(set, 1), owned_before - 1);
-    EXPECT_FALSE(c.invalidate(addr));
-    // The next access to that address must miss and refill an invalid way.
-    const auto refill = c.access(0, addr);
-    EXPECT_FALSE(refill.hit);
-    EXPECT_FALSE(refill.evicted_valid) << "refill must use the invalidated way";
-    EXPECT_TRUE(c.probe(addr).hit);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(AllPolicies, CacheStateDeterminism,
-                         ::testing::Values(cache::ReplacementKind::kLru,
-                                           cache::ReplacementKind::kNru,
-                                           cache::ReplacementKind::kTreePlru,
-                                           cache::ReplacementKind::kRandom,
-                                           cache::ReplacementKind::kSrrip),
-                         [](const auto& param_info) { return to_string(param_info.param); });
 
 std::string config_name(const ::testing::TestParamInfo<const char*>& param_info) {
   std::string s = param_info.param;

@@ -156,16 +156,5 @@ TEST(OwnerCounters, AtQuotaCoreEvictsItself) {
   EXPECT_EQ(c.owned_in_set(0, 1), 4U);
 }
 
-TEST(OwnerCounters, InvalidateDecrementsCounters) {
-  const auto g = tiny();
-  SetAssocCache c(g, ReplacementKind::kLru, 2, EnforcementMode::kOwnerCounters);
-  c.set_way_quota(0, 4);
-  c.set_way_quota(1, 4);
-  c.access(0, addr_of(g, 0, 1), false);
-  EXPECT_EQ(c.owned_in_set(0, 0), 1U);
-  c.invalidate(addr_of(g, 0, 1));
-  EXPECT_EQ(c.owned_in_set(0, 0), 0U);
-}
-
 }  // namespace
 }  // namespace plrupart::cache

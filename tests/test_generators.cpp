@@ -41,14 +41,6 @@ TEST(SyntheticTrace, DeterministicPerSeed) {
   EXPECT_TRUE(diverged);
 }
 
-TEST(SyntheticTrace, ResetReplaysExactly) {
-  SyntheticTrace t(tiny_profile(), 0, 7);
-  std::vector<cache::Addr> first;
-  for (int i = 0; i < 500; ++i) first.push_back(t.next().addr);
-  t.reset();
-  for (int i = 0; i < 500; ++i) EXPECT_EQ(t.next().addr, first[static_cast<std::size_t>(i)]);
-}
-
 TEST(SyntheticTrace, AddressesStayInsideRegions) {
   auto profile = tiny_profile();
   profile.components.push_back(ComponentSpec{.kind = PatternKind::kSequentialStream,

@@ -2,6 +2,8 @@
 // evaluation is built on must emerge from the full stack.
 #include <gtest/gtest.h>
 
+#include "plrupart/core/qos.hpp"
+#include "plrupart/core/static_policy.hpp"
 #include "plrupart/sim/cmp_simulator.hpp"
 #include "plrupart/workloads/catalog.hpp"
 #include "plrupart/workloads/generators.hpp"
@@ -109,15 +111,14 @@ TEST(Integration, EightCoreWorkloadRuns) {
 }
 
 TEST(Integration, QosTargetIsProtected) {
-  auto mk = [&](core::PolicyKind policy) {
+  auto mk = [&](core::IntervalController::DecideFn decide) {
     SimConfig cfg;
     cfg.hierarchy.l1d =
         cache::Geometry{.size_bytes = 4096, .associativity = 2, .line_bytes = 128};
     cfg.hierarchy.l2 = core::CpaConfig::from_acronym(
         "M-L", 2,
         cache::Geometry{.size_bytes = 256 * 1024, .associativity = 16, .line_bytes = 128});
-    cfg.hierarchy.l2.policy = policy;
-    cfg.hierarchy.l2.qos = core::QosTarget{.core = 0, .factor = 1.05};
+    cfg.hierarchy.l2.decide = std::move(decide);
     cfg.hierarchy.l2.interval_cycles = 100'000;
     cfg.instr_limit = 80'000;
     std::vector<std::unique_ptr<TraceSource>> traces;
@@ -129,8 +130,12 @@ TEST(Integration, QosTargetIsProtected) {
     CmpSimulator sim(std::move(cfg), std::move(traces));
     return sim.run();
   };
-  const auto qos = mk(core::PolicyKind::kQos);
-  const auto even = mk(core::PolicyKind::kStaticEven);
+  const auto qos = mk([](const std::vector<core::MissCurve>& c, std::uint32_t ways) {
+    return core::qos_partition(c, ways, {.core = 0, .factor = 1.05});
+  });
+  const auto even = mk([](const std::vector<core::MissCurve>& c, std::uint32_t ways) {
+    return core::even_split(static_cast<std::uint32_t>(c.size()), ways);
+  });
   EXPECT_GE(qos.threads[0].ipc, even.threads[0].ipc * 0.98)
       << "QoS must not do worse for its target than a static even split";
 }

@@ -12,6 +12,8 @@
 
 #include "plrupart/common/rng.hpp"
 #include "plrupart/core/fair.hpp"
+#include "plrupart/core/ipc_policy.hpp"
+#include "plrupart/core/qos.hpp"
 #include "plrupart/core/static_policy.hpp"
 #include "plrupart/core/tree_rounding.hpp"
 
@@ -35,6 +37,19 @@ TEST(CpaConfig, AcronymRoundTrip) {
     EXPECT_EQ(cfg.acronym(), name);
   }
   EXPECT_THROW((void)CpaConfig::from_acronym("X-77", 2, small_l2()), InvariantError);
+}
+
+TEST(CpaConfig, AcronymOfEveryEsdhScale) {
+  // acronym() is SimResult::l2_config, so the eSDH-scale ablation's names,
+  // listed or not, are output bytes.
+  const std::vector<std::pair<double, std::string>> scales{
+      {0.25, "M-0.25N"},   {0.375, "M-0.375N"}, {0.5, "M-0.5N"}, {0.625, "M-0.625N"},
+      {0.75, "M-0.75N"},   {0.875, "M-0.875N"}, {1.0, "M-1.0N"}};
+  for (const auto& [scale, name] : scales) {
+    auto cfg = CpaConfig::from_acronym("M-1.0N", 2, small_l2());
+    cfg.esdh_scale = scale;
+    EXPECT_EQ(cfg.acronym(), name);
+  }
 }
 
 TEST(CpaConfig, AcronymSemantics) {
@@ -142,35 +157,29 @@ TEST(PartitionedCache, SamplingRatioLimitsProfiledShare) {
   EXPECT_NEAR(share, 1.0 / 32.0, 0.01);
 }
 
-TEST(PartitionedCache, PolicyKindSelectsItsFunction) {
+TEST(PartitionedCache, RepartitionsWithTheConfiguredDecideFunction) {
   const QosTarget qos{.core = 2, .factor = 1.0};
   const std::vector<IpcModel> models{IpcModel{.stall_fraction = 0.05}, IpcModel{},
                                      IpcModel{}};
-  const auto objective = IpcObjective::kHarmonicMean;
-  const std::vector<std::pair<PolicyKind, IntervalController::DecideFn>> kinds{
-      {PolicyKind::kMinMissesOptimal, min_misses_optimal},
-      {PolicyKind::kMinMissesGreedy, min_misses_greedy},
-      {PolicyKind::kMinMissesLookahead, min_misses_lookahead},
-      {PolicyKind::kMinMissesTree, min_misses_tree},
-      {PolicyKind::kFair, fair_partition},
-      {PolicyKind::kQos,
-       [&](const std::vector<MissCurve>& c, std::uint32_t a) {
-         return qos_partition(c, a, qos);
-       }},
-      {PolicyKind::kIpc,
-       [&](const std::vector<MissCurve>& c, std::uint32_t a) {
-         return ipc_partition(c, a, models, objective);
-       }},
-      {PolicyKind::kStaticEven, [](const std::vector<MissCurve>& c, std::uint32_t a) {
-         return even_split(static_cast<std::uint32_t>(c.size()), a);
-       }}};
+  const std::vector<IntervalController::DecideFn> functions{
+      min_misses_optimal,
+      min_misses_greedy,
+      min_misses_lookahead,
+      min_misses_tree,
+      fair_partition,
+      [&](const std::vector<MissCurve>& c, std::uint32_t a) {
+        return qos_partition(c, a, qos);
+      },
+      [&](const std::vector<MissCurve>& c, std::uint32_t a) {
+        return ipc_partition(c, a, models, IpcObjective::kHarmonicMean);
+      },
+      [](const std::vector<MissCurve>& c, std::uint32_t a) {
+        return even_split(static_cast<std::uint32_t>(c.size()), a);
+      }};
   std::set<Partition> distinct;
-  for (const auto& [kind, decide] : kinds) {
+  for (std::size_t f = 0; f < functions.size(); ++f) {
     auto cfg = CpaConfig::from_acronym("M-L", 3, small_l2());
-    cfg.policy = kind;
-    cfg.qos = qos;
-    cfg.ipc_models = models;
-    cfg.ipc_objective = objective;
+    cfg.decide = functions[f];
     cfg.sampling_ratio = 1;
     cfg.repartition_hysteresis = 0.0;
     PartitionedCacheSystem sys(cfg);
@@ -185,25 +194,12 @@ TEST(PartitionedCache, PolicyKindSelectsItsFunction) {
     }
     std::vector<MissCurve> curves;
     for (cache::CoreId c = 0; c < 3; ++c) curves.push_back(sys.profiler(c).curve());
-    const Partition expected = decide(curves, 8);
+    const Partition expected = functions[f](curves, 8);
     sys.controller_mut()->repartition_now(3000);
-    EXPECT_EQ(sys.current_partition(), expected) << static_cast<int>(kind);
+    EXPECT_EQ(sys.current_partition(), expected) << "function " << f;
     distinct.insert(expected);
   }
-  EXPECT_GE(distinct.size(), 5U) << "the stream must tell most kinds apart";
-}
-
-TEST(PartitionedCache, RejectsBadPolicyConfigAtConstruction) {
-  auto cfg = CpaConfig::from_acronym("M-L", 2, small_l2());
-  cfg.policy = PolicyKind::kQos;
-  EXPECT_THROW(PartitionedCacheSystem{cfg}, InvariantError) << "no QosTarget";
-  cfg.qos = QosTarget{.core = 0, .factor = 0.5};
-  EXPECT_THROW(PartitionedCacheSystem{cfg}, InvariantError) << "factor below 1";
-  cfg.policy = PolicyKind::kIpc;
-  cfg.ipc_models = {IpcModel{}};
-  EXPECT_THROW(PartitionedCacheSystem{cfg}, InvariantError) << "one model, two cores";
-  cfg.ipc_models = {IpcModel{}, IpcModel{.base_ipc = 0.0}};
-  EXPECT_THROW(PartitionedCacheSystem{cfg}, InvariantError) << "invalid model";
+  EXPECT_GE(distinct.size(), 5U) << "the stream must tell most functions apart";
 }
 
 TEST(PartitionedCache, RejectsMoreCoresThanWays) {

@@ -20,7 +20,9 @@ TEST(StaticEven, SplitsEvenlyWithRemainderToLowIds) {
 TEST(StaticEven, IgnoresCurves) {
   const cache::Geometry geo{.size_bytes = 4096, .associativity = 4, .line_bytes = 64};
   CpaConfig cfg = CpaConfig::from_acronym("M-L", 2, geo);
-  cfg.policy = PolicyKind::kStaticEven;
+  cfg.decide = [](const std::vector<MissCurve>& curves, std::uint32_t ways) {
+    return even_split(static_cast<std::uint32_t>(curves.size()), ways);
+  };
   cfg.sampling_ratio = 1;
   cfg.repartition_hysteresis = 0.0;
   PartitionedCacheSystem sys(cfg);

@@ -43,7 +43,6 @@ class HammerTrace final : public TraceSource {
   MemOp next() override {
     return {.addr = addr_, .write = (ops_++ & 3) == 0, .gap_instrs = 2};
   }
-  void reset() override { ops_ = 0; }
   [[nodiscard]] std::string name() const override { return kHammer; }
 
  private:

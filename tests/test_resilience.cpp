@@ -378,6 +378,19 @@ TEST_F(JournalTest, ResumeRejectsAJournalFromADifferentSweep) {
   }
 }
 
+TEST_F(JournalTest, ResumeRejectsBytesAfterTheManifestsJobsLine) {
+  { runner::RunJournal j(dir_, jobs_, false); }
+  const fs::path manifest = dir_ / "MANIFEST";
+  std::ofstream(manifest, std::ios::binary | std::ios::app) << "x\n";
+  try {
+    runner::RunJournal j(dir_, jobs_, true);
+    FAIL() << "a MANIFEST with bytes appended must not resume";
+  } catch (const InvariantError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find(manifest.string()), std::string::npos) << msg;
+  }
+}
+
 TEST_F(JournalTest, CorruptRecordsAreRejectedWithTheFileNamed) {
   fs::path record0;
   {
@@ -427,10 +440,10 @@ TEST_F(JournalTest, MutatedRecordsLoadIdenticallyOrFailNamingTheFile) {
     }
     AtomicFile::write_file(target, original);
   }
-  // Both outcomes must occur (an extended MANIFEST still loads), or the
-  // mutator is not exercising anything.
-  EXPECT_GT(loaded, 0u);
-  EXPECT_GT(rejected, 1000u);
+  // Every mutant changes the bytes, and both formats are exact (nothing may
+  // follow a MANIFEST's jobs line or a record's payload), so all are refused.
+  EXPECT_EQ(loaded, 0u);
+  EXPECT_EQ(rejected, 2000u);
 }
 
 TEST(JobsFingerprint, CoversIdentityButNotPerformanceKnobs) {

@@ -64,26 +64,12 @@ TEST_F(TraceFileTest, LoopsAtEndOfTrace) {
   EXPECT_EQ(src.next().addr, 0x40ULL) << "source must wrap";
 }
 
-TEST_F(TraceFileTest, ResetRestarts) {
-  for (const auto format : {TraceFormat::kTextV1, TraceFormat::kBinaryV2}) {
-    const auto p = path("r.trace");
-    write_trace_file(p, {{.addr = 0x40, .write = false, .gap_instrs = 1},
-                         {.addr = 0x80, .write = false, .gap_instrs = 1}},
-                     format);
-    FileTraceSource src(p);
-    (void)src.next();
-    src.reset();
-    EXPECT_EQ(src.next().addr, 0x40ULL);
-  }
-}
-
 TEST_F(TraceFileTest, RecordedSyntheticTraceReplaysIdentically) {
   const auto& profile = workloads::benchmark("gzip");
-  const auto original = workloads::make_trace(profile, 0, 7);
-  const auto ops = record_trace(*original, 5000);
+  const auto ops = record_trace(*workloads::make_trace(profile, 0, 7), 5000);
   write_trace_file(path("gzip.trace"), ops, TraceFormat::kBinaryV2);
 
-  original->reset();
+  const auto original = workloads::make_trace(profile, 0, 7);
   FileTraceSource replay(path("gzip.trace"));
   for (int i = 0; i < 5000; ++i) {
     const auto a = original->next();

@@ -224,8 +224,6 @@ TEST_F(TraceStreamTest, LoopingReplayIsIdenticalEveryLap) {
   }
   EXPECT_EQ(src.loops_completed(), 2u);
   EXPECT_EQ(src.ops_delivered(), 3 * ops.size());
-  src.reset();
-  EXPECT_EQ(src.next().addr, ops[0].addr) << "reset() must restart the stream";
 }
 
 TEST_F(TraceStreamTest, V2IsSubstantiallySmallerThanV1) {

@@ -120,8 +120,6 @@ TEST_F(TraceWindowTest, ShortTraceLapsWithoutRefill) {
                                                 << lap << " op " << i;
     }
     EXPECT_EQ(src.loops_completed(), 99u);
-    src.reset();
-    EXPECT_EQ(src.next().addr, ops[0].addr);
   }
 }
 
