@@ -36,7 +36,7 @@ struct PLRUPART_EXPORT RunSpec {
   /// Derived from the matrix position — see RunMatrix::job_seed().
   std::uint64_t seed = 1;
   /// Intra-run front-end producers (SimConfig::sim_threads): 1 = serial,
-  /// 0 = one per CPU the process may use. Results are identical at any
+  /// 0 = as many as the free CPUs allow. Results are identical at any
   /// value, so this is a performance knob, not part of the job's identity
   /// (key() ignores it).
   std::uint32_t sim_threads = 1;

@@ -29,12 +29,18 @@ struct PLRUPART_EXPORT SimConfig {
   std::vector<CoreParams> cores;          ///< one per core (benchmark-specific)
   std::uint64_t instr_limit = 2'000'000;  ///< per-thread MEASURED instructions
   /// Intra-run parallelism: front-end producer threads for this run. 1 (the
-  /// default) runs the serial loop; 0 means one per CPU the process may use;
-  /// K > 1 starts min(K, cores) producers, each generating its cores' traces
-  /// and running their private L1s ahead of the replay, which stays on the
-  /// calling thread and does the L2 work. Every configuration and both timing
-  /// modes run this way, with results byte-identical to the serial loop at
-  /// any value. SimResult::sim_shards reports the producers used.
+  /// default) runs the serial loop; K > 1 starts min(K, cores) producers,
+  /// each generating its cores' traces and running their private L1s ahead
+  /// of the replay, which stays on the calling thread and does the L2 work.
+  /// 0 takes the producers from the threads the process leaves free when the
+  /// run starts (the CPUs it may use minus its busy simulation threads),
+  /// keeping one free for a timed overlay's helper: the fewest that keep the
+  /// busiest producer's share of cores as low as the free threads allow, and
+  /// none (serial) below 2 or for a run shorter than 10k instructions per
+  /// core, warmup included. Every
+  /// configuration and both timing modes run this way, with results
+  /// byte-identical to the serial loop at any value. SimResult::sim_shards
+  /// reports the producers used.
   std::uint32_t sim_threads = 1;
   /// Warmup: measurement windows open for ALL cores at the same wall-cycle
   /// instant — the moment the slowest core has committed this many

@@ -12,7 +12,7 @@
 // vector is the caller's (test's) business, not the API's.
 //
 // A reader's buffer is one read window (ByteReader, sim/trace_codec.hpp),
-// 64 KiB by default. rewind() into the current window is free, so opening a
+// 16 KiB by default. rewind() into the current window is free, so opening a
 // FileTraceSource (header and first-record check, then rewind) fills the
 // window once, and a trace no larger than the window loops without further
 // reads. A v2 record is decoded in place when 2 * kMaxVarintBytes (20) bytes
@@ -41,8 +41,8 @@ namespace plrupart::sim {
 /// input raises TraceError at the offending record, never later and never UB.
 class PLRUPART_EXPORT TraceReader {
  public:
-  /// About 18k v2 records per refill.
-  static constexpr std::size_t kDefaultBufferBytes = std::size_t{64} << 10;
+  /// About 4.5k v2 records per refill.
+  static constexpr std::size_t kDefaultBufferBytes = std::size_t{16} << 10;
 
   explicit TraceReader(const std::string& path,
                        std::size_t buffer_bytes = kDefaultBufferBytes);

@@ -9,10 +9,14 @@
 // executor does exactly that.
 //
 // BusyThreads counts the simulation threads busy in this process: replay
-// loops, front-end producers and timed-overlay helpers. A helper is the one
-// optional thread, and it starts only while the count is below
-// default_parallelism(), so a sweep that already fills the host runs its
-// overlays inline instead of oversubscribing it.
+// loops, front-end producers and timed-overlay helpers, each thread once. A
+// sweep counts its workers before any job starts, and a worker's replay loop
+// is then the worker itself. The optional threads come out of what is left
+// below default_parallelism(): a job run with `sim_threads == 0` takes its
+// producers there when it starts, and a timed overlay its helper when its
+// ring first fills. So a sweep that already fills the host runs its jobs
+// serially and their overlays inline instead of oversubscribing it, and the
+// CPUs a short sweep leaves idle serve its jobs' front ends.
 #pragma once
 
 #include "plrupart/export.hpp"
@@ -37,21 +41,32 @@ class PLRUPART_EXPORT BusyThreads {
  public:
   /// Count `n` threads busy, whatever the count already is.
   explicit BusyThreads(std::size_t n) noexcept;
-  /// Count one more thread only if fewer than default_parallelism() are busy;
-  /// otherwise return an empty guard.
-  [[nodiscard]] static BusyThreads try_one() noexcept;
+  /// Count up to `most` more threads: as many as leave `spare` of
+  /// default_parallelism() free (held() says how many; possibly none).
+  [[nodiscard]] static BusyThreads try_reserve(std::size_t most,
+                                               std::size_t spare = 0) noexcept;
+  /// Count the calling thread busy, unless a live guard counts it already:
+  /// an outer this_thread(), or the pool of the sweep it works for.
+  [[nodiscard]] static BusyThreads this_thread() noexcept;
+  /// Mark the calling thread as one of the threads `pool` counts, so that
+  /// this_thread() adds nothing for it while the returned guard lives.
+  [[nodiscard]] static BusyThreads worker_of(const BusyThreads& pool) noexcept;
   BusyThreads(BusyThreads&& other) noexcept;
   BusyThreads& operator=(BusyThreads&&) = delete;
   ~BusyThreads();
 
-  /// Threads this guard holds (0 for an empty try_one()).
+  /// Threads this guard counts (0 for an empty try_reserve()).
   [[nodiscard]] std::size_t held() const noexcept { return held_; }
+  /// Stop counting all but `n` of the held threads.
+  void shrink_to(std::size_t n) noexcept;
 
  private:
   struct Adopt {};
-  BusyThreads(Adopt /*counted*/, std::size_t n) noexcept : held_(n) {}
+  BusyThreads(Adopt /*counted*/, std::size_t n, bool marks_thread = false) noexcept
+      : held_(n), marks_thread_(marks_thread) {}
 
   std::size_t held_;
+  bool marks_thread_;  ///< clears the calling thread's mark when destroyed
 };
 
 /// Run body(i) for i in [0, n) across up to `threads` workers. The first

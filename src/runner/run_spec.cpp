@@ -1,5 +1,6 @@
 #include "plrupart/runner/run_spec.hpp"
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <utility>
@@ -137,6 +138,12 @@ void RunMatrix::validate() const {
   PLRUPART_ASSERT_MSG(!configs.empty(), "run matrix has no configurations");
   PLRUPART_ASSERT_MSG(!workloads.empty(), "run matrix has no workloads");
   PLRUPART_ASSERT_MSG(!l2_kb.empty(), "run matrix has no L2 sizes");
+  const auto& known = core::CpaConfig::known_acronyms();
+  for (const auto& c : configs) {
+    if (std::find(known.begin(), known.end(), c) == known.end())
+      throw InvariantError("unknown configuration acronym: " + c +
+                           " (see --list-configs)");
+  }
   l1d.validate();
   // Fail fast on unreadable/malformed trace files — before any sweep work,
   // per workload rather than per (workload, config, size) cell.
@@ -158,8 +165,6 @@ void RunMatrix::validate() const {
                           "workload " + w.id + " has " + std::to_string(w.threads()) +
                               " threads but the L2 has only " + std::to_string(assoc) +
                               " ways");
-      for (const auto& c : configs)
-        (void)core::CpaConfig::from_acronym(c, w.threads(), g);
     }
   }
 }

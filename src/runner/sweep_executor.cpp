@@ -1,5 +1,6 @@
 #include "plrupart/runner/sweep_executor.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -65,9 +66,14 @@ void SweepExecutor::fan_out(std::vector<RunSpec>& jobs,
                             const std::vector<std::size_t>& todo, RunJournal* journal,
                             Sink&& sink) const {
   std::atomic<std::size_t> done{0};
+  // Count every worker before any job starts, so that no job of a sweep
+  // that fills the host takes producers or a helper the other workers need.
+  const std::size_t threads = opts_.threads == 0 ? default_parallelism() : opts_.threads;
+  const BusyThreads workers(std::min(threads, todo.size()));
   parallel_for(
       todo.size(),
       [&](std::size_t k) {
+        const BusyThreads replay_loop = BusyThreads::worker_of(workers);
         const std::size_t i = todo[k];
         JobResult jr;
         // Moved, not copied: a per-job copy's allocations land among the
@@ -85,7 +91,7 @@ void SweepExecutor::fan_out(std::vector<RunSpec>& jobs,
         }
         sink(i, std::move(jr));
       },
-      opts_.threads);
+      threads);
 }
 
 std::vector<JobResult> SweepExecutor::run(std::vector<RunSpec> jobs) const {

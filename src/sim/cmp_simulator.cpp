@@ -75,6 +75,37 @@ class PipelinePort {
   MemoryHierarchy& hierarchy_;
 };
 
+/// Below this many instructions per core (warmup included), producers cost
+/// more to start and join than they save: on a 4-vCPU x86 VM a run of 2 or
+/// 4 cores breaks even about here, and each run of 1 instruction took about
+/// 0.2 ms longer with them.
+constexpr std::uint64_t kMinPipelinedInstr = 10'000;
+
+/// The producers `config` runs with; none means the direct port. An explicit
+/// sim_threads K > 1 takes min(K, cores) whatever the load. 0 reserves them
+/// from the threads the process leaves free, one more staying free for a
+/// timed run's overlay helper. The busiest producer owns ceil(cores / K)
+/// cores, so K is the fewest producers that keep that as low as the free
+/// threads can: with three free, a 4-core run takes 2 (not a 2/1/1 split)
+/// and an 8-core run 3. Fewer than 2 free threads, or a run shorter than
+/// kMinPipelinedInstr, take none.
+BusyThreads reserve_producers(const SimConfig& config, std::size_t cores) {
+  if (config.sim_threads != 0) {
+    return BusyThreads(config.sim_threads == 1
+                           ? 0
+                           : std::min<std::size_t>(config.sim_threads, cores));
+  }
+  if (config.warmup_instr + config.instr_limit < kMinPipelinedInstr) {
+    return BusyThreads(0);
+  }
+  BusyThreads budget = BusyThreads::try_reserve(
+      cores, config.timing_mode == TimingMode::kTimed ? 1 : 0);
+  const std::size_t n = budget.held();
+  const std::size_t per_producer = n < 2 ? 0 : (cores + n - 1) / n;
+  budget.shrink_to(n < 2 ? 0 : (cores + per_producer - 1) / per_producer);
+  return budget;
+}
+
 }  // namespace
 
 CmpSimulator::CmpSimulator(SimConfig config, std::vector<std::unique_ptr<TraceSource>> traces)
@@ -98,7 +129,7 @@ SimResult CmpSimulator::run() {
         "for another run");
   }
   ran_ = true;
-  const BusyThreads replay_loop(1);
+  const BusyThreads replay_loop = BusyThreads::this_thread();
 
   std::vector<std::string> names;
   names.reserve(traces_.size());
@@ -113,17 +144,16 @@ SimResult CmpSimulator::run() {
     return internal::replay(config_, names, hierarchy_.l2(), port, clocks);
   };
 
-  const std::size_t want =
-      config_.sim_threads == 0 ? default_parallelism() : config_.sim_threads;
-  if (want <= 1) {
+  BusyThreads producers = reserve_producers(config_, traces_.size());
+  if (producers.held() == 0) {
     DirectPort port(traces_, hierarchy_);
     return run_with(port);
   }
-  const auto producers = static_cast<std::uint32_t>(std::min(want, traces_.size()));
-  internal::FrontEnd front(traces_, hierarchy_, producers);
+  const auto shards = static_cast<std::uint32_t>(producers.held());
+  internal::FrontEnd front(traces_, hierarchy_, std::move(producers));
   PipelinePort port(front, hierarchy_);
   SimResult out = run_with(port);
-  out.sim_shards = producers;
+  out.sim_shards = shards;
   return out;
 }
 

@@ -1,4 +1,6 @@
-// The per-core front-end pipeline of CmpSimulator (`--sim-threads K`, K >= 2).
+// The per-core front-end pipeline of CmpSimulator: `--sim-threads K` with
+// K >= 2, or the CLI's default `--sim-threads 0` when at least two threads are
+// free (see BusyThreads in common/parallel.hpp).
 //
 // A private L1D is a pure per-core filter: MemoryHierarchy runs it before the
 // shared L2 and nothing back-invalidates it, so each core's L1 outcomes depend
@@ -25,6 +27,15 @@
 // the consumer waits only on an empty ring, so the two never wait on the same
 // ring. A failed core's ring ends in its failed record, which the consumer
 // stops at.
+//
+// Memory: a ring is kSlots records of 16 B, 16 KiB per core, so that a
+// pipelined job's peak RSS stays at a serial one's. It can be small because
+// the nap is short: a producer whose rings are all full sleeps 10 us with a
+// 1 ns timer slack (Linux), and the consumer, popping from every core's ring
+// in turn, takes longer than that to empty one. A producer that wakes late
+// (a busy host) can still let a ring run dry: 4096 slots with a 50 us nap
+// were about 10% faster there, at four times the memory. Waking producers by
+// futex was slower (ROADMAP).
 #pragma once
 
 #include <atomic>
@@ -66,12 +77,13 @@ static_assert(sizeof(OpRecord) == 16);
 /// runs about a third slower on a 4-vCPU x86 host.
 class alignas(64) FrontEnd {
  public:
-  static constexpr std::uint64_t kSlots = 4096;  ///< records per core's ring
+  static constexpr std::uint64_t kSlots = 1024;  ///< records per core's ring
   static constexpr std::uint64_t kBatch = 64;    ///< records per publication
 
-  /// Start `producers` threads over `traces` and the L1s of `hierarchy`.
+  /// Start one thread per thread `producers` counts (at least one, at most
+  /// one per core) over `traces` and the L1s of `hierarchy`.
   FrontEnd(const std::vector<std::unique_ptr<TraceSource>>& traces,
-           MemoryHierarchy& hierarchy, std::uint32_t producers);
+           MemoryHierarchy& hierarchy, BusyThreads producers);
   /// Stops and joins every producer.
   ~FrontEnd();
   FrontEnd(const FrontEnd&) = delete;
@@ -123,11 +135,11 @@ class alignas(64) FrontEnd {
 
   const std::vector<std::unique_ptr<TraceSource>>& traces_;
   MemoryHierarchy& hierarchy_;
+  BusyThreads busy_;  ///< the producers, counted against the thread budget
   const std::uint32_t producers_;
   std::vector<std::unique_ptr<Ring>> rings_;  ///< per core
   std::vector<Cursor> cursors_;               ///< per core, consumer-only
   std::atomic<bool> stop_{false};
-  BusyThreads busy_;  ///< the producers, counted against the thread budget
   std::vector<std::thread> threads_;
 };
 

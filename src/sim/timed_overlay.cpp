@@ -134,7 +134,7 @@ void TimedOverlay::publish() {
 }
 
 void TimedOverlay::start_helper() {
-  BusyThreads budget = BusyThreads::try_one();
+  BusyThreads budget = BusyThreads::try_reserve(1);
   if (budget.held() == 0) {
     apply_inline();
     mode_ = Mode::kDirect;

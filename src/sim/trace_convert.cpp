@@ -16,7 +16,7 @@ namespace plrupart::sim {
 namespace {
 
 /// The converter holds one reader, not one per simulated core, so it keeps
-/// the large read chunk trace readers used before their 64 KiB window.
+/// the large read chunk trace readers used before their 16 KiB window.
 constexpr std::size_t kConvertBufferBytes = std::size_t{1} << 20;
 
 /// True when the writer has hit the op cap (0 = unlimited).

@@ -27,9 +27,10 @@
 //
 // Scale-out flags:
 //   --threads N        worker threads; 0 = one per CPU this process may use  [0]
-//   --sim-threads K    intra-run front-end producers per job; 0 = hardware  [1]
-//                      (producers, like jobs, occupy hardware threads that a
-//                      timed job's overlay helper can no longer borrow)
+//   --sim-threads K    intra-run front-end producers per job; 0 = as many as  [0]
+//                      the CPUs left free by the sweep's workers allow (one
+//                      kept free for a timed job's overlay helper); an
+//                      explicit K occupies CPUs whatever the load
 //   --progress         per-job completion lines on stderr
 //
 // Timing flags:
@@ -86,13 +87,13 @@ void print_usage() {
       "             --line N [128]  --interval N [1000000]  --sampling N [32]\n"
       "             --seed N [1]  --csv PATH (default: stdout)\n"
       "scale-out:   --threads N [0 = every CPU this process may use]  --progress\n"
-      "             --sim-threads K [1]  intra-run front-end producers per job:\n"
+      "             --sim-threads K [0]  intra-run front-end producers per job:\n"
       "                                  K > 1 generates traces and runs the L1s\n"
-      "                                  on min(K, cores) threads ahead of the L2\n"
-      "                                  (0 = every usable CPU; results are\n"
-      "                                  byte-identical to serial at any K);\n"
-      "                                  producers occupy hardware threads that\n"
-      "                                  a timed overlay can then not borrow\n"
+      "                                  on min(K, cores) threads ahead of the L2;\n"
+      "                                  0 takes them from the CPUs the sweep\n"
+      "                                  leaves free (one kept for a timed\n"
+      "                                  overlay), 1 is serial; results are\n"
+      "                                  byte-identical to serial at any K\n"
       "timing:      --timing MODE [functional]  functional | timed; timed runs the\n"
       "                             event-driven MSHR/banked-DRAM overlay (same\n"
       "                             partition decisions, extra CSV columns); a\n"
@@ -160,7 +161,7 @@ runner::RunMatrix parse_matrix(const Cli& cli) {
       static_cast<std::uint32_t>(get_count(cli, "--sampling", 32, 1, kU32Max));
   m.seed = get_count(cli, "--seed", 1, 0);
   m.sim_threads = static_cast<std::uint32_t>(
-      get_count(cli, "--sim-threads", 1, 0, kU32Max));
+      get_count(cli, "--sim-threads", 0, 0, kU32Max));
   m.timing = sim::timing_mode_from_string(cli.get_string("--timing", "functional"));
   return m;
 }

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <memory>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace plrupart {
@@ -92,6 +93,50 @@ TEST(ParallelFor, WorkerExceptionDoesNotLoseCompletedWork) {
   EXPECT_LE(completed.load(), n - 1);
 }
 
+TEST(BusyThreads, TryReserveTakesWhatLeavesTheSpareFree) {
+  const std::size_t cpus = default_parallelism();
+  {
+    BusyThreads all = BusyThreads::try_reserve(cpus + 5);
+    EXPECT_EQ(all.held(), cpus);
+    EXPECT_EQ(BusyThreads::try_reserve(1).held(), 0u);
+    all.shrink_to(1);
+    EXPECT_EQ(all.held(), 1u);
+    EXPECT_EQ(BusyThreads::try_reserve(cpus).held(), cpus - 1);
+  }
+  EXPECT_EQ(BusyThreads::try_reserve(cpus, 1).held(), cpus - 1);
+  EXPECT_EQ(BusyThreads::try_reserve(cpus, cpus).held(), 0u);
+  const BusyThreads over(cpus + 2);
+  EXPECT_EQ(BusyThreads::try_reserve(1).held(), 0u) << "an over-full count frees nothing";
+}
+
+TEST(BusyThreads, ACallingThreadIsCountedOnce) {
+  const std::size_t cpus = default_parallelism();
+  {
+    const BusyThreads replay = BusyThreads::this_thread();
+    EXPECT_EQ(replay.held(), 1u);
+    EXPECT_EQ(BusyThreads::this_thread().held(), 0u) << "nested: already counted";
+    EXPECT_EQ(BusyThreads::try_reserve(cpus).held(), cpus - 1);
+  }
+  EXPECT_EQ(BusyThreads::this_thread().held(), 1u) << "the mark ends with its guard";
+  EXPECT_EQ(BusyThreads::try_reserve(cpus).held(), cpus);
+}
+
+TEST(BusyThreads, APoolWorkerIsCountedByItsPool) {
+  const std::size_t cpus = default_parallelism();
+  const BusyThreads pool(2);
+  std::size_t own = 99;
+  std::size_t left = 99;
+  std::thread worker([&] {
+    const BusyThreads mark = BusyThreads::worker_of(pool);
+    own = BusyThreads::this_thread().held();
+    left = BusyThreads::try_reserve(cpus).held();
+  });
+  worker.join();
+  EXPECT_EQ(own, 0u) << "the pool counts the worker already";
+  EXPECT_EQ(left, cpus >= 2 ? cpus - 2 : 0);
+  EXPECT_EQ(BusyThreads::this_thread().held(), 1u) << "the caller is not a worker";
+}
+
 TEST(DefaultParallelism, AtLeastOne) { EXPECT_GE(default_parallelism(), 1U); }
 
 TEST(DefaultParallelism, FollowsTheCpuAffinityOfAForkedChild) {
@@ -112,9 +157,9 @@ TEST(DefaultParallelism, FollowsTheCpuAffinityOfAForkedChild) {
     CPU_SET(first_cpu, &one);
     if (::sched_setaffinity(0, sizeof(one), &one) != 0) ::_exit(1);
     if (default_parallelism() != 1) ::_exit(2);
-    if (BusyThreads::try_one().held() != 1) ::_exit(3);
+    if (BusyThreads::try_reserve(1).held() != 1) ::_exit(3);
     const BusyThreads replay(1);
-    if (BusyThreads::try_one().held() != 0) ::_exit(4);
+    if (BusyThreads::try_reserve(1).held() != 0) ::_exit(4);
     ::_exit(0);
   }
   int status = 0;

@@ -7,6 +7,10 @@
 // executor.
 #include <gtest/gtest.h>
 
+#include <sched.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <exception>
 #include <memory>
@@ -16,9 +20,11 @@
 
 #include "common/parallel.hpp"
 #include "plrupart/common/assert.hpp"
+#include "plrupart/runner/sweep_executor.hpp"
 #include "plrupart/sim/cmp_simulator.hpp"
 #include "plrupart/workloads/catalog.hpp"
 #include "plrupart/workloads/generators.hpp"
+#include "plrupart/workloads/workload_table.hpp"
 #include "support/probe_trace.hpp"
 #include "support/reference_replay.hpp"
 
@@ -149,17 +155,108 @@ TEST(ShardedSim, NruAndRandomConfigsNoLongerFallBackToSerial) {
 
 TEST(ShardedSim, ProducerCountClampsToCoreCountAndHonoursAuto) {
   // A producer owns cores c with c % K == p, so more producers than cores
-  // would idle: K clamps to the core count, and 0 means hardware threads.
+  // would idle: K clamps to the core count. 0 takes only threads the process
+  // leaves free, so with every thread held elsewhere it runs serially, and
+  // only for a run long enough to repay the producers' start.
   const std::vector<std::string> names{"twolf", "art"};
-  const auto producers = [&](std::uint32_t sim_threads) {
-    CmpSimulator sim(small_config(names, "NOPART-L", sim_threads, 5'000, 0),
+  const auto producers = [&](std::uint32_t sim_threads, std::uint64_t instr) {
+    CmpSimulator sim(small_config(names, "NOPART-L", sim_threads, instr, 0),
                      traces_for(names));
     return sim.run().sim_shards;
   };
-  EXPECT_EQ(producers(64), 2u);
-  EXPECT_EQ(producers(1), 1u);
-  const auto hw = static_cast<std::uint32_t>(default_parallelism());
-  EXPECT_EQ(producers(0), std::min(hw, 2u));
+  EXPECT_EQ(producers(64, 5'000), 2u);
+  EXPECT_EQ(producers(1, 5'000), 1u);
+  EXPECT_EQ(producers(0, 9'999), 1u) << "too short to repay its producers";
+  const BusyThreads every_thread(default_parallelism());
+  EXPECT_EQ(producers(0, 10'000), 1u);
+  EXPECT_EQ(producers(2, 5'000), 2u) << "an explicit K ignores the budget";
+}
+
+/// The producers an auto run takes from `free` threads for `cores` cores:
+/// the fewest that keep the busiest one's ceil(cores / K) cores as low as
+/// the free threads can, and none (a serial run) below 2.
+std::uint32_t balanced_producers(std::size_t cores, std::size_t free) {
+  const std::size_t most = std::min(cores, free);
+  if (most < 2) return 1;
+  const std::size_t per_producer = (cores + most - 1) / most;
+  return static_cast<std::uint32_t>((cores + per_producer - 1) / per_producer);
+}
+
+TEST(ShardedSim, AutoTakesTheFreeThreadsAndLeavesOneForATimedHelper) {
+  // The replay thread is one of default_parallelism(); a timed run leaves
+  // one more free for its overlay helper. On four CPUs: a functional 4-core
+  // run takes 2 producers (not a 2/1/1 split), an 8-core one 3, a timed
+  // 4-core one 2.
+  const std::size_t cpus = default_parallelism();
+  if (cpus < 3) GTEST_SKIP() << "needs 3 usable CPUs, has " << cpus;
+  const std::vector<std::string> four{"fma3d", "swim", "mcf", "applu"};
+  const std::vector<std::string> eight{"apsi", "crafty", "bzip2", "eon",
+                                       "mcf",  "gcc",    "parser", "gzip"};
+  for (const auto* names : {&four, &eight}) {
+    for (const auto mode : {TimingMode::kFunctional, TimingMode::kTimed}) {
+      SimConfig cfg = small_config(*names, "M-0.75N", 0, 10'000, 0);
+      cfg.timing_mode = mode;
+      CmpSimulator sim(cfg, traces_for(*names));
+      const std::size_t spare = mode == TimingMode::kTimed ? 1 : 0;
+      EXPECT_EQ(sim.run().sim_shards,
+                balanced_producers(names->size(), cpus - 1 - spare))
+          << names->size() << " cores, " << to_string(mode);
+    }
+  }
+  EXPECT_EQ(balanced_producers(4, 3), 2u);
+  EXPECT_EQ(balanced_producers(8, 3), 3u);
+  EXPECT_EQ(balanced_producers(8, 7), 4u);
+  EXPECT_EQ(balanced_producers(2, 1), 1u);
+}
+
+TEST(ShardedSim, AutoRunsDirectInAForkedChildPinnedToOneCpu) {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  ASSERT_EQ(::sched_getaffinity(0, sizeof(mask), &mask), 0);
+  int first_cpu = 0;
+  while (!CPU_ISSET(first_cpu, &mask)) ++first_cpu;
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(first_cpu, &one);
+    if (::sched_setaffinity(0, sizeof(one), &one) != 0) ::_exit(1);
+    try {
+      const std::vector<std::string> names{"twolf", "art"};
+      CmpSimulator sim(small_config(names, "M-BT", 0, 10'000, 0), traces_for(names));
+      ::_exit(sim.run().sim_shards == 1 ? 0 : 2);
+    } catch (...) {
+      ::_exit(3);
+    }
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0)
+      << "1: setaffinity failed, 2: producers on a one-CPU budget, 3: the run threw";
+}
+
+TEST(ShardedSim, SweepCountsItsWorkersBeforeAnyJobStarts) {
+  // A sweep with a worker per CPU leaves no thread free, however its jobs
+  // interleave: every auto job runs serially. One worker leaves the rest.
+  runner::RunMatrix m;
+  m.configs = {"M-0.75N"};
+  m.workloads = {workloads::workloads_2t()[0]};
+  m.l1d = cache::Geometry{.size_bytes = 4096, .associativity = 2, .line_bytes = 128};
+  m.instr = 10'000;
+  m.warmup = 0;
+  m.sim_threads = 0;
+  const std::size_t cpus = default_parallelism();
+  const std::vector<runner::RunSpec> one = m.expand();
+  std::vector<runner::RunSpec> jobs;
+  for (std::size_t i = 0; i < 2 * cpus; ++i) jobs.push_back(one.front());
+  const auto full = runner::SweepExecutor({.threads = cpus}).run(jobs);
+  ASSERT_EQ(full.size(), jobs.size());
+  for (const auto& jr : full) EXPECT_EQ(jr.result.sim_shards, 1u);
+  const auto alone = runner::SweepExecutor({.threads = 1}).run(one);
+  EXPECT_EQ(alone.front().result.sim_shards, balanced_producers(2, cpus - 1))
+      << "the worker is the job's replay thread, counted once";
 }
 
 TEST(ShardedSim, MergedProfilerHistogramsMatchSerial) {

@@ -24,6 +24,10 @@
 namespace plrupart::sim {
 namespace {
 
+/// The default read window before it became 16 KiB: still a window every
+/// fixture below fits in, and one more size the mutants are decoded at.
+constexpr std::size_t k64KiB = std::size_t{64} << 10;
+
 class TraceWindowTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -110,9 +114,9 @@ TEST_F(TraceWindowTest, ShortTraceLapsWithoutRefill) {
   for (const auto format : {TraceFormat::kTextV1, TraceFormat::kBinaryV2}) {
     const auto p = path(format == TraceFormat::kTextV1 ? "laps.v1.trace" : "laps.v2.trace");
     write_trace_file(p, ops, format);
-    ASSERT_LT(std::filesystem::file_size(p), FileTraceSource::kDefaultBufferBytes);
+    ASSERT_LT(std::filesystem::file_size(p), k64KiB);
 
-    FileTraceSource src(p);
+    FileTraceSource src(p, k64KiB);
     poison_in_place(p);
     for (int lap = 0; lap < 100; ++lap) {
       for (std::size_t i = 0; i < ops.size(); ++i)
@@ -217,12 +221,12 @@ TEST_F(TraceWindowTest, MutatedTracesDecodeIdenticallyAtEveryWindowSize) {
   ASSERT_GT(fixtures[1].bytes.size(), 4096u);
   ASSERT_GT(fixtures[2].bytes.size(), 4096u);
   for (const auto& f : fixtures)
-    ASSERT_LT(f.bytes.size(), FileTraceSource::kDefaultBufferBytes);
+    ASSERT_LT(f.bytes.size(), k64KiB);
 
   constexpr std::size_t kMutantsPerFixture = 150;
   // 19-21 bytes straddle the in-place decode's 2 * kMaxVarintBytes threshold.
   const std::size_t windows[] = {
-      1, 7, 19, 20, 21, 4096, FileTraceSource::kDefaultBufferBytes};
+      1, 7, 19, 20, 21, 4096, FileTraceSource::kDefaultBufferBytes, k64KiB};
   const auto p = path("mutant.trace");
   Rng rng(20'101);
   std::size_t decoded = 0;
