@@ -49,9 +49,29 @@ class PLRUPART_EXPORT CoreModel {
 
   /// Commit `n` non-memory instructions.
   void commit_gap(std::uint32_t n) noexcept {
-    cycles_ += n < kGapTableSize ? gap_cycles_[n]
-                                 : static_cast<double>(n) / params_.base_ipc;
+    cycles_ += gap_charge(n);
     instructions_ += n;
+  }
+
+  /// Commit the L1 hits whose gaps are `gaps[0..n)`, in order, stopping
+  /// before the first that would bring the instruction count to `quota`;
+  /// returns how many it committed. Each hit adds what commit_gap and then
+  /// commit_mem(kL1) add, in that order, with the clock kept in registers.
+  std::uint32_t commit_hits(const std::uint8_t* gaps, std::uint32_t n,
+                            std::uint64_t quota) noexcept {
+    double cycles = cycles_;
+    std::uint64_t instructions = instructions_;
+    std::uint32_t i = 0;
+    for (; i < n; ++i) {
+      const std::uint32_t gap = gaps[i];
+      if (instructions + gap + 1 >= quota) break;
+      cycles += gap_charge(gap);
+      cycles += op_cycles_;
+      instructions += gap + 1;
+    }
+    cycles_ = cycles;
+    instructions_ = instructions;
+    return i;
   }
 
   /// Commit one memory instruction satisfied at `level`.
@@ -78,6 +98,10 @@ class PLRUPART_EXPORT CoreModel {
   [[nodiscard]] const CoreParams& params() const noexcept { return params_; }
 
  private:
+  [[nodiscard]] double gap_charge(std::uint32_t n) const noexcept {
+    return n < kGapTableSize ? gap_cycles_[n] : static_cast<double>(n) / params_.base_ipc;
+  }
+
   CoreParams params_;
   // commit_mem's and commit_gap's charges, computed once from params_: the
   // same doubles as computing them per op, without a division on every op.

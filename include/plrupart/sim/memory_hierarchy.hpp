@@ -67,6 +67,11 @@ class PLRUPART_EXPORT MemoryHierarchy {
     if (l1_hit) return AccessLevel::kL1;
     return access_l2(core, addr, write, now_cycles, echo);
   }
+  /// The after-L1 half of `n` L1 hits by `core` at once: their count.
+  void count_l1_hits(cache::CoreId core, std::uint32_t n) {
+    PLRUPART_ASSERT(core < counters_.size());
+    counters_[core].l1_accesses += n;
+  }
 
   [[nodiscard]] const HierarchyConfig& config() const noexcept { return config_; }
   [[nodiscard]] core::PartitionedCacheSystem& l2() noexcept { return l2_; }

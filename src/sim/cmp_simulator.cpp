@@ -39,6 +39,9 @@ class DirectPort {
   [[noreturn]] void rethrow(std::uint32_t core) const {
     std::rethrow_exception(errors_[core]);
   }
+  // Every op comes alone (run 0), so the loop never asks for a run.
+  static const std::uint8_t* run_gaps(std::uint32_t /*core*/) noexcept { return nullptr; }
+  static void commit_run(std::uint32_t /*core*/, std::uint32_t /*hits*/) noexcept {}
   AccessLevel access(std::uint32_t core, const internal::OpRecord& op, std::uint64_t now,
                      L2Echo& echo) {
     return hierarchy_.access_after_l1(core, op.addr, op.write, op.l1_hit, now, echo);
@@ -54,7 +57,8 @@ class DirectPort {
 };
 
 /// The pipelined L2 port: ops arrive from the front-end producers with their
-/// L1 outcome attached, and only the after-L1 half of each access runs here.
+/// L1 outcome attached, L1 hits mostly in runs, and only the after-L1 half
+/// of each access runs here.
 class PipelinePort {
  public:
   PipelinePort(internal::FrontEnd& front, MemoryHierarchy& hierarchy)
@@ -62,6 +66,13 @@ class PipelinePort {
 
   internal::OpRecord next(std::uint32_t core) { return front_.pop(core); }
   [[noreturn]] void rethrow(std::uint32_t core) const { front_.rethrow(core); }
+  [[nodiscard]] const std::uint8_t* run_gaps(std::uint32_t core) const {
+    return front_.run_gaps(core);
+  }
+  void commit_run(std::uint32_t core, std::uint32_t hits) {
+    front_.skip_run(core, hits);
+    hierarchy_.count_l1_hits(core, hits);
+  }
   AccessLevel access(std::uint32_t core, const internal::OpRecord& op, std::uint64_t now,
                      L2Echo& echo) {
     return hierarchy_.access_after_l1(core, op.addr, op.write, op.l1_hit, now, echo);

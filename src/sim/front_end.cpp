@@ -1,6 +1,8 @@
 #include "sim/front_end.hpp"
 
 #include <chrono>
+#include <cstdint>
+#include <cstring>
 #include <utility>
 
 #ifdef __linux__
@@ -59,20 +61,43 @@ void FrontEnd::produce(std::uint32_t producer) noexcept {
       }
       TraceSource& trace = *traces_[core];
       const std::uint64_t head = ring.produced;
-      std::uint64_t n = 0;
+      std::uint64_t n = 0;  // slots written
+      HitRun run;           // hits not yet in a slot
+      const auto put_run = [&] {
+        if (run.count < kMinRun) {
+          for (std::uint8_t i = 0; i < run.count; ++i) {
+            ring.slots[(head + n++) & (kSlots - 1)] =
+                OpRecord{.gap_instrs = run.gaps[i], .l1_hit = true};
+          }
+        } else {
+          std::memcpy(static_cast<void*>(&ring.slots[(head + n++) & (kSlots - 1)]), &run,
+                      sizeof run);
+        }
+        run.count = 0;
+      };
       try {
-        for (; n < kBatch; ++n) {
+        // An op writes at most kMinRun slots (the short stretch of hits
+        // before it, then itself), so a batch stays within the kBatch slots
+        // the ring has room for; and it writes none only into an unfinished
+        // run, so no hit is left out of the batch once the loop ends.
+        while (n + kMinRun <= kBatch) {
           const MemOp op = trace.next();
-          ring.slots[(head + n) & (kSlots - 1)] =
-              OpRecord{.addr = op.addr,
-                       .gap_instrs = op.gap_instrs,
-                       .write = op.write,
-                       .l1_hit = hierarchy_.access_l1(core, op.addr)};
+          const bool hit = hierarchy_.access_l1(core, op.addr);
+          if (hit && op.gap_instrs <= UINT8_MAX) {
+            run.gaps[run.count++] = static_cast<std::uint8_t>(op.gap_instrs);
+            if (run.count == kMaxRun) put_run();
+            continue;
+          }
+          if (run.count != 0) put_run();
+          ring.slots[(head + n++) & (kSlots - 1)] = OpRecord{.addr = op.addr,
+                                                             .gap_instrs = op.gap_instrs,
+                                                             .write = op.write,
+                                                             .l1_hit = hit};
         }
       } catch (...) {
         ring.error = std::current_exception();
-        ring.slots[(head + n) & (kSlots - 1)] = OpRecord{.failed = true};
-        ++n;
+        if (run.count != 0) put_run();
+        ring.slots[(head + n++) & (kSlots - 1)] = OpRecord{.failed = true};
         ring.failed = true;
       }
       ring.produced = head + n;
@@ -80,7 +105,7 @@ void FrontEnd::produce(std::uint32_t producer) noexcept {
       produced = true;
     }
     // Every owned ring is full (or failed): sleep rather than spin. The
-    // consumer takes longer than the nap to drain a full ring's kSlots ops,
+    // consumer takes longer than the nap to drain a full ring's kSlots slots,
     // so the nap does not starve it.
     if (!produced) std::this_thread::sleep_for(std::chrono::microseconds(10));
   }

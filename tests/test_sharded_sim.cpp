@@ -12,10 +12,13 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <exception>
+#include <limits>
 #include <memory>
 #include <string>
 #include <typeinfo>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.hpp"
@@ -392,6 +395,234 @@ TEST(ShardedSim, ProducerErrorBeforeTheQuotaMatchesSerial) {
     for (const std::uint32_t k : {1u, 2u, 3u}) {
       EXPECT_EQ(run_probed(names, "M-BT", k, failing, throw_at).error, reference)
           << "core " << failing << " @" << k;
+    }
+  }
+}
+
+// --- Runs of L1 hits ---------------------------------------------------------
+// A producer ships consecutive L1 hits whose gaps fit a byte as runs of up to
+// 15 per ring slot, and the replay commits the rest of a hit's run in one
+// loop. These traces put gaps, quotas, warmups and failures at a run's edges.
+
+/// One op of a PatternTrace: `gap` non-memory instructions, then an access
+/// that hits the L1 (the core's hot line) or misses it.
+struct Step {
+  std::uint32_t gap = 0;
+  bool hit = true;
+};
+
+std::vector<Step> hits(std::size_t n, std::uint32_t gap = 3) {
+  return std::vector<Step>(n, Step{.gap = gap, .hit = true});
+}
+std::vector<Step> operator+(std::vector<Step> a, const std::vector<Step>& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return a;
+}
+const std::vector<Step> kMiss{Step{.gap = 2, .hit = false}};
+
+/// A trace that plays `head` once and then `loop` over and over. A hit reads
+/// the core's hot line; a miss reads the next line of a 128 KiB stream that
+/// skips the hot line's set of the 16-set test L1, so every hit but the
+/// first touch of the hot line hits. Every third op writes.
+class PatternTrace final : public TraceSource {
+ public:
+  PatternTrace(std::vector<Step> head, std::vector<Step> loop, std::uint32_t core)
+      : head_(std::move(head)),
+        loop_(std::move(loop)),
+        base_(cache::Addr{core + 1} << 32) {}
+
+  MemOp next() override {
+    const Step s =
+        i_ < head_.size() ? head_[i_] : loop_[(i_ - head_.size()) % loop_.size()];
+    ++i_;
+    MemOp op{.addr = base_, .write = i_ % 3 == 0, .gap_instrs = s.gap};
+    if (!s.hit) {
+      do {
+        line_ = (line_ + 1) % kStreamLines;
+      } while (line_ % 16 == 0);
+      op.addr += line_ * 128;
+    }
+    return op;
+  }
+  [[nodiscard]] std::string name() const override { return "pattern"; }
+
+ private:
+  static constexpr cache::Addr kStreamLines = 1024;
+  std::vector<Step> head_;
+  std::vector<Step> loop_;
+  cache::Addr base_;
+  cache::Addr line_ = 0;
+  std::uint64_t i_ = 0;
+};
+
+/// Each core's trace: {head, loop}.
+using Patterns = std::vector<std::pair<std::vector<Step>, std::vector<Step>>>;
+
+/// One run of `patterns` on cores with twolf's parameters (the same on every
+/// core, so equal gaps keep the clocks level); core 0 throws at op
+/// `throw_at`.
+RunOrError run_patterns(const Patterns& patterns, std::uint32_t sim_threads,
+                        TimingMode mode, std::uint64_t instr, std::uint64_t warmup,
+                        std::uint64_t throw_at) {
+  const std::vector<std::string> names(patterns.size(), "twolf");
+  SimConfig cfg = small_config(names, "M-BT", sim_threads, instr, warmup);
+  cfg.timing_mode = mode;
+  std::vector<std::unique_ptr<TraceSource>> traces;
+  for (std::uint32_t c = 0; c < patterns.size(); ++c) {
+    traces.push_back(std::make_unique<testing::ProbeTrace>(
+        std::make_unique<PatternTrace>(patterns[c].first, patterns[c].second, c),
+        c == 0 ? throw_at : testing::ProbeTrace::kNever));
+  }
+  CmpSimulator sim(cfg, std::move(traces));
+  try {
+    return {run_sim(sim), {}, 0};
+  } catch (const std::exception& e) {
+    return {{}, std::string(typeid(e).name()) + ": " + e.what(), 0};
+  }
+}
+
+/// Run `patterns` serially and at K = 2, 3 and 7, functional and timed, and
+/// expect every pipelined run to match the serial one field for field,
+/// repartition history included, or to throw the same error. Returns the
+/// serial runs' errors ("" for a run that finished).
+std::vector<std::string> expect_runs_match_serial(
+    const Patterns& patterns, std::uint64_t instr, std::uint64_t warmup,
+    const std::string& what, std::uint64_t throw_at = testing::ProbeTrace::kNever) {
+  std::vector<std::string> errors;
+  for (const auto mode : {TimingMode::kFunctional, TimingMode::kTimed}) {
+    const RunOrError serial = run_patterns(patterns, 1, mode, instr, warmup, throw_at);
+    errors.push_back(serial.error);
+    if (serial.error.empty()) {
+      EXPECT_FALSE(serial.outcome.history.empty()) << what << ": no boundary was crossed";
+    }
+    for (const std::uint32_t k : {2u, 3u, 7u}) {
+      const std::string context = what + " " + to_string(mode) + " @" + std::to_string(k);
+      const RunOrError piped = run_patterns(patterns, k, mode, instr, warmup, throw_at);
+      EXPECT_EQ(piped.error, serial.error) << context;
+      if (!serial.error.empty() || !piped.error.empty()) continue;
+      EXPECT_EQ(piped.outcome.result.sim_shards,
+                std::min<std::uint32_t>(k, static_cast<std::uint32_t>(patterns.size())))
+          << context;
+      const TimedStats& a = serial.outcome.result.timed;
+      const TimedStats& b = piped.outcome.result.timed;
+      EXPECT_EQ(a.dram_reads, b.dram_reads) << context;
+      EXPECT_EQ(a.dram_writebacks, b.dram_writebacks) << context;
+      EXPECT_EQ(a.row_hits, b.row_hits) << context;
+      EXPECT_EQ(a.row_misses, b.row_misses) << context;
+      EXPECT_EQ(a.bank_conflicts, b.bank_conflicts) << context;
+      EXPECT_EQ(a.mshr_coalesced, b.mshr_coalesced) << context;
+      EXPECT_EQ(a.mshr_full_stalls, b.mshr_full_stalls) << context;
+      EXPECT_EQ(a.wb_full_stalls, b.wb_full_stalls) << context;
+      EXPECT_EQ(a.dram_bytes, b.dram_bytes) << context;
+      EXPECT_EQ(a.mshr_peak, b.mshr_peak) << context;
+      expect_identical(serial.outcome, piped.outcome, context);
+    }
+  }
+  return errors;
+}
+
+TEST(ShardedSimRuns, GapsAtTheByteEdgeAndBeyond) {
+  // 255 is the largest gap a run slot holds; 256 and up go as op slots. The
+  // same 2^32 - 1 gap on every core's first op keeps the clocks level and
+  // puts each core past the warmup at once.
+  const std::uint32_t huge = std::numeric_limits<std::uint32_t>::max();
+  const auto edges = hits(3, 254) + hits(1, 255) + hits(2, 256) + hits(2, 255) + hits(4) +
+                     hits(1, 256) + hits(5, 254) + kMiss;
+  const Patterns patterns{{{}, edges}, {hits(1, 255), edges + hits(7, 255) + kMiss},
+                          {{}, hits(9, 256) + kMiss + hits(3, 254)}};
+  for (const std::uint64_t warmup : {0ULL, 100'000ULL}) {
+    expect_runs_match_serial(patterns, 400'000, warmup,
+                             "edges warmup " + std::to_string(warmup));
+  }
+  Patterns giant = patterns;
+  for (auto& [head, loop] : giant) {
+    head.insert(head.begin(), Step{.gap = huge, .hit = true});
+  }
+  expect_runs_match_serial(giant, 40'000, 10'000, "2^32-1 gap");
+}
+
+TEST(ShardedSimRuns, RunsAtTheSlotEdges) {
+  // 15 hits fill one run slot exactly; 16 spill one hit into an op slot and
+  // 18 three into a second run. Two hits go as op slots, three as a run.
+  const Patterns patterns{{{}, hits(15) + kMiss + hits(2) + kMiss},
+                          {{}, hits(16) + kMiss + hits(3) + kMiss},
+                          {{}, hits(15) + kMiss + hits(16) + kMiss + hits(30) + kMiss +
+                                   hits(17) + kMiss + hits(18) + kMiss}};
+  expect_runs_match_serial(patterns, 40'000, 10'000, "slot edges");
+  expect_runs_match_serial(patterns, 40'000, 0, "slot edges warmup 0");
+}
+
+TEST(ShardedSimRuns, QuotaAndWarmupInsideARun) {
+  // Every op adds gap + 1 = 2 instructions, and 100-hit stretches make the
+  // quota and the warmup boundary land inside a run for these sizes.
+  const Patterns patterns{{{}, hits(100, 1) + kMiss},
+                          {{}, hits(40, 1) + kMiss + hits(7, 1) + kMiss},
+                          {{}, hits(63, 1) + kMiss}};
+  for (const std::uint64_t instr : {20'000ULL, 20'001ULL, 20'007ULL}) {
+    for (const std::uint64_t warmup : {0ULL, 1ULL, 7ULL, 10'003ULL}) {
+      expect_runs_match_serial(patterns, instr, warmup,
+                               std::to_string(instr) + "/" + std::to_string(warmup));
+    }
+  }
+}
+
+TEST(ShardedSimRuns, AllHitFrozenCoreHandsOpsToTheArgmin) {
+  // Core 0 only ever hits: it freezes first and then spins on its hot line,
+  // so it reaches the argmin only through kRunCap while the missing cores
+  // run to their quotas.
+  const Patterns patterns{{{}, hits(1, 0)},
+                          {{}, hits(2) + kMiss},
+                          {{}, kMiss + hits(1) + kMiss}};
+  for (const std::uint64_t warmup : {0ULL, 10'000ULL}) {
+    expect_runs_match_serial(patterns, 40'000, warmup,
+                             "frozen warmup " + std::to_string(warmup));
+  }
+}
+
+TEST(ShardedSimRuns, ProducerFailureRightAfterARunPastTheLastOpIsNeverSeen) {
+  // Core 0, the slowest, freezes last, on a hit; the op after its quota op
+  // fails. The hits before that op sit in the producer's unfinished run:
+  // they must reach the ring ahead of the failed record, or the replay meets
+  // the failure before the last freeze.
+  const std::vector<Step> loop = hits(6) + kMiss;
+  const Patterns patterns{{{}, loop}, {{}, hits(20) + kMiss}, {{}, hits(30) + kMiss}};
+  const std::vector<std::string> names(patterns.size(), "twolf");
+  // The first quota whose freeze op on core 0 is a hit.
+  for (std::uint64_t instr = 40'000; instr < 40'010; ++instr) {
+    std::vector<std::unique_ptr<TraceSource>> traces;
+    for (std::uint32_t c = 0; c < patterns.size(); ++c) {
+      traces.push_back(
+          std::make_unique<PatternTrace>(patterns[c].first, patterns[c].second, c));
+    }
+    const std::uint64_t last =
+        testing::reference_replay(small_config(names, "M-BT", 1, instr),
+                                  std::move(traces))
+            .ops[0];
+    if (!loop[(last - 1) % loop.size()].hit) continue;
+    const auto errors =
+        expect_runs_match_serial(patterns, instr, 10'000, "past the last", last);
+    for (const auto& error : errors) EXPECT_EQ(error, "");
+    return;
+  }
+  FAIL() << "no quota puts core 0's last op on a hit";
+}
+
+TEST(ShardedSimRuns, ProducerFailureRightAfterARun) {
+  // Core 0's trace fails where its 17th or 11th hit would be: right after a
+  // full run slot and one more hit, or after a partial run. The run before
+  // the failure commits and the error is the serial one.
+  const Patterns patterns{{{}, hits(16) + kMiss},
+                          {{}, hits(5) + kMiss},
+                          {{}, hits(20) + kMiss}};
+  for (const std::uint64_t throw_at : {16ULL, 17ULL * 40 + 16, 17ULL * 40 + 10}) {
+    for (const std::uint64_t warmup : {0ULL, 10'000ULL}) {
+      const auto errors = expect_runs_match_serial(
+          patterns, 40'000, warmup, "throw at " + std::to_string(throw_at), throw_at);
+      for (const auto& error : errors) {
+        EXPECT_NE(error.find("failed at op " + std::to_string(throw_at)),
+                  std::string::npos)
+            << error;
+      }
     }
   }
 }
