@@ -26,7 +26,7 @@ void BM_ProfilerRecordAccess(benchmark::State& state) {
   constexpr cache::ReplacementKind kKinds[] = {
       cache::ReplacementKind::kLru, cache::ReplacementKind::kNru,
       cache::ReplacementKind::kTreePlru, cache::ReplacementKind::kSrrip};
-  Profiler prof(geo, kKinds[state.range(0)], 32, 0x5eed, /*esdh_scale=*/0.75);
+  Profiler prof(geo, kKinds[state.range(0)], 32, /*esdh_scale=*/0.75);
   Rng rng(2);
   for (auto _ : state) {
     prof.record_access(rng.next_below(1 << 22));

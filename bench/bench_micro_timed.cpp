@@ -122,7 +122,6 @@ void BM_ReplayPerInstruction(benchmark::State& state) {
         "M-BT", static_cast<std::uint32_t>(benchmarks.size()), bench_l2_geo());
     cfg.hierarchy.l2.interval_cycles = 25'000;
     cfg.hierarchy.l2.sampling_ratio = 8;
-    cfg.hierarchy.l2.seed = 42;
     cfg.instr_limit = kInstr;
     cfg.warmup_instr = kInstr / 4;
     cfg.timing_mode = mode;

@@ -95,7 +95,6 @@ inline sim::SimResult run_workload(
   cfg.hierarchy.l2 = core::CpaConfig::from_acronym(acronym, w.threads(), opt.l2);
   cfg.hierarchy.l2.interval_cycles = opt.interval_cycles;
   cfg.hierarchy.l2.sampling_ratio = opt.sampling_ratio;
-  cfg.hierarchy.l2.seed = opt.seed;
   if (tweak) tweak(cfg.hierarchy.l2);
   cfg.instr_limit = opt.instr;
   cfg.warmup_instr = opt.warmup;

@@ -53,7 +53,6 @@ int main(int argc, char** argv) {
       {"LRU, unpartitioned", "NOPART-L"},
       {"NRU, unpartitioned", "NOPART-N"},
       {"BT,  unpartitioned", "NOPART-BT"},
-      {"random, unpartitioned", "NOPART-R"},
       {"LRU + MinMisses (C-L)", "C-L"},
       {"LRU + MinMisses (M-L)", "M-L"},
       {"NRU + MinMisses (M-0.75N)", "M-0.75N"},
@@ -83,7 +82,7 @@ int main(int argc, char** argv) {
     for (std::size_t si = 0; si < sizes.size(); ++si)
       std::printf(" %11.3f", cells[r * sizes.size() + si]);
     std::printf("\n");
-    if (r == 3) std::printf("%-28s\n", "---");
+    if (r == 2) std::printf("%-28s\n", "---");
   }
 
   std::printf("\nreading guide: compare within a column; the gap between the top\n"

@@ -1,4 +1,4 @@
-// Set-associative cache with a choice of five replacement policies and the three
+// Set-associative cache with a choice of four replacement policies and the three
 // partition-enforcement mechanisms discussed in the paper:
 //
 //  * kNone          — no partitioning; every core may evict anywhere.
@@ -25,7 +25,7 @@
 //    Keeping valid and ownership in one block means all per-set mask state
 //    shares one cache line for up to 7 cores.
 //  * Policies by value: the cache holds its replacement policy as one
-//    PolicyVariant, the closed set of the five concrete policy classes.
+//    PolicyVariant, the closed set of the four concrete policy classes.
 //    access() is one std::visit (a switch on the alternative index) around
 //    the enforcement switch, reaching an access path templated over the
 //    concrete policy, so every policy hook inlines. The cold paths (the ATD's
@@ -45,7 +45,6 @@
 #include "plrupart/cache/geometry.hpp"
 #include "plrupart/cache/lru.hpp"
 #include "plrupart/cache/nru.hpp"
-#include "plrupart/cache/random_repl.hpp"
 #include "plrupart/cache/replacement.hpp"
 #include "plrupart/cache/srrip.hpp"
 #include "plrupart/cache/tree_plru.hpp"
@@ -55,7 +54,7 @@ namespace plrupart::cache {
 /// Every shipped replacement policy, by value. The alternatives follow
 /// ReplacementKind's order (checked in cache.cpp), so a held policy's index()
 /// is its kind.
-using PolicyVariant = std::variant<TrueLru, Nru, TreePlru, RandomRepl, Srrip>;
+using PolicyVariant = std::variant<TrueLru, Nru, TreePlru, Srrip>;
 
 enum class EnforcementMode : std::uint8_t {
   kNone,
@@ -77,8 +76,9 @@ struct PLRUPART_EXPORT AccessOutcome {
 
 class PLRUPART_EXPORT SetAssocCache {
  public:
+  /// The last parameter is unread; bench/e2e/harness/e2e_harness.cpp:195-197 passes it.
   SetAssocCache(const Geometry& geo, ReplacementKind repl, std::uint32_t num_cores,
-                EnforcementMode enforcement, std::uint64_t seed = 0x5eed);
+                EnforcementMode enforcement, std::uint64_t /*unused*/ = 0);
 
   /// Perform one access for `core` at byte address `addr`, counting into
   /// stats(). Misses allocate.

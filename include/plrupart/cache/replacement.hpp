@@ -15,7 +15,7 @@
 //    replacement state *before* the access updates it: exact stack positions
 //    for true LRU, the paper's estimated positions for NRU and BT;
 //  * reset() — back to the post-power-on state.
-// SetAssocCache holds the five concrete policies as one std::variant whose
+// SetAssocCache holds the four concrete policies as one std::variant whose
 // alternatives follow ReplacementKind's order, so a policy is a value, not an
 // interface.
 #pragma once
@@ -34,7 +34,6 @@ enum class ReplacementKind : std::uint8_t {
   kLru,      ///< true LRU (A*log2(A) bits per set)
   kNru,      ///< UltraSPARC T2 Not-Recently-Used (A used bits + global pointer)
   kTreePlru, ///< IBM binary-tree pseudo-LRU (A-1 bits per set)
-  kRandom,   ///< uniform random victim (reference baseline)
   kSrrip,    ///< 2-bit static RRIP (extension beyond the paper; 2A bits/set)
 };
 

@@ -34,7 +34,7 @@ class PLRUPART_EXPORT Atd {
   /// `l2_geometry` is the shape of the cache being profiled; the ATD keeps
   /// l2_sets / sampling_ratio sets (sampling_ratio == 1 disables sampling).
   Atd(const cache::Geometry& l2_geometry, cache::ReplacementKind replacement,
-      std::uint32_t sampling_ratio, std::uint64_t seed = 0x5eed);
+      std::uint32_t sampling_ratio);
 
   /// Probe the ATD with an L2 line address. Returns nullopt when the set is
   /// not sampled; otherwise the observation (the ATD state is updated, and a

@@ -46,6 +46,7 @@ struct PLRUPART_EXPORT CpaConfig {
   /// Strict BT enforcement: round partitions to power-of-two blocks
   /// expressible with up/down force vectors (ablation; default mask-guided).
   bool bt_strict_pow2 = false;
+  /// Unread; bench/e2e/harness/e2e_harness.cpp:175 and :197 still name it.
   std::uint64_t seed = 0x5eed;
 
   [[nodiscard]] bool partitioned() const noexcept {

@@ -45,17 +45,11 @@ enum class NruUpdateMode : std::uint8_t {
   kPointRecordUnused,
 };
 
-/// The ATD policy that profiles an L2 running `l2_replacement`: the L2's own
-/// policy, except Random, which keeps no recency state to profile and gets
-/// the closest meaningful profile, an idealized LRU ATD.
-[[nodiscard]] PLRUPART_EXPORT cache::ReplacementKind profiler_atd_kind(
-    cache::ReplacementKind l2_replacement);
-
 class PLRUPART_EXPORT Profiler {
  public:
   /// `esdh_scale` (S, in (0, 1]) and `nru_mode` apply to an NRU ATD only.
   Profiler(const cache::Geometry& l2_geometry, cache::ReplacementKind atd_replacement,
-           std::uint32_t sampling_ratio, std::uint64_t seed, double esdh_scale = 1.0,
+           std::uint32_t sampling_ratio, double esdh_scale = 1.0,
            NruUpdateMode nru_mode = NruUpdateMode::kRange);
 
   /// Feed one L2 access (line-granular address) from the owner thread.

@@ -32,7 +32,7 @@ struct PLRUPART_EXPORT RunSpec {
   std::uint64_t warmup = 500'000;
   std::uint64_t interval_cycles = 1'000'000;
   std::uint32_t sampling_ratio = 32;
-  /// Per-job deterministic seed (feeds trace generation and the L2's RNG).
+  /// Per-job deterministic seed (feeds trace generation).
   /// Derived from the matrix position — see RunMatrix::job_seed().
   std::uint64_t seed = 1;
   /// Intra-run front-end producers (SimConfig::sim_threads): 1 = serial,

@@ -11,15 +11,14 @@ template <ReplacementKind K>
 using PolicyOf = std::variant_alternative_t<static_cast<std::size_t>(K), PolicyVariant>;
 
 // replacement() reads the kind off the variant index.
-static_assert(std::variant_size_v<PolicyVariant> == 5);
+static_assert(std::variant_size_v<PolicyVariant> == 4);
 static_assert(std::is_same_v<PolicyOf<ReplacementKind::kLru>, TrueLru>);
 static_assert(std::is_same_v<PolicyOf<ReplacementKind::kNru>, Nru>);
 static_assert(std::is_same_v<PolicyOf<ReplacementKind::kTreePlru>, TreePlru>);
-static_assert(std::is_same_v<PolicyOf<ReplacementKind::kRandom>, RandomRepl>);
 static_assert(std::is_same_v<PolicyOf<ReplacementKind::kSrrip>, Srrip>);
 
 /// The policy for `kind`, constructed in place in the returned variant.
-PolicyVariant build_policy(ReplacementKind kind, const Geometry& geo, std::uint64_t seed) {
+PolicyVariant build_policy(ReplacementKind kind, const Geometry& geo) {
   geo.validate();
   switch (kind) {
     case ReplacementKind::kLru:
@@ -28,8 +27,6 @@ PolicyVariant build_policy(ReplacementKind kind, const Geometry& geo, std::uint6
       return PolicyVariant(std::in_place_type<Nru>, geo);
     case ReplacementKind::kTreePlru:
       return PolicyVariant(std::in_place_type<TreePlru>, geo);
-    case ReplacementKind::kRandom:
-      return PolicyVariant(std::in_place_type<RandomRepl>, geo, seed);
     case ReplacementKind::kSrrip:
       break;
   }
@@ -52,11 +49,11 @@ std::string to_string(EnforcementMode m) {
 
 SetAssocCache::SetAssocCache(const Geometry& geo, ReplacementKind repl,
                              std::uint32_t num_cores, EnforcementMode enforcement,
-                             std::uint64_t seed)
+                             std::uint64_t /*unused*/)
     : geo_(geo),
       num_cores_(num_cores),
       enforcement_(enforcement),
-      policy_(build_policy(repl, geo, seed)),
+      policy_(build_policy(repl, geo)),
       masks_(num_cores, full_way_mask(geo.associativity)),
       quotas_(num_cores, geo.associativity),
       stats_(num_cores) {
@@ -160,7 +157,7 @@ AccessOutcome SetAssocCache::access_impl(Policy& pol, CoreId core, Addr addr,
 }
 
 // The one access entry: the policy x enforcement dispatch around access_impl.
-// The visit switches on the held alternative, so each of the 15 access_impl
+// The visit switches on the held alternative, so each of the 12 access_impl
 // instantiations is a direct call with the policy update inlined.
 AccessOutcome SetAssocCache::access(CoreId core, Addr addr, bool write) {
   return std::visit(

@@ -10,8 +10,6 @@ std::string to_string(ReplacementKind k) {
       return "NRU";
     case ReplacementKind::kTreePlru:
       return "BT";
-    case ReplacementKind::kRandom:
-      return "RANDOM";
     case ReplacementKind::kSrrip:
       return "SRRIP";
   }

@@ -20,9 +20,9 @@ namespace {
 }  // namespace
 
 Atd::Atd(const cache::Geometry& l2_geometry, cache::ReplacementKind replacement,
-         std::uint32_t sampling_ratio, std::uint64_t seed)
+         std::uint32_t sampling_ratio)
     : cache_(sampled_geometry(l2_geometry, sampling_ratio), replacement, 1,
-             cache::EnforcementMode::kNone, seed),
+             cache::EnforcementMode::kNone),
       sampling_ratio_(sampling_ratio),
       sample_shift_(ilog2_exact(sampling_ratio)),
       line_shift_(ilog2_exact(l2_geometry.line_bytes)),

@@ -3,8 +3,6 @@
 #include <sstream>
 #include <string_view>
 
-#include "plrupart/common/rng.hpp"
-
 namespace plrupart::core {
 
 namespace {
@@ -41,8 +39,6 @@ constexpr ConfigRow kConfigs[] = {
     {"NOPART-N", ReplacementKind::kNru, EnforcementMode::kNone, 1.0, "unpartitioned NRU"},
     {"NOPART-BT", ReplacementKind::kTreePlru, EnforcementMode::kNone, 1.0,
      "unpartitioned binary-tree pseudo-LRU"},
-    {"NOPART-R", ReplacementKind::kRandom, EnforcementMode::kNone, 1.0,
-     "unpartitioned random replacement"},
     {"NOPART-RRIP", ReplacementKind::kSrrip, EnforcementMode::kNone, 1.0,
      "unpartitioned SRRIP (extension)"},
 };
@@ -109,17 +105,15 @@ PartitionedCacheSystem::PartitionedCacheSystem(CpaConfig config)
     : config_(std::move(config)),
       // The geometry is validated before the L2 derives its shape from it.
       l2_((config_.geometry.validate(), config_.geometry), config_.replacement,
-          config_.num_cores, config_.enforcement, config_.seed) {
+          config_.num_cores, config_.enforcement) {
   PLRUPART_ASSERT_MSG(config_.num_cores <= config_.geometry.associativity,
                       "cannot give every core a way");
   if (!config_.partitioned()) return;
-  std::vector<Profiler> profilers;
-  profilers.reserve(config_.num_cores);
-  for (std::uint32_t i = 0; i < config_.num_cores; ++i) {
-    profilers.emplace_back(config_.geometry, profiler_atd_kind(config_.replacement),
-                           config_.sampling_ratio, derive_seed(config_.seed, i),
-                           config_.esdh_scale, config_.nru_update);
-  }
+  // Every core's profiler starts from the same empty ATD and SDH.
+  std::vector<Profiler> profilers(
+      config_.num_cores, Profiler(config_.geometry, config_.replacement,
+                                  config_.sampling_ratio, config_.esdh_scale,
+                                  config_.nru_update));
   controller_.emplace(config_.interval_cycles, config_.decide,
                       std::move(profilers), l2_, config_.repartition_hysteresis,
                       config_.bt_strict_pow2);

@@ -5,15 +5,10 @@
 
 namespace plrupart::core {
 
-cache::ReplacementKind profiler_atd_kind(cache::ReplacementKind l2_replacement) {
-  return l2_replacement == cache::ReplacementKind::kRandom ? cache::ReplacementKind::kLru
-                                                           : l2_replacement;
-}
-
 Profiler::Profiler(const cache::Geometry& l2_geometry,
                    cache::ReplacementKind atd_replacement, std::uint32_t sampling_ratio,
-                   std::uint64_t seed, double esdh_scale, NruUpdateMode nru_mode)
-    : atd_(l2_geometry, atd_replacement, sampling_ratio, seed),
+                   double esdh_scale, NruUpdateMode nru_mode)
+    : atd_(l2_geometry, atd_replacement, sampling_ratio),
       sdh_(l2_geometry.associativity),
       kind_(atd_replacement),
       scale_(esdh_scale),
@@ -22,8 +17,6 @@ Profiler::Profiler(const cache::Geometry& l2_geometry,
                  ? l2_geometry.associativity + 1
                  : 0,
              0.0) {
-  PLRUPART_ASSERT_MSG(kind_ != cache::ReplacementKind::kRandom,
-                      "a random ATD has no recency state to profile");
   PLRUPART_ASSERT_MSG(esdh_scale > 0.0 && esdh_scale <= 1.0,
                       "eSDH scale must be in (0, 1]");
 }
@@ -40,7 +33,6 @@ std::string Profiler::name() const {
     case cache::ReplacementKind::kSrrip:
       return "eSDH-SRRIP";
     case cache::ReplacementKind::kLru:
-    case cache::ReplacementKind::kRandom:
       break;
   }
   return "SDH-LRU";

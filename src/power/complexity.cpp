@@ -28,8 +28,6 @@ std::uint64_t replacement_bits_per_set(cache::ReplacementKind kind,
       return a;  // one used bit per line
     case cache::ReplacementKind::kTreePlru:
       return a - 1;  // tree bits
-    case cache::ReplacementKind::kRandom:
-      return 0;
     case cache::ReplacementKind::kSrrip:
       return 2ULL * a;  // 2-bit RRPV per line
   }
@@ -51,7 +49,6 @@ std::uint64_t partitioning_global_bits(cache::ReplacementKind kind, std::uint32_
     case cache::ReplacementKind::kTreePlru:
       // log2(A)-bit up and down vectors per core (no owner masks needed).
       return 2ULL * log2u(a) * n;
-    case cache::ReplacementKind::kRandom:
     case cache::ReplacementKind::kSrrip:
       return static_cast<std::uint64_t>(a) * n;
   }
@@ -106,12 +103,6 @@ EventCosts event_costs(cache::ReplacementKind kind, const ComplexityParams& p) {
       e.find_victim_in_owned = lg + lg + lg;  // BT bits + up + down vectors
       e.profiling_read = 2 * lg + 2 * lg;     // XOR 2·log2(A) + SUB 2·log2(A)
       break;
-    case cache::ReplacementKind::kRandom:
-      e.update_unpartitioned = 0;
-      e.find_owned_lines = static_cast<std::uint64_t>(p.cores) * a;
-      e.find_victim_in_owned = 0;
-      e.profiling_read = 0;
-      break;
     case cache::ReplacementKind::kSrrip:
       // Worst case: an aging sweep rewrites every scoped RRPV (2 bits each).
       e.update_unpartitioned = 2ULL * a;
@@ -143,8 +134,6 @@ std::uint64_t atd_storage_bits(cache::ReplacementKind kind, const ComplexityPara
       break;
     case cache::ReplacementKind::kTreePlru:
       per_set = p.associativity - 1;
-      break;
-    case cache::ReplacementKind::kRandom:
       break;
     case cache::ReplacementKind::kSrrip:
       per_entry += 2;

@@ -27,14 +27,13 @@ sim::SimResult execute(const RunSpec& spec) {
       core::CpaConfig::from_acronym(spec.config, spec.workload.threads(), spec.l2);
   cfg.hierarchy.l2.interval_cycles = spec.interval_cycles;
   cfg.hierarchy.l2.sampling_ratio = spec.sampling_ratio;
-  cfg.hierarchy.l2.seed = spec.seed;
   cfg.instr_limit = spec.instr;
   cfg.warmup_instr = spec.warmup;
   cfg.sim_threads = spec.sim_threads;
   cfg.timing_mode = spec.timing;
 
-  // Trace-backed workloads stream their recorded file per core (the seed
-  // still feeds the L2's RNG); synthetic ones generate seeded streams.
+  // Trace-backed workloads stream their recorded file per core; synthetic
+  // ones generate seeded streams.
   std::vector<std::unique_ptr<sim::TraceSource>> traces;
   for (std::uint32_t core = 0; core < spec.workload.threads(); ++core) {
     if (spec.workload.trace_backed()) {

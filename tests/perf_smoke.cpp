@@ -11,7 +11,9 @@
 // fails tier-1 instead of waiting for a human to rerun the benchmarks. A
 // small one can pass: the reference's three per-access divisions (its
 // address split) put BT 16-way at a median 1.28x and fail about a third of
-// runs, and a single `%` for the set index is not seen. Both sides run
+// runs, and a single `%` for the set index is not seen here; the
+// cache_access_has_no_division CTest (tests/no_division_check.cmake) catches
+// that one by disassembling src/cache/cache.cpp's object. Both sides run
 // under the same load: each rep times the two sides one pass at a time, in
 // turn, with the side that goes first alternating by rep, so a burst of
 // host speed or contention lands on both; the gate takes each side's best

@@ -36,12 +36,11 @@ namespace plrupart::testing {
 class ReferenceCache {
  public:
   ReferenceCache(const cache::Geometry& geo, cache::ReplacementKind repl,
-                 std::uint32_t num_cores, cache::EnforcementMode enforcement,
-                 std::uint64_t seed = 0x5eed)
+                 std::uint32_t num_cores, cache::EnforcementMode enforcement)
       : geo_(geo),
         num_cores_(num_cores),
         enforcement_(enforcement),
-        policy_(make_virtual_policy(repl, geo, seed)),
+        policy_(make_virtual_policy(repl, geo)),
         lines_(geo.sets() * geo.associativity),
         masks_(num_cores, full_way_mask(geo.associativity)),
         quotas_(num_cores, geo.associativity),

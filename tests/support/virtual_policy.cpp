@@ -1,7 +1,5 @@
 #include "virtual_policy.hpp"
 
-#include <utility>
-
 #include "plrupart/cache/cache.hpp"
 
 namespace plrupart::testing {
@@ -12,8 +10,7 @@ namespace {
 template <class P>
 class VirtualPolicyOf final : public VirtualPolicy {
  public:
-  template <class... Args>
-  explicit VirtualPolicyOf(Args&&... args) : p_(std::forward<Args>(args)...) {}
+  explicit VirtualPolicyOf(const cache::Geometry& geo) : p_(geo) {}
 
   void on_hit(std::uint64_t set, std::uint32_t way, WayMask allowed) override {
     p_.on_hit(set, way, allowed);
@@ -37,8 +34,7 @@ class VirtualPolicyOf final : public VirtualPolicy {
 }  // namespace
 
 std::unique_ptr<VirtualPolicy> make_virtual_policy(cache::ReplacementKind kind,
-                                                   const cache::Geometry& geo,
-                                                   std::uint64_t seed) {
+                                                   const cache::Geometry& geo) {
   geo.validate();
   switch (kind) {
     case cache::ReplacementKind::kLru:
@@ -47,8 +43,6 @@ std::unique_ptr<VirtualPolicy> make_virtual_policy(cache::ReplacementKind kind,
       return std::make_unique<VirtualPolicyOf<cache::Nru>>(geo);
     case cache::ReplacementKind::kTreePlru:
       return std::make_unique<VirtualPolicyOf<cache::TreePlru>>(geo);
-    case cache::ReplacementKind::kRandom:
-      return std::make_unique<VirtualPolicyOf<cache::RandomRepl>>(geo, seed);
     case cache::ReplacementKind::kSrrip:
       break;
   }

@@ -38,8 +38,7 @@ class VirtualPolicy {
 };
 
 /// The policy SetAssocCache would hold for `kind`, behind the virtual seam.
-[[nodiscard]] std::unique_ptr<VirtualPolicy> make_virtual_policy(cache::ReplacementKind kind,
-                                                                 const cache::Geometry& geo,
-                                                                 std::uint64_t seed = 0x5eed);
+[[nodiscard]] std::unique_ptr<VirtualPolicy> make_virtual_policy(
+    cache::ReplacementKind kind, const cache::Geometry& geo);
 
 }  // namespace plrupart::testing

@@ -129,18 +129,18 @@ TEST(Cache, LruReplacementOrderObserved) {
 }
 
 TEST(Cache, DistinctReplacementKindsDiverge) {
-  // Drive identical conflict-heavy streams through LRU and Random caches;
+  // Drive identical conflict-heavy streams through LRU and tree-PLRU caches;
   // they must disagree somewhere in their miss totals.
   const auto g = tiny();
   SetAssocCache lru(g, ReplacementKind::kLru, 1, EnforcementMode::kNone);
-  SetAssocCache rnd(g, ReplacementKind::kRandom, 1, EnforcementMode::kNone, 7);
+  SetAssocCache bt(g, ReplacementKind::kTreePlru, 1, EnforcementMode::kNone);
   Rng rng(1);
   for (int i = 0; i < 4000; ++i) {
     const Addr a = addr_of(g, rng.next_below(4), rng.next_below(6));
     lru.access(0, a, false);
-    rnd.access(0, a, false);
+    bt.access(0, a, false);
   }
-  EXPECT_NE(lru.stats().per_core[0].misses, rnd.stats().per_core[0].misses);
+  EXPECT_NE(lru.stats().per_core[0].misses, bt.stats().per_core[0].misses);
 }
 
 }  // namespace

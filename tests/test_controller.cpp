@@ -13,7 +13,7 @@ cache::Geometry small_l2() {
 }
 
 Profiler lru_profiler() {
-  return Profiler(small_l2(), cache::ReplacementKind::kLru, 1, 0x5eed);
+  return Profiler(small_l2(), cache::ReplacementKind::kLru, 1);
 }
 
 /// A two-core controller enforcing on a way-masked L2; applied() reads the

@@ -21,7 +21,7 @@ class WayMaskEnforcement : public ::testing::TestWithParam<ReplacementKind> {};
 
 TEST_P(WayMaskEnforcement, MissesOnlyFillAssignedWays) {
   const auto g = tiny();
-  SetAssocCache c(g, GetParam(), 2, EnforcementMode::kWayMasks, 3);
+  SetAssocCache c(g, GetParam(), 2, EnforcementMode::kWayMasks);
   c.set_way_mask(0, way_range_mask(0, 3));
   c.set_way_mask(1, way_range_mask(3, 5));
   Rng rng(9);
@@ -38,7 +38,7 @@ TEST_P(WayMaskEnforcement, MissesOnlyFillAssignedWays) {
 
 TEST_P(WayMaskEnforcement, HitsAllowedOutsideOwnMask) {
   const auto g = tiny();
-  SetAssocCache c(g, GetParam(), 2, EnforcementMode::kWayMasks, 3);
+  SetAssocCache c(g, GetParam(), 2, EnforcementMode::kWayMasks);
   c.set_way_mask(0, way_range_mask(0, 4));
   c.set_way_mask(1, way_range_mask(4, 4));
   const Addr a = addr_of(g, 0, 7);
@@ -53,7 +53,7 @@ TEST_P(WayMaskEnforcement, HitsAllowedOutsideOwnMask) {
 
 TEST_P(WayMaskEnforcement, RepartitioningTakesEffectForNewMisses) {
   const auto g = tiny();
-  SetAssocCache c(g, GetParam(), 2, EnforcementMode::kWayMasks, 3);
+  SetAssocCache c(g, GetParam(), 2, EnforcementMode::kWayMasks);
   c.set_way_mask(0, way_range_mask(0, 4));
   c.set_way_mask(1, way_range_mask(4, 4));
   c.access(0, addr_of(g, 0, 1), false);
@@ -76,7 +76,6 @@ std::string enforcement_param_name(
 INSTANTIATE_TEST_SUITE_P(AllKinds, WayMaskEnforcement,
                          ::testing::Values(ReplacementKind::kLru, ReplacementKind::kNru,
                                            ReplacementKind::kTreePlru,
-                                           ReplacementKind::kRandom,
                                            ReplacementKind::kSrrip),
                          enforcement_param_name);
 

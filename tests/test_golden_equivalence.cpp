@@ -55,10 +55,9 @@ TEST_P(GoldenEquivalence, RandomTraceReplaysIdentically) {
   const cache::Geometry geo{.size_bytes = 64 * ways * 128, .associativity = ways,
                             .line_bytes = 128};
   constexpr std::uint32_t kCores = 3;
-  constexpr std::uint64_t kSeed = 0xc0ffee;
 
-  cache::SetAssocCache sut(geo, kind, kCores, enforcement, kSeed);
-  testing::ReferenceCache ref(geo, kind, kCores, enforcement, kSeed);
+  cache::SetAssocCache sut(geo, kind, kCores, enforcement);
+  testing::ReferenceCache ref(geo, kind, kCores, enforcement);
 
   Rng rng(42);
   std::vector<cache::Addr> history;
@@ -137,8 +136,7 @@ TEST_P(GoldenEquivalence, RandomTraceReplaysIdentically) {
 std::vector<Combo> all_combos() {
   std::vector<Combo> combos;
   for (const auto kind : {ReplacementKind::kLru, ReplacementKind::kNru,
-                          ReplacementKind::kTreePlru, ReplacementKind::kRandom,
-                          ReplacementKind::kSrrip}) {
+                          ReplacementKind::kTreePlru, ReplacementKind::kSrrip}) {
     for (const auto enf : {EnforcementMode::kNone, EnforcementMode::kWayMasks,
                            EnforcementMode::kOwnerCounters}) {
       for (const std::uint32_t ways : {8U, 32U, 64U}) {

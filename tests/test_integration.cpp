@@ -60,14 +60,6 @@ TEST(Integration, PartitioningGainsShrinkWithCacheSize) {
   EXPECT_GT(small_gain, big_gain - 0.02);
 }
 
-TEST(Integration, NruBehavesLikeRandomReplacement) {
-  // Paper §V-A: the shared replacement pointer makes NRU behave like random
-  // replacement. Their throughputs must track within a few percent.
-  const auto nru = run({"twolf", "gzip"}, "NOPART-N", 256 * 1024);
-  const auto rnd = run({"twolf", "gzip"}, "NOPART-R", 256 * 1024);
-  EXPECT_NEAR(nru.throughput() / rnd.throughput(), 1.0, 0.05);
-}
-
 TEST(Integration, TrueLruBeatsPseudoLruOnReuse) {
   // On reuse-heavy workloads LRU should not lose to its approximations.
   const auto lru = run({"twolf", "vpr"}, "NOPART-L", 256 * 1024);

@@ -6,7 +6,7 @@
 //  * Minimum life-span (Kahlen & Reineke): a policy always keeps the L most
 //    recently used distinct lines of a set, so no access at true stack
 //    distance <= L misses. L = A for LRU, log2 A + 1 for tree-PLRU, 2 for NRU
-//    and 1 for SRRIP. Random has no such bound and is not checked.
+//    and 1 for SRRIP.
 //  * Tree-PLRU: cache::TreePlru's packed-word promote and victim walks agree,
 //    step for step, with an independent recursive model over heap-indexed
 //    nodes 1..2A-1.
@@ -132,8 +132,6 @@ std::uint32_t min_life_span(ReplacementKind kind, std::uint32_t assoc) {
       return 2;
     case ReplacementKind::kSrrip:
       return 1;
-    case ReplacementKind::kRandom:
-      break;
   }
   return 0;
 }
@@ -184,7 +182,7 @@ class MinLifeSpan : public ::testing::TestWithParam<LifeSpanCase> {
 
 TEST_P(MinLifeSpan, SetAssocCacheUnpartitioned) {
   const auto [kind, assoc] = GetParam();
-  cache::SetAssocCache cache(one_set(assoc), kind, 1, cache::EnforcementMode::kNone, 11);
+  cache::SetAssocCache cache(one_set(assoc), kind, 1, cache::EnforcementMode::kNone);
   ShadowStack shadow(2 * assoc + 1);
   LifeSpanTally tally{.bound = min_life_span(kind, assoc)};
   Rng rng(derive_seed(0x11fe, assoc));
@@ -201,8 +199,7 @@ TEST_P(MinLifeSpan, SetAssocCacheAlignedHalfMasks) {
   // stream must keep the bound of an A/2-way cache while the other core runs.
   const auto [kind, assoc] = GetParam();
   const std::uint32_t half = assoc / 2;
-  cache::SetAssocCache cache(one_set(assoc), kind, 2, cache::EnforcementMode::kWayMasks,
-                             12);
+  cache::SetAssocCache cache(one_set(assoc), kind, 2, cache::EnforcementMode::kWayMasks);
   cache.set_way_mask(0, way_range_mask(half, half));
   cache.set_way_mask(1, way_range_mask(0, half));
   std::vector<ShadowStack> shadow(2, ShadowStack(2 * half + 1));
@@ -220,7 +217,7 @@ TEST_P(MinLifeSpan, SetAssocCacheAlignedHalfMasks) {
 
 TEST_P(MinLifeSpan, AtdWithoutSampling) {
   const auto [kind, assoc] = GetParam();
-  core::Atd atd(one_set(assoc), kind, /*sampling_ratio=*/1, 13);
+  core::Atd atd(one_set(assoc), kind, /*sampling_ratio=*/1);
   ShadowStack shadow(2 * assoc + 1);
   LifeSpanTally tally{.bound = min_life_span(kind, assoc)};
   Rng rng(derive_seed(0x13fe, assoc));

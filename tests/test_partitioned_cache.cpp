@@ -31,7 +31,7 @@ static_assert(std::is_move_constructible_v<PartitionedCacheSystem>);
 TEST(CpaConfig, AcronymRoundTrip) {
   // Iterating known_acronyms() (rather than a literal list) keeps the
   // advertised set and the from_acronym parser from drifting apart.
-  EXPECT_EQ(CpaConfig::known_acronyms().size(), 12U);
+  EXPECT_EQ(CpaConfig::known_acronyms().size(), 11U);
   for (const auto& name : CpaConfig::known_acronyms()) {
     const auto cfg = CpaConfig::from_acronym(name, 2, small_l2());
     EXPECT_EQ(cfg.acronym(), name);

@@ -12,8 +12,6 @@
 namespace plrupart::core {
 namespace {
 
-constexpr std::uint64_t kSeed = 0x5eed;
-
 cache::Geometry small_l2() {
   // 32 sets x 4 ways x 64B.
   return cache::Geometry{.size_bytes = 8192, .associativity = 4, .line_bytes = 64};
@@ -57,7 +55,7 @@ class StackOracle {
 
 TEST(LruProfiler, ExactAgainstOracleOnRandomTrace) {
   const auto g = small_l2();
-  Profiler prof(g, cache::ReplacementKind::kLru, /*sampling_ratio=*/4, kSeed);
+  Profiler prof(g, cache::ReplacementKind::kLru, /*sampling_ratio=*/4);
   StackOracle oracle(g.associativity);
   Rng rng(2718);
   for (int i = 0; i < 50000; ++i) {
@@ -76,7 +74,7 @@ TEST(LruProfiler, MissCurvePredictsIsolatedMissesExactly) {
   // Cyclic access to 3 distinct lines in a 4-way set: after warmup every
   // access hits at distance 3.
   const auto g = small_l2();
-  Profiler prof(g, cache::ReplacementKind::kLru, 1, kSeed);
+  Profiler prof(g, cache::ReplacementKind::kLru, 1);
   for (int round = 0; round < 10; ++round)
     for (std::uint64_t t = 0; t < 3; ++t)
       prof.record_access(line_in_set(g, 0, t));
@@ -92,7 +90,7 @@ TEST(NruProfiler, Fig3ScenarioScaleOne) {
   // access to D has U=2: per the paper, "we increase both SDH registers r1
   // and r2, assuming the stack distance to be 2".
   const auto g = small_l2();
-  Profiler prof(g, cache::ReplacementKind::kNru, 1, kSeed, /*esdh_scale=*/1.0);
+  Profiler prof(g, cache::ReplacementKind::kNru, 1, /*esdh_scale=*/1.0);
   for (std::uint64_t t = 0; t < 4; ++t) prof.record_access(line_in_set(g, 0, t));
   // Fill saturation left only tag 3 used; touch tag 2 then tag 3.
   prof.record_access(line_in_set(g, 0, 2));
@@ -107,7 +105,7 @@ TEST(NruProfiler, Fig3ScenarioScaleOne) {
 
 TEST(NruProfiler, PointModeRecordsOnlyTheEndpoint) {
   const auto g = small_l2();
-  Profiler prof(g, cache::ReplacementKind::kNru, 1, kSeed, 1.0, NruUpdateMode::kPoint);
+  Profiler prof(g, cache::ReplacementKind::kNru, 1, 1.0, NruUpdateMode::kPoint);
   for (std::uint64_t t = 0; t < 4; ++t) prof.record_access(line_in_set(g, 0, t));
   prof.record_access(line_in_set(g, 0, 2));
   prof.record_access(line_in_set(g, 0, 3));  // U = 2
@@ -120,7 +118,7 @@ TEST(NruProfiler, ScalingFactorsRoundUp) {
   const auto g = small_l2();
   for (const auto& [scale, expected_reg] :
        std::vector<std::pair<double, std::uint32_t>>{{0.75, 2U}, {0.5, 1U}}) {
-    Profiler prof(g, cache::ReplacementKind::kNru, 1, kSeed, scale);
+    Profiler prof(g, cache::ReplacementKind::kNru, 1, scale);
     for (std::uint64_t t = 0; t < 4; ++t) prof.record_access(line_in_set(g, 0, t));
     prof.record_access(line_in_set(g, 0, 2));
     prof.record_access(line_in_set(g, 0, 3));
@@ -132,7 +130,7 @@ TEST(NruProfiler, UnusedBitHitRecordsNothingByDefault) {
   // Fill 4 lines (saturation leaves only tag 3 used), touch tags 0 and 1,
   // then hit tag 2 whose used bit is 0: the paper records nothing.
   const auto g = small_l2();
-  Profiler prof(g, cache::ReplacementKind::kNru, 1, kSeed, 1.0);
+  Profiler prof(g, cache::ReplacementKind::kNru, 1, 1.0);
   for (std::uint64_t t = 0; t < 4; ++t) prof.record_access(line_in_set(g, 0, t));
   prof.record_access(line_in_set(g, 0, 0));
   prof.record_access(line_in_set(g, 0, 1));
@@ -143,7 +141,7 @@ TEST(NruProfiler, UnusedBitHitRecordsNothingByDefault) {
 
 TEST(NruProfiler, RecordUnusedAblationRecordsAssociativity) {
   const auto g = small_l2();
-  Profiler prof(g, cache::ReplacementKind::kNru, 1, kSeed, 1.0,
+  Profiler prof(g, cache::ReplacementKind::kNru, 1, 1.0,
                 NruUpdateMode::kPointRecordUnused);
   for (std::uint64_t t = 0; t < 4; ++t) prof.record_access(line_in_set(g, 0, t));
   prof.record_access(line_in_set(g, 0, 0));
@@ -155,14 +153,14 @@ TEST(NruProfiler, RecordUnusedAblationRecordsAssociativity) {
 
 TEST(NruProfiler, AtdMissGoesToMissRegister) {
   const auto g = small_l2();
-  Profiler prof(g, cache::ReplacementKind::kNru, 1, kSeed, 0.75);
+  Profiler prof(g, cache::ReplacementKind::kNru, 1, 0.75);
   for (std::uint64_t t = 0; t < 6; ++t) prof.record_access(line_in_set(g, 0, t));
   EXPECT_EQ(prof.sdh().reg(g.associativity + 1), 6ULL) << "all cold accesses miss";
 }
 
 TEST(NruProfiler, SmearModeSpreadsFractionalWeight) {
   const auto g = small_l2();
-  Profiler prof(g, cache::ReplacementKind::kNru, 1, kSeed, 1.0, NruUpdateMode::kSmear);
+  Profiler prof(g, cache::ReplacementKind::kNru, 1, 1.0, NruUpdateMode::kSmear);
   for (std::uint64_t t = 0; t < 4; ++t) prof.record_access(line_in_set(g, 0, t));
   prof.record_access(line_in_set(g, 0, 2));
   prof.record_access(line_in_set(g, 0, 3));  // hit with U=2: +0.5 to d=1 and d=2
@@ -175,9 +173,9 @@ TEST(NruProfiler, SmearModeSpreadsFractionalWeight) {
 }
 
 TEST(NruProfiler, RejectsBadScale) {
-  EXPECT_THROW(Profiler(small_l2(), cache::ReplacementKind::kNru, 1, kSeed, 0.0),
+  EXPECT_THROW(Profiler(small_l2(), cache::ReplacementKind::kNru, 1, 0.0),
                InvariantError);
-  EXPECT_THROW(Profiler(small_l2(), cache::ReplacementKind::kNru, 1, kSeed, 1.5),
+  EXPECT_THROW(Profiler(small_l2(), cache::ReplacementKind::kNru, 1, 1.5),
                InvariantError);
 }
 
@@ -185,7 +183,7 @@ TEST(NruProfiler, RejectsBadScale) {
 
 TEST(BtProfiler, ImmediateReReferenceRecordsMru) {
   const auto g = small_l2();
-  Profiler prof(g, cache::ReplacementKind::kTreePlru, 1, kSeed);
+  Profiler prof(g, cache::ReplacementKind::kTreePlru, 1);
   prof.record_access(line_in_set(g, 0, 7));
   prof.record_access(line_in_set(g, 0, 7));
   EXPECT_EQ(prof.sdh().reg(1), 1ULL);
@@ -193,7 +191,7 @@ TEST(BtProfiler, ImmediateReReferenceRecordsMru) {
 
 TEST(BtProfiler, EstimatesStayWithinStack) {
   const auto g = small_l2();
-  Profiler prof(g, cache::ReplacementKind::kTreePlru, 1, kSeed);
+  Profiler prof(g, cache::ReplacementKind::kTreePlru, 1);
   Rng rng(13);
   for (int i = 0; i < 20000; ++i) {
     prof.record_access(line_in_set(g, rng.next_below(g.sets()), rng.next_below(6)));
@@ -209,7 +207,7 @@ TEST(BtProfiler, AlternatingPairEstimatesDistanceTwo) {
   // ways are taken in order), sharing the deepest tree node: the XOR estimate
   // then reproduces the true LRU stack distance of 2 on every re-reference.
   const auto g = small_l2();
-  Profiler prof(g, cache::ReplacementKind::kTreePlru, 1, kSeed);
+  Profiler prof(g, cache::ReplacementKind::kTreePlru, 1);
   for (int i = 0; i < 10; ++i) {
     prof.record_access(line_in_set(g, 0, 0));
     prof.record_access(line_in_set(g, 0, 1));
@@ -221,26 +219,18 @@ TEST(BtProfiler, AlternatingPairEstimatesDistanceTwo) {
 // --- ATD kind and names ------------------------------------------------------
 
 TEST(ProfilerFactory, AutoMatchesReplacement) {
-  // The ATD runs the L2's own policy; Random, which keeps no recency state,
-  // is profiled with an LRU ATD.
+  // The ATD runs the L2's own policy, and the profiler's name says which.
   using cache::ReplacementKind;
-  for (const auto k : {ReplacementKind::kLru, ReplacementKind::kNru,
-                       ReplacementKind::kTreePlru, ReplacementKind::kSrrip}) {
-    EXPECT_EQ(profiler_atd_kind(k), k) << cache::to_string(k);
-  }
-  EXPECT_EQ(profiler_atd_kind(ReplacementKind::kRandom), ReplacementKind::kLru);
-
   const auto g = small_l2();
-  EXPECT_EQ(Profiler(g, ReplacementKind::kLru, 1, 1).name(), "SDH-LRU");
-  EXPECT_EQ(Profiler(g, ReplacementKind::kNru, 1, 1, 0.75).name(), "eSDH-NRU(S=0.75)");
-  EXPECT_EQ(Profiler(g, ReplacementKind::kTreePlru, 1, 1).name(), "eSDH-BT");
-  EXPECT_EQ(Profiler(g, ReplacementKind::kSrrip, 1, 1).name(), "eSDH-SRRIP");
-  EXPECT_THROW(Profiler(g, ReplacementKind::kRandom, 1, 1), InvariantError);
+  EXPECT_EQ(Profiler(g, ReplacementKind::kLru, 1).name(), "SDH-LRU");
+  EXPECT_EQ(Profiler(g, ReplacementKind::kNru, 1, 0.75).name(), "eSDH-NRU(S=0.75)");
+  EXPECT_EQ(Profiler(g, ReplacementKind::kTreePlru, 1).name(), "eSDH-BT");
+  EXPECT_EQ(Profiler(g, ReplacementKind::kSrrip, 1).name(), "eSDH-SRRIP");
 }
 
 TEST(Profiler, DecayHalvesSdh) {
   const auto g = small_l2();
-  Profiler prof(g, cache::ReplacementKind::kLru, 1, kSeed);
+  Profiler prof(g, cache::ReplacementKind::kLru, 1);
   for (int i = 0; i < 8; ++i) prof.record_access(line_in_set(g, 0, 0));
   EXPECT_EQ(prof.sdh().reg(1), 7ULL);
   prof.decay();

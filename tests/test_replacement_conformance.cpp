@@ -27,7 +27,7 @@ class ReplacementConformance : public ::testing::TestWithParam<Param> {
     geo_ = Geometry{.size_bytes = sets * ways * 64,
                     .associativity = ways,
                     .line_bytes = 64};
-    policy_ = make_virtual_policy(kind, geo_, /*seed=*/77);
+    policy_ = make_virtual_policy(kind, geo_);
     all_ = policy_->shape().all_ways();
   }
 
@@ -83,7 +83,7 @@ TEST_P(ReplacementConformance, EstimateWithinStackBounds) {
 }
 
 TEST_P(ReplacementConformance, DeterministicAcrossInstances) {
-  auto other = make_virtual_policy(std::get<0>(GetParam()), geo_, /*seed=*/77);
+  auto other = make_virtual_policy(std::get<0>(GetParam()), geo_);
   Rng ops(321);
   for (int i = 0; i < 3000; ++i) {
     const auto set = ops.next_below(geo_.sets());
@@ -106,7 +106,7 @@ TEST_P(ReplacementConformance, ResetRestoresDeterminism) {
                     all_);
   }
   policy_->reset();
-  auto fresh = make_virtual_policy(std::get<0>(GetParam()), geo_, /*seed=*/77);
+  auto fresh = make_virtual_policy(std::get<0>(GetParam()), geo_);
   Rng ops(66);
   for (int i = 0; i < 1000; ++i) {
     const auto set = ops.next_below(geo_.sets());
@@ -132,7 +132,6 @@ INSTANTIATE_TEST_SUITE_P(
     AllPoliciesAndShapes, ReplacementConformance,
     ::testing::Combine(::testing::Values(ReplacementKind::kLru, ReplacementKind::kNru,
                                          ReplacementKind::kTreePlru,
-                                         ReplacementKind::kRandom,
                                          ReplacementKind::kSrrip),
                        ::testing::Values(2U, 4U, 16U),
                        ::testing::Values(std::uint64_t{1}, std::uint64_t{64})),
@@ -148,8 +147,6 @@ bool holds_policy_named_by(const SetAssocCache& c, ReplacementKind kind) {
       return std::holds_alternative<Nru>(c.policy());
     case ReplacementKind::kTreePlru:
       return std::holds_alternative<TreePlru>(c.policy());
-    case ReplacementKind::kRandom:
-      return std::holds_alternative<RandomRepl>(c.policy());
     case ReplacementKind::kSrrip:
       return std::holds_alternative<Srrip>(c.policy());
   }
@@ -173,7 +170,6 @@ TEST_P(SetAssocCacheHoldsPolicyOfKind, HeldAlternativeMatchesKind) {
 INSTANTIATE_TEST_SUITE_P(AllKinds, SetAssocCacheHoldsPolicyOfKind,
                          ::testing::Values(ReplacementKind::kLru, ReplacementKind::kNru,
                                            ReplacementKind::kTreePlru,
-                                           ReplacementKind::kRandom,
                                            ReplacementKind::kSrrip),
                          kind_name);
 

@@ -118,7 +118,7 @@ void expect_identical(const Outcome& serial_run, const Outcome& sharded_run,
 }
 
 TEST(ShardedSim, ByteIdenticalToSerialForEveryShardableConfig) {
-  // Every configuration runs pipelined, NRU and Random included. Three cores
+  // Every configuration runs pipelined, NRU included. Three cores
   // make K = 2 share a producer between cores 0 and 2, and K = 4 clamp to 3.
   const std::vector<std::string> names{"twolf", "art", "mcf"};
   for (const auto& acronym : core::CpaConfig::known_acronyms()) {
@@ -144,11 +144,11 @@ TEST(ShardedSim, FourCoreRunMatchesSerial) {
   }
 }
 
-TEST(ShardedSim, NruAndRandomConfigsNoLongerFallBackToSerial) {
-  // NRU's cache-wide rotating pointer and Random's shared RNG stream live in
-  // the L2, which only the replaying thread touches.
+TEST(ShardedSim, NruAndTreePlruConfigsNoLongerFallBackToSerial) {
+  // NRU's cache-wide rotating pointer and the tree-PLRU bits live in the L2,
+  // which only the replaying thread touches.
   const std::vector<std::string> names{"twolf", "art"};
-  for (const char* acronym : {"M-0.75N", "NOPART-N", "NOPART-R"}) {
+  for (const char* acronym : {"M-0.75N", "NOPART-N", "NOPART-BT"}) {
     const Outcome serial = run_one(names, acronym, 1);
     const Outcome piped = run_one(names, acronym, 2);
     EXPECT_EQ(piped.result.sim_shards, 2u) << acronym;
