@@ -10,6 +10,7 @@
 // inlined hooks, not a virtual call.
 #include <benchmark/benchmark.h>
 
+#include <cstddef>
 #include <vector>
 
 #include "plrupart/cache/cache.hpp"
@@ -27,8 +28,11 @@ Geometry bench_geo(std::uint32_t ways) {
                   .line_bytes = 128};
 }
 
-/// Benchmark argument i names the i-th ReplacementKind (LRU, NRU, BT, SRRIP).
-ReplacementKind kind_of(std::int64_t i) { return static_cast<ReplacementKind>(i); }
+/// Benchmark argument i names the i-th policy of cache::kPolicyKinds
+/// (LRU, NRU, BT, SRRIP).
+ReplacementKind kind_of(std::int64_t i) {
+  return cache::kPolicyKinds.at(static_cast<std::size_t>(i));
+}
 
 /// Run `fn` on a freshly constructed policy of `kind`, as its concrete class,
 /// so the benchmark loop inside `fn` is instantiated per policy.

@@ -37,6 +37,7 @@
 
 #include "plrupart/export.hpp"
 
+#include <array>
 #include <cstdint>
 #include <variant>
 #include <vector>
@@ -52,9 +53,12 @@
 namespace plrupart::cache {
 
 /// Every shipped replacement policy, by value. The alternatives follow
-/// ReplacementKind's order (checked in cache.cpp), so a held policy's index()
-/// is its kind.
+/// ReplacementKind's order, and kPolicyKinds names the kind of each (checked in
+/// cache.cpp), so a held policy's index() looks up its kind.
 using PolicyVariant = std::variant<TrueLru, Nru, TreePlru, Srrip>;
+inline constexpr std::array<ReplacementKind, 4> kPolicyKinds = {
+    ReplacementKind::kLru, ReplacementKind::kNru, ReplacementKind::kTreePlru,
+    ReplacementKind::kSrrip};
 
 enum class EnforcementMode : std::uint8_t {
   kNone,
@@ -104,7 +108,7 @@ class PLRUPART_EXPORT SetAssocCache {
   [[nodiscard]] EnforcementMode enforcement() const noexcept { return enforcement_; }
   [[nodiscard]] std::uint32_t num_cores() const noexcept { return num_cores_; }
   [[nodiscard]] ReplacementKind replacement() const noexcept {
-    return static_cast<ReplacementKind>(policy_.index());
+    return kPolicyKinds[policy_.index()];
   }
   [[nodiscard]] const PolicyVariant& policy() const noexcept { return policy_; }
   [[nodiscard]] const CacheStatsBundle& stats() const noexcept { return stats_; }

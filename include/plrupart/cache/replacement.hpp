@@ -16,8 +16,8 @@
 //    for true LRU, the paper's estimated positions for NRU and BT;
 //  * reset() — back to the post-power-on state.
 // SetAssocCache holds the four concrete policies as one std::variant whose
-// alternatives follow ReplacementKind's order, so a policy is a value, not an
-// interface.
+// alternatives follow ReplacementKind's order (kPolicyKinds), so a policy is a
+// value, not an interface.
 #pragma once
 
 #include "plrupart/export.hpp"
@@ -34,7 +34,9 @@ enum class ReplacementKind : std::uint8_t {
   kLru,      ///< true LRU (A*log2(A) bits per set)
   kNru,      ///< UltraSPARC T2 Not-Recently-Used (A used bits + global pointer)
   kTreePlru, ///< IBM binary-tree pseudo-LRU (A-1 bits per set)
-  kSrrip,    ///< 2-bit static RRIP (extension beyond the paper; 2A bits/set)
+  // 3 was random replacement, now removed; the number stays retired so every
+  // remaining kind keeps the value it has always had.
+  kSrrip = 4, ///< 2-bit static RRIP (extension beyond the paper; 2A bits/set)
 };
 
 [[nodiscard]] PLRUPART_EXPORT std::string to_string(ReplacementKind k);

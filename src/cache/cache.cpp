@@ -7,11 +7,18 @@
 namespace plrupart::cache {
 
 namespace {
-template <ReplacementKind K>
-using PolicyOf = std::variant_alternative_t<static_cast<std::size_t>(K), PolicyVariant>;
+/// Index in PolicyVariant (and kPolicyKinds) of the alternative for `kind`.
+constexpr std::size_t alternative_of(ReplacementKind kind) {
+  std::size_t i = 0;
+  while (i < kPolicyKinds.size() && kPolicyKinds[i] != kind) ++i;
+  return i;
+}
 
-// replacement() reads the kind off the variant index.
-static_assert(std::variant_size_v<PolicyVariant> == 4);
+template <ReplacementKind K>
+using PolicyOf = std::variant_alternative_t<alternative_of(K), PolicyVariant>;
+
+// replacement() reads the kind off the variant index through kPolicyKinds.
+static_assert(std::variant_size_v<PolicyVariant> == kPolicyKinds.size());
 static_assert(std::is_same_v<PolicyOf<ReplacementKind::kLru>, TrueLru>);
 static_assert(std::is_same_v<PolicyOf<ReplacementKind::kNru>, Nru>);
 static_assert(std::is_same_v<PolicyOf<ReplacementKind::kTreePlru>, TreePlru>);
